@@ -197,21 +197,34 @@ def steady_state(params: SystemParams) -> np.ndarray:
     return s
 
 
-def propagate(sigma0, params: SystemParams, t: float) -> np.ndarray:
-    """Closed-form covariance at time t >= 0 from initial state ``sigma0``.
+def propagate(sigma0, params: SystemParams, t: float | np.ndarray) -> np.ndarray:
+    """Closed-form covariance at time(s) t >= 0 from initial state ``sigma0``.
 
     Evaluates e^{Mt} (sigma0 - sigma_inf) (e^{Mt})^T + sigma_inf and
-    symmetrizes the result to suppress roundoff asymmetry. Requires a
+    symmetrizes the result to suppress roundoff asymmetry. ``t`` is either
+    a scalar, giving one 4x4 matrix, or a 1-D array of N times, giving an
+    (N, 4, 4) stack from a single steady-state solve and drift build; each
+    slice equals the scalar call at that time bit for bit. Requires a
     steady state to exist; marginal parameter sets raise
     :class:`SteadyStateUnavailable` and must use :func:`ode_oracle`.
     """
-    if not t >= 0:
+    # the float test spares single-time calls the cost of np.ndim
+    batched = not isinstance(t, float) and np.ndim(t) > 0
+    if batched:
+        t = np.asarray(t, dtype=float)
+        if t.ndim != 1 or not np.all(t >= 0):
+            raise ValueError(f"times must be a 1-D array of values >= 0 (got {t})")
+    elif not t >= 0:
         raise ValueError(f"time must be >= 0 (got {t})")
     sigma0 = check_covariance(sigma0)
     s_inf = steady_state(params)
-    e = mat_exp(build_drift(params), t)
-    s = e @ (sigma0 - s_inf) @ e.T + s_inf
-    return 0.5 * (s + s.T)
+    m = build_drift(params)
+    if batched:
+        e = np.array([mat_exp(m, tk) for tk in t]).reshape(-1, 4, 4)
+    else:
+        e = mat_exp(m, t)
+    s = e @ (sigma0 - s_inf) @ e.swapaxes(-1, -2) + s_inf
+    return 0.5 * (s + s.swapaxes(-1, -2))
 
 
 def ode_oracle(sigma0, params: SystemParams, t: float, dt: float = 1e-3) -> np.ndarray:

@@ -50,7 +50,6 @@ __all__ = [
 _RAD_CLAMP = 1e-10
 _NU_SQ_TOL = 1e-8
 _PHYSICAL_TOL = 1e-8
-_F_DOMAIN_TOL = 1e-9
 _DEGENERATE_I2_TOL = 1e-8
 _DISCORD_CLAMP = 1e-9
 
@@ -205,13 +204,16 @@ def check_physical(data: SymplecticData) -> bool:
 def purity(data: SymplecticData) -> float:
     """Purity mu = 1 / (nu_plus * nu_minus); 1 for pure states.
 
-    Equals 1/sqrt(det sigma) for any state with a positive spectrum.
+    Equals 1/sqrt(det sigma) for any state with a positive spectrum;
+    raises :class:`NonPhysicalInput` when ``data`` breaks that identity
+    (a spectrum inconsistent with its determinants).
     """
     product = data.nu_plus * data.nu_minus
     if product <= 0.0:
         return float("nan")
     mu = 1.0 / product
-    assert data.i4 <= 0.0 or abs(mu * math.sqrt(data.i4) - 1.0) < 1e-9
+    if not (data.i4 <= 0.0 or abs(mu * math.sqrt(data.i4) - 1.0) < 1e-9):
+        raise NonPhysicalInput(f"purity {mu:g} contradicts det sigma = {data.i4:g}")
     return mu
 
 
@@ -240,33 +242,19 @@ def f_entropy(x: float, base: float = math.e) -> float:
     """Bosonic entropy f(x) = (x+1)/2 log((x+1)/2) - (x-1)/2 log((x-1)/2).
 
     Defined for x >= 1 with f(1) = 0 (the x -> 1 limit is handled exactly,
-    no NaN); monotone increasing for x > 1. Arguments within 1e-9 below 1
-    are clamped to 1; anything lower raises :class:`DomainError`.
+    no NaN); monotone increasing for x > 1. Arguments within 1e-8 below 1
+    (the tolerance of :func:`check_physical`, so every state that passes
+    it has a defined entropy) are clamped to 1; anything lower raises
+    :class:`DomainError`, and a base <= 1 raises ``ValueError``.
     """
-    if x < 1.0 - _F_DOMAIN_TOL:
+    scale = _log_scale(base)
+    if x < 1.0 - _PHYSICAL_TOL:
         raise DomainError(f"entropy argument must be >= 1 (got {x})")
     if x <= 1.0:
         return 0.0
     xp = 0.5 * (x + 1.0)
     xm = 0.5 * (x - 1.0)
-    return (xp * math.log(xp) - xm * math.log(xm)) * _log_scale(base)
-
-
-def _f_loose(x: float, scale: float) -> float:
-    # Entropy for composed measure formulas: arguments that pass the
-    # physicality gate (within 1e-8 of 1) must not trip the stricter
-    # f_entropy domain tolerance, so clamp the whole gate zone to f = 0.
-    if x <= 1.0:
-        if x < 1.0 - _PHYSICAL_TOL:
-            raise DomainError(f"entropy argument must be >= 1 (got {x})")
-        return 0.0
-    return _f_nat(x) * scale
-
-
-def _f_nat(x: float) -> float:
-    xp = 0.5 * (x + 1.0)
-    xm = 0.5 * (x - 1.0)
-    return xp * math.log(xp) - xm * math.log(xm)
+    return (xp * math.log(xp) - xm * math.log(xm)) * scale
 
 
 def _zeta_first(i1: float, i2: float, i3: float, i4: float) -> float:
@@ -337,12 +325,11 @@ def gaussian_discord(
         zeta = _zeta_second(i1, i2, i3, i4)
         branch = "second"
 
-    scale = _log_scale(base)
     discord = (
-        _f_loose(math.sqrt(i2), scale)
-        - _f_loose(data.nu_minus, scale)
-        - _f_loose(data.nu_plus, scale)
-        + _f_loose(math.sqrt(max(zeta, 0.0)), scale)
+        f_entropy(math.sqrt(i2), base)
+        - f_entropy(data.nu_minus, base)
+        - f_entropy(data.nu_plus, base)
+        + f_entropy(math.sqrt(max(zeta, 0.0)), base)
     )
     if -_DISCORD_CLAMP <= discord < 0.0:
         discord = 0.0

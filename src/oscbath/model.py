@@ -75,20 +75,20 @@ def validate(params: SystemParams) -> ValidationResult:
     warnings = []
     p = params
 
-    if not p.omega > 0:
-        violations.append(f"omega must be > 0 (got {p.omega})")
+    omega_ok = p.omega > 0 and math.isfinite(p.omega)
+    if not omega_ok:
+        violations.append(f"omega must be finite and > 0 (got {p.omega})")
     if not 0.0 <= p.epsilon < 1.0:
         violations.append(f"epsilon must satisfy 0 <= epsilon < 1 (got {p.epsilon})")
-    if not p.lambda_ >= 0:
-        violations.append(f"lambda must be >= 0 (got {p.lambda_})")
-    if not p.temperature >= 0:
-        violations.append(f"temperature must be >= 0 (got {p.temperature})")
-    if not p.r >= 0:
-        violations.append(f"r must be >= 0 (got {p.r})")
+    if not (p.lambda_ >= 0 and math.isfinite(p.lambda_)):
+        violations.append(f"lambda must be finite and >= 0 (got {p.lambda_})")
+    if not (p.temperature >= 0 and math.isfinite(p.temperature)):
+        violations.append(f"temperature must be finite and >= 0 (got {p.temperature})")
+    if not (p.r >= 0 and math.isfinite(p.r)):
+        violations.append(f"r must be finite and >= 0 (got {p.r})")
 
-    if p.omega > 0 and 0.0 <= p.epsilon < 1.0:
-        w1 = p.omega * math.sqrt(1.0 + p.epsilon)
-        w2 = p.omega * math.sqrt(1.0 - p.epsilon)
+    if omega_ok and 0.0 <= p.epsilon < 1.0:
+        w1, w2 = mode_frequencies(p)
         bound = w1 * w2
         if not abs(p.nu) <= bound:
             violations.append(

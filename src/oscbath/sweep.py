@@ -21,13 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (
-    build_drift,
-    mat_exp,
-    ode_oracle,
-    steady_state,
-    steady_state_available,
-)
+from .dynamics import ode_oracle, propagate, steady_state_available
 from .errors import OscbathError, UnknownFigure
 from .measures import CorrelationReport, SymplecticData, invariants, report_from_data
 from .model import (
@@ -153,9 +147,11 @@ def evolve_trajectory(
 ) -> Trajectory:
     """Evolve from the squeezed vacuum of ``params.r`` over ``grid``.
 
-    integrator "closed" uses the matrix-exponential form (needs a steady
-    state), "rk4" the fixed-step integrator with step ``dt``, and "auto"
-    (default) picks "closed" whenever the steady state exists.
+    integrator "closed" evaluates the whole grid with one
+    :func:`~oscbath.dynamics.propagate` call (needs a steady state), "rk4"
+    chains :func:`~oscbath.dynamics.ode_oracle` from one grid time to the
+    next with step ``dt``, and "auto" (default) picks "closed" whenever the
+    steady state exists.
     """
     require_valid(params)
     if integrator == "auto":
@@ -165,25 +161,18 @@ def evolve_trajectory(
 
     times = grid.times()
     sigma0 = initial_squeezed_vacuum(params.r)
-    records = []
 
     if integrator == "closed":
-        s_inf = steady_state(params)
-        m = build_drift(params)
-        offset = sigma0 - s_inf
-        for t in times:
-            e = mat_exp(m, float(t))
-            s = e @ offset @ e.T + s_inf
-            s = 0.5 * (s + s.T)
-            records.append(_record(float(t), s, log_base))
+        sigmas = propagate(sigma0, params, times)
     else:
+        sigmas = []
         s = sigma0
         t_prev = 0.0
         for t in times:
             step = float(t) - t_prev
             if step > 0.0:
                 s = ode_oracle(s, params, step, min(dt, step))
-            records.append(_record(float(t), s, log_base))
+            sigmas.append(s)
             t_prev = float(t)
 
     return Trajectory(
@@ -191,7 +180,9 @@ def evolve_trajectory(
         grid=grid,
         log_base=log_base,
         integrator=integrator,
-        records=tuple(records),
+        records=tuple(
+            _record(float(t), s, log_base) for t, s in zip(times, sigmas)
+        ),
     )
 
 

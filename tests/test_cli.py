@@ -162,6 +162,12 @@ class TestSteadyCommand:
                      "--epsilon", "0"]) == 1
         assert "steady state" in capsys.readouterr().err
 
+    def test_infinite_temperature_exits_1(self, capsys):
+        assert main(["steady", "--temp", "inf"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "temperature" in err
+        assert "Traceback" not in err
+
 
 class TestFigureCommand:
     def test_fig1a_outputs(self, tmp_path, capsys):

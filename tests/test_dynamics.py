@@ -216,18 +216,31 @@ class TestPropagate:
         assert np.abs(s - s.T).max() <= 1e-12
 
     def test_marginal_parameters_rejected(self):
-        with pytest.raises(SteadyStateUnavailable):
-            propagate(np.eye(4), dataclasses.replace(FIG1A, lambda_=0.0), 1.0)
+        for changes in (dict(lambda_=0.0), dict(nu=1.0)):
+            marginal = dataclasses.replace(FIG1A, **changes)
+            for t in (1.0, np.linspace(0.0, 1.0, 3)):
+                with pytest.raises(SteadyStateUnavailable):
+                    propagate(np.eye(4), marginal, t)
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
             propagate(np.eye(4), FIG1A, -1.0)
+        with pytest.raises(ValueError, match=">= 0"):
+            propagate(np.eye(4), FIG1A, np.array([0.0, 1.0, -0.5, 2.0]))
 
     def test_physicality_preserved(self):
         sigma0 = initial_squeezed_vacuum(1.0)
         for t in np.linspace(0.0, 20.0, 11):
             data = invariants(propagate(sigma0, FIG1A, float(t)))
             assert data.nu_minus >= 1.0 - 1e-8
+
+    def test_time_array_matches_scalar_calls(self):
+        sigma0 = initial_squeezed_vacuum(2.0)
+        times = np.linspace(0.0, 12.0, 7)
+        stack = propagate(sigma0, FIG1A, times)
+        assert stack.shape == (7, 4, 4)
+        for t, s in zip(times, stack):
+            assert np.array_equal(s, propagate(sigma0, FIG1A, float(t)))
 
 
 class TestOdeOracle:

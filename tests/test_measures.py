@@ -118,6 +118,12 @@ class TestPhysicalityAndPurity:
     def test_doubled_vacuum_purity(self):
         assert purity(invariants(2.0 * np.eye(4))) == pytest.approx(0.25, rel=1e-12)
 
+    def test_inconsistent_spectrum_rejected(self):
+        # nu_plus * nu_minus = 1 but det sigma = 4: no state has this data
+        data = SymplecticData(1.0, 1.0, 0.0, 4.0, 2.0, 2.0, 1.0, 1.0, 1.0)
+        with pytest.raises(NonPhysicalInput):
+            purity(data)
+
 
 class TestLogNegativity:
     def test_vacuum_zero(self):
@@ -148,10 +154,13 @@ class TestEntropyFunction:
     def test_limit_at_one(self):
         assert f_entropy(1.0) == 0.0
         assert f_entropy(1.0 - 1e-10) == 0.0  # clamp zone
+        assert f_entropy(1.0 - 5e-9) == 0.0  # inside the physicality gate
 
     def test_below_domain_raises(self):
         with pytest.raises(DomainError):
             f_entropy(0.9)
+        with pytest.raises(DomainError):
+            f_entropy(1.0 - 2e-8)
 
     def test_frozen_values(self):
         assert f_entropy(3.7621956910836314) == pytest.approx(

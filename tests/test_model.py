@@ -42,7 +42,9 @@ class TestValidate:
     @pytest.mark.parametrize(
         "field,value",
         [("omega", 0.0), ("omega", -1.0), ("epsilon", -0.1),
-         ("lambda_", -0.5), ("temperature", -0.1), ("r", -1.0)],
+         ("lambda_", -0.5), ("temperature", -0.1), ("r", -1.0),
+         ("omega", math.inf), ("lambda_", math.inf),
+         ("temperature", math.inf), ("r", math.inf)],
     )
     def test_out_of_range_rejected(self, field, value):
         assert not validate(params(**{field: value})).ok

@@ -100,6 +100,13 @@ class TestEvolveTrajectory:
         traj = evolve_trajectory(FIG1A, SMALL_GRID)
         assert np.array_equal([rec.t for rec in traj.records], SMALL_GRID.times())
 
+    def test_closed_records_are_propagate_of_grid(self):
+        traj = evolve_trajectory(FIG4, SMALL_GRID, integrator="closed")
+        expected = propagate(
+            initial_squeezed_vacuum(FIG4.r), FIG4, SMALL_GRID.times()
+        )
+        assert np.array_equal([rec.sigma for rec in traj.records], expected)
+
     def test_deterministic(self):
         a = evolve_trajectory(FIG1A, SMALL_GRID)
         b = evolve_trajectory(FIG1A, SMALL_GRID)
