@@ -27,6 +27,7 @@ from .sweep import (
     FIGURE_IDS,
     SUDDEN_DEATH_THRESHOLD,
     TimeGrid,
+    check_step,
     detect_sudden_death,
     evolve_trajectory,
     figure_preset,
@@ -199,6 +200,7 @@ def _cmd_evolve(args) -> int:
     params = _params(args)
     try:
         grid = TimeGrid(args.t_start, args.t_end, args.points)
+        check_step(args.dt)
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

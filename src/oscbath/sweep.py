@@ -39,6 +39,7 @@ __all__ = [
     "SweepOutcome",
     "SuddenDeathReport",
     "FigurePreset",
+    "check_step",
     "evolve_trajectory",
     "sweep_parameter",
     "detect_sudden_death",
@@ -52,18 +53,19 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform time grid with t_start >= 0, t_end > t_start, n_points >= 2."""
+    """Uniform finite time grid: 0 <= t_start < t_end, n_points >= 2."""
 
     t_start: float
     t_end: float
     n_points: int
 
     def __post_init__(self):
-        if not self.t_start >= 0:
-            raise ValueError(f"t_start must be >= 0 (got {self.t_start})")
-        if not self.t_end > self.t_start:
+        if not 0 <= self.t_start < math.inf:
+            raise ValueError(f"t_start must be finite and >= 0 (got {self.t_start})")
+        if not self.t_start < self.t_end < math.inf:
             raise ValueError(
-                f"t_end must exceed t_start (got {self.t_start}..{self.t_end})"
+                f"t_end must be finite and exceed t_start "
+                f"(got {self.t_start}..{self.t_end})"
             )
         if self.n_points < 2:
             raise ValueError(f"n_points must be >= 2 (got {self.n_points})")
@@ -138,6 +140,12 @@ DEFAULT_SWEEP_VALUES = {
 }
 
 
+def check_step(dt: float) -> None:
+    """Reject an RK4 step ``dt`` that is not finite and > 0 (ValueError)."""
+    if not 0 < dt < math.inf:
+        raise ValueError(f"dt must be finite and > 0 (got {dt})")
+
+
 def evolve_trajectory(
     params: SystemParams,
     grid: TimeGrid = DEFAULT_GRID,
@@ -151,8 +159,10 @@ def evolve_trajectory(
     :func:`~oscbath.dynamics.propagate` call (needs a steady state), "rk4"
     chains :func:`~oscbath.dynamics.ode_oracle` from one grid time to the
     next with step ``dt``, and "auto" (default) picks "closed" whenever the
-    steady state exists.
+    steady state exists. A ``dt`` that is not finite and > 0 raises
+    ``ValueError`` before any work, whichever integrator runs.
     """
+    check_step(dt)
     require_valid(params)
     if integrator == "auto":
         integrator = "closed" if steady_state_available(params) else "rk4"

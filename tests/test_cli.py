@@ -1,11 +1,26 @@
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from oscbath import SymplecticData, gaussian_discord, log_negativity, purity
 from oscbath.cli import main
+from oscbath.sweep import FIGURE_IDS
 from helpers import parse_csv
+
+
+def _load_workloads():
+    # the benchmark's output checker and references are the golden gate
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
+
 
 FIG1A_FLAGS = ["--omega", "1", "--epsilon", "0", "--nu", "0.8",
                "--lambda", "0.6", "--temp", "0.2", "--r", "1"]
@@ -86,6 +101,17 @@ class TestEvolveCommand:
         code = main(["evolve", "--points", "1"])
         assert code == 2
         assert "usage error" in capsys.readouterr().err
+
+    def test_infinite_t_end_is_usage_error(self, capsys):
+        assert main(["evolve", "--t-end", "inf", "--points", "3"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and "t_end" in err
+
+    @pytest.mark.parametrize("dt", ["nan", "-1"])
+    def test_bad_dt_is_usage_error(self, dt, capsys):
+        assert main(["evolve", "--integrator", "rk4", "--dt", dt]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and "dt" in err
 
     def test_rk4_integrator_conserves_purity(self, tmp_path):
         out = tmp_path / "run.csv"
@@ -168,6 +194,11 @@ class TestSteadyCommand:
         assert err.startswith("error:") and "temperature" in err
         assert "Traceback" not in err
 
+    def test_warm_bath_accepted(self, capsys):
+        # max|2D| ~ 2.4e7, so the residual bound scales up with it
+        assert main(["steady", "--temp", "1e7"]) == 0
+        assert "physical,true" in capsys.readouterr().out
+
 
 class TestFigureCommand:
     def test_fig1a_outputs(self, tmp_path, capsys):
@@ -201,6 +232,20 @@ class TestFigureCommand:
         assert names == sorted(p.name for p in dir_b.iterdir())
         for name in names:
             assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes()
+
+    def test_all_presets_match_golden_reference(self, tmp_path, capsys):
+        workloads = _load_workloads()
+        refs = workloads.load_refs()
+        assert sorted(refs) == sorted(FIGURE_IDS)
+        for fid in FIGURE_IDS:
+            out_dir = tmp_path / fid
+            assert main(["figure", fid, "--out", str(out_dir)]) == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            ok, records, reason = workloads.check_figure_output(
+                refs[fid], out_dir, captured.out)
+            assert ok, f"{fid}: {reason}"
+            assert records == 501 * len(refs[fid]["csv"])
 
     def test_unwritable_directory_exits_1(self, tmp_path, capsys):
         # a path below a regular file cannot be created, even by root

@@ -20,6 +20,8 @@ from oscbath import (
     steady_state_available,
     thermal_coth,
 )
+from oscbath.dynamics import _THETA13
+from oscbath.sweep import FIGURE_IDS, figure_preset
 from helpers import FIG1A, random_valid_params
 
 import dataclasses
@@ -155,6 +157,37 @@ class TestMatExp:
         for _ in range(16):
             acc = acc @ small
         assert np.abs(big - acc).max() < 1e-12
+
+    def test_time_array_matches_scalar_calls(self):
+        m = build_drift(FIG1A)
+        times = np.linspace(0.0, 200.0, 801)
+        # the grid spans squaring counts 0 (norm <= theta13) to at least 5
+        norms = np.abs(m).sum(0).max() * times
+        assert norms.max() > 2.0 ** 5 * _THETA13 and norms[1] < _THETA13
+        stack = mat_exp(m, times)
+        assert stack.shape == (801, 4, 4)
+        for t, e in zip(times, stack):
+            assert np.array_equal(e, mat_exp(m, float(t)))
+        assert np.array_equal(stack[0], np.eye(4))
+
+    def test_empty_time_array(self):
+        assert mat_exp(build_drift(FIG1A), np.array([])).shape == (0, 4, 4)
+
+    def test_two_dimensional_times_rejected(self):
+        with pytest.raises(ValueError, match="1-D"):
+            mat_exp(build_drift(FIG1A), np.zeros((2, 3)))
+
+    def test_against_scipy_expm_on_every_preset_drift(self):
+        expm = pytest.importorskip("scipy.linalg").expm
+        times = np.linspace(0.0, 20.0, 41)
+        for fid in FIGURE_IDS:
+            preset = figure_preset(fid)
+            for value in preset.values:
+                m = build_drift(
+                    dataclasses.replace(preset.params, **{preset.sweep: value}))
+                for t, e in zip(times, mat_exp(m, times)):
+                    ref = expm(m * t)
+                    assert np.abs(e - ref).max() <= 1e-11 * np.abs(ref).max()
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):

@@ -37,7 +37,10 @@ class TestTimeGrid:
         "kwargs",
         [dict(t_start=-1.0, t_end=1.0, n_points=5),
          dict(t_start=1.0, t_end=1.0, n_points=5),
-         dict(t_start=0.0, t_end=1.0, n_points=1)],
+         dict(t_start=0.0, t_end=1.0, n_points=1),
+         dict(t_start=0.0, t_end=math.inf, n_points=3),
+         dict(t_start=math.inf, t_end=math.inf, n_points=3),
+         dict(t_start=0.0, t_end=math.nan, n_points=3)],
     )
     def test_invalid_grid_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -106,6 +109,12 @@ class TestEvolveTrajectory:
             initial_squeezed_vacuum(FIG4.r), FIG4, SMALL_GRID.times()
         )
         assert np.array_equal([rec.sigma for rec in traj.records], expected)
+
+    @pytest.mark.parametrize("dt", [math.nan, math.inf, -1.0, 0.0])
+    def test_bad_step_rejected(self, dt):
+        for integrator in ("closed", "rk4"):
+            with pytest.raises(ValueError, match="dt must be finite"):
+                evolve_trajectory(FIG1A, TimeGrid(0.0, 1.0, 3), integrator, dt)
 
     def test_deterministic(self):
         a = evolve_trajectory(FIG1A, SMALL_GRID)
