@@ -19,6 +19,7 @@ from .model import (
     SystemParams,
     ValidationResult,
     check_covariance,
+    coupling_bound,
     initial_squeezed_vacuum,
     mode_frequencies,
     require_valid,
@@ -81,6 +82,7 @@ __all__ = [
     "validate",
     "require_valid",
     "mode_frequencies",
+    "coupling_bound",
     "initial_squeezed_vacuum",
     "check_covariance",
     # dynamics

@@ -27,7 +27,13 @@ import math
 import numpy as np
 
 from .errors import SteadyStateUnavailable
-from .model import SystemParams, check_covariance, mode_frequencies, require_valid
+from .model import (
+    SystemParams,
+    check_covariance,
+    coupling_bound,
+    mode_frequencies,
+    require_valid,
+)
 
 __all__ = [
     "thermal_coth",
@@ -179,14 +185,29 @@ def _mat_exp_stack(m: np.ndarray, t: np.ndarray) -> np.ndarray:
     return result
 
 
+def _kron_sum(m: np.ndarray) -> np.ndarray:
+    """Kronecker sum kron(m, I) + kron(I, m), the matrix of X -> m X + X m^T
+    on the row-major vec(X).
+
+    Built by broadcasting; every term is the same product with an exact 1.0
+    or 0.0 that ``np.kron`` forms, so the result equals the two-kron sum bit
+    for bit.
+    """
+    n = m.shape[0]
+    ident = np.eye(n)
+    return (
+        m[:, None, :, None] * ident[None, :, None, :]
+        + ident[:, None, :, None] * m[None, :, None, :]
+    ).reshape(n * n, n * n)
+
+
 def steady_state_available(params: SystemParams) -> bool:
     """True iff the asymptotic covariance solve is accepted for ``params``.
 
     Requires lambda > 0 and |nu| strictly below omega1*omega2; marginal
     sets are rejected by :func:`steady_state` and :func:`propagate`.
     """
-    w1, w2 = mode_frequencies(params)
-    return params.lambda_ > 0.0 and abs(params.nu) < w1 * w2
+    return params.lambda_ > 0.0 and abs(params.nu) < coupling_bound(params)
 
 
 _RESIDUAL_TOL = 1e-10
@@ -213,10 +234,8 @@ def steady_state(params: SystemParams) -> np.ndarray:
         )
     m = build_drift(params)
     d = np.diag(build_diffusion(params))
-    ident = np.eye(4)
-    kron_sum = np.kron(m, ident) + np.kron(ident, m)
     try:
-        vec = np.linalg.solve(kron_sum, -2.0 * d.reshape(-1))
+        vec = np.linalg.solve(_kron_sum(m), -2.0 * d.reshape(-1))
     except np.linalg.LinAlgError as exc:
         raise SteadyStateUnavailable(
             f"steady-state linear system is singular: {exc}"
@@ -270,6 +289,11 @@ def ode_oracle(sigma0, params: SystemParams, t: float, dt: float = 1e-3) -> np.n
     :func:`propagate` it is valid for every parameter set, including
     lambda = 0 and marginal coupling.
 
+    The flow is linear, so one RK4 step is a fixed affine map on vec(sigma);
+    it is built once, composed over all steps of the interval and applied as
+    a single matrix-vector product. The result is exactly symmetric.
+    ``evolve_trajectory`` runs whole grids through the same core.
+
     t must be >= 0 and dt in (0, t] (any t is fine when it is an integer
     multiple of dt; otherwise a final shorter step covers the remainder).
     """
@@ -281,28 +305,81 @@ def ode_oracle(sigma0, params: SystemParams, t: float, dt: float = 1e-3) -> np.n
         return sigma0
     if not 0.0 < dt <= t:
         raise ValueError(f"dt must be in (0, t] (got dt={dt}, t={t})")
+    return _rk4_grid(sigma0, params, [t], dt)[0]
 
-    m = build_drift(params)
-    mt = m.T
-    d2 = 2.0 * np.diag(build_diffusion(params))
 
-    def rhs(s):
-        return m @ s + s @ mt + d2
+def _sym_rows(a: np.ndarray) -> np.ndarray:
+    """Symmetrization projection P on the 16 rows of ``a``: rows (i, j) and
+    (j, i) both become their mean, bit for bit the same."""
+    b = a.reshape(4, 4, -1)
+    return (0.5 * (b + b.swapaxes(0, 1))).reshape(a.shape)
 
-    n_steps = int(math.floor(t / dt + 1e-9))
-    remainder = t - n_steps * dt
-    if remainder < 1e-12 * max(t, 1.0):
-        remainder = 0.0
 
-    s = sigma0
-    for step in range(n_steps + 1):
-        h = dt if step < n_steps else remainder
-        if h == 0.0:
-            break
-        k1 = rhs(s)
-        k2 = rhs(s + (0.5 * h) * k1)
-        k3 = rhs(s + (0.5 * h) * k2)
-        k4 = rhs(s + h * k3)
-        s = s + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        s = 0.5 * (s + s.T)
-    return s
+def _rk4_map(lsum: np.ndarray, b: np.ndarray, h: float, n: int,
+             remainder: float) -> tuple[np.ndarray, np.ndarray]:
+    """Increment (K, C) of n >= 1 RK4 steps of size h, then one of
+    ``remainder`` (if nonzero), for v' = lsum v + b: the steps take v to
+    v + (K v + C).
+
+    One step is K = P (hL) Phi and c = P h Phi b with
+    Phi = sum_{j=0..3} (hL)^j / (j+1)!, the exact RK4 map of this linear
+    flow minus the identity; P keeps the result exactly symmetric in place
+    of a symmetrization after each step. Steps compose in increment form,
+    K_k = K_(k-1) + (K K_(k-1) + K), C_k = C_(k-1) + (K C_(k-1) + c), which
+    keeps the rounding relative to the small change per step, not to the
+    state (composing R = I + K directly lets det(sigma) drift ~10x more at
+    lambda = 0).
+    """
+    ident = np.eye(lsum.shape[0])
+
+    def step(size):
+        a = size * lsum
+        phi = ident + a @ (0.5 * ident + a @ (ident / 6.0 + a / 24.0))
+        # one step as a map on the columns of [K | C], c in the last column
+        return _sym_rows(np.column_stack((a @ phi, size * (phi @ b))))
+
+    g = kc = step(h)
+    k = np.ascontiguousarray(kc[:, :-1])
+    for _ in range(n - 1):
+        g = g + (k @ g + kc)
+    if remainder:
+        kc = step(remainder)
+        g = g + (kc[:, :-1] @ g + kc)
+    return np.ascontiguousarray(g[:, :-1]), g[:, -1].copy()
+
+
+def _rk4_grid(sigma0: np.ndarray, params: SystemParams, times,
+              dt: float) -> np.ndarray:
+    """RK4 states at each of the non-decreasing ``times``, from sigma0 at 0.
+
+    Steps from t = 0 to times[0], then from each time to the next, each
+    interval of length T with step h = min(dt, T): floor(T/h) whole steps
+    plus one step for a remainder of at least 1e-12 * max(T, 1). M, D and
+    L = M (+) M are built once; an interval's composed map is rebuilt only
+    when its (h, steps, remainder) differs from the previous interval's, so
+    a uniform grid builds it once and costs one matrix-vector product per
+    interval. Returns an (N, 4, 4) stack of exactly symmetric matrices.
+    """
+    lsum = _kron_sum(build_drift(params))
+    b = 2.0 * np.diag(build_diffusion(params)).reshape(-1)
+    # the map keeps symmetric inputs exactly symmetric; make sure this one is
+    v = (0.5 * (sigma0 + sigma0.T)).reshape(-1)
+    out = np.empty((len(times), 4, 4))
+    key = None
+    t_prev = 0.0
+    for i, t in enumerate(times):
+        t = float(t)
+        span = t - t_prev
+        if span > 0.0:
+            h = min(dt, span)
+            n = math.floor(span / h + 1e-9)
+            remainder = span - n * h
+            if remainder < 1e-12 * max(span, 1.0):
+                remainder = 0.0
+            if key != (h, n, remainder):
+                key = (h, n, remainder)
+                k, c = _rk4_map(lsum, b, h, n, remainder)
+            v = v + (k @ v + c)
+        out[i] = v.reshape(4, 4)
+        t_prev = t
+    return out

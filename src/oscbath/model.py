@@ -27,6 +27,7 @@ __all__ = [
     "validate",
     "require_valid",
     "mode_frequencies",
+    "coupling_bound",
     "initial_squeezed_vacuum",
     "check_covariance",
 ]
@@ -88,8 +89,7 @@ def validate(params: SystemParams) -> ValidationResult:
         violations.append(f"r must be finite and >= 0 (got {p.r})")
 
     if omega_ok and 0.0 <= p.epsilon < 1.0:
-        w1, w2 = mode_frequencies(p)
-        bound = w1 * w2
+        bound = coupling_bound(p)
         if not abs(p.nu) <= bound:
             violations.append(
                 f"|nu| <= omega1*omega2 violated (|{p.nu}| > {bound:.12g})"
@@ -132,6 +132,16 @@ def mode_frequencies(params: SystemParams) -> tuple[float, float]:
             f"(got omega={p.omega}, epsilon={p.epsilon})"
         )
     return p.omega * math.sqrt(1.0 + p.epsilon), p.omega * math.sqrt(1.0 - p.epsilon)
+
+
+def coupling_bound(params: SystemParams) -> float:
+    """Stability bound omega1*omega2 on |nu|, in exactly one float order.
+
+    |nu| above it is invalid and |nu| equal to it is marginal; every check
+    of either uses this value, so +-omega1*omega2 is marginal everywhere.
+    """
+    w1, w2 = mode_frequencies(params)
+    return w1 * w2
 
 
 def initial_squeezed_vacuum(r: float) -> np.ndarray:

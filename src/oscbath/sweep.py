@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import ode_oracle, propagate, steady_state_available
+from .dynamics import _rk4_grid, propagate, steady_state_available
 from .errors import OscbathError, UnknownFigure
 from .measures import CorrelationReport, SymplecticData, invariants, report_from_data
 from .model import (
@@ -157,10 +157,14 @@ def evolve_trajectory(
 
     integrator "closed" evaluates the whole grid with one
     :func:`~oscbath.dynamics.propagate` call (needs a steady state), "rk4"
-    chains :func:`~oscbath.dynamics.ode_oracle` from one grid time to the
-    next with step ``dt``, and "auto" (default) picks "closed" whenever the
-    steady state exists. A ``dt`` that is not finite and > 0 raises
-    ``ValueError`` before any work, whichever integrator runs.
+    steps the whole grid with one call of the RK4 core behind
+    :func:`~oscbath.dynamics.ode_oracle`, using step ``min(dt, interval)``
+    (on a uniform grid the step map is built once and each interval is one
+    matrix-vector product; every record equals the chained ``ode_oracle``
+    calls from one grid time to the next bit for bit), and "auto" (default)
+    picks "closed" whenever the steady state exists. A ``dt`` that is not
+    finite and > 0 raises ``ValueError`` before any work, whichever
+    integrator runs.
     """
     check_step(dt)
     require_valid(params)
@@ -175,15 +179,7 @@ def evolve_trajectory(
     if integrator == "closed":
         sigmas = propagate(sigma0, params, times)
     else:
-        sigmas = []
-        s = sigma0
-        t_prev = 0.0
-        for t in times:
-            step = float(t) - t_prev
-            if step > 0.0:
-                s = ode_oracle(s, params, step, min(dt, step))
-            sigmas.append(s)
-            t_prev = float(t)
+        sigmas = _rk4_grid(sigma0, params, times, dt)
 
     return Trajectory(
         params=params,

@@ -20,9 +20,9 @@ from oscbath import (
     steady_state_available,
     thermal_coth,
 )
-from oscbath.dynamics import _THETA13
+from oscbath.dynamics import _THETA13, _kron_sum
 from oscbath.sweep import FIGURE_IDS, figure_preset
-from helpers import FIG1A, random_valid_params
+from helpers import FIG1A, FIG4, random_valid_params
 
 import dataclasses
 
@@ -35,6 +35,41 @@ def taylor_expm(a, terms=60):
         term = term @ a / k
         acc = acc + term
     return acc
+
+
+def rk4_reference(sigma0, params, t, dt):
+    # the per-step RK4 of earlier versions: four right-hand sides and one
+    # symmetrization per step, with ode_oracle's step and remainder rule
+    m = build_drift(params)
+    d2 = 2.0 * np.diag(build_diffusion(params))
+
+    def rhs(s):
+        return m @ s + s @ m.T + d2
+
+    n = int(math.floor(t / dt + 1e-9))
+    remainder = t - n * dt
+    if remainder < 1e-12 * max(t, 1.0):
+        remainder = 0.0
+    s = np.array(sigma0, dtype=float)
+    for h in [dt] * n + ([remainder] if remainder else []):
+        k1 = rhs(s)
+        k2 = rhs(s + (0.5 * h) * k1)
+        k3 = rhs(s + (0.5 * h) * k2)
+        k4 = rhs(s + h * k3)
+        s = s + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        s = 0.5 * (s + s.T)
+    return s
+
+
+def rk4_sets():
+    # two stable sets and the two marginal kinds that only RK4 can evolve
+    w1, w2 = mode_frequencies(FIG4)
+    return {
+        "fig1a": FIG1A,
+        "stable": FIG4,
+        "lambda0": dataclasses.replace(FIG1A, lambda_=0.0, r=2.0),
+        "marginal_nu": dataclasses.replace(FIG4, nu=-w1 * w2),
+    }
 
 
 def decoupled_steady(params):
@@ -323,6 +358,47 @@ class TestOdeOracle:
             ode_oracle(np.eye(4), FIG1A, 1.0, 0.0)
         with pytest.raises(ValueError):
             ode_oracle(np.eye(4), FIG1A, 1.0, 2.0)
+
+
+class TestRk4Map:
+    @pytest.mark.parametrize("name", ["fig1a", "stable", "lambda0", "marginal_nu"])
+    def test_matches_per_step_rk4(self, name):
+        params = rk4_sets()[name]
+        sigma0 = initial_squeezed_vacuum(params.r)
+        # t = 0.345 with dt = 0.01 ends with a remainder step
+        for t, dt in ((2.0, 1e-3), (0.345, 0.01)):
+            want = rk4_reference(sigma0, params, t, dt)
+            got = ode_oracle(sigma0, params, t, dt)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), (t, dt)
+
+    @pytest.mark.parametrize("params", [FIG1A, FIG4])
+    def test_fourth_order_convergence(self, params):
+        # halving dt divides the global error by 2^4; a scheme that drops
+        # the (hL)^4/24 term of the step map would only reach 2^3
+        sigma0 = initial_squeezed_vacuum(params.r)
+        exact = propagate(sigma0, params, 1.0)
+        err = [np.abs(ode_oracle(sigma0, params, 1.0, dt) - exact).max()
+               for dt in (0.02, 0.01)]
+        assert abs(err[0] / err[1] - 16.0) <= 1.5, err
+
+    @pytest.mark.parametrize("name", ["fig1a", "stable", "lambda0", "marginal_nu"])
+    def test_results_exactly_symmetric(self, name):
+        params = rk4_sets()[name]
+        sigma0 = initial_squeezed_vacuum(params.r)
+        for t, dt in ((0.345, 0.01), (1.0, 1e-3), (2.5, 0.02)):
+            s = ode_oracle(sigma0, params, t, dt)
+            assert np.array_equal(s, s.T), (t, dt)
+
+
+class TestKronSum:
+    def test_bit_identical_to_two_krons(self):
+        # compared as bytes, so even the signs of zeros must agree
+        drifts = [build_drift(figure_preset(fid).params) for fid in FIGURE_IDS]
+        drifts.append(np.random.default_rng(5).normal(size=(4, 4)))
+        ident = np.eye(4)
+        for m in drifts:
+            want = np.kron(m, ident) + np.kron(ident, m)
+            assert _kron_sum(m).tobytes() == want.tobytes()
 
 
 class TestRandomParameterGrid:

@@ -6,10 +6,12 @@ import pytest
 from oscbath import (
     InvalidParameters,
     SystemParams,
+    coupling_bound,
     initial_squeezed_vacuum,
     invariants,
     mode_frequencies,
     require_valid,
+    steady_state_available,
     validate,
 )
 from helpers import FIG1A
@@ -70,6 +72,28 @@ class TestValidate:
     def test_require_valid_raises_with_all_violations(self):
         with pytest.raises(InvalidParameters, match="omega"):
             require_valid(params(omega=-1.0))
+
+
+class TestCouplingBound:
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_bound_is_exactly_marginal_everywhere(self, sign):
+        # one float value decides validity, the marginal warning and the
+        # steady-state availability
+        bound = coupling_bound(params(omega=1.3, epsilon=0.4))
+        w1, w2 = mode_frequencies(params(omega=1.3, epsilon=0.4))
+        assert bound == w1 * w2
+        at = params(omega=1.3, epsilon=0.4, nu=sign * bound)
+        result = validate(at)
+        assert result.ok
+        assert any("marginal" in w for w in result.warnings)
+        assert not steady_state_available(at)
+        inside = params(omega=1.3, epsilon=0.4,
+                        nu=sign * math.nextafter(bound, 0.0))
+        assert validate(inside).warnings == ()
+        assert steady_state_available(inside)
+        outside = params(omega=1.3, epsilon=0.4,
+                         nu=sign * math.nextafter(bound, math.inf))
+        assert not validate(outside).ok
 
 
 class TestModeFrequencies:

@@ -6,6 +6,7 @@ import pytest
 
 from oscbath import (
     CorrelationReport,
+    DEFAULT_GRID,
     FIGURE_IDS,
     SystemParams,
     TimeGrid,
@@ -16,6 +17,7 @@ from oscbath import (
     evolve_trajectory,
     figure_preset,
     full_report,
+    ode_oracle,
     propagate,
     initial_squeezed_vacuum,
     steady_state,
@@ -109,6 +111,24 @@ class TestEvolveTrajectory:
             initial_squeezed_vacuum(FIG4.r), FIG4, SMALL_GRID.times()
         )
         assert np.array_equal([rec.sigma for rec in traj.records], expected)
+
+    @pytest.mark.parametrize(
+        "params, grid",
+        [(dataclasses.replace(FIG1A, lambda_=0.0), DEFAULT_GRID),
+         (FIG4, TimeGrid(0.75, 3.0, 41)),  # first interval starts at t = 0
+         (FIG4, TimeGrid(0.0, 0.01, 21))],  # spacing below dt
+    )
+    def test_rk4_records_are_chained_ode_oracle(self, params, grid):
+        dt = 1e-3
+        traj = evolve_trajectory(params, grid, integrator="rk4", dt=dt)
+        s = initial_squeezed_vacuum(params.r)
+        t_prev = 0.0
+        for t, rec in zip(grid.times(), traj.records):
+            step = float(t) - t_prev
+            s = ode_oracle(s, params, step, min(dt, step))
+            assert np.array_equal(rec.sigma, s), rec.t
+            assert np.array_equal(rec.sigma, rec.sigma.T), rec.t
+            t_prev = float(t)
 
     @pytest.mark.parametrize("dt", [math.nan, math.inf, -1.0, 0.0])
     def test_bad_step_rejected(self, dt):
