@@ -42,13 +42,15 @@ _COLUMNS = (
 )
 
 
-def _fmt(value: float, hex_floats: bool) -> str:
-    value = float(value)
-    if value == 0.0:
-        value = 0.0  # normalize -0.0
+def _fmt_all(values: list[float], hex_floats: bool) -> list[str]:
+    # adding 0.0 turns -0.0 into 0.0 and leaves every other value as it is
     if hex_floats:
-        return value.hex()
-    return f"{value:#.12g}"
+        return [(v + 0.0).hex() for v in values]
+    return [f"{v + 0.0:#.12g}" for v in values]
+
+
+def _fmt(value: float, hex_floats: bool) -> str:
+    return _fmt_all([float(value)], hex_floats)[0]
 
 
 def _param_flags(parser: argparse.ArgumentParser) -> None:
@@ -157,22 +159,14 @@ def _trajectory_lines(traj, args, extra_meta: str = "") -> list[str]:
     if extra_meta:
         meta += " " + extra_meta
     lines = [meta, ",".join(_COLUMNS)]
-    for rec in traj.records:
-        rep, data = rec.report, rec.data
-        row = [
-            _fmt(rec.t, hex_floats),
-            _fmt(rep.purity, hex_floats),
-            _fmt(rep.log_negativity, hex_floats),
-            _fmt(rep.discord, hex_floats),
-            _fmt(data.nu_minus, hex_floats),
-            _fmt(data.nu_plus, hex_floats),
-            _fmt(data.i1, hex_floats),
-            _fmt(data.i2, hex_floats),
-            _fmt(data.i3, hex_floats),
-            _fmt(data.i4, hex_floats),
-            "true" if rep.physical else "false",
-        ]
-        lines.append(",".join(row))
+    rep, data = traj.report, traj.data
+    columns = [
+        _fmt_all(c.tolist(), hex_floats)
+        for c in (traj.times, rep.purity, rep.log_negativity, rep.discord,
+                  data.nu_minus, data.nu_plus, data.i1, data.i2, data.i3, data.i4)
+    ]
+    columns.append(["true" if p else "false" for p in rep.physical.tolist()])
+    lines.extend(map(",".join, zip(*columns)))
     return lines
 
 
@@ -279,8 +273,8 @@ def _cmd_figure(args) -> int:
             f"value={outcome.value!r} observable={preset.observable}"
         )
         _write_text(str(csv_path), _trajectory_lines(traj, args, extra_meta=extra))
-        xs = [rec.t for rec in traj.records]
-        ys = [getattr(rec.report, obs_col) for rec in traj.records]
+        xs = traj.times.tolist()
+        ys = getattr(traj.report, obs_col).tolist()
         curves.append((label, xs, ys))
         death = detect_sudden_death(traj, threshold=args.threshold)
         if death.death_times:

@@ -140,17 +140,20 @@ def mat_exp(m: np.ndarray, t: float | np.ndarray = 1.0) -> np.ndarray:
     precision, then the result is squared back up. Relative accuracy is
     around 1e-14 for the well-conditioned 4x4 drift matrices used here.
 
-    ``t`` is a scalar, giving one n x n matrix, or a 1-D array of N times,
-    giving an (N, n, n) stack evaluated in one batch: each slice is scaled
-    and squared by its own count and equals the scalar call at that time
-    bit for bit.
+    ``t`` is a finite scalar, giving one n x n matrix, or a 1-D array of N
+    finite times, giving an (N, n, n) stack evaluated in one batch: each
+    slice is scaled and squared by its own count and equals the scalar call
+    at that time bit for bit. A non-finite time raises ``ValueError``.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"matrix must be square (got shape {m.shape})")
     if not isinstance(t, float) and np.ndim(t) > 0:
         return _mat_exp_stack(m, np.asarray(t, dtype=float))
-    a = m * float(t)
+    t = float(t)
+    if not math.isfinite(t):
+        raise ValueError(f"time must be finite (got {t})")
+    a = m * t
     norm = np.linalg.norm(a, 1)
     if norm == 0.0:
         return np.eye(a.shape[0])
@@ -169,6 +172,8 @@ def _mat_exp_stack(m: np.ndarray, t: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"times must be a scalar or a 1-D array (got shape {t.shape})"
         )
+    if not np.all(np.isfinite(t)):
+        raise ValueError(f"times must be finite (got {t})")
     a = m * t[:, None, None]
     norms = np.abs(a).sum(-2).max(-1)
     # math.log2, not np.log2, so each count is the scalar path's exactly
@@ -253,7 +258,7 @@ def steady_state(params: SystemParams) -> np.ndarray:
 
 
 def propagate(sigma0, params: SystemParams, t: float | np.ndarray) -> np.ndarray:
-    """Closed-form covariance at time(s) t >= 0 from initial state ``sigma0``.
+    """Closed-form covariance at finite time(s) t >= 0 from ``sigma0``.
 
     Evaluates e^{Mt} (sigma0 - sigma_inf) (e^{Mt})^T + sigma_inf and
     symmetrizes the result to suppress roundoff asymmetry. ``t`` is either
@@ -268,10 +273,12 @@ def propagate(sigma0, params: SystemParams, t: float | np.ndarray) -> np.ndarray
     batched = not isinstance(t, float) and np.ndim(t) > 0
     if batched:
         t = np.asarray(t, dtype=float)
-        if t.ndim != 1 or not np.all(t >= 0):
-            raise ValueError(f"times must be a 1-D array of values >= 0 (got {t})")
-    elif not t >= 0:
-        raise ValueError(f"time must be >= 0 (got {t})")
+        if t.ndim != 1 or not np.all((t >= 0) & (t < math.inf)):
+            raise ValueError(
+                f"times must be a 1-D array of finite values >= 0 (got {t})"
+            )
+    elif not 0 <= t < math.inf:
+        raise ValueError(f"time must be finite and >= 0 (got {t})")
     sigma0 = check_covariance(sigma0)
     s_inf = steady_state(params)
     m = build_drift(params)
@@ -294,11 +301,12 @@ def ode_oracle(sigma0, params: SystemParams, t: float, dt: float = 1e-3) -> np.n
     a single matrix-vector product. The result is exactly symmetric.
     ``evolve_trajectory`` runs whole grids through the same core.
 
-    t must be >= 0 and dt in (0, t] (any t is fine when it is an integer
-    multiple of dt; otherwise a final shorter step covers the remainder).
+    t must be finite and >= 0 and dt in (0, t] (any t is fine when it is an
+    integer multiple of dt; otherwise a final shorter step covers the
+    remainder).
     """
-    if not t >= 0:
-        raise ValueError(f"time must be >= 0 (got {t})")
+    if not 0 <= t < math.inf:
+        raise ValueError(f"time must be finite and >= 0 (got {t})")
     sigma0 = check_covariance(sigma0)
     require_valid(params)
     if t == 0.0:

@@ -3,10 +3,10 @@
 A trajectory starts from the two-mode squeezed vacuum fixed by the
 parameter set, evolves the covariance matrix over a uniform time grid
 (closed form when a steady state exists, RK4 stepping otherwise) and
-records the full correlation report at every grid point. Sweeps rerun the
-same grid while one parameter steps through a list of values; sudden-death
-scans locate the grid intervals where the logarithmic negativity hits zero
-and where it revives.
+computes the full correlation report at every grid point in one batched
+pass. Sweeps rerun the same grid while one parameter steps through a list
+of values; sudden-death scans locate the grid intervals where the
+logarithmic negativity hits zero and where it revives.
 
 Trajectories within a sweep are independent and may be computed
 concurrently; results are assembled in input order and all outputs are
@@ -18,12 +18,18 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .dynamics import _rk4_grid, propagate, steady_state_available
 from .errors import OscbathError, UnknownFigure
-from .measures import CorrelationReport, SymplecticData, invariants, report_from_data
+from .measures import (
+    CorrelationReport,
+    SymplecticData,
+    _invariants_stack,
+    _report_columns,
+)
 from .model import (
     SystemParams,
     initial_squeezed_vacuum,
@@ -90,13 +96,40 @@ class TrajectoryRecord:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Ordered records of one evolution; times match the grid exactly."""
+    """One evolution as columns, one row per grid time.
+
+    ``times`` (N,) matches the grid exactly and ``sigmas`` is the (N, 4, 4)
+    covariance stack. ``data`` and ``report`` are a :class:`SymplecticData`
+    and a :class:`CorrelationReport` whose fields are (N,) arrays
+    (``report.physical`` is boolean, ``report.zeta_branch`` an object array
+    of "first", "second" or None); row k equals ``invariants(sigmas[k])``
+    and ``report_from_data`` of it bit for bit. ``records`` is derived from
+    the columns on first use.
+    """
 
     params: SystemParams
     grid: TimeGrid
     log_base: float
     integrator: str
-    records: tuple[TrajectoryRecord, ...]
+    times: np.ndarray
+    sigmas: np.ndarray
+    data: SymplecticData
+    report: CorrelationReport
+
+    @cached_property
+    def records(self) -> tuple[TrajectoryRecord, ...]:
+        """One :class:`TrajectoryRecord` of plain floats per grid time."""
+        def rows(columns):
+            return zip(*(getattr(columns, f.name).tolist()
+                         for f in dataclasses.fields(columns)))
+
+        return tuple(
+            TrajectoryRecord(t=t, sigma=sigma, data=SymplecticData(*data),
+                             report=CorrelationReport(*report))
+            for t, sigma, data, report in zip(
+                self.times.tolist(), self.sigmas, rows(self.data), rows(self.report)
+            )
+        )
 
 
 @dataclass(frozen=True)
@@ -160,11 +193,18 @@ def evolve_trajectory(
     steps the whole grid with one call of the RK4 core behind
     :func:`~oscbath.dynamics.ode_oracle`, using step ``min(dt, interval)``
     (on a uniform grid the step map is built once and each interval is one
-    matrix-vector product; every record equals the chained ``ode_oracle``
+    matrix-vector product; every row equals the chained ``ode_oracle``
     calls from one grid time to the next bit for bit), and "auto" (default)
     picks "closed" whenever the steady state exists. A ``dt`` that is not
     finite and > 0 raises ``ValueError`` before any work, whichever
     integrator runs.
+
+    The measures of all rows are computed in one batched pass: block
+    invariants in double-double arithmetic kept where a round test proves
+    them correctly rounded, the exact integer path for every other row, then
+    the measures as arrays. Every row equals :func:`invariants` and
+    :func:`report_from_data` of its matrix bit for bit, and a row that makes
+    them raise raises the same error here (the lowest such row first).
     """
     check_step(dt)
     require_valid(params)
@@ -181,21 +221,16 @@ def evolve_trajectory(
     else:
         sigmas = _rk4_grid(sigma0, params, times, dt)
 
+    data, report = _report_columns(_invariants_stack(sigmas), log_base)
     return Trajectory(
         params=params,
         grid=grid,
         log_base=log_base,
         integrator=integrator,
-        records=tuple(
-            _record(float(t), s, log_base) for t, s in zip(times, sigmas)
-        ),
-    )
-
-
-def _record(t: float, sigma: np.ndarray, log_base: float) -> TrajectoryRecord:
-    data = invariants(sigma)
-    return TrajectoryRecord(
-        t=t, sigma=sigma, data=data, report=report_from_data(data, base=log_base)
+        times=times,
+        sigmas=sigmas,
+        data=data,
+        report=report,
     )
 
 
@@ -253,12 +288,12 @@ def detect_sudden_death(
     reverse crossing. Crossing times are bracketed to one grid interval
     (the recorded time is the interval's right endpoint).
     """
-    if not traj.records:
+    if not len(traj.times):
         raise ValueError("trajectory has no records")
     deaths = []
     revivals = []
-    en = [rec.report.log_negativity for rec in traj.records]
-    ts = [rec.t for rec in traj.records]
+    en = traj.report.log_negativity.tolist()
+    ts = traj.times.tolist()
     for i in range(len(en) - 1):
         if en[i] > threshold >= en[i + 1]:
             deaths.append(ts[i + 1])

@@ -228,6 +228,14 @@ class TestMatExp:
         with pytest.raises(ValueError):
             mat_exp(np.ones((2, 3)), 1.0)
 
+    @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+    def test_non_finite_time_rejected(self, t):
+        m = build_drift(FIG1A)
+        with pytest.raises(ValueError, match="time must be finite"):
+            mat_exp(m, t)
+        with pytest.raises(ValueError, match="times must be finite"):
+            mat_exp(m, np.array([0.0, t]))
+
 
 class TestSteadyState:
     @pytest.mark.parametrize("temperature", [0.0, 0.2, 1.0])
@@ -296,6 +304,13 @@ class TestPropagate:
         with pytest.raises(ValueError, match=">= 0"):
             propagate(np.eye(4), FIG1A, np.array([0.0, 1.0, -0.5, 2.0]))
 
+    @pytest.mark.parametrize("t", [math.inf, math.nan])
+    def test_non_finite_time_rejected(self, t):
+        with pytest.raises(ValueError, match="time must be finite and >= 0"):
+            propagate(np.eye(4), FIG1A, t)
+        with pytest.raises(ValueError, match="finite values >= 0"):
+            propagate(np.eye(4), FIG1A, [0.0, t])
+
     def test_physicality_preserved(self):
         sigma0 = initial_squeezed_vacuum(1.0)
         for t in np.linspace(0.0, 20.0, 11):
@@ -358,6 +373,11 @@ class TestOdeOracle:
             ode_oracle(np.eye(4), FIG1A, 1.0, 0.0)
         with pytest.raises(ValueError):
             ode_oracle(np.eye(4), FIG1A, 1.0, 2.0)
+
+    @pytest.mark.parametrize("t", [math.inf, math.nan, -1.0])
+    def test_bad_time_rejected(self, t):
+        with pytest.raises(ValueError, match="time must be finite and >= 0"):
+            ode_oracle(np.eye(4), FIG1A, t)
 
 
 class TestRk4Map:

@@ -11,7 +11,6 @@ from oscbath import (
     SystemParams,
     TimeGrid,
     Trajectory,
-    TrajectoryRecord,
     UnknownFigure,
     detect_sudden_death,
     evolve_trajectory,
@@ -203,22 +202,21 @@ class TestSweepParameter:
 
 
 class TestDetectSuddenDeath:
+    @staticmethod
+    def _columns(en_values):
+        n = len(en_values)
+        report = CorrelationReport(
+            purity=np.ones(n), log_negativity=np.array(en_values, dtype=float),
+            discord=np.zeros(n), physical=np.ones(n, dtype=bool),
+            zeta_branch=np.full(n, None, dtype=object),
+        )
+        return dict(params=FIG1A, log_base=math.e, integrator="closed",
+                    times=np.arange(n, dtype=float), sigmas=None, data=None,
+                    report=report)
+
     def _synthetic(self, en_values):
         grid = TimeGrid(0.0, float(len(en_values) - 1), len(en_values))
-        records = tuple(
-            TrajectoryRecord(
-                t=float(i),
-                sigma=None,
-                data=None,
-                report=CorrelationReport(
-                    purity=1.0, log_negativity=en, discord=0.0,
-                    physical=True, zeta_branch=None,
-                ),
-            )
-            for i, en in enumerate(en_values)
-        )
-        return Trajectory(params=FIG1A, grid=grid, log_base=math.e,
-                          integrator="closed", records=records)
+        return Trajectory(grid=grid, **self._columns(en_values))
 
     def test_constructed_crossing_pattern(self):
         report = detect_sudden_death(self._synthetic([1.0, 0.5, 0.0, 0.0, 0.2, 0.0]))
@@ -254,8 +252,7 @@ class TestDetectSuddenDeath:
         assert not report.asymptotically_entangled
 
     def test_empty_trajectory_rejected(self):
-        traj = Trajectory(params=FIG1A, grid=SMALL_GRID, log_base=math.e,
-                          integrator="closed", records=())
+        traj = Trajectory(grid=SMALL_GRID, **self._columns([]))
         with pytest.raises(ValueError):
             detect_sudden_death(traj)
 
