@@ -12,6 +12,7 @@ from .errors import (
     InvalidParameters,
     NonPhysicalInput,
     OscbathError,
+    OutOfRange,
     SteadyStateUnavailable,
     UnknownFigure,
 )
@@ -74,6 +75,7 @@ __all__ = [
     "SteadyStateUnavailable",
     "NonPhysicalInput",
     "DomainError",
+    "OutOfRange",
     "DegenerateState",
     "UnknownFigure",
     # model

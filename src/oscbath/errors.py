@@ -26,6 +26,10 @@ class DomainError(OscbathError, ValueError):
     """Argument below 1 passed to the bosonic entropy function."""
 
 
+class OutOfRange(OscbathError, OverflowError):
+    """An exactly computed quantity lies beyond the float range."""
+
+
 class DegenerateState(OscbathError):
     """Discord branch selection hit the singular denominator at det B = 1."""
 

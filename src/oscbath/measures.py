@@ -25,12 +25,16 @@ A whole trajectory (an (N, 4, 4) stack) takes a batched route with the same
 results bit for bit. Its invariants are evaluated in vectorized
 double-double arithmetic (Dekker's error-free products and sums) with an
 error bound, and each value is kept only where Ziv's round test proves that
-rounding it gives the correctly rounded exact value; every other row (pure
+rounding it gives the correctly rounded exact value. Every other row (pure
 states such as t = 0, a whole lambda = 0 trajectory, entries beyond
-2**+-200) goes through the exact integer path. The measures are then
-computed as masked arrays, with the logarithms and powers taken by the same
-scalar calls as below, and any row that would raise is replayed through the
-scalar functions so the error and its message are the same. No option
+2**+-200) is recomputed in one exact pass over object arrays of Python
+ints, which runs the same integer polynomial code as the scalar route and
+differs from it only in how the floats become integers. An exact invariant
+beyond the float range raises :class:`OutOfRange` on both routes, on the
+stack for its lowest such row. The measures are then computed as masked
+arrays, with the logarithms and powers taken by the same scalar calls as
+below, and any row that would raise is replayed through the scalar
+functions so the error and its message are the same. No option
 selects the route; single matrices always use the scalar functions.
 """
 
@@ -38,11 +42,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateState, DomainError, NonPhysicalInput
+from .errors import DegenerateState, DomainError, NonPhysicalInput, OutOfRange
 from .model import check_covariance
 
 __all__ = [
@@ -124,40 +129,92 @@ _MINOR_COLS = ((0, 1, 2, 3), (0, 2, 1, 3), (0, 3, 1, 2),
                (1, 2, 0, 3), (1, 3, 0, 2), (2, 3, 0, 1))
 _MINOR_SIGNS = (1, -1, 1, 1, -1, 1)
 
-
-def _dyadic_int_matrix(sigma: np.ndarray) -> tuple[list[list[int]], int]:
-    """Rescale a float matrix to integers: sigma[i][j] == m[i][j] / 2**shift."""
-    flat = [float(x) for x in sigma.reshape(-1)]
-    pairs = [x.as_integer_ratio() for x in flat]
-    shift = max(den.bit_length() - 1 for _, den in pairs)
-    ints = [num << (shift - (den.bit_length() - 1)) for num, den in pairs]
-    return [ints[0:4], ints[4:8], ints[8:12], ints[12:16]], shift
+_INVARIANT_NAMES = ("i1", "i2", "i3", "i4", "delta", "delta_tilde", "rad", "rad_tilde")
+# Each invariant of m / 2**shift is an integer over 2**(degree * shift).
+_INVARIANT_DEGREES = (2, 2, 2, 4, 2, 2, 4, 4)
+# The least |n / s| that rounds to infinity: half an ulp above the largest
+# float, a tie that rounds to even, away from its odd significand.
+_FLOAT_LIMIT = 2 ** 1024 - 2 ** 970
 
 
 def _det2(m, r0, r1, c0, c1):
     return m[r0][c0] * m[r1][c1] - m[r0][c1] * m[r1][c0]
 
 
+def _block_polys(m):
+    """Integer numerators of (i1, i2, i3, i4, delta, delta_tilde, rad,
+    rad_tilde) of the matrix m / 2**shift, each over 2**(degree * shift).
+
+    Only * - + are used, so m[i][j] may be Python ints (one matrix) or
+    object arrays of them (one element per matrix). Each of the twelve
+    Laplace minors is computed once; I1, I3 and I2 are three of them.
+    """
+    top = [_det2(m, 0, 1, c0, c1) for c0, c1, _, _ in _MINOR_COLS]
+    bottom = [_det2(m, 2, 3, c2, c3) for _, _, c2, c3 in _MINOR_COLS]
+    # signed as _MINOR_SIGNS
+    i4 = (top[0] * bottom[0] - top[1] * bottom[1] + top[2] * bottom[2]
+          + top[3] * bottom[3] - top[4] * bottom[4] + top[5] * bottom[5])
+    i1, i2, i3 = top[0], bottom[0], top[5]
+    i12, twice_i3, four_i4 = i1 + i2, 2 * i3, 4 * i4
+    delta, delta_tilde = i12 + twice_i3, i12 - twice_i3
+    return (i1, i2, i3, i4, delta, delta_tilde,
+            delta * delta - four_i4, delta_tilde * delta_tilde - four_i4)
+
+
+def _out_of_range(numerators, scales) -> OutOfRange:
+    """The error for the first of the (..., 8) quotients numerators / scales,
+    in row-major order, that rounds beyond the float range."""
+    k = np.argwhere(abs(numerators) >= _FLOAT_LIMIT * scales)[0, -1]
+    return OutOfRange(
+        f"exact {_INVARIANT_NAMES[k]} of the covariance matrix is beyond the float range"
+    )
+
+
 def _exact_block_invariants(sigma: np.ndarray):
     """Return (i1, i2, i3, i4, delta, delta_tilde, rad, rad_tilde) as floats,
-    each correctly rounded from an exact integer computation."""
-    m, shift = _dyadic_int_matrix(sigma)
-    i1n = _det2(m, 0, 1, 0, 1)
-    i2n = _det2(m, 2, 3, 2, 3)
-    i3n = _det2(m, 0, 1, 2, 3)
-    i4n = sum(
-        sign * _det2(m, 0, 1, c0, c1) * _det2(m, 2, 3, c2, c3)
-        for (c0, c1, c2, c3), sign in zip(_MINOR_COLS, _MINOR_SIGNS)
-    )
-    dn = i1n + i2n + 2 * i3n
-    dtn = i1n + i2n - 2 * i3n
-    radn = dn * dn - 4 * i4n
-    radtn = dtn * dtn - 4 * i4n
-    s2 = 1 << (2 * shift)
-    s4 = 1 << (4 * shift)
-    # int / int division is correctly rounded in CPython
-    return (i1n / s2, i2n / s2, i3n / s2, i4n / s4,
-            dn / s2, dtn / s2, radn / s4, radtn / s4)
+    each correctly rounded from an exact integer computation.
+
+    Raises :class:`OutOfRange` naming the first invariant beyond the float
+    range.
+    """
+    pairs = [x.as_integer_ratio() for x in sigma.reshape(-1).tolist()]
+    shift = max(den.bit_length() for _, den in pairs) - 1
+    ints = [num << (shift + 1 - den.bit_length()) for num, den in pairs]
+    polys = _block_polys([ints[0:4], ints[4:8], ints[8:12], ints[12:16]])
+    scales = [1 << (degree * shift) for degree in _INVARIANT_DEGREES]
+    try:
+        # int / int division is correctly rounded in CPython
+        return tuple(map(operator.truediv, polys, scales))
+    except OverflowError:
+        raise _out_of_range(np.array(polys, dtype=object),
+                            np.array(scales, dtype=object)) from None
+
+
+def _exact_stack(sigmas: np.ndarray) -> np.ndarray:
+    """(K, 8) :func:`_exact_block_invariants` of a finite (K, 4, 4) stack in
+    one pass over object arrays of Python ints, bit for bit the same.
+
+    Each row is scaled by its own 2**shift, one that makes all its entries
+    integers (frexp gives mantissa * 2**53 as an exact int64); the shift may
+    differ from the scalar route's, but both round the same exact quotient
+    once. The lowest row with a value beyond the float range raises the
+    scalar route's :class:`OutOfRange`.
+    """
+    mantissa, exponent = np.frexp(sigmas)
+    ints = (mantissa * 2.0 ** 53).astype(np.int64)
+    exponent = exponent.astype(np.int64) - 53
+    nonzero = ints != 0
+    lowest = np.where(nonzero, exponent, 0).min(axis=(1, 2), initial=0)
+    shift = -lowest  # >= 0
+    lshift = np.where(nonzero, exponent + shift[:, None, None], 0)
+    m = np.left_shift(ints.astype(object), lshift.astype(object)).transpose(1, 2, 0)
+    table = np.stack(_block_polys([list(row) for row in m]), axis=1)
+    scales = np.left_shift(1, np.multiply.outer(shift, _INVARIANT_DEGREES).astype(object))
+    try:
+        # object true division calls int / int element by element
+        return (table / scales).astype(float)
+    except OverflowError:
+        raise _out_of_range(table, scales) from None
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +337,8 @@ def _invariants_stack(sigmas) -> np.ndarray:
 
     The stack is validated once, and the first bad slice raises the
     ``ValueError`` of :func:`~oscbath.model.check_covariance`. Rows the
-    double-double round test cannot settle are recomputed exactly.
+    double-double round test cannot settle are recomputed together by
+    :func:`_exact_stack`.
     """
     sigmas = np.asarray(sigmas, dtype=float)
     if sigmas.ndim != 3 or sigmas.shape[1:] != (4, 4):
@@ -290,8 +348,9 @@ def _invariants_stack(sigmas) -> np.ndarray:
     if bad.any():
         check_covariance(sigmas[np.argmax(bad)])
     values, accepted = _dd_block_invariants(sigmas)
-    for k in np.flatnonzero(~accepted.all(axis=1)).tolist():
-        values[k] = _exact_block_invariants(sigmas[k])
+    rejected = ~accepted.all(axis=1)
+    if rejected.any():
+        values[rejected] = _exact_stack(sigmas[rejected])
     return values
 
 

@@ -89,8 +89,14 @@ def validate(params: SystemParams) -> ValidationResult:
         violations.append(f"r must be finite and >= 0 (got {p.r})")
 
     if omega_ok and 0.0 <= p.epsilon < 1.0:
+        w1, _ = mode_frequencies(p)
         bound = coupling_bound(p)
-        if not abs(p.nu) <= bound:
+        # omega1 >= omega2, so a finite omega1**2 bounds omega1*omega2 too
+        if not math.isfinite(w1 * w1):
+            violations.append(
+                f"omega1**2 and omega1*omega2 must be finite (got omega1 = {w1:.12g})"
+            )
+        elif not abs(p.nu) <= bound:
             violations.append(
                 f"|nu| <= omega1*omega2 violated (|{p.nu}| > {bound:.12g})"
             )

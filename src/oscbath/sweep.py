@@ -59,7 +59,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform finite time grid: 0 <= t_start < t_end, n_points >= 2."""
+    """Uniform finite time grid: 0 <= t_start < t_end, an integer n_points >= 2."""
 
     t_start: float
     t_end: float
@@ -73,6 +73,8 @@ class TimeGrid:
                 f"t_end must be finite and exceed t_start "
                 f"(got {self.t_start}..{self.t_end})"
             )
+        if isinstance(self.n_points, bool) or not isinstance(self.n_points, (int, np.integer)):
+            raise ValueError(f"n_points must be an integer (got {self.n_points!r})")
         if self.n_points < 2:
             raise ValueError(f"n_points must be >= 2 (got {self.n_points})")
 
@@ -201,7 +203,7 @@ def evolve_trajectory(
 
     The measures of all rows are computed in one batched pass: block
     invariants in double-double arithmetic kept where a round test proves
-    them correctly rounded, the exact integer path for every other row, then
+    them correctly rounded, one exact integer pass over all other rows, then
     the measures as arrays. Every row equals :func:`invariants` and
     :func:`report_from_data` of its matrix bit for bit, and a row that makes
     them raise raises the same error here (the lowest such row first).

@@ -5,23 +5,29 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from oscbath import (
     DEFAULT_GRID,
     FIGURE_IDS,
     NonPhysicalInput,
+    OutOfRange,
+    SystemParams,
     TimeGrid,
     TrajectoryRecord,
     evolve_trajectory,
     figure_preset,
+    full_report,
     initial_squeezed_vacuum,
     invariants,
     report_from_data,
     sweep_parameter,
 )
 from oscbath.measures import (
+    _FLOAT_LIMIT,
     _dd_block_invariants,
     _exact_block_invariants,
+    _exact_stack,
     _invariants_stack,
     _report_columns,
 )
@@ -112,6 +118,87 @@ class TestRoundTest:
         assert not accepted.any()
         exact = [_exact_block_invariants(s) for s in sigmas]
         assert np.array_equal(bits(_invariants_stack(sigmas)), bits(exact))
+
+
+def assert_exact_stack_matches_scalar(sigmas):
+    """The stacked exact pass, and the whole stack path, equal the scalar
+    exact invariants of each row bit for bit; when a row's scalar call
+    raises, both raise the lowest such row's class and message."""
+    rows = []
+    for sigma in sigmas:
+        try:
+            rows.append(_exact_block_invariants(sigma))
+        except OutOfRange as error:
+            rows.append(error)
+    errors = [row for row in rows if isinstance(row, Exception)]
+    for stacked in (_exact_stack, _invariants_stack):
+        if errors:
+            with pytest.raises(OutOfRange) as info:
+                stacked(sigmas)
+            assert str(info.value) == str(errors[0])
+        else:
+            assert np.array_equal(bits(stacked(sigmas)), bits(rows))
+    return len(errors)
+
+
+def symmetric(upper) -> np.ndarray:
+    """(..., 4, 4) symmetric matrices from their (..., 10) upper-triangle
+    entries, row by row."""
+    upper = np.asarray(upper, dtype=float)
+    sigma = np.zeros(upper.shape[:-1] + (4, 4))
+    rows, cols = np.triu_indices(4)
+    sigma[..., cols, rows] = upper
+    sigma[..., rows, cols] = upper
+    return sigma
+
+
+# Entries with independent exponents: the whole double range (subnormals,
+# +-0.0 and huge values included), integers, and mantissas scaled by 2**e
+# for |e| <= 300, which keeps most matrices inside the float range.
+ENTRIES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-10 ** 6, 10 ** 6).map(float),
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324]),
+    st.builds(math.ldexp, st.floats(-1.0, 1.0), st.integers(-300, 300)),
+)
+STACKS = st.lists(st.lists(ENTRIES, min_size=10, max_size=10),
+                  min_size=1, max_size=4).map(symmetric)
+
+
+def mixed_scale_stack(count=4000, seed=7):
+    """Symmetric matrices whose entries have independent exponents in
+    [-1100, 250] (subnormals and underflow to zero included), with ~10%
+    +-0.0 and ~10% small integers; 2**251 keeps every invariant finite."""
+    rng = np.random.default_rng(seed)
+    upper = np.ldexp(rng.uniform(-1.0, 1.0, (count, 10)),
+                     rng.integers(-1100, 251, (count, 10)))
+    kind = rng.uniform(size=(count, 10))
+    upper = np.where(kind < 0.05, 0.0, upper)
+    upper = np.where((kind >= 0.05) & (kind < 0.1), -0.0, upper)
+    upper = np.where(kind > 0.9, rng.integers(-1000, 1000, (count, 10)).astype(float), upper)
+    return symmetric(upper)
+
+
+class TestExactStack:
+    @settings(max_examples=100, deadline=None, database=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(STACKS)
+    def test_random_full_range_stacks(self, sigmas):
+        assert_exact_stack_matches_scalar(sigmas)
+
+    def test_seeded_mixed_scale_stack(self):
+        sigmas = mixed_scale_stack()
+        assert assert_exact_stack_matches_scalar(sigmas) == 0
+        _, accepted = _dd_block_invariants(sigmas)
+        assert (~accepted.all(axis=1)).mean() > 0.9  # mostly the exact pass
+
+    def test_lambda0_rk4_rows(self):
+        assert assert_exact_stack_matches_scalar(evolve_stack("lambda0_rk4")) == 0
+
+    def test_float_limit_is_the_overflow_threshold(self):
+        assert (_FLOAT_LIMIT - 1) / 1 == np.finfo(float).max
+        with pytest.raises(OverflowError):
+            _FLOAT_LIMIT / 1
 
 
 def assert_same(a, b):
@@ -223,6 +310,36 @@ class TestErrorsMatchScalar:
         with pytest.raises(ValueError) as info:
             _invariants_stack(self.stack({3: sigma}))
         assert str(info.value) == message
+
+    # i4 = 2**1200 alone is beyond the float range; the r = 200 vacuum
+    # overflows already at i1
+    HUGE_DIAGONAL = np.diag([2.0 ** 300] * 4)
+    HUGE_SQUEEZE = initial_squeezed_vacuum(200.0)
+
+    @pytest.mark.parametrize("first,second", [("HUGE_DIAGONAL", "HUGE_SQUEEZE"),
+                                              ("HUGE_SQUEEZE", "HUGE_DIAGONAL")])
+    def test_lowest_out_of_range_row_raises_its_scalar_error(self, first, second):
+        sigma = getattr(self, first)
+        kind, message = scalar_error(sigma)
+        assert kind is OutOfRange and issubclass(kind, OverflowError)
+        assert message.startswith("exact i4 " if first == "HUGE_DIAGONAL" else "exact i1 ")
+        sigmas = self.stack({7: sigma, 12: getattr(self, second)})
+        for stacked in (_exact_stack, _invariants_stack):
+            with pytest.raises(OutOfRange) as info:
+                stacked(sigmas)
+            assert str(info.value) == message
+
+    @pytest.mark.parametrize("run", [
+        lambda: full_report(initial_squeezed_vacuum(200.0)),
+        lambda: evolve_trajectory(SystemParams(1.0, 0.0, 0.8, 0.6, 0.2, 200.0),
+                                  TimeGrid(0.0, 10.0, 11)),
+        # RK4 far beyond its stability limit grows the entries past 1e77
+        lambda: evolve_trajectory(SystemParams(1.0, 0.0, 0.8, 0.0, 0.2, 1.0),
+                                  TimeGrid(0.0, 1e6, 3), "rk4", 1e5),
+    ])
+    def test_out_of_range_entry_points(self, run):
+        with pytest.raises(OutOfRange, match="is beyond the float range"):
+            run()
 
     def test_bad_log_base(self):
         kind, message = scalar_error(initial_squeezed_vacuum(FIG1A.r), base=0.5)

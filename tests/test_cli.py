@@ -90,6 +90,10 @@ class TestEvolveCommand:
         err = capsys.readouterr().err
         assert "rk4" in err
 
+    def test_invariant_beyond_float_range_exits_1(self, capsys):
+        assert main(["evolve", "--r", "200", "--points", "3"]) == 1
+        assert "beyond the float range" in capsys.readouterr().err
+
     def test_invalid_params_exit_1_without_rk4_hint(self, capsys):
         code = main(["evolve", "--nu", "1.5", "--points", "11"])
         assert code == 1

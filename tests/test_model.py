@@ -7,6 +7,7 @@ from oscbath import (
     InvalidParameters,
     SystemParams,
     coupling_bound,
+    evolve_trajectory,
     initial_squeezed_vacuum,
     invariants,
     mode_frequencies,
@@ -54,6 +55,17 @@ class TestValidate:
     def test_nan_rejected(self):
         assert not validate(params(omega=float("nan"))).ok
         assert not validate(params(nu=float("nan"))).ok
+
+    @pytest.mark.parametrize("omega,epsilon", [(1e200, 0.0), (1.5e154, 0.0), (1e154, 0.9)])
+    def test_overflowing_frequencies_rejected(self, omega, epsilon):
+        result = validate(params(omega=omega, epsilon=epsilon, nu=0.0))
+        assert not result.ok
+        assert any("omega1**2" in v for v in result.violations)
+        with pytest.raises(InvalidParameters, match="must be finite"):
+            evolve_trajectory(params(omega=omega, epsilon=epsilon))
+
+    def test_largest_finite_frequencies_pass(self):
+        assert validate(params(omega=1e154, nu=0.0)).ok
 
     def test_marginal_coupling_warns_but_passes(self):
         result = validate(params(nu=1.0))  # omega1*omega2 = 1 here

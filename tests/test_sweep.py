@@ -47,6 +47,15 @@ class TestTimeGrid:
         with pytest.raises(ValueError):
             TimeGrid(**kwargs)
 
+    @pytest.mark.parametrize("n_points", [2.5, 3.0, True, "5", None])
+    def test_non_integer_points_rejected(self, n_points):
+        with pytest.raises(ValueError, match="n_points must be an integer"):
+            TimeGrid(0.0, 10.0, n_points)
+
+    def test_numpy_integer_points_accepted(self):
+        grid = TimeGrid(0.0, 10.0, np.int64(5))
+        assert np.array_equal(grid.times(), TimeGrid(0.0, 10.0, 5).times())
+
 
 class TestEvolveTrajectory:
     def test_initial_record(self):
