@@ -5,7 +5,14 @@ CSV is the canonical output format: UTF-8, comma separated, LF endings,
 records the complete parameter set, grid, integrator, log base and
 threshold needed to reproduce the file. Floating values are printed with
 12 significant digits (or as hex floats with --hex-floats for bit-exact
-regression comparisons).
+regression comparisons), -0.0 as 0.
+
+A trajectory is formatted from whole columns: the ten float columns are
+stacked once, and each row is one ``%`` template over its values (or one
+join of ``float.hex`` strings), byte for byte the same as formatting every
+value on its own. ``figure`` hands the time and observable columns to
+:func:`~oscbath.svgplot.line_plot` as arrays. The argument parser is built
+once, at import.
 
 Exit codes: 0 success, 1 domain error, 2 usage error.
 """
@@ -16,6 +23,8 @@ import argparse
 import math
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from .errors import OscbathError, SteadyStateUnavailable
 from .measures import full_report
@@ -42,15 +51,14 @@ _COLUMNS = (
 )
 
 
-def _fmt_all(values: list[float], hex_floats: bool) -> list[str]:
-    # adding 0.0 turns -0.0 into 0.0 and leaves every other value as it is
-    if hex_floats:
-        return [(v + 0.0).hex() for v in values]
-    return [f"{v + 0.0:#.12g}" for v in values]
+# one CSV row: ten float columns, then the physical flag
+_ROW_TEMPLATE = ",".join(["%#.12g"] * 10 + ["%s"])
 
 
 def _fmt(value: float, hex_floats: bool) -> str:
-    return _fmt_all([float(value)], hex_floats)[0]
+    # adding 0.0 turns -0.0 into 0.0 and leaves every other value as it is
+    v = float(value) + 0.0
+    return v.hex() if hex_floats else f"{v:#.12g}"
 
 
 def _param_flags(parser: argparse.ArgumentParser) -> None:
@@ -160,13 +168,17 @@ def _trajectory_lines(traj, args, extra_meta: str = "") -> list[str]:
         meta += " " + extra_meta
     lines = [meta, ",".join(_COLUMNS)]
     rep, data = traj.report, traj.data
-    columns = [
-        _fmt_all(c.tolist(), hex_floats)
-        for c in (traj.times, rep.purity, rep.log_negativity, rep.discord,
-                  data.nu_minus, data.nu_plus, data.i1, data.i2, data.i3, data.i4)
-    ]
-    columns.append(["true" if p else "false" for p in rep.physical.tolist()])
-    lines.extend(map(",".join, zip(*columns)))
+    # + 0.0 normalizes -0.0 for the whole table, as _fmt does per value
+    rows = (np.column_stack((
+        traj.times, rep.purity, rep.log_negativity, rep.discord,
+        data.nu_minus, data.nu_plus, data.i1, data.i2, data.i3, data.i4,
+    )) + 0.0).tolist()
+    flags = ["true" if p else "false" for p in rep.physical.tolist()]
+    if hex_floats:
+        lines.extend(",".join([*map(float.hex, row), flag])
+                     for row, flag in zip(rows, flags))
+    else:
+        lines.extend(_ROW_TEMPLATE % (*row, flag) for row, flag in zip(rows, flags))
     return lines
 
 
@@ -273,9 +285,7 @@ def _cmd_figure(args) -> int:
             f"value={outcome.value!r} observable={preset.observable}"
         )
         _write_text(str(csv_path), _trajectory_lines(traj, args, extra_meta=extra))
-        xs = traj.times.tolist()
-        ys = getattr(traj.report, obs_col).tolist()
-        curves.append((label, xs, ys))
+        curves.append((label, traj.times, getattr(traj.report, obs_col)))
         death = detect_sudden_death(traj, threshold=args.threshold)
         if death.death_times:
             deaths = ", ".join(f"{t:g}" for t in death.death_times)
@@ -302,9 +312,11 @@ def _cmd_figure(args) -> int:
     return 0
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     handlers = {
         "validate": _cmd_validate,
         "evolve": _cmd_evolve,

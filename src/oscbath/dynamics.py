@@ -26,7 +26,7 @@ import math
 
 import numpy as np
 
-from .errors import SteadyStateUnavailable
+from .errors import OutOfRange, SteadyStateUnavailable
 from .model import (
     SystemParams,
     check_covariance,
@@ -75,6 +75,11 @@ def build_drift(params: SystemParams) -> np.ndarray:
     |nu| < omega1*omega2.
     """
     require_valid(params)
+    return _drift(params)
+
+
+def _drift(params: SystemParams) -> np.ndarray:
+    """:func:`build_drift` without validation, for callers that validated."""
     w1, w2 = mode_frequencies(params)
     lam = params.lambda_
     nu = params.nu
@@ -96,6 +101,11 @@ def build_diffusion(params: SystemParams) -> np.ndarray:
     all nonnegative, and exactly zero when lambda = 0.
     """
     require_valid(params)
+    return _diffusion(params)
+
+
+def _diffusion(params: SystemParams) -> np.ndarray:
+    """:func:`build_diffusion` without validation, for callers that validated."""
     w1, w2 = mode_frequencies(params)
     lam = params.lambda_
     c1 = thermal_coth(w1, params.temperature)
@@ -237,8 +247,8 @@ def steady_state(params: SystemParams) -> np.ndarray:
             "steady state requires lambda > 0 and |nu| < omega1*omega2; "
             f"got lambda={params.lambda_}, nu={params.nu}"
         )
-    m = build_drift(params)
-    d = np.diag(build_diffusion(params))
+    m = _drift(params)
+    d = np.diag(_diffusion(params))
     try:
         vec = np.linalg.solve(_kron_sum(m), -2.0 * d.reshape(-1))
     except np.linalg.LinAlgError as exc:
@@ -280,8 +290,8 @@ def propagate(sigma0, params: SystemParams, t: float | np.ndarray) -> np.ndarray
     elif not 0 <= t < math.inf:
         raise ValueError(f"time must be finite and >= 0 (got {t})")
     sigma0 = check_covariance(sigma0)
-    s_inf = steady_state(params)
-    m = build_drift(params)
+    s_inf = steady_state(params)  # validates params once for this call
+    m = _drift(params)
     e = mat_exp(m, t)
     s = e @ (sigma0 - s_inf) @ e.swapaxes(-1, -2) + s_inf
     return 0.5 * (s + s.swapaxes(-1, -2))
@@ -366,28 +376,37 @@ def _rk4_grid(sigma0: np.ndarray, params: SystemParams, times,
     L = M (+) M are built once; an interval's composed map is rebuilt only
     when its (h, steps, remainder) differs from the previous interval's, so
     a uniform grid builds it once and costs one matrix-vector product per
-    interval. Returns an (N, 4, 4) stack of exactly symmetric matrices.
+    interval. Returns an (N, 4, 4) stack of exactly symmetric matrices;
+    raises :class:`OutOfRange` if any entry overflowed.
     """
-    lsum = _kron_sum(build_drift(params))
-    b = 2.0 * np.diag(build_diffusion(params)).reshape(-1)
+    lsum = _kron_sum(_drift(params))
+    b = 2.0 * np.diag(_diffusion(params)).reshape(-1)
     # the map keeps symmetric inputs exactly symmetric; make sure this one is
     v = (0.5 * (sigma0 + sigma0.T)).reshape(-1)
     out = np.empty((len(times), 4, 4))
     key = None
     t_prev = 0.0
-    for i, t in enumerate(times):
-        t = float(t)
-        span = t - t_prev
-        if span > 0.0:
-            h = min(dt, span)
-            n = math.floor(span / h + 1e-9)
-            remainder = span - n * h
-            if remainder < 1e-12 * max(span, 1.0):
-                remainder = 0.0
-            if key != (h, n, remainder):
-                key = (h, n, remainder)
-                k, c = _rk4_map(lsum, b, h, n, remainder)
-            v = v + (k @ v + c)
-        out[i] = v.reshape(4, 4)
-        t_prev = t
+    # a step beyond the stability limit can overflow; one check at the end
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, t in enumerate(times):
+            t = float(t)
+            span = t - t_prev
+            if span > 0.0:
+                h = min(dt, span)
+                n = math.floor(span / h + 1e-9)
+                remainder = span - n * h
+                if remainder < 1e-12 * max(span, 1.0):
+                    remainder = 0.0
+                if key != (h, n, remainder):
+                    key = (h, n, remainder)
+                    k, c = _rk4_map(lsum, b, h, n, remainder)
+                v = v + (k @ v + c)
+            out[i] = v.reshape(4, 4)
+            t_prev = t
+    if not np.isfinite(out).all():
+        raise OutOfRange(
+            f"RK4 covariance left the float range (dt={dt:g}, "
+            f"t up to {float(times[-1]):g}); the step may exceed the "
+            "integrator's stability limit"
+        )
     return out

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 __all__ = ["line_plot"]
 
 _WIDTH = 760
@@ -47,15 +49,35 @@ def _fmt_tick(v: float) -> str:
 
 
 def line_plot(curves, xlabel: str, ylabel: str, title: str) -> str:
-    """Render curves = [(label, xs, ys), ...] to an SVG document string."""
+    """Render curves = [(label, xs, ys), ...] to an SVG document string.
+
+    ``xs`` and ``ys`` are equal-length sequences or 1-D arrays of floats.
+    Every x must be finite; a non-finite y drops that point from its
+    polyline. Pixel coordinates are computed for whole curves at once and
+    printed with two decimals. Raises ``ValueError`` for no curves, unequal
+    lengths, a non-finite x or no finite y at all.
+    """
     if not curves:
         raise ValueError("need at least one curve")
-    xs_all = [x for _, xs, _ in curves for x in xs]
-    ys_all = [y for _, _, ys in curves for y in ys if math.isfinite(y)]
-    if not xs_all or not ys_all:
+    columns = []
+    for label, xs, ys in curves:
+        xs = np.asarray(xs, dtype=float)
+        ys = np.asarray(ys, dtype=float)
+        if xs.shape != ys.shape or xs.ndim != 1:
+            raise ValueError(
+                f"curve {label!r}: xs and ys must be 1-D and the same length "
+                f"(got shapes {xs.shape} and {ys.shape})"
+            )
+        columns.append((label, xs, ys))
+    xs_all = np.concatenate([xs for _, xs, _ in columns])
+    if not np.isfinite(xs_all).all():
+        raise ValueError("x values must be finite")
+    ys_all = np.concatenate([ys for _, _, ys in columns])
+    ys_all = ys_all[np.isfinite(ys_all)]
+    if not ys_all.size:
         raise ValueError("curves contain no finite data")
-    x_lo, x_hi = min(xs_all), max(xs_all)
-    y_lo, y_hi = min(ys_all), max(ys_all)
+    x_lo, x_hi = float(xs_all.min()), float(xs_all.max())
+    y_lo, y_hi = float(ys_all.min()), float(ys_all.max())
     if y_hi - y_lo < 1e-12:
         y_lo -= 0.5
         y_hi += 0.5
@@ -66,6 +88,7 @@ def line_plot(curves, xlabel: str, ylabel: str, title: str) -> str:
     px0, px1 = _MARGIN_LEFT, _WIDTH - _MARGIN_RIGHT
     py0, py1 = _HEIGHT - _MARGIN_BOTTOM, _MARGIN_TOP
 
+    # elementwise on arrays: the same IEEE operations as on one float
     def sx(x):
         return px0 + (x - x_lo) / (x_hi - x_lo) * (px1 - px0)
 
@@ -127,13 +150,11 @@ def line_plot(curves, xlabel: str, ylabel: str, title: str) -> str:
         f'transform="rotate(-90 20 {(py0 + py1) / 2:.1f})">{ylabel}</text>'
     )
 
-    for idx, (label, xs, ys) in enumerate(curves):
+    for idx, (label, xs, ys) in enumerate(columns):
         color = _PALETTE[idx % len(_PALETTE)]
-        points = " ".join(
-            f"{sx(x):.2f},{sy(y):.2f}"
-            for x, y in zip(xs, ys)
-            if math.isfinite(y)
-        )
+        keep = np.isfinite(ys)
+        coords = np.column_stack((sx(xs[keep]), sy(ys[keep])))
+        points = " ".join(["%.2f,%.2f"] * len(coords)) % tuple(coords.ravel().tolist())
         out.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.8" '
             f'points="{points}"/>'

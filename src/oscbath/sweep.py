@@ -292,21 +292,19 @@ def detect_sudden_death(
     """
     if not len(traj.times):
         raise ValueError("trajectory has no records")
-    deaths = []
-    revivals = []
-    en = traj.report.log_negativity.tolist()
-    ts = traj.times.tolist()
-    for i in range(len(en) - 1):
-        if en[i] > threshold >= en[i + 1]:
-            deaths.append(ts[i + 1])
-        elif en[i] <= threshold < en[i + 1]:
-            revivals.append(ts[i + 1])
+    en = traj.report.log_negativity
+    # NaN is neither above nor below, so a NaN end never makes a crossing
+    above = en > threshold
+    below = en <= threshold
+    right = traj.times[1:]
+    deaths = right[above[:-1] & below[1:]].tolist()
+    revivals = right[below[:-1] & above[1:]].tolist()
     return SuddenDeathReport(
         threshold=threshold,
         grid_spacing=traj.grid.spacing,
         death_times=tuple(deaths),
         revival_times=tuple(revivals),
-        asymptotically_entangled=en[-1] > threshold,
+        asymptotically_entangled=bool(above[-1]),
     )
 
 

@@ -1,3 +1,4 @@
+import argparse
 import importlib.util
 import math
 import sys
@@ -6,10 +7,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oscbath import SymplecticData, gaussian_discord, log_negativity, purity
-from oscbath.cli import main
+from oscbath import (
+    CorrelationReport,
+    SymplecticData,
+    TimeGrid,
+    Trajectory,
+    gaussian_discord,
+    log_negativity,
+    purity,
+)
+from oscbath.cli import _COLUMNS, _trajectory_lines, main
 from oscbath.sweep import FIGURE_IDS
-from helpers import parse_csv
+from helpers import FIG1A, parse_csv
 
 
 def _load_workloads():
@@ -24,6 +33,63 @@ def _load_workloads():
 
 FIG1A_FLAGS = ["--omega", "1", "--epsilon", "0", "--nu", "0.8",
                "--lambda", "0.6", "--temp", "0.2", "--r", "1"]
+
+
+# Values whose formatting is easy to get wrong: signed zeros, NaN, +-inf,
+# subnormals, the ends of the exponent range and 12th-digit rounding ties.
+_SPECIAL_VALUES = [
+    -0.0, 0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+    2.2250738585072014e-308 / 3, 1e300, -1e-300, 1.7976931348623157e308,
+    0.1234567890125, 1.0000000000005, 9.99999999999951, 99999999999.95,
+    123456789012.5, -2.5e-13, 1.0, 1e16, 0.5, -1e-5, 3.0, 0.1,
+]
+
+
+def _special_trajectory(seed=0):
+    rng = np.random.default_rng(seed)
+    n = 3 * len(_SPECIAL_VALUES)
+
+    def column():
+        return rng.permutation(np.array(_SPECIAL_VALUES * 3))
+
+    report = CorrelationReport(
+        purity=column(), log_negativity=column(), discord=column(),
+        physical=rng.random(n) < 0.5, zeta_branch=np.full(n, None, dtype=object),
+    )
+    data = SymplecticData(*(column() for _ in range(9)))
+    return Trajectory(params=FIG1A, grid=TimeGrid(0.0, 1.0, n), log_base=math.e,
+                      integrator="closed", times=column(), sigmas=None,
+                      data=data, report=report)
+
+
+def _per_value_rows(traj, hex_floats):
+    # the per-value formatter that the whole-column templates replaced
+    if hex_floats:
+        def fmt(v):
+            return (v + 0.0).hex()
+    else:
+        def fmt(v):
+            return f"{v + 0.0:#.12g}"
+    rep, data = traj.report, traj.data
+    columns = [
+        [fmt(v) for v in c.tolist()]
+        for c in (traj.times, rep.purity, rep.log_negativity, rep.discord,
+                  data.nu_minus, data.nu_plus, data.i1, data.i2, data.i3, data.i4)
+    ]
+    columns.append(["true" if p else "false" for p in rep.physical.tolist()])
+    return [",".join(row) for row in zip(*columns)]
+
+
+class TestTrajectoryLines:
+    @pytest.mark.parametrize("hex_floats", [False, True])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_rows_match_per_value_formatting(self, hex_floats, seed):
+        traj = _special_trajectory(seed)
+        args = argparse.Namespace(hex_floats=hex_floats, log_base="e",
+                                  threshold=0.0, dt=1e-3)
+        lines = _trajectory_lines(traj, args)
+        assert lines[1] == ",".join(_COLUMNS)
+        assert lines[2:] == _per_value_rows(traj, hex_floats)
 
 
 class TestValidateCommand:
@@ -116,6 +182,12 @@ class TestEvolveCommand:
         assert main(["evolve", "--integrator", "rk4", "--dt", dt]) == 2
         err = capsys.readouterr().err
         assert err.startswith("usage error:") and "dt" in err
+
+    def test_rk4_overflow_exits_1(self, capsys):
+        code = main(["evolve", "--integrator", "rk4", "--t-end", "1e300",
+                     "--points", "3", "--dt", "1e299"])
+        assert code == 1
+        assert "left the float range" in capsys.readouterr().err
 
     def test_rk4_integrator_conserves_purity(self, tmp_path):
         out = tmp_path / "run.csv"

@@ -5,10 +5,12 @@ import pytest
 
 from oscbath import (
     InvalidParameters,
+    OutOfRange,
     SteadyStateUnavailable,
     SystemParams,
     build_diffusion,
     build_drift,
+    full_report,
     initial_squeezed_vacuum,
     invariants,
     mat_exp,
@@ -21,7 +23,7 @@ from oscbath import (
     thermal_coth,
 )
 from oscbath.dynamics import _THETA13, _kron_sum
-from oscbath.sweep import FIGURE_IDS, figure_preset
+from oscbath.sweep import FIGURE_IDS, TimeGrid, evolve_trajectory, figure_preset
 from helpers import FIG1A, FIG4, random_valid_params
 
 import dataclasses
@@ -379,6 +381,13 @@ class TestOdeOracle:
         with pytest.raises(ValueError, match="time must be finite and >= 0"):
             ode_oracle(np.eye(4), FIG1A, t)
 
+    @pytest.mark.parametrize("dt", [1e299, 2e299])
+    def test_overflow_raises_out_of_range(self, dt):
+        # a step far beyond the stability limit overflows; the suite turns
+        # any RuntimeWarning into an error, so none may escape either
+        with pytest.raises(OutOfRange, match="left the float range"):
+            ode_oracle(initial_squeezed_vacuum(1.0), FIG1A, 1e300, dt)
+
 
 class TestRk4Map:
     @pytest.mark.parametrize("name", ["fig1a", "stable", "lambda0", "marginal_nu"])
@@ -445,3 +454,34 @@ class TestRandomParameterGrid:
                 s_rk = ode_oracle(s_rk, params, t - t_prev, 1e-3)
                 assert np.abs(propagate(sigma0, params, t) - s_rk).max() <= 1e-7
                 t_prev = t
+
+
+class TestValidateOnce:
+    """Each public call validates its parameters at most twice: the private
+    drift and diffusion cores behind it do not re-validate."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        import oscbath.model as model
+        count = [0]
+        inner = model.validate
+
+        def counting(params):
+            count[0] += 1
+            return inner(params)
+
+        # require_valid looks validate up in oscbath.model
+        monkeypatch.setattr(model, "validate", counting)
+        return count
+
+    def test_scan_style_call(self, calls):
+        s_inf = steady_state(FIG1A)
+        full_report(s_inf)
+        s = propagate(initial_squeezed_vacuum(FIG1A.r), FIG1A, 1.5)
+        full_report(s)
+        assert calls[0] <= 2
+
+    @pytest.mark.parametrize("integrator", ["closed", "rk4"])
+    def test_evolve_trajectory(self, calls, integrator):
+        evolve_trajectory(FIG1A, TimeGrid(0.0, 1.0, 11), integrator)
+        assert 1 <= calls[0] <= 2

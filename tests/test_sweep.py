@@ -8,6 +8,7 @@ from oscbath import (
     CorrelationReport,
     DEFAULT_GRID,
     FIGURE_IDS,
+    OutOfRange,
     SystemParams,
     TimeGrid,
     Trajectory,
@@ -58,6 +59,13 @@ class TestTimeGrid:
 
 
 class TestEvolveTrajectory:
+    def test_rk4_overflow_raises_out_of_range(self):
+        # dt = 1e299 is far beyond the RK4 stability limit; no bare
+        # ValueError and no RuntimeWarning (an error in this suite)
+        params = SystemParams(1.0, 0.0, 0.8, 0.6, 0.2, 1.0)
+        with pytest.raises(OutOfRange, match="left the float range"):
+            evolve_trajectory(params, TimeGrid(0.0, 1e300, 3), "rk4", 1e299)
+
     def test_initial_record(self):
         traj = evolve_trajectory(FIG1A, TimeGrid(0.0, 10.0, 201))
         first = traj.records[0]
@@ -264,6 +272,43 @@ class TestDetectSuddenDeath:
         traj = Trajectory(grid=SMALL_GRID, **self._columns([]))
         with pytest.raises(ValueError):
             detect_sudden_death(traj)
+
+    @staticmethod
+    def _loop_reference(traj, threshold):
+        # the per-interval loop the boolean masks replaced
+        deaths, revivals = [], []
+        en = traj.report.log_negativity.tolist()
+        ts = traj.times.tolist()
+        for i in range(len(en) - 1):
+            if en[i] > threshold >= en[i + 1]:
+                deaths.append(ts[i + 1])
+            elif en[i] <= threshold < en[i + 1]:
+                revivals.append(ts[i + 1])
+        return tuple(deaths), tuple(revivals), en[-1] > threshold
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_loop_on_seeded_sequences(self, seed):
+        rng = np.random.default_rng(seed)
+        for n in (1, 2, 2, 3, 17, 200):
+            # a few levels, so runs and exact ties with the threshold occur
+            en = rng.choice([-0.5, 0.0, 0.0, 0.25, 1.0, math.nan], size=n)
+            traj = Trajectory(grid=SMALL_GRID, **self._columns(en.tolist()))
+            for threshold in (0.0, 0.25, -1.0):
+                got = detect_sudden_death(traj, threshold=threshold)
+                deaths, revivals, entangled = self._loop_reference(traj, threshold)
+                assert got.death_times == deaths
+                assert got.revival_times == revivals
+                assert got.asymptotically_entangled is entangled
+                assert all(type(t) is float
+                           for t in got.death_times + got.revival_times)
+
+    @pytest.mark.parametrize("en", [[1.0, 0.0], [0.0, 1.0], [math.nan, 1.0],
+                                    [1.0, math.nan], [0.0, 0.0], [1.0, 1.0]])
+    def test_two_point_trajectories_match_loop(self, en):
+        traj = self._synthetic(en)
+        got = detect_sudden_death(traj)
+        assert (got.death_times, got.revival_times,
+                got.asymptotically_entangled) == self._loop_reference(traj, 0.0)
 
 
 class TestFigurePreset:
