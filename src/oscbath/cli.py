@@ -257,9 +257,6 @@ def _cmd_figure(args) -> int:
     out_dir = Path(args.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        probe = out_dir / ".write-probe"
-        probe.write_text("", encoding="utf-8")
-        probe.unlink()
     except OSError as exc:
         print(f"error: cannot write to {out_dir}: {exc}", file=sys.stderr)
         return 1
@@ -270,7 +267,7 @@ def _cmd_figure(args) -> int:
         log_base=log_base,
     )
     obs_col = preset.observable  # matches the CorrelationReport field name
-    curves = []
+    curves, files = [], {}
     sweep_flag = preset.sweep.rstrip("_")
     for outcome in outcomes:
         if outcome.trajectory is None:
@@ -284,7 +281,7 @@ def _cmd_figure(args) -> int:
             f"figure={preset.figure} sweep={preset.sweep} "
             f"value={outcome.value!r} observable={preset.observable}"
         )
-        _write_text(str(csv_path), _trajectory_lines(traj, args, extra_meta=extra))
+        files[csv_path] = _trajectory_lines(traj, args, extra_meta=extra)
         curves.append((label, traj.times, getattr(traj.report, obs_col)))
         death = detect_sudden_death(traj, threshold=args.threshold)
         if death.death_times:
@@ -307,7 +304,13 @@ def _cmd_figure(args) -> int:
         title=f"{preset.figure}: {preset.observable} vs t "
               f"(sweep {sweep_flag})",
     )
-    (out_dir / f"{preset.figure}.svg").write_text(svg, encoding="utf-8", newline="\n")
+    try:
+        for path, lines in files.items():
+            _write_text(str(path), lines)
+        (out_dir / f"{preset.figure}.svg").write_text(svg, encoding="utf-8", newline="\n")
+    except OSError as exc:
+        print(f"error: cannot write to {out_dir}: {exc}", file=sys.stderr)
+        return 1
     print(f"wrote {len(curves)} CSV files and {preset.figure}.svg to {out_dir}")
     return 0
 

@@ -31,11 +31,16 @@ states such as t = 0, a whole lambda = 0 trajectory, entries beyond
 ints, which runs the same integer polynomial code as the scalar route and
 differs from it only in how the floats become integers. An exact invariant
 beyond the float range raises :class:`OutOfRange` on both routes, on the
-stack for its lowest such row. The measures are then computed as masked
-arrays, with the logarithms and powers taken by the same scalar calls as
-below, and any row that would raise is replayed through the scalar
-functions so the error and its message are the same. No option
-selects the route; single matrices always use the scalar functions.
+stack for its lowest such row.
+
+Each measure formula is written once, as a function of its inputs and a
+namespace ``xp`` of the few operations that differ between one float
+(``_FLOAT``) and an (N,) column (``_COLUMN``). The scalar functions call
+the formulas on floats, test their domains and raise; the batched route
+calls the same formulas on columns, masks the rows outside a domain, and
+replays the lowest row that would raise through the scalar functions, so
+the error and its message are the same. No option selects the route;
+single matrices always use the scalar functions.
 """
 
 from __future__ import annotations
@@ -44,6 +49,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
+from types import ModuleType
 
 import numpy as np
 
@@ -355,35 +361,113 @@ def _invariants_stack(sigmas) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Symplectic spectrum
+# Measure formulas, shared by the scalar and batched routes
+# ---------------------------------------------------------------------------
+# np.sqrt and the four arithmetic ops are correctly rounded like their
+# scalar counterparts; numpy's log and power may differ in the last bit, so
+# the column route takes them with math.log and float ** element by element.
+# nonneg(x) is Python's max(x, 0.0), which keeps x on ties and NaN. Both
+# sides of a where are evaluated, so no formula divides a float by zero or
+# takes the root of a negative one. The namespaces are module objects, whose
+# attributes CPython reads fastest: the scalar route reads them on every call.
+
+_FLOAT, _COLUMN = ModuleType("_FLOAT"), ModuleType("_COLUMN")
+vars(_FLOAT).update(
+    sqrt=math.sqrt, log=math.log, pow=pow, not_=operator.not_,
+    where=lambda c, a, b: a if c else b,
+    nonneg=lambda x: 0.0 if 0.0 > x else x,
+)
+vars(_COLUMN).update(
+    sqrt=np.sqrt, not_=np.logical_not, where=np.where,
+    log=lambda x: np.fromiter(map(math.log, x.tolist()), float, len(x)),
+    # pow(v, k) is v ** k for a float v and an int k
+    pow=lambda x, k: np.fromiter(map(pow, x.tolist(), itertools.repeat(k)), float, len(x)),
+    nonneg=lambda x: np.where(0.0 > x, 0.0, x),
+)
+
+
+def _eig_sq_pair(xp, delta, i4, rad):
+    """Squared eigenvalue pair (lo, hi), the roots of x^2 - delta*x + i4,
+    and whether it fails: rad below -_RAD_CLAMP or a root below -_NU_SQ_TOL.
+
+    rad in (-_RAD_CLAMP, 0) is roundoff residue and clamps to zero. The
+    larger root is computed directly and the smaller one as i4 divided by
+    it, which avoids the cancellation delta - sqrt(rad) at degeneracy.
+    """
+    root = xp.sqrt(xp.nonneg(rad))
+    hi = 0.5 * (delta + root)
+    positive = hi > 0.0
+    ratio = i4 / xp.where(positive, hi, 1.0)
+    lo = xp.where(positive, xp.where(hi < ratio, hi, ratio), 0.5 * (delta - root))
+    fails = (rad < -_RAD_CLAMP) | (lo < -_NU_SQ_TOL) | (hi < -_NU_SQ_TOL)
+    return lo, hi, fails
+
+
+def _purity(xp, nu_minus, nu_plus, i4):
+    """mu = 1 / (nu_plus * nu_minus), NaN unless the product is positive, and
+    whether it contradicts I4 > 0 (mu * sqrt(I4) not within 1e-9 of 1)."""
+    product = nu_plus * nu_minus
+    undefined = product <= 0.0
+    mu = 1.0 / xp.where(undefined, math.nan, product)
+    consistent = undefined | (i4 <= 0.0) | (abs(mu * xp.sqrt(abs(i4)) - 1.0) < 1e-9)
+    return mu, xp.not_(consistent)
+
+
+def _log_negativity(xp, nu_tilde_minus, scale):
+    """max{0, -log(nu_tilde_minus)} * scale, for nu_tilde_minus > 0."""
+    en = -xp.log(nu_tilde_minus) * scale
+    return xp.where(en > 0.0, en, 0.0)
+
+
+def _f_entropy(xp, x, scale):
+    """f(x) * scale, for x > 1."""
+    plus, minus = 0.5 * (x + 1.0), 0.5 * (x - 1.0)
+    return (plus * xp.log(plus) - minus * xp.log(minus)) * scale
+
+
+def _first_branch(xp, i1, i2, i3, i4):
+    """Whether (I4 - I1*I2)^2 <= (I2+1)*I3^2*(I1+I4) selects the first zeta
+    branch, and whether that branch is singular there (I2 within 1e-8 of 1)."""
+    selected = xp.pow(i4 - i1 * i2, 2) <= (i2 + 1.0) * i3 * i3 * (i1 + i4)
+    return selected, abs(i2 - 1.0) < _DEGENERATE_I2_TOL
+
+
+def _zeta_first(xp, i1, i2, i3, i4):
+    inner = xp.nonneg(i3 * i3 + (i2 - 1.0) * (i4 - i1))  # exact zero at pure states
+    num = 2.0 * i3 * i3 + (i2 - 1.0) * (i4 - i1) + 2.0 * abs(i3) * xp.sqrt(inner)
+    return num / xp.pow(i2 - 1.0, 2)
+
+
+def _zeta_second(xp, i1, i2, i3, i4):
+    inner = xp.nonneg(xp.pow(i3, 4) + xp.pow(i4 - i1 * i2, 2) - 2.0 * i3 * i3 * (i1 * i2 + i4))
+    return (i1 * i2 - i3 * i3 + i4 - xp.sqrt(inner)) / (2.0 * i2)
+
+
+def _discord(xp, f_b, f_minus, f_plus, f_zeta):
+    """f(sqrt(I2)) - f(nu_minus) - f(nu_plus) + f(sqrt(zeta)) from its four
+    terms, with results within -_DISCORD_CLAMP of zero clamped to 0.0."""
+    discord = f_b - f_minus - f_plus + f_zeta
+    return xp.where((-_DISCORD_CLAMP <= discord) & (discord < 0.0), 0.0, discord)
+
+
+# ---------------------------------------------------------------------------
+# Symplectic spectrum and measures of one matrix
 # ---------------------------------------------------------------------------
 
-def _eig_sq_pair(delta: float, i4: float, rad: float, label: str):
-    """Squared eigenvalue pair from x^2 - delta*x + i4 = 0, numerically stable.
-
-    The larger root is computed directly and the smaller one as i4 divided
-    by it, which avoids the cancellation delta - sqrt(rad) at degeneracy.
-    """
-    if rad < 0.0:
+def _eig_pair(delta: float, i4: float, rad: float, label: str):
+    """Square roots of :func:`_eig_sq_pair`; NonPhysicalInput where it fails."""
+    lo, hi, fails = _eig_sq_pair(_FLOAT, delta, i4, rad)
+    if fails:
         if rad < -_RAD_CLAMP:
-            raise NonPhysicalInput(
-                f"{label} discriminant negative beyond tolerance ({rad:g})"
-            )
-        rad = 0.0
-    root = math.sqrt(rad)
-    hi = 0.5 * (delta + root)
-    lo = min(i4 / hi, hi) if hi > 0.0 else 0.5 * (delta - root)
-    for value in (lo, hi):
-        if value < -_NU_SQ_TOL:
-            raise NonPhysicalInput(
-                f"negative squared {label} symplectic eigenvalue ({value:g})"
-            )
-    return math.sqrt(max(lo, 0.0)), math.sqrt(max(hi, 0.0))
+            raise NonPhysicalInput(f"{label} discriminant negative beyond tolerance ({rad:g})")
+        value = lo if lo < -_NU_SQ_TOL else hi
+        raise NonPhysicalInput(f"negative squared {label} symplectic eigenvalue ({value:g})")
+    return math.sqrt(_FLOAT.nonneg(lo)), math.sqrt(_FLOAT.nonneg(hi))
 
 
 def _assemble(i1, i2, i3, i4, delta, delta_tilde, rad, rad_tilde) -> SymplecticData:
-    nu_minus, nu_plus = _eig_sq_pair(delta, i4, rad, "state")
-    nu_tilde_minus, _ = _eig_sq_pair(delta_tilde, i4, rad_tilde, "partial-transpose")
+    nu_minus, nu_plus = _eig_pair(delta, i4, rad, "state")
+    nu_tilde_minus, _ = _eig_pair(delta_tilde, i4, rad_tilde, "partial-transpose")
     return SymplecticData(
         i1=i1, i2=i2, i3=i3, i4=i4,
         delta=delta, delta_tilde=delta_tilde,
@@ -415,11 +499,8 @@ def purity(data: SymplecticData) -> float:
     raises :class:`NonPhysicalInput` when ``data`` breaks that identity
     (a spectrum inconsistent with its determinants).
     """
-    product = data.nu_plus * data.nu_minus
-    if product <= 0.0:
-        return float("nan")
-    mu = 1.0 / product
-    if not (data.i4 <= 0.0 or abs(mu * math.sqrt(data.i4) - 1.0) < 1e-9):
+    mu, contradicts = _purity(_FLOAT, data.nu_minus, data.nu_plus, data.i4)
+    if contradicts:
         raise NonPhysicalInput(f"purity {mu:g} contradicts det sigma = {data.i4:g}")
     return mu
 
@@ -442,7 +523,7 @@ def log_negativity(data: SymplecticData, base: float = math.e) -> float:
     ntm = data.nu_tilde_minus
     if ntm <= 0.0:
         return math.inf
-    return max(0.0, -math.log(ntm) * _log_scale(base))
+    return _log_negativity(_FLOAT, ntm, _log_scale(base))
 
 
 def f_entropy(x: float, base: float = math.e) -> float:
@@ -459,22 +540,7 @@ def f_entropy(x: float, base: float = math.e) -> float:
         raise DomainError(f"entropy argument must be >= 1 (got {x})")
     if x <= 1.0:
         return 0.0
-    xp = 0.5 * (x + 1.0)
-    xm = 0.5 * (x - 1.0)
-    return (xp * math.log(xp) - xm * math.log(xm)) * scale
-
-
-def _zeta_first(i1: float, i2: float, i3: float, i4: float) -> float:
-    inner = i3 * i3 + (i2 - 1.0) * (i4 - i1)
-    inner = max(inner, 0.0)  # exact zero at pure states, roundoff below
-    num = 2.0 * i3 * i3 + (i2 - 1.0) * (i4 - i1) + 2.0 * abs(i3) * math.sqrt(inner)
-    return num / ((i2 - 1.0) ** 2)
-
-
-def _zeta_second(i1: float, i2: float, i3: float, i4: float) -> float:
-    inner = i3 ** 4 + (i4 - i1 * i2) ** 2 - 2.0 * i3 * i3 * (i1 * i2 + i4)
-    inner = max(inner, 0.0)
-    return (i1 * i2 - i3 * i3 + i4 - math.sqrt(inner)) / (2.0 * i2)
+    return _f_entropy(_FLOAT, x, scale)
 
 
 def gaussian_discord(
@@ -515,32 +581,23 @@ def gaussian_discord(
     if i2 <= 0.0:
         raise DomainError(f"measured-mode determinant must be positive (got {i2})")
 
-    first_selected = (i4 - i1 * i2) ** 2 <= (i2 + 1.0) * i3 * i3 * (i1 + i4)
-    degenerate = abs(i2 - 1.0) < _DEGENERATE_I2_TOL
-    if first_selected and degenerate:
+    first, degenerate = _first_branch(_FLOAT, i1, i2, i3, i4)
+    if first and degenerate:
         if not reroute_degenerate:
             raise DegenerateState(
                 "first discord branch selected with det B = 1 "
                 "(singular denominator)"
             )
-        first_selected = False
-
-    if first_selected:
-        zeta = _zeta_first(i1, i2, i3, i4)
-        branch = "first"
-    else:
-        zeta = _zeta_second(i1, i2, i3, i4)
-        branch = "second"
-
-    discord = (
-        f_entropy(math.sqrt(i2), base)
-        - f_entropy(data.nu_minus, base)
-        - f_entropy(data.nu_plus, base)
-        + f_entropy(math.sqrt(max(zeta, 0.0)), base)
+        first = False
+    zeta = (_zeta_first if first else _zeta_second)(_FLOAT, i1, i2, i3, i4)
+    discord = _discord(
+        _FLOAT,
+        f_entropy(math.sqrt(i2), base),
+        f_entropy(data.nu_minus, base),
+        f_entropy(data.nu_plus, base),
+        f_entropy(math.sqrt(_FLOAT.nonneg(zeta)), base),
     )
-    if -_DISCORD_CLAMP <= discord < 0.0:
-        discord = 0.0
-    return discord, branch
+    return discord, "first" if first else "second"
 
 
 def report_from_data(data: SymplecticData, base: float = math.e) -> CorrelationReport:
@@ -568,119 +625,63 @@ def full_report(sigma, base: float = math.e) -> CorrelationReport:
 
 
 # ---------------------------------------------------------------------------
-# Batched measures
+# Measures of a whole stack
 # ---------------------------------------------------------------------------
-# Each column repeats the scalar code above operation for operation. np.sqrt
-# and the four arithmetic ops are correctly rounded like their scalar
-# counterparts; logarithms and powers are not (numpy's may differ in the
-# last bit), so they go through math.log and float ** element by element.
-# Python's max(x, 0.0) and min(x, y) keep their first argument on ties and
-# NaN, which is what the np.where forms below do. np.where evaluates both
-# branches, hence the errstate around the masked arithmetic.
-
-def _log_column(x: np.ndarray) -> np.ndarray:
-    return np.fromiter(map(math.log, x.tolist()), float, len(x))
-
-
-def _pow_column(x: np.ndarray, k: int) -> np.ndarray:
-    # pow(v, k) is v ** k for a float v and an int k
-    return np.fromiter(map(pow, x.tolist(), itertools.repeat(k)), float, len(x))
-
-
-def _eig_sq_pair_columns(delta, i4, rad):
-    """Columns of :func:`_eig_sq_pair` and the rows where it raises."""
-    raises = rad < -_RAD_CLAMP
-    root = np.sqrt(np.where(rad < 0.0, 0.0, rad))
-    hi = 0.5 * (delta + root)
-    positive = hi > 0.0
-    ratio = i4 / np.where(positive, hi, 1.0)
-    lo = np.where(positive, np.where(hi < ratio, hi, ratio), 0.5 * (delta - root))
-    raises |= (lo < -_NU_SQ_TOL) | (hi < -_NU_SQ_TOL)
-    return (np.sqrt(np.where(0.0 > lo, 0.0, lo)),
-            np.sqrt(np.where(0.0 > hi, 0.0, hi)), raises)
-
-
-def _f_entropy_column(x: np.ndarray, scale: float) -> np.ndarray:
-    """:func:`f_entropy` of every element that passes its domain check."""
-    out = np.zeros_like(x)
-    above = ~(x <= 1.0)
-    xp = 0.5 * (x[above] + 1.0)
-    xm = 0.5 * (x[above] - 1.0)
-    out[above] = (xp * _log_column(xp) - xm * _log_column(xm)) * scale
-    return out
-
 
 def _report_columns(inv: np.ndarray, base: float = math.e):
     """Spectrum and report columns of (N, 8) invariants from
     :func:`_invariants_stack`: a :class:`SymplecticData` and a
     :class:`CorrelationReport` whose fields are (N,) arrays (``zeta_branch``
     an object array holding None), row k equal to
-    ``report_from_data(_assemble(*inv[k]), base)`` bit for bit.
+    ``report_from_data(_assemble(*inv[k]), base)`` bit for bit; the lowest
+    row on which that raises raises the same exception and message here.
 
-    Rows where the scalar code would raise are replayed through it in
-    order, so the lowest such row raises the scalar exception and message.
+    A log base <= 1 raises ``ValueError`` before any row is looked at. On a
+    trajectory, whose row 0 is a physical squeezed vacuum, that is the
+    scalar route's error too; on another stack the scalar route may first
+    raise for a lower row, or take no logarithm (nu_tilde_minus <= 0, I2 <= 0).
+    Where a float ** overflows both routes raise a bare ``OverflowError``,
+    here for the first overflowing element even if a lower row fails a check.
     """
+    scale = _log_scale(base)
     i1, i2, i3, i4, delta, delta_tilde, rad, rad_tilde = np.array(inv.T)
-    try:
-        scale = _log_scale(base)
-        replay = np.zeros(len(inv), dtype=bool)
-    except ValueError:
-        scale = 1.0
-        replay = np.ones(len(inv), dtype=bool)
+    xp, n = _COLUMN, len(inv)
+    with np.errstate(all="ignore"):  # both sides of each where are evaluated
+        lo, hi, raises = _eig_sq_pair(xp, delta, i4, rad)
+        nu_minus, nu_plus = np.sqrt(xp.nonneg(lo)), np.sqrt(xp.nonneg(hi))
+        lo, _, raises_tilde = _eig_sq_pair(xp, delta_tilde, i4, rad_tilde)
+        nu_tilde_minus = np.sqrt(xp.nonneg(lo))
+        mu, contradicts = _purity(xp, nu_minus, nu_plus, i4)
+        raises |= raises_tilde | contradicts
 
-    with np.errstate(all="ignore"):
-        nu_minus, nu_plus, raises = _eig_sq_pair_columns(delta, i4, rad)
-        nu_tilde_minus, _, raises_tilde = _eig_sq_pair_columns(delta_tilde, i4, rad_tilde)
-        physical = nu_minus >= 1.0 - _PHYSICAL_TOL
+        en = np.full(n, math.inf)
+        positive = ~(nu_tilde_minus <= 0.0)
+        en[positive] = _log_negativity(xp, nu_tilde_minus[positive], scale)
 
-        product = nu_plus * nu_minus
-        positive = product > 0.0
-        mu = np.where(positive, 1.0 / product, np.nan)
-        consistent = (i4 <= 0.0) | (np.abs(mu * np.sqrt(i4) - 1.0) < 1e-9)
-        replay |= raises | raises_tilde | (positive & ~consistent)
+        selected, degenerate = _first_branch(xp, i1, i2, i3, i4)
+        first = selected & ~degenerate
+        zeta = np.empty(n)
+        for rows, zeta_branch in ((first, _zeta_first), (~first, _zeta_second)):
+            zeta[rows] = zeta_branch(xp, i1[rows], i2[rows], i3[rows], i4[rows])
 
-        en = np.full(len(inv), math.inf)
-        entangled = nu_tilde_minus > 0.0
-        en_value = -_log_column(nu_tilde_minus[entangled]) * scale
-        en[entangled] = np.where(en_value > 0.0, en_value, 0.0)
-
-        gap = i4 - i1 * i2
-        gap_sq = _pow_column(gap, 2)
-        first = (gap_sq <= (i2 + 1.0) * i3 * i3 * (i1 + i4)) & ~(
-            np.abs(i2 - 1.0) < _DEGENERATE_I2_TOL)
-        inner = i3 * i3 + (i2 - 1.0) * (i4 - i1)
-        inner = np.where(0.0 > inner, 0.0, inner)
-        zeta_first = (
-            2.0 * i3 * i3 + (i2 - 1.0) * (i4 - i1) + 2.0 * np.abs(i3) * np.sqrt(inner)
-        ) / _pow_column(i2 - 1.0, 2)
-        inner = _pow_column(i3, 4) + gap_sq - 2.0 * i3 * i3 * (i1 * i2 + i4)
-        inner = np.where(0.0 > inner, 0.0, inner)
-        zeta_second = (i1 * i2 - i3 * i3 + i4 - np.sqrt(inner)) / (2.0 * i2)
-        zeta = np.where(first, zeta_first, zeta_second)
-
-        args = (np.sqrt(np.where(i2 > 0.0, i2, 1.0)), nu_minus, nu_plus,
-                np.sqrt(np.where(0.0 > zeta, 0.0, zeta)))
+        args = (np.sqrt(i2), nu_minus, nu_plus, np.sqrt(xp.nonneg(zeta)))
         defined = i2 > 0.0
+        terms = []
         for x in args:
             defined &= ~(x < 1.0 - _PHYSICAL_TOL)
-        f = [_f_entropy_column(np.where(defined, x, 1.0), scale) for x in args]
-        discord = f[0] - f[1] - f[2] + f[3]
-        discord = np.where((-_DISCORD_CLAMP <= discord) & (discord < 0.0), 0.0, discord)
+            above = ~(x <= 1.0)  # rows left undefined are overwritten below
+            term = np.zeros(n)
+            term[above] = _f_entropy(xp, x[above], scale)
+            terms.append(term)
+        discord = _discord(xp, *terms)
+    if raises.any():  # the scalar code raises on the lowest such row
+        report_from_data(_assemble(*inv[np.argmax(raises)].tolist()), base)
     discord[~defined] = np.nan
     branch = np.where(first, "first", "second").astype(object)
     branch[~defined] = None
 
-    data = SymplecticData(
-        i1=i1, i2=i2, i3=i3, i4=i4, delta=delta, delta_tilde=delta_tilde,
-        nu_minus=nu_minus, nu_plus=nu_plus, nu_tilde_minus=nu_tilde_minus,
+    data = SymplecticData(i1, i2, i3, i4, delta, delta_tilde, nu_minus, nu_plus, nu_tilde_minus)
+    return data, CorrelationReport(
+        purity=mu, log_negativity=en, discord=discord,
+        physical=check_physical(data), zeta_branch=branch,
     )
-    report = CorrelationReport(
-        purity=mu, log_negativity=en, discord=discord, physical=physical,
-        zeta_branch=branch,
-    )
-    for k in np.flatnonzero(replay).tolist():
-        row = _assemble(*inv[k].tolist())
-        for columns, scalar in ((data, row), (report, report_from_data(row, base))):
-            for name, value in vars(scalar).items():
-                getattr(columns, name)[k] = value
-    return data, report

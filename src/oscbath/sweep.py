@@ -35,7 +35,6 @@ from .model import (
     initial_squeezed_vacuum,
     mode_frequencies,
     require_valid,
-    validate,
 )
 
 __all__ = [
@@ -252,23 +251,18 @@ def sweep_parameter(
 
     Values that produce an invalid parameter set (or fail during evolution)
     are reported in the outcome's ``error`` field without aborting the
-    remaining values.
+    remaining values; :func:`evolve_trajectory` validates each set. A
+    ``dt`` that is not finite and > 0 raises ``ValueError`` before any work.
     """
     if which not in _PARAM_NAMES:
         raise ValueError(
             f"unknown parameter {which!r}; expected one of {_PARAM_NAMES}"
         )
+    check_step(dt)
     outcomes = []
     for value in values:
         value = float(value)
         params = dataclasses.replace(base, **{which: value})
-        result = validate(params)
-        if not result.ok:
-            outcomes.append(
-                SweepOutcome(value=value, trajectory=None,
-                             error="; ".join(result.violations))
-            )
-            continue
         try:
             traj = evolve_trajectory(
                 params, grid, integrator=integrator, dt=dt, log_base=log_base

@@ -11,6 +11,7 @@ from oscbath import (
     DEFAULT_GRID,
     FIGURE_IDS,
     NonPhysicalInput,
+    OscbathError,
     OutOfRange,
     SystemParams,
     TimeGrid,
@@ -25,13 +26,14 @@ from oscbath import (
 )
 from oscbath.measures import (
     _FLOAT_LIMIT,
+    _assemble,
     _dd_block_invariants,
     _exact_block_invariants,
     _exact_stack,
     _invariants_stack,
     _report_columns,
 )
-from helpers import FIG1A, random_symplectic
+from helpers import FIG1A, random_physical_cov, random_symplectic
 
 
 def bits(values) -> np.ndarray:
@@ -347,3 +349,84 @@ class TestErrorsMatchScalar:
         with pytest.raises(ValueError) as info:
             evolve_trajectory(FIG1A, TimeGrid(0.0, 1.0, 11), log_base=0.5)
         assert str(info.value) == message
+
+
+# Moderate magnitudes: |x| <= 2**100 keeps every float ** of the discord
+# (i3**4 and the squared gap i4 - i1*i2) inside the float range. Beyond it
+# the column route raises OverflowError at the first overflowing element,
+# not necessarily for the lowest raising row (see _report_columns).
+MODERATE = st.one_of(
+    st.floats(-2.0 ** 100, 2.0 ** 100),
+    st.builds(math.ldexp, st.floats(-1.0, 1.0), st.integers(-1000, 100)),
+    st.integers(-10, 10).map(float),
+)
+# i2 = 1 +- 1e-9 reroutes the first discord branch; rad in (-1e-10, 0)
+# clamps to zero and rad below -1e-10 raises
+SPECIAL = {
+    "any": st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+    "i2": st.sampled_from([1.0 + 1e-9, 1.0 - 1e-9, -2.0, 5e-324]),
+    "rad": st.one_of(st.floats(-1e-10, 0.0, exclude_min=True),
+                     st.floats(-1e3, -1e-10, exclude_max=True)),
+}
+FIELD_VALUES = [st.one_of(MODERATE, SPECIAL["any"], SPECIAL[kind])
+                for kind in ("any", "i2", "any", "any", "any", "any", "rad", "rad")]
+
+
+@st.composite
+def invariant_rows(draw):
+    """One row of the eight invariants: those of a random mixed state, or a
+    pure one (rad zero up to the rounding of sigma, of either sign), either
+    two-mode squeezed or a product of squeezed vacua (I2 = 1 up to rounding,
+    so the first branch reroutes), some fields replaced by moderate floats
+    or special values (contradictory purity rows follow from a replaced rad
+    or i4)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["mixed", "entangled", "product"]))
+    s = random_symplectic(rng, max_squeeze=2.0)
+    # s = R S M R' with orthogonal M and R', so s s^T drops the mode mixing
+    sigma = {"mixed": random_physical_cov(rng, max_squeeze=2.0),
+             "entangled": s.T @ s, "product": s @ s.T}[kind]
+    row = list(_exact_block_invariants(0.5 * (sigma + sigma.T)))
+    for k in draw(st.sets(st.integers(0, 7), max_size=3)):
+        row[k] = draw(FIELD_VALUES[k])
+    return row
+
+
+def scalar_row(row, base):
+    try:
+        data = _assemble(*row)
+        return data, report_from_data(data, base)
+    except OscbathError as error:
+        return error
+
+
+def assert_rows_match_columns(rows, base):
+    """_report_columns of the stack equals the scalar route row by row, or
+    raises the lowest raising row's class and message."""
+    expected = [scalar_row(row, base) for row in rows]
+    errors = [e for e in expected if isinstance(e, Exception)]
+    if errors:
+        with pytest.raises(type(errors[0])) as info:
+            _report_columns(np.array(rows), base)
+        assert str(info.value) == str(errors[0])
+        return
+    columns = _report_columns(np.array(rows), base)
+    for column, values in zip(columns, zip(*expected)):
+        fields = [getattr(column, f.name).tolist() for f in dataclasses.fields(column)]
+        for row, value in zip(zip(*fields), values):
+            assert_same(type(value)(*row), value)
+
+
+class TestRowsMatchScalar:
+    """_report_columns on any (N, 8) stack: row k is report_from_data of
+    _assemble(*row) bit for bit, or the lowest raising row's error; each
+    row is also checked alone, so rows beside a raising one are compared."""
+
+    @settings(max_examples=150, deadline=None, database=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.lists(invariant_rows(), min_size=1, max_size=6),
+           st.sampled_from([math.e, 2.0]))
+    def test_rows(self, rows, base):
+        assert_rows_match_columns(rows, base)
+        for row in rows:
+            assert_rows_match_columns([row], base)

@@ -330,3 +330,12 @@ class TestFigureCommand:
         code = main(["figure", "fig1a", "--out", str(blocker / "sub")])
         assert code == 1
         assert "cannot write" in capsys.readouterr().err
+
+    def test_csv_path_taken_by_a_directory_exits_1(self, tmp_path, capsys):
+        # the directory exists and is writable, but one output path is not
+        (tmp_path / "fig1a_temperature=0.5.csv").mkdir()
+        code = main(["figure", "fig1a", "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: cannot write to {tmp_path}: ")
+        assert "Traceback" not in err

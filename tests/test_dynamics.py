@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -23,7 +24,9 @@ from oscbath import (
     thermal_coth,
 )
 from oscbath.dynamics import _THETA13, _kron_sum
-from oscbath.sweep import FIGURE_IDS, TimeGrid, evolve_trajectory, figure_preset
+from oscbath.sweep import (
+    FIGURE_IDS, TimeGrid, evolve_trajectory, figure_preset, sweep_parameter,
+)
 from helpers import FIG1A, FIG4, random_valid_params
 
 import dataclasses
@@ -470,8 +473,11 @@ class TestValidateOnce:
             count[0] += 1
             return inner(params)
 
-        # require_valid looks validate up in oscbath.model
-        monkeypatch.setattr(model, "validate", counting)
+        # every module of the package that bound validate by name, and
+        # oscbath.model, where require_valid looks it up
+        for name, module in list(sys.modules.items()):
+            if name.partition(".")[0] == "oscbath" and getattr(module, "validate", None) is inner:
+                monkeypatch.setattr(module, "validate", counting)
         return count
 
     def test_scan_style_call(self, calls):
@@ -485,3 +491,10 @@ class TestValidateOnce:
     def test_evolve_trajectory(self, calls, integrator):
         evolve_trajectory(FIG1A, TimeGrid(0.0, 1.0, 11), integrator)
         assert 1 <= calls[0] <= 2
+
+    def test_sweep_parameter(self, calls):
+        # the invalid middle value stops at its first validation
+        values = [0.5, -1.0, 1.0]
+        outcomes = sweep_parameter(FIG1A, "temperature", values, TimeGrid(0.0, 1.0, 11))
+        assert [o.error is None for o in outcomes] == [True, False, True]
+        assert 3 <= calls[0] <= 2 * len(values)

@@ -17,7 +17,7 @@ from oscbath import (
     log_negativity,
     purity,
 )
-from oscbath.measures import _zeta_first, _zeta_second
+from oscbath.measures import _FLOAT, _zeta_first, _zeta_second
 from helpers import random_physical_cov, single_mode_rotations
 
 
@@ -206,8 +206,8 @@ class TestGaussianDiscord:
         # the branch condition holds with equality on pure states
         for r in (0.3, 0.5, 1.0):
             data = invariants(initial_squeezed_vacuum(r))
-            z1 = _zeta_first(data.i1, data.i2, data.i3, data.i4)
-            z2 = _zeta_second(data.i1, data.i2, data.i3, data.i4)
+            z1 = _zeta_first(_FLOAT, data.i1, data.i2, data.i3, data.i4)
+            z2 = _zeta_second(_FLOAT, data.i1, data.i2, data.i3, data.i4)
             assert f_oracle(math.sqrt(z1)) == pytest.approx(
                 f_oracle(math.sqrt(max(z2, 1.0))), abs=1e-5
             )

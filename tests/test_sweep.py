@@ -194,7 +194,15 @@ class TestSweepParameter:
         assert outcomes[0].error is None
         assert outcomes[1].trajectory is None
         assert "temperature" in outcomes[1].error
+        invalid = dataclasses.replace(FIG1A, temperature=-1.0)
+        assert outcomes[1].error == "; ".join(validate(invalid).violations)
         assert outcomes[2].error is None
+
+    @pytest.mark.parametrize("dt", [math.nan, 0.0, -1.0])
+    def test_bad_step_raises_before_any_value(self, dt):
+        # even when no value is valid, so no trajectory would be evolved
+        with pytest.raises(ValueError, match="dt must be finite"):
+            sweep_parameter(FIG1A, "temperature", [-1.0, -2.0], SMALL_GRID, dt=dt)
 
     def test_unknown_parameter_rejected(self):
         with pytest.raises(ValueError):
