@@ -11,10 +11,14 @@ the solution has the closed form
 
     sigma(t) = e^{Mt} (sigma(0) - sigma_inf) (e^{Mt})^T + sigma_inf,
 
-where sigma_inf is the unique solution of M S + S M^T = -2 D. Both the
-closed form and an independent fixed-step Runge-Kutta integrator of the
-differential form are provided; the integrator also covers the marginal
-cases (lambda = 0 or |nu| = omega1*omega2) where no steady state exists.
+where sigma_inf is the unique solution of M S + S M^T = -2 D. Both
+oscillators damp at the same rate, so e^{Mt} is e^{-lambda t} times the
+undamped flow, which :func:`propagate` evaluates in closed form from the
+two normal modes. Both the closed form and an independent fixed-step
+Runge-Kutta integrator of the differential form are provided; the
+integrator also covers the marginal cases (lambda = 0 or
+|nu| = omega1*omega2) where no steady state exists. :func:`mat_exp` is a
+general Pade-13 matrix exponential, independent of both.
 
 All functions are pure; different time points or parameter sets may be
 evaluated concurrently with no shared state.
@@ -271,12 +275,15 @@ def propagate(sigma0, params: SystemParams, t: float | np.ndarray) -> np.ndarray
     """Closed-form covariance at finite time(s) t >= 0 from ``sigma0``.
 
     Evaluates e^{Mt} (sigma0 - sigma_inf) (e^{Mt})^T + sigma_inf and
-    symmetrizes the result to suppress roundoff asymmetry. ``t`` is either
-    a scalar, giving one 4x4 matrix, or a 1-D array of N times, giving an
-    (N, 4, 4) stack from a single steady-state solve, drift build and
-    stacked :func:`mat_exp` call; each slice equals the scalar call at
-    that time bit for bit. Requires a steady state to exist; marginal
-    parameter sets raise :class:`SteadyStateUnavailable` and must use
+    symmetrizes the result to suppress roundoff asymmetry. e^{Mt} comes
+    from the two normal modes (cosines and sines of the normal frequencies
+    times e^{-lambda t}), with no matrix exponential. ``t`` is either a
+    scalar, giving one 4x4 matrix, or a 1-D array of N times, giving an
+    (N, 4, 4) stack from a single steady-state solve and one evaluation of
+    e^{Mt} over all times; each slice equals the scalar call at that time
+    bit for bit. Where e^{-lambda t} underflows to 0 the result is
+    sigma_inf exactly. Requires a steady state to exist; marginal parameter
+    sets raise :class:`SteadyStateUnavailable` and must use
     :func:`ode_oracle`.
     """
     # the float test spares single-time calls the cost of np.ndim
@@ -291,10 +298,77 @@ def propagate(sigma0, params: SystemParams, t: float | np.ndarray) -> np.ndarray
         raise ValueError(f"time must be finite and >= 0 (got {t})")
     sigma0 = check_covariance(sigma0)
     s_inf = steady_state(params)  # validates params once for this call
-    m = _drift(params)
-    e = mat_exp(m, t)
+    e = _propagator(params, t)
     s = e @ (sigma0 - s_inf) @ e.swapaxes(-1, -2) + s_inf
     return 0.5 * (s + s.swapaxes(-1, -2))
+
+
+# Where each entry of e^{Mt}, row 2i+a and column 2j+b in (x1, p1, x2, p2)
+# order, sits among the nine values of _propagator: mode block (i, j) =
+# (0, 0), (1, 1) or off-diagonal, times function cos, sin/W or -W sin for
+# (a, b) = diagonal, (x, p) or (p, x).
+_ENTRY = np.array([
+    3 * (0 if i == j == 0 else 1 if i == j else 2) + (0 if a == b else 1 + a)
+    for i in range(2) for a in range(2) for j in range(2) for b in range(2)
+])
+_ON_DIAGONAL = np.array([1.0, 1.0, 0.0])[:, None, None]
+
+
+def _propagator(params: SystemParams, t: float | np.ndarray) -> np.ndarray:
+    """e^{Mt} from the normal modes, for a scalar t or an (N,) array of times.
+
+    Both oscillators damp at the same rate, so M = -lambda I + A, where A is
+    the Hamiltonian flow x' = p, p' = -V x of V = [[w1^2, nu], [nu, w2^2]],
+    and e^{Mt} = e^{-lambda t} e^{At}. In (x, p) blocks e^{At} is
+    [[cos(W t), sin(W t)/W], [-W sin(W t), cos(W t)]] with W = sqrt(V). Each
+    2x2 function of V is f(V) = f(W-) I + (f(W+) - f(W-)) P+, with P+ the
+    projector on the W+ mode, so E(0) = I exactly and equal frequencies need
+    no branch. W-^2 comes from det V = (b - |nu|)(b + |nu|), b = w1*w2, which
+    stays accurate near the marginal coupling and positive for every
+    |nu| < b, the condition of a steady state.
+
+    A scalar t runs through the same ufuncs as a stack (numpy's vector exp
+    can differ from math.exp in the last bit), so each slice of the stack
+    equals the scalar call bit for bit. Where e^{-lambda t} underflows to 0
+    the slice is exactly 0; any other non-finite entry raises
+    :class:`OutOfRange`.
+    """
+    w1, w2 = mode_frequencies(params)
+    nu = params.nu
+    w1_sq, w2_sq = w1 * w1, w2 * w2
+    half_gap = 0.5 * (w1_sq - w2_sq)
+    theta = 0.5 * math.atan2(nu, half_gap)  # P+ = [[c^2, cs], [cs, s^2]]
+    c, s = math.cos(theta), math.sin(theta)
+    hi_sq = 0.5 * (w1_sq + w2_sq) + math.hypot(half_gap, nu)
+    b = coupling_bound(params)
+    w_lo = math.sqrt((b - abs(nu)) * (b + abs(nu)) / hi_sq)
+    w_hi = math.sqrt(hi_sq)
+    t = np.asarray(t, dtype=float)
+    times = t.reshape(-1)  # (1,) for a scalar; the time axis is last below
+    with np.errstate(invalid="ignore", over="ignore"):
+        phase = np.multiply.outer((w_lo, w_hi), times)
+        # (function, mode, time) for the functions cos, sin/W and -W sin
+        f = np.empty((3, 2, len(times)))
+        np.cos(phase, out=f[0])
+        np.sin(phase, out=f[1])
+        f[2] = f[1]
+        f *= np.array([[1.0, 1.0], [1.0 / w_lo, 1.0 / w_hi], [-w_lo, -w_hi]])[:, :, None]
+        f *= np.exp(-params.lambda_ * times)
+        f_lo = f[:, 0]
+        # (block, function, time) for the blocks (0, 0), (1, 1), off-diagonal
+        proj = np.array([c * c, s * s, c * s])[:, None, None]
+        e = f_lo * _ON_DIAGONAL + (f[:, 1] - f_lo) * proj
+    e = e.reshape(9, len(times))[_ENTRY].T
+    e = np.ascontiguousarray(e).reshape((*t.shape, 4, 4))
+    if not np.isfinite(e).all():
+        # the phase overflowed; harmless only where e^{-lambda t} is 0
+        e[np.exp(-params.lambda_ * t) == 0.0] = 0.0
+        if not np.isfinite(e).all():
+            raise OutOfRange(
+                f"e^(Mt) left the float range (t up to {float(np.max(t)):g}): "
+                "the mode phase overflowed while e^(-lambda t) stayed above 0"
+            )
+    return e
 
 
 def ode_oracle(sigma0, params: SystemParams, t: float, dt: float = 1e-3) -> np.ndarray:

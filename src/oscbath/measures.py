@@ -601,7 +601,12 @@ def gaussian_discord(
 
 
 def report_from_data(data: SymplecticData, base: float = math.e) -> CorrelationReport:
-    """Assemble a :class:`CorrelationReport` from a precomputed spectrum."""
+    """Assemble a :class:`CorrelationReport` from a precomputed spectrum.
+
+    A log base <= 1 raises ``ValueError`` first, even where no measure
+    takes a logarithm.
+    """
+    _log_scale(base)
     physical = check_physical(data)
     mu = purity(data)
     en = log_negativity(data, base=base)

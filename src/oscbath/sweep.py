@@ -28,6 +28,7 @@ from .measures import (
     CorrelationReport,
     SymplecticData,
     _invariants_stack,
+    _log_scale,
     _report_columns,
 )
 from .model import (
@@ -197,8 +198,8 @@ def evolve_trajectory(
     matrix-vector product; every row equals the chained ``ode_oracle``
     calls from one grid time to the next bit for bit), and "auto" (default)
     picks "closed" whenever the steady state exists. A ``dt`` that is not
-    finite and > 0 raises ``ValueError`` before any work, whichever
-    integrator runs.
+    finite and > 0, or a ``log_base`` <= 1, raises ``ValueError`` before any
+    work, whichever integrator runs.
 
     The measures of all rows are computed in one batched pass: block
     invariants in double-double arithmetic kept where a round test proves
@@ -208,6 +209,7 @@ def evolve_trajectory(
     them raise raises the same error here (the lowest such row first).
     """
     check_step(dt)
+    _log_scale(log_base)
     require_valid(params)
     if integrator == "auto":
         integrator = "closed" if steady_state_available(params) else "rk4"
@@ -252,13 +254,15 @@ def sweep_parameter(
     Values that produce an invalid parameter set (or fail during evolution)
     are reported in the outcome's ``error`` field without aborting the
     remaining values; :func:`evolve_trajectory` validates each set. A
-    ``dt`` that is not finite and > 0 raises ``ValueError`` before any work.
+    ``dt`` that is not finite and > 0, or a ``log_base`` <= 1, raises
+    ``ValueError`` before any work.
     """
     if which not in _PARAM_NAMES:
         raise ValueError(
             f"unknown parameter {which!r}; expected one of {_PARAM_NAMES}"
         )
     check_step(dt)
+    _log_scale(log_base)
     outcomes = []
     for value in values:
         value = float(value)

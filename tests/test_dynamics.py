@@ -11,6 +11,7 @@ from oscbath import (
     SystemParams,
     build_diffusion,
     build_drift,
+    coupling_bound,
     full_report,
     initial_squeezed_vacuum,
     invariants,
@@ -23,7 +24,7 @@ from oscbath import (
     steady_state_available,
     thermal_coth,
 )
-from oscbath.dynamics import _THETA13, _kron_sum
+from oscbath.dynamics import _THETA13, _drift, _kron_sum, _propagator
 from oscbath.sweep import (
     FIGURE_IDS, TimeGrid, evolve_trajectory, figure_preset, sweep_parameter,
 )
@@ -240,6 +241,118 @@ class TestMatExp:
             mat_exp(m, t)
         with pytest.raises(ValueError, match="times must be finite"):
             mat_exp(m, np.array([0.0, t]))
+
+
+def scan_box_params(rng):
+    # a parameter set and a time from the accepted box, a quarter of the
+    # couplings within 10% of the stability bound (down to 1e-4)
+    omega = rng.uniform(0.5, 2.0)
+    epsilon = rng.uniform(0.0, 0.9)
+    if rng.random() < 0.25:
+        share = 1.0 - 10.0 ** rng.uniform(-4.0, -1.0)
+    else:
+        share = rng.uniform(0.0, 0.95)
+    bound = omega * omega * math.sqrt(1.0 - epsilon) * math.sqrt(1.0 + epsilon)
+    params = SystemParams(
+        omega=omega, epsilon=epsilon, nu=rng.choice([-1.0, 1.0]) * share * bound,
+        lambda_=10.0 ** rng.uniform(-2.0, math.log10(2.0)),
+        temperature=0.0, r=0.0,
+    )
+    return params, rng.uniform(0.0, 10.0)
+
+
+def mpmath_expm(m, t):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        e = mpmath.expm(mpmath.matrix(m.tolist()) * mpmath.mpf(t))
+        return np.array(e.tolist(), dtype=float)
+
+
+def preset_drift_params():
+    # one parameter set per distinct drift matrix among the figure presets
+    sets = {}
+    for fid in FIGURE_IDS:
+        preset = figure_preset(fid)
+        for value in preset.values:
+            params = dataclasses.replace(preset.params, **{preset.sweep: value})
+            sets.setdefault(_drift(params).tobytes(), params)
+    return list(sets.values())
+
+
+class TestPropagator:
+    """e^{Mt} from the normal modes, against the Pade oracle mat_exp and a
+    40-digit mpmath expm."""
+
+    W1, W2 = mode_frequencies(FIG4)
+    CASES = [(params, t) for params in preset_drift_params()
+             for t in (0.02, 3.7, 10.0)] + [
+        (dataclasses.replace(FIG1A, nu=0.0), 3.7),  # equal frequencies
+        (dataclasses.replace(FIG4, nu=-0.6), 3.7),
+        (dataclasses.replace(FIG4, nu=-0.6, lambda_=2.0), 50.0),
+        (dataclasses.replace(FIG4, nu=(1.0 - 1e-4) * W1 * W2), 3.7),
+        (dataclasses.replace(FIG4, nu=-(1.0 - 1e-4) * W1 * W2), 10.0),
+    ]
+
+    @pytest.mark.parametrize("params, t", CASES)
+    def test_against_mpmath(self, params, t):
+        ref = mpmath_expm(_drift(params), t)
+        err = np.abs(_propagator(params, t) - ref).max()
+        assert err <= 1e-13 * np.abs(ref).max()
+
+    def test_against_mat_exp_on_scan_box(self):
+        rng = np.random.default_rng(2026)
+        for _ in range(500):
+            params, t = scan_box_params(rng)
+            ref = mat_exp(_drift(params), t)
+            err = np.abs(_propagator(params, t) - ref).max()
+            assert err <= 1e-13 * np.abs(ref).max(), (params, t)
+
+    @pytest.mark.parametrize(
+        "base", [FIG1A, FIG4, dataclasses.replace(FIG4, omega=1.7, epsilon=0.3)])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_largest_coupling_below_the_bound(self, base, sign):
+        # W-^2 from (b - |nu|)(b + |nu|) stays positive whenever the steady
+        # state exists; w1^2 + w2^2 - hypot would cancel to 0 here
+        bound = coupling_bound(base)
+        params = dataclasses.replace(base, nu=sign * math.nextafter(bound, 0.0))
+        assert steady_state_available(params)
+        ref = mat_exp(_drift(params), 3.7)
+        err = np.abs(_propagator(params, 3.7) - ref).max()
+        assert err <= 1e-13 * np.abs(ref).max()
+
+    @pytest.mark.parametrize(
+        "params", [FIG1A, FIG4, dataclasses.replace(FIG1A, nu=0.0)])
+    def test_time_zero_is_identity(self, params):
+        assert np.array_equal(_propagator(params, 0.0), np.eye(4))
+        assert np.array_equal(_propagator(params, np.zeros(3)),
+                              np.broadcast_to(np.eye(4), (3, 4, 4)))
+
+    @pytest.mark.parametrize(
+        "params", [FIG1A, FIG4, dataclasses.replace(FIG4, nu=-0.6)])
+    def test_time_array_matches_scalar_calls(self, params):
+        times = np.concatenate((np.linspace(0.0, 200.0, 801), [1e300, 1.7e308]))
+        stack = _propagator(params, times)
+        assert stack.shape == (803, 4, 4)
+        for t, e in zip(times, stack):
+            assert np.array_equal(e, _propagator(params, float(t)))
+        assert _propagator(params, np.array([])).shape == (0, 4, 4)
+
+    @pytest.mark.parametrize("t", [1e300, 1.7e308])
+    def test_huge_time_gives_steady_state_exactly(self, t):
+        # e^{-lambda t} underflows to 0; no RuntimeWarning (an error in
+        # this suite) from the overflowing phase
+        sigma0 = initial_squeezed_vacuum(FIG1A.r)
+        s_inf = steady_state(FIG1A)
+        assert np.array_equal(propagate(sigma0, FIG1A, t), s_inf)
+        stack = propagate(sigma0, FIG1A, np.array([0.0, t]))
+        assert np.array_equal(stack[1], s_inf)
+
+    def test_overflowing_phase_without_decay_raises_out_of_range(self):
+        # lambda * t = 1 keeps e^{-lambda t} finite while W t overflows
+        params = SystemParams(1e10, 0.0, 0.0, 1e-300, 0.0, 0.0)
+        for t in (1e300, np.array([0.0, 1e300])):
+            with pytest.raises(OutOfRange, match="left the float range"):
+                propagate(np.eye(4), params, t)
 
 
 class TestSteadyState:

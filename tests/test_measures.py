@@ -16,6 +16,7 @@ from oscbath import (
     invariants,
     log_negativity,
     purity,
+    report_from_data,
 )
 from oscbath.measures import _FLOAT, _zeta_first, _zeta_second
 from helpers import random_physical_cov, single_mode_rotations
@@ -249,6 +250,17 @@ class TestFullReport:
         rep = full_report(np.eye(4))
         assert (rep.purity, rep.log_negativity, rep.discord) == (1.0, 0.0, 0.0)
         assert rep.physical
+
+    @pytest.mark.parametrize("base", [0.5, -3.0])
+    def test_bad_log_base_rejected_without_a_logarithm(self, base):
+        # nu_tilde_minus = 0 gives log negativity inf and I2 = -1 an
+        # undefined discord, so no measure takes a logarithm here
+        data = SymplecticData(i1=1.0, i2=-1.0, i3=0.0, i4=1.0, delta=0.0,
+                              delta_tilde=0.0, nu_minus=1.0, nu_plus=1.0,
+                              nu_tilde_minus=0.0)
+        assert report_from_data(data).log_negativity == math.inf
+        with pytest.raises(ValueError, match="log base must be > 1"):
+            report_from_data(data, base=base)
 
     def test_sub_vacuum_flagged_not_raised(self):
         rep = full_report(0.5 * np.eye(4))

@@ -29,6 +29,18 @@ from helpers import FIG1A, FIG2A, FIG4
 SMALL_GRID = TimeGrid(0.0, 10.0, 101)
 
 
+@pytest.fixture
+def no_propagation(monkeypatch):
+    """Make both propagation routes of a trajectory fail if called."""
+    import oscbath.sweep as sweep
+
+    def fail(*args, **kwargs):
+        raise AssertionError("propagated before the arguments were checked")
+
+    monkeypatch.setattr(sweep, "propagate", fail)
+    monkeypatch.setattr(sweep, "_rk4_grid", fail)
+
+
 class TestTimeGrid:
     def test_times_are_uniform(self):
         grid = TimeGrid(0.0, 10.0, 5)
@@ -152,6 +164,14 @@ class TestEvolveTrajectory:
             with pytest.raises(ValueError, match="dt must be finite"):
                 evolve_trajectory(FIG1A, TimeGrid(0.0, 1.0, 3), integrator, dt)
 
+    @pytest.mark.parametrize("integrator", ["closed", "rk4"])
+    @pytest.mark.parametrize("base", [0.5, 1.0, -3.0, math.nan])
+    def test_bad_log_base_raises_before_any_work(self, no_propagation,
+                                                 integrator, base):
+        with pytest.raises(ValueError, match="log base must be > 1"):
+            evolve_trajectory(FIG1A, TimeGrid(0.0, 1.0, 3), integrator,
+                              log_base=base)
+
     def test_deterministic(self):
         a = evolve_trajectory(FIG1A, SMALL_GRID)
         b = evolve_trajectory(FIG1A, SMALL_GRID)
@@ -203,6 +223,12 @@ class TestSweepParameter:
         # even when no value is valid, so no trajectory would be evolved
         with pytest.raises(ValueError, match="dt must be finite"):
             sweep_parameter(FIG1A, "temperature", [-1.0, -2.0], SMALL_GRID, dt=dt)
+
+    @pytest.mark.parametrize("base", [0.5, -3.0])
+    def test_bad_log_base_raises_before_any_value(self, no_propagation, base):
+        with pytest.raises(ValueError, match="log base must be > 1"):
+            sweep_parameter(FIG1A, "temperature", [0.5, 1.0], SMALL_GRID,
+                            log_base=base)
 
     def test_unknown_parameter_rejected(self):
         with pytest.raises(ValueError):
