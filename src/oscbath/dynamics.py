@@ -416,11 +416,11 @@ def _rk4_map(lsum: np.ndarray, b: np.ndarray, h: float, n: int,
     One step is K = P (hL) Phi and c = P h Phi b with
     Phi = sum_{j=0..3} (hL)^j / (j+1)!, the exact RK4 map of this linear
     flow minus the identity; P keeps the result exactly symmetric in place
-    of a symmetrization after each step. Steps compose in increment form,
-    K_k = K_(k-1) + (K K_(k-1) + K), C_k = C_(k-1) + (K C_(k-1) + c), which
+    of a symmetrization after each step. [K_a | C_a] then [K_b | C_b] is
+    K = K_a + (K_b K_a + K_b), C = C_a + (K_b C_a + C_b); this increment form
     keeps the rounding relative to the small change per step, not to the
-    state (composing R = I + K directly lets det(sigma) drift ~10x more at
-    lambda = 0).
+    state (composing R = I + K lets det(sigma) drift ~10x more at
+    lambda = 0). The n steps compose by repeated squaring: O(log n) products.
     """
     ident = np.eye(lsum.shape[0])
 
@@ -430,13 +430,16 @@ def _rk4_map(lsum: np.ndarray, b: np.ndarray, h: float, n: int,
         # one step as a map on the columns of [K | C], c in the last column
         return _sym_rows(np.column_stack((a @ phi, size * (phi @ b))))
 
+    def then(g, kc):
+        return g + (kc[:, :-1] @ g + kc)
+
     g = kc = step(h)
-    k = np.ascontiguousarray(kc[:, :-1])
-    for _ in range(n - 1):
-        g = g + (k @ g + kc)
+    for bit in bin(n)[3:]:  # the bits of n below its leading one
+        g = then(g, g)
+        if bit == "1":
+            g = then(g, kc)
     if remainder:
-        kc = step(remainder)
-        g = g + (kc[:, :-1] @ g + kc)
+        g = then(g, step(remainder))
     return np.ascontiguousarray(g[:, :-1]), g[:, -1].copy()
 
 
@@ -481,6 +484,7 @@ def _rk4_grid(sigma0: np.ndarray, params: SystemParams, times,
         raise OutOfRange(
             f"RK4 covariance left the float range (dt={dt:g}, "
             f"t up to {float(times[-1]):g}); the step may exceed the "
-            "integrator's stability limit"
+            "integrator's stability limit, or an undamped flow grow by "
+            "rounding over too many steps"
         )
     return out

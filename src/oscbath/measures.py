@@ -40,12 +40,14 @@ the formulas on floats, test their domains and raise; the batched route
 calls the same formulas on columns, masks the rows outside a domain, and
 replays the lowest row that would raise through the scalar functions, so
 the error and its message are the same. No option selects the route;
-single matrices always use the scalar functions.
+single matrices always use the scalar functions. Both routes take numpy's
+log and write powers as products, so the batched route runs no Python per
+element. numpy's SIMD log, like the propagator's exp, cos and sin, may
+differ between CPUs in the last bit; on one machine the routes agree.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -364,24 +366,22 @@ def _invariants_stack(sigmas) -> np.ndarray:
 # Measure formulas, shared by the scalar and batched routes
 # ---------------------------------------------------------------------------
 # np.sqrt and the four arithmetic ops are correctly rounded like their
-# scalar counterparts; numpy's log and power may differ in the last bit, so
-# the column route takes them with math.log and float ** element by element.
-# nonneg(x) is Python's max(x, 0.0), which keeps x on ties and NaN. Both
-# sides of a where are evaluated, so no formula divides a float by zero or
-# takes the root of a negative one. The namespaces are module objects, whose
-# attributes CPython reads fastest: the scalar route reads them on every call.
+# scalar counterparts; math.log may differ from np.log in the last bit, so
+# both routes take np.log, and powers are products (inf where they
+# overflow). nonneg(x) is Python's max(x, 0.0), which keeps x on ties and
+# NaN. Both sides of a where are evaluated, so no formula divides a float by
+# zero or takes the root or log of a negative one. The namespaces are module
+# objects, whose attributes CPython reads fastest: the scalar route reads
+# them on every call.
 
 _FLOAT, _COLUMN = ModuleType("_FLOAT"), ModuleType("_COLUMN")
 vars(_FLOAT).update(
-    sqrt=math.sqrt, log=math.log, pow=pow, not_=operator.not_,
+    sqrt=math.sqrt, log=lambda x: float(np.log(x)), not_=operator.not_,
     where=lambda c, a, b: a if c else b,
     nonneg=lambda x: 0.0 if 0.0 > x else x,
 )
 vars(_COLUMN).update(
-    sqrt=np.sqrt, not_=np.logical_not, where=np.where,
-    log=lambda x: np.fromiter(map(math.log, x.tolist()), float, len(x)),
-    # pow(v, k) is v ** k for a float v and an int k
-    pow=lambda x, k: np.fromiter(map(pow, x.tolist(), itertools.repeat(k)), float, len(x)),
+    sqrt=np.sqrt, log=np.log, not_=np.logical_not, where=np.where,
     nonneg=lambda x: np.where(0.0 > x, 0.0, x),
 )
 
@@ -428,19 +428,22 @@ def _f_entropy(xp, x, scale):
 def _first_branch(xp, i1, i2, i3, i4):
     """Whether (I4 - I1*I2)^2 <= (I2+1)*I3^2*(I1+I4) selects the first zeta
     branch, and whether that branch is singular there (I2 within 1e-8 of 1)."""
-    selected = xp.pow(i4 - i1 * i2, 2) <= (i2 + 1.0) * i3 * i3 * (i1 + i4)
+    gap = i4 - i1 * i2
+    selected = gap * gap <= (i2 + 1.0) * i3 * i3 * (i1 + i4)
     return selected, abs(i2 - 1.0) < _DEGENERATE_I2_TOL
 
 
 def _zeta_first(xp, i1, i2, i3, i4):
-    inner = xp.nonneg(i3 * i3 + (i2 - 1.0) * (i4 - i1))  # exact zero at pure states
-    num = 2.0 * i3 * i3 + (i2 - 1.0) * (i4 - i1) + 2.0 * abs(i3) * xp.sqrt(inner)
-    return num / xp.pow(i2 - 1.0, 2)
+    gap = i2 - 1.0
+    inner = xp.nonneg(i3 * i3 + gap * (i4 - i1))  # exact zero at pure states
+    num = 2.0 * i3 * i3 + gap * (i4 - i1) + 2.0 * abs(i3) * xp.sqrt(inner)
+    return num / (gap * gap)
 
 
 def _zeta_second(xp, i1, i2, i3, i4):
-    inner = xp.nonneg(xp.pow(i3, 4) + xp.pow(i4 - i1 * i2, 2) - 2.0 * i3 * i3 * (i1 * i2 + i4))
-    return (i1 * i2 - i3 * i3 + i4 - xp.sqrt(inner)) / (2.0 * i2)
+    i3_sq, gap = i3 * i3, i4 - i1 * i2
+    inner = xp.nonneg(i3_sq * i3_sq + gap * gap - 2.0 * i3 * i3 * (i1 * i2 + i4))
+    return (i1 * i2 - i3_sq + i4 - xp.sqrt(inner)) / (2.0 * i2)
 
 
 def _discord(xp, f_b, f_minus, f_plus, f_zeta):
@@ -645,12 +648,11 @@ def _report_columns(inv: np.ndarray, base: float = math.e):
     trajectory, whose row 0 is a physical squeezed vacuum, that is the
     scalar route's error too; on another stack the scalar route may first
     raise for a lower row, or take no logarithm (nu_tilde_minus <= 0, I2 <= 0).
-    Where a float ** overflows both routes raise a bare ``OverflowError``,
-    here for the first overflowing element even if a lower row fails a check.
+    A power beyond the float range is inf on both routes, never an error.
     """
     scale = _log_scale(base)
     i1, i2, i3, i4, delta, delta_tilde, rad, rad_tilde = np.array(inv.T)
-    xp, n = _COLUMN, len(inv)
+    xp = _COLUMN
     with np.errstate(all="ignore"):  # both sides of each where are evaluated
         lo, hi, raises = _eig_sq_pair(xp, delta, i4, rad)
         nu_minus, nu_plus = np.sqrt(xp.nonneg(lo)), np.sqrt(xp.nonneg(hi))
@@ -659,25 +661,18 @@ def _report_columns(inv: np.ndarray, base: float = math.e):
         mu, contradicts = _purity(xp, nu_minus, nu_plus, i4)
         raises |= raises_tilde | contradicts
 
-        en = np.full(n, math.inf)
-        positive = ~(nu_tilde_minus <= 0.0)
-        en[positive] = _log_negativity(xp, nu_tilde_minus[positive], scale)
+        en = np.where(nu_tilde_minus <= 0.0, math.inf,
+                      _log_negativity(xp, nu_tilde_minus, scale))
 
         selected, degenerate = _first_branch(xp, i1, i2, i3, i4)
         first = selected & ~degenerate
-        zeta = np.empty(n)
-        for rows, zeta_branch in ((first, _zeta_first), (~first, _zeta_second)):
-            zeta[rows] = zeta_branch(xp, i1[rows], i2[rows], i3[rows], i4[rows])
+        zeta = np.where(first, _zeta_first(xp, i1, i2, i3, i4),
+                        _zeta_second(xp, i1, i2, i3, i4))
 
         args = (np.sqrt(i2), nu_minus, nu_plus, np.sqrt(xp.nonneg(zeta)))
-        defined = i2 > 0.0
-        terms = []
-        for x in args:
-            defined &= ~(x < 1.0 - _PHYSICAL_TOL)
-            above = ~(x <= 1.0)  # rows left undefined are overwritten below
-            term = np.zeros(n)
-            term[above] = _f_entropy(xp, x[above], scale)
-            terms.append(term)
+        defined = (i2 > 0.0) & ~np.any([x < 1.0 - _PHYSICAL_TOL for x in args], axis=0)
+        # rows left undefined are overwritten below
+        terms = [np.where(x <= 1.0, 0.0, _f_entropy(xp, x, scale)) for x in args]
         discord = _discord(xp, *terms)
     if raises.any():  # the scalar code raises on the lowest such row
         report_from_data(_assemble(*inv[np.argmax(raises)].tolist()), base)

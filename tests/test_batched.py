@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -25,6 +26,8 @@ from oscbath import (
     sweep_parameter,
 )
 from oscbath.measures import (
+    _COLUMN,
+    _FLOAT,
     _FLOAT_LIMIT,
     _assemble,
     _dd_block_invariants,
@@ -351,13 +354,12 @@ class TestErrorsMatchScalar:
         assert str(info.value) == message
 
 
-# Moderate magnitudes: |x| <= 2**100 keeps every float ** of the discord
-# (i3**4 and the squared gap i4 - i1*i2) inside the float range. Beyond it
-# the column route raises OverflowError at the first overflowing element,
-# not necessarily for the lowest raising row (see _report_columns).
-MODERATE = st.one_of(
-    st.floats(-2.0 ** 100, 2.0 ** 100),
-    st.builds(math.ldexp, st.floats(-1.0, 1.0), st.integers(-1000, 100)),
+# Any finite float: the formulas take powers as products, so a square or
+# fourth power beyond the float range is inf on both routes and compared
+# like any other value.
+ANY_FLOAT = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.builds(math.ldexp, st.floats(-1.0, 1.0), st.integers(-1074, 1023)),
     st.integers(-10, 10).map(float),
 )
 # i2 = 1 +- 1e-9 reroutes the first discord branch; rad in (-1e-10, 0)
@@ -368,7 +370,7 @@ SPECIAL = {
     "rad": st.one_of(st.floats(-1e-10, 0.0, exclude_min=True),
                      st.floats(-1e3, -1e-10, exclude_max=True)),
 }
-FIELD_VALUES = [st.one_of(MODERATE, SPECIAL["any"], SPECIAL[kind])
+FIELD_VALUES = [st.one_of(ANY_FLOAT, SPECIAL["any"], SPECIAL[kind])
                 for kind in ("any", "i2", "any", "any", "any", "any", "rad", "rad")]
 
 
@@ -377,7 +379,7 @@ def invariant_rows(draw):
     """One row of the eight invariants: those of a random mixed state, or a
     pure one (rad zero up to the rounding of sigma, of either sign), either
     two-mode squeezed or a product of squeezed vacua (I2 = 1 up to rounding,
-    so the first branch reroutes), some fields replaced by moderate floats
+    so the first branch reroutes), some fields replaced by any finite floats
     or special values (contradictory purity rows follow from a replaced rad
     or i4)."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
@@ -430,3 +432,48 @@ class TestRowsMatchScalar:
         assert_rows_match_columns(rows, base)
         for row in rows:
             assert_rows_match_columns([row], base)
+
+
+def premise_arguments(seed=11) -> np.ndarray:
+    """About 20,000 positive floats where a log or a product may round
+    differently: the whole normal range, subnormals, 1 +- k ulp, the
+    (x + 1)/2 and (x - 1)/2 that f_entropy takes for x just above 1,
+    numbers near 1, and 1e+-300, the extremes, inf and nan."""
+    rng = np.random.default_rng(seed)
+    k = np.arange(1.0, 1001.0)
+    x = 1.0 + 10.0 ** rng.uniform(-15.5, 1.0, 4000)  # all above 1
+    return np.concatenate([
+        np.exp(rng.uniform(-708.0, 709.0, 4000)),
+        np.ldexp(rng.integers(1, 2 ** 52, 2000).astype(float), -1074),
+        1.0 + k * 2.0 ** -52, 1.0 - k * 2.0 ** -53,
+        0.5 * (x + 1.0), 0.5 * (x - 1.0),
+        rng.uniform(0.5, 2.0, 4000),
+        [1e300, 1e-300, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+         1.0, 2.0, math.e, math.inf, math.nan],
+    ])
+
+
+class TestSharedPrimitives:
+    """The premise of the shared formulas: the scalar route's log and
+    products round as the column route's do, bit for bit, and raise or
+    warn on none of the arguments the formulas pass them."""
+
+    def test_log(self):
+        x = premise_arguments()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scalar = [_FLOAT.log(v) for v in x.tolist()]
+        assert {type(v) for v in scalar} == {float}
+        assert np.array_equal(bits(scalar), bits(_COLUMN.log(x)))
+
+    def test_products(self):
+        x = premise_arguments()
+        x = np.concatenate([x, -x])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            squares = [v * v for v in x.tolist()]
+            fourths = [(v * v) * (v * v) for v in x.tolist()]
+        with np.errstate(all="ignore"):  # as in _report_columns
+            assert np.array_equal(bits(squares), bits(x * x))
+            assert np.array_equal(bits(fourths), bits((x * x) * (x * x)))
+        assert math.inf in fourths and 0.0 in squares

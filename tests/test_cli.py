@@ -160,6 +160,11 @@ class TestEvolveCommand:
         assert main(["evolve", "--r", "200", "--points", "3"]) == 1
         assert "beyond the float range" in capsys.readouterr().err
 
+    def test_large_squeezing_exits_1(self, capsys):
+        assert main(["evolve", "--r", "50", "--points", "3"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "symplectic eigenvalue" in err
+
     def test_invalid_params_exit_1_without_rk4_hint(self, capsys):
         code = main(["evolve", "--nu", "1.5", "--points", "11"])
         assert code == 1

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from oscbath import (
     CorrelationReport,
     DEFAULT_GRID,
     FIGURE_IDS,
+    NonPhysicalInput,
     OutOfRange,
     SystemParams,
     TimeGrid,
@@ -77,6 +79,31 @@ class TestEvolveTrajectory:
         params = SystemParams(1.0, 0.0, 0.8, 0.6, 0.2, 1.0)
         with pytest.raises(OutOfRange, match="left the float range"):
             evolve_trajectory(params, TimeGrid(0.0, 1e300, 3), "rk4", 1e299)
+
+    def test_rk4_huge_time_without_dissipation_raises_out_of_range(self):
+        # 5e302 steps per interval, composed by repeated squaring: the
+        # undamped map's unit eigenvalue rounds a hair above 1 and grows
+        params = SystemParams(1.0, 0.0, 0.8, 0.0, 0.2, 1.0)
+        start = time.perf_counter()
+        with pytest.raises(OutOfRange, match="left the float range"):
+            evolve_trajectory(params, TimeGrid(0.0, 1e300, 3), "rk4")
+        assert time.perf_counter() - start < 10.0
+
+    def test_rk4_huge_time_settles_at_steady_state(self):
+        params = SystemParams(1.0, 0.0, 0.8, 0.6, 0.2, 1.0)
+        traj = evolve_trajectory(params, TimeGrid(0.0, 1e300, 3), "rk4")
+        s_inf = steady_state(params)
+        for sigma in traj.sigmas[1:]:
+            # the steady state's own residual bound
+            assert np.abs(sigma - s_inf).max() <= 1e-10 * np.abs(s_inf).max()
+
+    def test_large_squeezing_raises_oscbath_error(self):
+        # r = 50 puts i1*i2 near cosh(100)**4, whose square is inf, not an
+        # OverflowError; the rounded invariants of this pure state then
+        # give a negative squared eigenvalue
+        params = SystemParams(1.0, 0.0, 0.8, 0.6, 0.2, 50.0)
+        with pytest.raises(NonPhysicalInput, match="symplectic eigenvalue"):
+            evolve_trajectory(params, TimeGrid(0.0, 10.0, 11))
 
     def test_initial_record(self):
         traj = evolve_trajectory(FIG1A, TimeGrid(0.0, 10.0, 201))
