@@ -7,7 +7,6 @@ parameter sweeps. See the README for the CLI and the acceptance suite.
 """
 
 from .errors import (
-    DegenerateState,
     DomainError,
     InvalidParameters,
     NonPhysicalInput,
@@ -76,7 +75,6 @@ __all__ = [
     "NonPhysicalInput",
     "DomainError",
     "OutOfRange",
-    "DegenerateState",
     "UnknownFigure",
     # model
     "SystemParams",

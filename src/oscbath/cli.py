@@ -29,14 +29,13 @@ import numpy as np
 from .errors import OscbathError, SteadyStateUnavailable
 from .measures import full_report
 from .model import SystemParams, validate
-from .dynamics import steady_state
+from .dynamics import check_step, steady_state
 from .svgplot import line_plot
 from .sweep import (
     DEFAULT_GRID,
     FIGURE_IDS,
     SUDDEN_DEATH_THRESHOLD,
     TimeGrid,
-    check_step,
     detect_sudden_death,
     evolve_trajectory,
     figure_preset,
@@ -87,11 +86,19 @@ def _grid_flags(parser: argparse.ArgumentParser) -> None:
                        help="rk4 step size (default 1e-3)")
 
 
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number (got {text!r})")
+    return value
+
+
 def _output_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--log-base", choices=("e", "2"), default="e",
                         help="logarithm base for entropic measures (default e)")
-    parser.add_argument("--threshold", type=float, default=SUDDEN_DEATH_THRESHOLD,
-                        help="sudden-death threshold on log negativity")
     parser.add_argument("--hex-floats", action="store_true",
                         help="print floats as C99 hex literals (bit-exact)")
 
@@ -126,6 +133,9 @@ def build_parser() -> argparse.ArgumentParser:
     _output_flags(p_fig)
     p_fig.add_argument("--out", required=True, help="output directory")
 
+    for p in (p_evo, p_fig):  # steady reports no trajectory to scan
+        p.add_argument("--threshold", type=_finite_float, default=SUDDEN_DEATH_THRESHOLD,
+                       help="sudden-death threshold on log negativity (finite)")
     return parser
 
 

@@ -17,8 +17,9 @@ undamped flow, which :func:`propagate` evaluates in closed form from the
 two normal modes. Both the closed form and an independent fixed-step
 Runge-Kutta integrator of the differential form are provided; the
 integrator also covers the marginal cases (lambda = 0 or
-|nu| = omega1*omega2) where no steady state exists. :func:`mat_exp` is a
-general Pade-13 matrix exponential, independent of both.
+|nu| = omega1*omega2) where no steady state exists. :func:`mat_exp`, a
+Pade-13 exponential of one matrix at one time, is independent of both;
+the package never calls it, and the tests use it as an oracle.
 
 All functions are pure; different time points or parameter sets may be
 evaluated concurrently with no shared state.
@@ -48,6 +49,7 @@ __all__ = [
     "steady_state_available",
     "propagate",
     "ode_oracle",
+    "check_step",
 ]
 
 
@@ -129,7 +131,7 @@ _THETA13 = 5.371920351148152
 
 
 def _pade13(a: np.ndarray) -> np.ndarray:
-    """Order-13 diagonal Pade approximant of e^a for one matrix or a stack."""
+    """Order-13 diagonal Pade approximant of e^a."""
     b = _PADE13
     ident = np.eye(a.shape[-1])
     a2 = a @ a
@@ -146,24 +148,18 @@ def _pade13(a: np.ndarray) -> np.ndarray:
     return np.linalg.solve(v - u, v + u)
 
 
-def mat_exp(m: np.ndarray, t: float | np.ndarray = 1.0) -> np.ndarray:
+def mat_exp(m: np.ndarray, t: float = 1.0) -> np.ndarray:
     """Matrix exponential e^{m*t} by scaling and squaring.
 
     m*t is scaled by a power of two chosen from its 1-norm so that the
     order-13 diagonal rational (Pade) approximant is at full double
     precision, then the result is squared back up. Relative accuracy is
     around 1e-14 for the well-conditioned 4x4 drift matrices used here.
-
-    ``t`` is a finite scalar, giving one n x n matrix, or a 1-D array of N
-    finite times, giving an (N, n, n) stack evaluated in one batch: each
-    slice is scaled and squared by its own count and equals the scalar call
-    at that time bit for bit. A non-finite time raises ``ValueError``.
+    A non-finite time raises ``ValueError``.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"matrix must be square (got shape {m.shape})")
-    if not isinstance(t, float) and np.ndim(t) > 0:
-        return _mat_exp_stack(m, np.asarray(t, dtype=float))
     t = float(t)
     if not math.isfinite(t):
         raise ValueError(f"time must be finite (got {t})")
@@ -178,29 +174,6 @@ def mat_exp(m: np.ndarray, t: float | np.ndarray = 1.0) -> np.ndarray:
     result = _pade13(a)
     for _ in range(squarings):
         result = result @ result
-    return result
-
-
-def _mat_exp_stack(m: np.ndarray, t: np.ndarray) -> np.ndarray:
-    if t.ndim != 1:
-        raise ValueError(
-            f"times must be a scalar or a 1-D array (got shape {t.shape})"
-        )
-    if not np.all(np.isfinite(t)):
-        raise ValueError(f"times must be finite (got {t})")
-    a = m * t[:, None, None]
-    norms = np.abs(a).sum(-2).max(-1)
-    # math.log2, not np.log2, so each count is the scalar path's exactly
-    squarings = np.array(
-        [math.ceil(math.log2(x / _THETA13)) if x > _THETA13 else 0
-         for x in norms.tolist()],
-        dtype=int,
-    )
-    result = _pade13(a / (2.0 ** squarings)[:, None, None])
-    for k in range(squarings.max(initial=0)):
-        sel = squarings > k
-        result[sel] = result[sel] @ result[sel]
-    result[norms == 0.0] = np.eye(m.shape[0])
     return result
 
 
@@ -385,9 +358,9 @@ def ode_oracle(sigma0, params: SystemParams, t: float, dt: float = 1e-3) -> np.n
     a single matrix-vector product. The result is exactly symmetric.
     ``evolve_trajectory`` runs whole grids through the same core.
 
-    t must be finite and >= 0 and dt in (0, t] (any t is fine when it is an
-    integer multiple of dt; otherwise a final shorter step covers the
-    remainder).
+    t must be finite and >= 0 and dt finite and > 0 (see
+    :func:`check_step`). The step is min(dt, t): floor(t/dt) whole steps,
+    then one shorter step for any remainder.
     """
     if not 0 <= t < math.inf:
         raise ValueError(f"time must be finite and >= 0 (got {t})")
@@ -395,9 +368,14 @@ def ode_oracle(sigma0, params: SystemParams, t: float, dt: float = 1e-3) -> np.n
     require_valid(params)
     if t == 0.0:
         return sigma0
-    if not 0.0 < dt <= t:
-        raise ValueError(f"dt must be in (0, t] (got dt={dt}, t={t})")
+    check_step(dt)
     return _rk4_grid(sigma0, params, [t], dt)[0]
+
+
+def check_step(dt: float) -> None:
+    """Reject an RK4 step ``dt`` that is not finite and > 0 (ValueError)."""
+    if not 0 < dt < math.inf:
+        raise ValueError(f"dt must be finite and > 0 (got {dt})")
 
 
 def _sym_rows(a: np.ndarray) -> np.ndarray:

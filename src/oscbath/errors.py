@@ -27,11 +27,7 @@ class DomainError(OscbathError, ValueError):
 
 
 class OutOfRange(OscbathError, OverflowError):
-    """An exactly computed quantity lies beyond the float range."""
-
-
-class DegenerateState(OscbathError):
-    """Discord branch selection hit the singular denominator at det B = 1."""
+    """A computed quantity lies beyond the float range."""
 
 
 class UnknownFigure(OscbathError, LookupError):

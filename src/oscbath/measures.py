@@ -55,8 +55,8 @@ from types import ModuleType
 
 import numpy as np
 
-from .errors import DegenerateState, DomainError, NonPhysicalInput, OutOfRange
-from .model import check_covariance
+from .errors import DomainError, NonPhysicalInput, OutOfRange
+from .model import _SYMMETRY_TOL, check_covariance
 
 __all__ = [
     "SymplecticData",
@@ -352,7 +352,7 @@ def _invariants_stack(sigmas) -> np.ndarray:
     if sigmas.ndim != 3 or sigmas.shape[1:] != (4, 4):
         raise ValueError(f"covariance stack must be (N, 4, 4) (got shape {sigmas.shape})")
     with np.errstate(invalid="ignore"):  # inf - inf in a non-finite slice
-        bad = ~(np.abs(sigmas - sigmas.swapaxes(1, 2)).max(axis=(1, 2)) <= 1e-12)
+        bad = ~(np.abs(sigmas - sigmas.swapaxes(1, 2)).max(axis=(1, 2)) <= _SYMMETRY_TOL)
     if bad.any():
         check_covariance(sigmas[np.argmax(bad)])
     values, accepted = _dd_block_invariants(sigmas)
@@ -426,11 +426,12 @@ def _f_entropy(xp, x, scale):
 
 
 def _first_branch(xp, i1, i2, i3, i4):
-    """Whether (I4 - I1*I2)^2 <= (I2+1)*I3^2*(I1+I4) selects the first zeta
-    branch, and whether that branch is singular there (I2 within 1e-8 of 1)."""
+    """Whether the first zeta branch is taken: (I4 - I1*I2)^2 <=
+    (I2+1)*I3^2*(I1+I4) selects it, unless it is singular there (I2 within
+    1e-8 of 1), where the second branch, equal in the limit, is taken."""
     gap = i4 - i1 * i2
     selected = gap * gap <= (i2 + 1.0) * i3 * i3 * (i1 + i4)
-    return selected, abs(i2 - 1.0) < _DEGENERATE_I2_TOL
+    return selected & xp.not_(abs(i2 - 1.0) < _DEGENERATE_I2_TOL)
 
 
 def _zeta_first(xp, i1, i2, i3, i4):
@@ -546,13 +547,8 @@ def f_entropy(x: float, base: float = math.e) -> float:
     return _f_entropy(_FLOAT, x, scale)
 
 
-def gaussian_discord(
-    data: SymplecticData,
-    base: float = math.e,
-    measured_mode: int = 2,
-    reroute_degenerate: bool = True,
-) -> tuple[float, str]:
-    """Gaussian quantum discord of a physical two-mode state.
+def gaussian_discord(data: SymplecticData, base: float = math.e) -> tuple[float, str]:
+    """Gaussian quantum discord of a physical two-mode state, mode 2 measured.
 
     Evaluates the closed form
 
@@ -562,36 +558,21 @@ def gaussian_discord(
     algebraic branches by the sign of (I4 - I1*I2)^2 - (I2+1)*I3^2*(I1+I4).
     Returns ``(discord, branch)`` with branch "first" or "second".
 
-    The closed form is asymmetric under swapping the modes; the default
-    ``measured_mode=2`` evaluates the form above, ``measured_mode=1`` the
-    mode-swapped one (I1 and I2 exchanged).
+    The closed form is asymmetric under swapping the modes; the discord
+    with mode 1 measured is this function of the mode-swapped state, whose
+    invariants are these with I1 and I2 exchanged.
 
     The first branch has denominator (I2 - 1)^2 and is singular when mode 2
-    alone is pure (e.g. product states containing the vacuum). With
-    ``reroute_degenerate=True`` (default) such states are evaluated on the
-    second branch, which agrees in the limit; with ``False`` they raise
-    :class:`DegenerateState`.
+    alone is pure (e.g. product states containing the vacuum); such states
+    are evaluated on the second branch, which agrees in the limit.
 
     Results within -1e-9 of zero are clamped to exactly 0.0.
     """
-    if measured_mode == 2:
-        i1, i2 = data.i1, data.i2
-    elif measured_mode == 1:
-        i1, i2 = data.i2, data.i1
-    else:
-        raise ValueError(f"measured_mode must be 1 or 2 (got {measured_mode})")
-    i3, i4 = data.i3, data.i4
+    i1, i2, i3, i4 = data.i1, data.i2, data.i3, data.i4
     if i2 <= 0.0:
         raise DomainError(f"measured-mode determinant must be positive (got {i2})")
 
-    first, degenerate = _first_branch(_FLOAT, i1, i2, i3, i4)
-    if first and degenerate:
-        if not reroute_degenerate:
-            raise DegenerateState(
-                "first discord branch selected with det B = 1 "
-                "(singular denominator)"
-            )
-        first = False
+    first = _first_branch(_FLOAT, i1, i2, i3, i4)
     zeta = (_zeta_first if first else _zeta_second)(_FLOAT, i1, i2, i3, i4)
     discord = _discord(
         _FLOAT,
@@ -615,7 +596,7 @@ def report_from_data(data: SymplecticData, base: float = math.e) -> CorrelationR
     en = log_negativity(data, base=base)
     try:
         discord, branch = gaussian_discord(data, base=base)
-    except (DomainError, DegenerateState):
+    except DomainError:
         # Too far from physical for the closed form; report and flag.
         discord, branch = float("nan"), None
     return CorrelationReport(
@@ -664,8 +645,7 @@ def _report_columns(inv: np.ndarray, base: float = math.e):
         en = np.where(nu_tilde_minus <= 0.0, math.inf,
                       _log_negativity(xp, nu_tilde_minus, scale))
 
-        selected, degenerate = _first_branch(xp, i1, i2, i3, i4)
-        first = selected & ~degenerate
+        first = _first_branch(xp, i1, i2, i3, i4)
         zeta = np.where(first, _zeta_first(xp, i1, i2, i3, i4),
                         _zeta_second(xp, i1, i2, i3, i4))
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameters
+from .errors import InvalidParameters, OutOfRange
 
 __all__ = [
     "SystemParams",
@@ -156,12 +156,15 @@ def initial_squeezed_vacuum(r: float) -> np.ndarray:
     Diagonal entries are cosh(2r); the (x1, x2) correlations are +sinh(2r)
     and the (p1, p2) correlations are -sinh(2r). The state is pure:
     det(sigma) = 1 and both symplectic eigenvalues equal 1. r = 0 gives the
-    vacuum (identity matrix).
+    vacuum (identity matrix). An r whose cosh(2r) is beyond the float
+    range (r above about 355) raises :class:`OutOfRange`.
     """
     if not r >= 0:
         raise InvalidParameters(f"squeezing r must be >= 0 (got {r})")
-    ch = math.cosh(2.0 * r)
-    sh = math.sinh(2.0 * r)
+    try:
+        ch, sh = math.cosh(2.0 * r), math.sinh(2.0 * r)
+    except OverflowError:
+        raise OutOfRange(f"squeezing r = {r} puts cosh(2r) beyond the float range") from None
     return np.array(
         [
             [ch, 0.0, sh, 0.0],
@@ -172,11 +175,15 @@ def initial_squeezed_vacuum(r: float) -> np.ndarray:
     )
 
 
-def check_covariance(sigma, atol: float = 1e-12) -> np.ndarray:
+# Largest max-abs asymmetry of a matrix accepted as a covariance matrix.
+_SYMMETRY_TOL = 1e-12
+
+
+def check_covariance(sigma) -> np.ndarray:
     """Validate a covariance matrix and return it as a fresh float array.
 
-    Requires a real, finite 4x4 matrix that is symmetric within ``atol``
-    in max-abs. Positive definiteness is not enforced here; sub-vacuum and
+    Requires a real, finite 4x4 matrix that is symmetric within 1e-12 in
+    max-abs. Positive definiteness is not enforced here; sub-vacuum and
     outright non-physical matrices are diagnosed by the measures module.
     """
     arr = np.array(sigma, dtype=float)
@@ -185,9 +192,9 @@ def check_covariance(sigma, atol: float = 1e-12) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValueError("covariance matrix entries must be finite")
     asym = np.abs(arr - arr.T).max()
-    if asym > atol:
+    if asym > _SYMMETRY_TOL:
         raise ValueError(
-            f"covariance matrix must be symmetric within {atol:g} "
+            f"covariance matrix must be symmetric within {_SYMMETRY_TOL:g} "
             f"(max asymmetry {asym:g})"
         )
     return arr

@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dynamics import _rk4_grid, propagate, steady_state_available
+from .dynamics import _rk4_grid, check_step, propagate, steady_state_available
 from .errors import OscbathError, UnknownFigure
 from .measures import (
     CorrelationReport,
@@ -45,7 +45,6 @@ __all__ = [
     "SweepOutcome",
     "SuddenDeathReport",
     "FigurePreset",
-    "check_step",
     "evolve_trajectory",
     "sweep_parameter",
     "detect_sudden_death",
@@ -175,12 +174,6 @@ DEFAULT_SWEEP_VALUES = {
 }
 
 
-def check_step(dt: float) -> None:
-    """Reject an RK4 step ``dt`` that is not finite and > 0 (ValueError)."""
-    if not 0 < dt < math.inf:
-        raise ValueError(f"dt must be finite and > 0 (got {dt})")
-
-
 def evolve_trajectory(
     params: SystemParams,
     grid: TimeGrid = DEFAULT_GRID,
@@ -286,8 +279,11 @@ def detect_sudden_death(
     A death is the first grid interval on which the logarithmic negativity
     crosses from above ``threshold`` to at or below it; a revival is the
     reverse crossing. Crossing times are bracketed to one grid interval
-    (the recorded time is the interval's right endpoint).
+    (the recorded time is the interval's right endpoint). A non-finite
+    ``threshold`` raises ``ValueError``.
     """
+    if not math.isfinite(threshold):
+        raise ValueError(f"threshold must be finite (got {threshold})")
     if not len(traj.times):
         raise ValueError("trajectory has no records")
     en = traj.report.log_negativity

@@ -42,6 +42,17 @@ def mode_mixer(theta: float) -> np.ndarray:
     return np.block([[c * eye2, s * eye2], [-s * eye2, c * eye2]])
 
 
+def swap_modes(sigma: np.ndarray) -> np.ndarray:
+    """sigma with its two modes exchanged: (x1, p1, x2, p2) -> (x2, p2, x1, p1).
+
+    The swap exchanges the block determinants I1 and I2 exactly and keeps
+    I3 and I4, so the discord with mode 1 measured is
+    ``gaussian_discord(invariants(swap_modes(sigma)))``.
+    """
+    order = [2, 3, 0, 1]
+    return np.asarray(sigma, dtype=float)[np.ix_(order, order)]
+
+
 def random_symplectic(rng: np.random.Generator, max_squeeze: float = 1.0) -> np.ndarray:
     s = single_mode_rotations(rng.uniform(0, 2 * math.pi),
                               rng.uniform(0, 2 * math.pi))

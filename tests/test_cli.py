@@ -165,6 +165,11 @@ class TestEvolveCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "symplectic eigenvalue" in err
 
+    def test_squeezing_beyond_float_range_exits_1(self, capsys):
+        assert main(["evolve", "--r", "400", "--points", "3"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "squeezing r = 400.0" in err
+
     def test_invalid_params_exit_1_without_rk4_hint(self, capsys):
         code = main(["evolve", "--nu", "1.5", "--points", "11"])
         assert code == 1
@@ -187,6 +192,24 @@ class TestEvolveCommand:
         assert main(["evolve", "--integrator", "rk4", "--dt", dt]) == 2
         err = capsys.readouterr().err
         assert err.startswith("usage error:") and "dt" in err
+
+    @pytest.mark.parametrize("command", ["evolve", "figure"])
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "-inf", "abc"])
+    def test_non_finite_threshold_is_usage_error(self, command, threshold, tmp_path,
+                                                 capsys):
+        out = tmp_path / "out"
+        argv = ["evolve"] if command == "evolve" else ["figure", "fig2b"]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(out), f"--threshold={threshold}"])
+        assert exc.value.code == 2
+        assert "--threshold: must be a finite number" in capsys.readouterr().err
+        assert not out.exists()  # rejected before any work
+
+    def test_steady_has_no_threshold(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["steady", "--threshold", "1e-9"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --threshold" in capsys.readouterr().err
 
     def test_rk4_overflow_exits_1(self, capsys):
         code = main(["evolve", "--integrator", "rk4", "--t-end", "1e300",

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from oscbath import (
-    DegenerateState,
     DomainError,
     NonPhysicalInput,
     SymplecticData,
@@ -19,7 +18,7 @@ from oscbath import (
     report_from_data,
 )
 from oscbath.measures import _FLOAT, _zeta_first, _zeta_second
-from helpers import random_physical_cov, single_mode_rotations
+from helpers import random_physical_cov, single_mode_rotations, swap_modes
 
 
 def f_oracle(x):
@@ -194,10 +193,6 @@ class TestGaussianDiscord:
         assert discord == 0.0
         assert branch == "second"
 
-    def test_degenerate_raises_when_reroute_disabled(self):
-        with pytest.raises(DegenerateState):
-            gaussian_discord(invariants(np.eye(4)), reroute_degenerate=False)
-
     @pytest.mark.parametrize("r,tol", [(0.5, 1e-9), (1.0, 1e-9), (2.0, 1e-6)])
     def test_squeezed_vacuum_closed_form(self, r, tol):
         discord, _ = gaussian_discord(invariants(initial_squeezed_vacuum(r)))
@@ -220,22 +215,43 @@ class TestGaussianDiscord:
         assert d_2 == pytest.approx(d_e / math.log(2.0), rel=1e-12)
 
     def test_mode_swap_symmetric_state(self):
-        data = invariants(initial_squeezed_vacuum(1.0))
-        d2, _ = gaussian_discord(data, measured_mode=2)
-        d1, _ = gaussian_discord(data, measured_mode=1)
+        sigma = initial_squeezed_vacuum(1.0)
+        d2, _ = gaussian_discord(invariants(sigma))
+        d1, _ = gaussian_discord(invariants(swap_modes(sigma)))
         assert d1 == pytest.approx(d2, abs=1e-9)
 
     def test_mode_swap_runs_on_asymmetric_state(self):
         rng = np.random.default_rng(7)
-        data = invariants(random_physical_cov(rng))
-        for mode in (1, 2):
-            d, branch = gaussian_discord(data, measured_mode=mode)
+        sigma = random_physical_cov(rng)
+        for state in (swap_modes(sigma), sigma):
+            d, branch = gaussian_discord(invariants(state))
             assert d >= 0.0 and math.isfinite(d)
             assert branch in ("first", "second")
 
-    def test_invalid_mode_rejected(self):
-        with pytest.raises(ValueError):
-            gaussian_discord(invariants(np.eye(4)), measured_mode=3)
+    # Standard-form states (a, b, c+, c-) = [[a, 0, c+, 0], [0, a, 0, c-],
+    # [c+, 0, b, 0], [0, c-, 0, b]] and the discord and branch with mode 1
+    # measured, from the former gaussian_discord(data, measured_mode=1).
+    # The third is a product with the vacuum in mode 1, singular on the
+    # first branch and rerouted to the second.
+    MODE_ONE_PINS = [
+        ((1.5, 4.0, 1.25, -0.5), "0x1.d7c557ce676e0p-5", "second"),
+        ((2.5, 1.75, 1.0, 0.75), "0x1.06f7dd13709dcp-3", "first"),
+        ((1.0, 1.5, 0.0, 0.0), "0x0.0p+0", "second"),
+        ((3.5, 2.5, 2.5, -2.5), "0x1.c520c212f126ep-2", "first"),
+        ((1.2, 3.5, 0.9, -0.3), "0x1.1baaa0fa6bc10p-4", "second"),
+    ]
+
+    @pytest.mark.parametrize("form, discord, branch", MODE_ONE_PINS)
+    def test_mode_one_through_swap_matches_pins(self, form, discord, branch):
+        a, b, cp, cm = form
+        sigma = np.array([[a, 0.0, cp, 0.0], [0.0, a, 0.0, cm],
+                          [cp, 0.0, b, 0.0], [0.0, cm, 0.0, b]])
+        data, swapped = invariants(sigma), invariants(swap_modes(sigma))
+        assert (swapped.i1, swapped.i2) == (data.i2, data.i1)
+        assert (swapped.i3, swapped.i4, swapped.nu_minus, swapped.nu_plus) == (
+            data.i3, data.i4, data.nu_minus, data.nu_plus)
+        got, got_branch = gaussian_discord(swapped)
+        assert (got.hex(), got_branch) == (discord, branch)
 
 
 class TestFullReport:

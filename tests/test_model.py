@@ -5,6 +5,7 @@ import pytest
 
 from oscbath import (
     InvalidParameters,
+    OutOfRange,
     SystemParams,
     coupling_bound,
     evolve_trajectory,
@@ -151,6 +152,12 @@ class TestInitialSqueezedVacuum:
     def test_negative_squeezing_rejected(self):
         with pytest.raises(InvalidParameters):
             initial_squeezed_vacuum(-0.1)
+
+    def test_squeezing_at_the_float_range_limit(self):
+        # cosh(2r) is finite at r = 355 and overflows at r = 356
+        assert np.isfinite(initial_squeezed_vacuum(355.0)).all()
+        with pytest.raises(OutOfRange, match="squeezing r = 356.0"):
+            initial_squeezed_vacuum(356.0)
 
     @pytest.mark.parametrize("r", [0.0, 0.3, 0.5, 1.0, 1.5, 2.0])
     def test_pure_state_properties(self, r):

@@ -105,6 +105,13 @@ class TestEvolveTrajectory:
         with pytest.raises(NonPhysicalInput, match="symplectic eigenvalue"):
             evolve_trajectory(params, TimeGrid(0.0, 10.0, 11))
 
+    @pytest.mark.parametrize("r", [400.0, 1000.0])
+    def test_squeezing_beyond_float_range_raises_out_of_range(self, r):
+        # cosh(2r) overflows for r above about 355
+        params = SystemParams(1.0, 0.0, 0.8, 0.6, 0.2, r)
+        with pytest.raises(OutOfRange, match=f"squeezing r = {r}"):
+            evolve_trajectory(params, TimeGrid(0.0, 10.0, 11))
+
     def test_initial_record(self):
         traj = evolve_trajectory(FIG1A, TimeGrid(0.0, 10.0, 201))
         first = traj.records[0]
@@ -333,6 +340,12 @@ class TestDetectSuddenDeath:
         traj = Trajectory(grid=SMALL_GRID, **self._columns([]))
         with pytest.raises(ValueError):
             detect_sudden_death(traj)
+
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf])
+    def test_non_finite_threshold_rejected(self, threshold):
+        traj = self._synthetic([1.0, 0.0, 1.0])
+        with pytest.raises(ValueError, match="threshold must be finite"):
+            detect_sudden_death(traj, threshold=threshold)
 
     @staticmethod
     def _loop_reference(traj, threshold):
