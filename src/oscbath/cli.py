@@ -14,7 +14,10 @@ value on its own. ``figure`` hands the time and observable columns to
 :func:`~oscbath.svgplot.line_plot` as arrays. The argument parser is built
 once, at import.
 
-Exit codes: 0 success, 1 domain error, 2 usage error.
+The library reports log negativity and discord in nats; ``--log-base 2``
+converts them to bits at output, and ``--threshold`` is read in that unit.
+
+Exit codes: 0 success, 1 domain error or unwritable output, 2 usage error.
 """
 
 from __future__ import annotations
@@ -135,12 +138,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     for p in (p_evo, p_fig):  # steady reports no trajectory to scan
         p.add_argument("--threshold", type=_finite_float, default=SUDDEN_DEATH_THRESHOLD,
-                       help="sudden-death threshold on log negativity (finite)")
+                       help="sudden-death threshold on log negativity (finite, "
+                            "in the --log-base unit)")
     return parser
 
 
-def _log_base(args) -> float:
-    return 2.0 if args.log_base == "2" else math.e
+def _unit_factor(args) -> float:
+    """Factor from nats to the unit of --log-base."""
+    return 1.0 / math.log(2.0) if args.log_base == "2" else 1.0
 
 
 def _params(args) -> SystemParams:
@@ -178,9 +183,10 @@ def _trajectory_lines(traj, args, extra_meta: str = "") -> list[str]:
         meta += " " + extra_meta
     lines = [meta, ",".join(_COLUMNS)]
     rep, data = traj.report, traj.data
+    unit = _unit_factor(args)
     # + 0.0 normalizes -0.0 for the whole table, as _fmt does per value
     rows = (np.column_stack((
-        traj.times, rep.purity, rep.log_negativity, rep.discord,
+        traj.times, rep.purity, rep.log_negativity * unit, rep.discord * unit,
         data.nu_minus, data.nu_plus, data.i1, data.i2, data.i3, data.i4,
     )) + 0.0).tolist()
     flags = ["true" if p else "false" for p in rep.physical.tolist()]
@@ -192,12 +198,18 @@ def _trajectory_lines(traj, args, extra_meta: str = "") -> list[str]:
     return lines
 
 
-def _write_text(path: str, lines: list[str]) -> None:
-    text = "\n".join(lines) + "\n"
-    if path == "-":
-        sys.stdout.write(text)
-    else:
-        Path(path).write_text(text, encoding="utf-8", newline="\n")
+def _write(texts: dict, where) -> int:
+    """Write each text to its path, '-' for stdout; exit code 1 naming ``where`` on failure."""
+    try:
+        for path, text in texts.items():
+            if path == "-":
+                sys.stdout.write(text)
+            else:
+                Path(path).write_text(text, encoding="utf-8", newline="\n")
+    except OSError as exc:
+        print(f"error: cannot write to {where}: {exc}", file=sys.stderr)
+        return 1
+    return 0
 
 
 def _cmd_validate(args) -> int:
@@ -221,10 +233,7 @@ def _cmd_evolve(args) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     try:
-        traj = evolve_trajectory(
-            params, grid, integrator=args.integrator, dt=args.dt,
-            log_base=_log_base(args),
-        )
+        traj = evolve_trajectory(params, grid, integrator=args.integrator, dt=args.dt)
     except SteadyStateUnavailable as exc:
         print(f"error: {exc}", file=sys.stderr)
         print("hint: rerun with --integrator rk4", file=sys.stderr)
@@ -232,8 +241,7 @@ def _cmd_evolve(args) -> int:
     except OscbathError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _write_text(args.out, _trajectory_lines(traj, args))
-    return 0
+    return _write({args.out: "\n".join(_trajectory_lines(traj, args)) + "\n"}, args.out)
 
 
 def _cmd_steady(args) -> int:
@@ -243,7 +251,8 @@ def _cmd_steady(args) -> int:
     except OscbathError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    report = full_report(s_inf, base=_log_base(args))
+    report = full_report(s_inf)
+    unit = _unit_factor(args)
     hexf = args.hex_floats
     lines = [
         f"# oscbath steady {_meta_params(params)} log_base={args.log_base} "
@@ -254,12 +263,11 @@ def _cmd_steady(args) -> int:
         lines.append(",".join(_fmt(v, hexf) for v in row))
     lines.append("# measures")
     lines.append(f"purity,{_fmt(report.purity, hexf)}")
-    lines.append(f"log_negativity,{_fmt(report.log_negativity, hexf)}")
-    lines.append(f"discord,{_fmt(report.discord, hexf)}")
+    lines.append(f"log_negativity,{_fmt(report.log_negativity * unit, hexf)}")
+    lines.append(f"discord,{_fmt(report.discord * unit, hexf)}")
     lines.append(f"zeta_branch,{report.zeta_branch or 'none'}")
     lines.append(f"physical,{'true' if report.physical else 'false'}")
-    _write_text(args.out, lines)
-    return 0
+    return _write({args.out: "\n".join(lines) + "\n"}, args.out)
 
 
 def _cmd_figure(args) -> int:
@@ -271,12 +279,10 @@ def _cmd_figure(args) -> int:
         print(f"error: cannot write to {out_dir}: {exc}", file=sys.stderr)
         return 1
 
-    log_base = _log_base(args)
-    outcomes = sweep_parameter(
-        preset.params, preset.sweep, preset.values, preset.grid,
-        log_base=log_base,
-    )
+    outcomes = sweep_parameter(preset.params, preset.sweep, preset.values, preset.grid)
     obs_col = preset.observable  # matches the CorrelationReport field name
+    unit = _unit_factor(args)
+    obs_unit = 1.0 if obs_col == "purity" else unit  # purity has no unit
     curves, files = [], {}
     sweep_flag = preset.sweep.rstrip("_")
     for outcome in outcomes:
@@ -291,9 +297,9 @@ def _cmd_figure(args) -> int:
             f"figure={preset.figure} sweep={preset.sweep} "
             f"value={outcome.value!r} observable={preset.observable}"
         )
-        files[csv_path] = _trajectory_lines(traj, args, extra_meta=extra)
-        curves.append((label, traj.times, getattr(traj.report, obs_col)))
-        death = detect_sudden_death(traj, threshold=args.threshold)
+        files[csv_path] = "\n".join(_trajectory_lines(traj, args, extra_meta=extra)) + "\n"
+        curves.append((label, traj.times, getattr(traj.report, obs_col) * obs_unit))
+        death = detect_sudden_death(traj, threshold=args.threshold / unit)
         if death.death_times:
             deaths = ", ".join(f"{t:g}" for t in death.death_times)
             revivals = ", ".join(f"{t:g}" for t in death.revival_times) or "none"
@@ -307,19 +313,14 @@ def _cmd_figure(args) -> int:
     if not curves:
         print("error: no valid curves produced", file=sys.stderr)
         return 1
-    svg = line_plot(
+    files[out_dir / f"{preset.figure}.svg"] = line_plot(
         curves,
         xlabel="t",
         ylabel=preset.observable,
         title=f"{preset.figure}: {preset.observable} vs t "
               f"(sweep {sweep_flag})",
     )
-    try:
-        for path, lines in files.items():
-            _write_text(str(path), lines)
-        (out_dir / f"{preset.figure}.svg").write_text(svg, encoding="utf-8", newline="\n")
-    except OSError as exc:
-        print(f"error: cannot write to {out_dir}: {exc}", file=sys.stderr)
+    if _write(files, out_dir):
         return 1
     print(f"wrote {len(curves)} CSV files and {preset.figure}.svg to {out_dir}")
     return 0

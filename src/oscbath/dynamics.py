@@ -432,8 +432,12 @@ def _rk4_grid(sigma0: np.ndarray, params: SystemParams, times,
     when its (h, steps, remainder) differs from the previous interval's, so
     a uniform grid builds it once and costs one matrix-vector product per
     interval. Returns an (N, 4, 4) stack of exactly symmetric matrices;
-    raises :class:`OutOfRange` if any entry overflowed.
+    raises :class:`OutOfRange` if any entry overflowed, or before any map is
+    built if an interval's step count t/dt is beyond the float range.
     """
+    t = float(np.max(np.diff(times, prepend=0.0)))
+    if not math.isfinite(t / dt):
+        raise OutOfRange(f"RK4 step count t/dt beyond the float range (t={t:g}, dt={dt:g})")
     lsum = _kron_sum(_drift(params))
     b = 2.0 * np.diag(_diffusion(params)).reshape(-1)
     # the map keeps symmetric inputs exactly symmetric; make sure this one is

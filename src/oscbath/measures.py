@@ -44,6 +44,8 @@ single matrices always use the scalar functions. Both routes take numpy's
 log and write powers as products, so the batched route runs no Python per
 element. numpy's SIMD log, like the propagator's exp, cos and sin, may
 differ between CPUs in the last bit; on one machine the routes agree.
+
+Every entropic measure is in nats; value / log(2) is the value in bits.
 """
 
 from __future__ import annotations
@@ -115,9 +117,10 @@ class SymplecticData:
 class CorrelationReport:
     """Purity, entanglement and discord of one state, plus validity flags.
 
-    ``discord`` is NaN (and ``zeta_branch`` None) when the state is too far
-    from physical for the closed form to be evaluated; ``physical`` is False
-    in that case.
+    ``log_negativity`` and ``discord`` are in nats; divide by ``math.log(2)``
+    for bits. ``discord`` is NaN (and ``zeta_branch`` None) when the state is
+    too far from physical for the closed form to be evaluated; ``physical``
+    is False in that case.
     """
 
     purity: float
@@ -413,16 +416,16 @@ def _purity(xp, nu_minus, nu_plus, i4):
     return mu, xp.not_(consistent)
 
 
-def _log_negativity(xp, nu_tilde_minus, scale):
-    """max{0, -log(nu_tilde_minus)} * scale, for nu_tilde_minus > 0."""
-    en = -xp.log(nu_tilde_minus) * scale
+def _log_negativity(xp, nu_tilde_minus):
+    """max{0, -log(nu_tilde_minus)}, for nu_tilde_minus > 0."""
+    en = -xp.log(nu_tilde_minus)
     return xp.where(en > 0.0, en, 0.0)
 
 
-def _f_entropy(xp, x, scale):
-    """f(x) * scale, for x > 1."""
+def _f_entropy(xp, x):
+    """f(x), for x > 1."""
     plus, minus = 0.5 * (x + 1.0), 0.5 * (x - 1.0)
-    return (plus * xp.log(plus) - minus * xp.log(minus)) * scale
+    return plus * xp.log(plus) - minus * xp.log(minus)
 
 
 def _first_branch(xp, i1, i2, i3, i4):
@@ -509,45 +512,35 @@ def purity(data: SymplecticData) -> float:
     return mu
 
 
-def _log_scale(base: float) -> float:
-    if base == math.e:
-        return 1.0
-    if not base > 1.0:
-        raise ValueError(f"log base must be > 1 (got {base})")
-    return 1.0 / math.log(base)
-
-
-def log_negativity(data: SymplecticData, base: float = math.e) -> float:
-    """Entanglement monotone max{0, -log(nu_tilde_minus)}.
+def log_negativity(data: SymplecticData) -> float:
+    """Entanglement monotone max{0, -log(nu_tilde_minus)}, in nats.
 
     Positive iff the partially transposed state violates the uncertainty
-    relation; exactly 0.0 for separable states. Natural logarithm by
-    default; pass ``base=2`` for bits.
+    relation; exactly 0.0 for separable states.
     """
     ntm = data.nu_tilde_minus
     if ntm <= 0.0:
         return math.inf
-    return _log_negativity(_FLOAT, ntm, _log_scale(base))
+    return _log_negativity(_FLOAT, ntm)
 
 
-def f_entropy(x: float, base: float = math.e) -> float:
+def f_entropy(x: float) -> float:
     """Bosonic entropy f(x) = (x+1)/2 log((x+1)/2) - (x-1)/2 log((x-1)/2).
 
     Defined for x >= 1 with f(1) = 0 (the x -> 1 limit is handled exactly,
     no NaN); monotone increasing for x > 1. Arguments within 1e-8 below 1
     (the tolerance of :func:`check_physical`, so every state that passes
     it has a defined entropy) are clamped to 1; anything lower raises
-    :class:`DomainError`, and a base <= 1 raises ``ValueError``.
+    :class:`DomainError`. In nats, like every measure here.
     """
-    scale = _log_scale(base)
     if x < 1.0 - _PHYSICAL_TOL:
         raise DomainError(f"entropy argument must be >= 1 (got {x})")
     if x <= 1.0:
         return 0.0
-    return _f_entropy(_FLOAT, x, scale)
+    return _f_entropy(_FLOAT, x)
 
 
-def gaussian_discord(data: SymplecticData, base: float = math.e) -> tuple[float, str]:
+def gaussian_discord(data: SymplecticData) -> tuple[float, str]:
     """Gaussian quantum discord of a physical two-mode state, mode 2 measured.
 
     Evaluates the closed form
@@ -566,7 +559,7 @@ def gaussian_discord(data: SymplecticData, base: float = math.e) -> tuple[float,
     alone is pure (e.g. product states containing the vacuum); such states
     are evaluated on the second branch, which agrees in the limit.
 
-    Results within -1e-9 of zero are clamped to exactly 0.0.
+    In nats; results within -1e-9 nats of zero are clamped to exactly 0.0.
     """
     i1, i2, i3, i4 = data.i1, data.i2, data.i3, data.i4
     if i2 <= 0.0:
@@ -576,26 +569,21 @@ def gaussian_discord(data: SymplecticData, base: float = math.e) -> tuple[float,
     zeta = (_zeta_first if first else _zeta_second)(_FLOAT, i1, i2, i3, i4)
     discord = _discord(
         _FLOAT,
-        f_entropy(math.sqrt(i2), base),
-        f_entropy(data.nu_minus, base),
-        f_entropy(data.nu_plus, base),
-        f_entropy(math.sqrt(_FLOAT.nonneg(zeta)), base),
+        f_entropy(math.sqrt(i2)),
+        f_entropy(data.nu_minus),
+        f_entropy(data.nu_plus),
+        f_entropy(math.sqrt(_FLOAT.nonneg(zeta))),
     )
     return discord, "first" if first else "second"
 
 
-def report_from_data(data: SymplecticData, base: float = math.e) -> CorrelationReport:
-    """Assemble a :class:`CorrelationReport` from a precomputed spectrum.
-
-    A log base <= 1 raises ``ValueError`` first, even where no measure
-    takes a logarithm.
-    """
-    _log_scale(base)
+def report_from_data(data: SymplecticData) -> CorrelationReport:
+    """Assemble a :class:`CorrelationReport` from a precomputed spectrum."""
     physical = check_physical(data)
     mu = purity(data)
-    en = log_negativity(data, base=base)
+    en = log_negativity(data)
     try:
-        discord, branch = gaussian_discord(data, base=base)
+        discord, branch = gaussian_discord(data)
     except DomainError:
         # Too far from physical for the closed form; report and flag.
         discord, branch = float("nan"), None
@@ -608,30 +596,24 @@ def report_from_data(data: SymplecticData, base: float = math.e) -> CorrelationR
     )
 
 
-def full_report(sigma, base: float = math.e) -> CorrelationReport:
+def full_report(sigma) -> CorrelationReport:
     """Compute all correlation measures of one covariance matrix."""
-    return report_from_data(invariants(sigma), base=base)
+    return report_from_data(invariants(sigma))
 
 
 # ---------------------------------------------------------------------------
 # Measures of a whole stack
 # ---------------------------------------------------------------------------
 
-def _report_columns(inv: np.ndarray, base: float = math.e):
+def _report_columns(inv: np.ndarray):
     """Spectrum and report columns of (N, 8) invariants from
     :func:`_invariants_stack`: a :class:`SymplecticData` and a
     :class:`CorrelationReport` whose fields are (N,) arrays (``zeta_branch``
     an object array holding None), row k equal to
-    ``report_from_data(_assemble(*inv[k]), base)`` bit for bit; the lowest
-    row on which that raises raises the same exception and message here.
-
-    A log base <= 1 raises ``ValueError`` before any row is looked at. On a
-    trajectory, whose row 0 is a physical squeezed vacuum, that is the
-    scalar route's error too; on another stack the scalar route may first
-    raise for a lower row, or take no logarithm (nu_tilde_minus <= 0, I2 <= 0).
-    A power beyond the float range is inf on both routes, never an error.
+    ``report_from_data(_assemble(*inv[k]))`` bit for bit; the lowest row on
+    which that raises raises the same exception and message here. A power
+    beyond the float range is inf on both routes, never an error.
     """
-    scale = _log_scale(base)
     i1, i2, i3, i4, delta, delta_tilde, rad, rad_tilde = np.array(inv.T)
     xp = _COLUMN
     with np.errstate(all="ignore"):  # both sides of each where are evaluated
@@ -643,7 +625,7 @@ def _report_columns(inv: np.ndarray, base: float = math.e):
         raises |= raises_tilde | contradicts
 
         en = np.where(nu_tilde_minus <= 0.0, math.inf,
-                      _log_negativity(xp, nu_tilde_minus, scale))
+                      _log_negativity(xp, nu_tilde_minus))
 
         first = _first_branch(xp, i1, i2, i3, i4)
         zeta = np.where(first, _zeta_first(xp, i1, i2, i3, i4),
@@ -652,10 +634,10 @@ def _report_columns(inv: np.ndarray, base: float = math.e):
         args = (np.sqrt(i2), nu_minus, nu_plus, np.sqrt(xp.nonneg(zeta)))
         defined = (i2 > 0.0) & ~np.any([x < 1.0 - _PHYSICAL_TOL for x in args], axis=0)
         # rows left undefined are overwritten below
-        terms = [np.where(x <= 1.0, 0.0, _f_entropy(xp, x, scale)) for x in args]
+        terms = [np.where(x <= 1.0, 0.0, _f_entropy(xp, x)) for x in args]
         discord = _discord(xp, *terms)
     if raises.any():  # the scalar code raises on the lowest such row
-        report_from_data(_assemble(*inv[np.argmax(raises)].tolist()), base)
+        report_from_data(_assemble(*inv[np.argmax(raises)].tolist()))
     discord[~defined] = np.nan
     branch = np.where(first, "first", "second").astype(object)
     branch[~defined] = None

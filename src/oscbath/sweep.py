@@ -3,9 +3,9 @@
 A trajectory starts from the two-mode squeezed vacuum fixed by the
 parameter set, evolves the covariance matrix over a uniform time grid
 (closed form when a steady state exists, RK4 stepping otherwise) and
-computes the full correlation report at every grid point in one batched
-pass. Sweeps rerun the same grid while one parameter steps through a list
-of values; sudden-death scans locate the grid intervals where the
+computes the full correlation report, in nats, at every grid point in one
+batched pass. Sweeps rerun the same grid while one parameter steps through a
+list of values; sudden-death scans locate the grid intervals where the
 logarithmic negativity hits zero and where it revives.
 
 Trajectories within a sweep are independent and may be computed
@@ -28,7 +28,6 @@ from .measures import (
     CorrelationReport,
     SymplecticData,
     _invariants_stack,
-    _log_scale,
     _report_columns,
 )
 from .model import (
@@ -104,13 +103,12 @@ class Trajectory:
     and a :class:`CorrelationReport` whose fields are (N,) arrays
     (``report.physical`` is boolean, ``report.zeta_branch`` an object array
     of "first", "second" or None); row k equals ``invariants(sigmas[k])``
-    and ``report_from_data`` of it bit for bit. ``records`` is derived from
-    the columns on first use.
+    and ``report_from_data`` of it bit for bit, so the entropic measures are
+    in nats. ``records`` is derived from the columns on first use.
     """
 
     params: SystemParams
     grid: TimeGrid
-    log_base: float
     integrator: str
     times: np.ndarray
     sigmas: np.ndarray
@@ -179,7 +177,6 @@ def evolve_trajectory(
     grid: TimeGrid = DEFAULT_GRID,
     integrator: str = "auto",
     dt: float = 1e-3,
-    log_base: float = math.e,
 ) -> Trajectory:
     """Evolve from the squeezed vacuum of ``params.r`` over ``grid``.
 
@@ -191,8 +188,8 @@ def evolve_trajectory(
     matrix-vector product; every row equals the chained ``ode_oracle``
     calls from one grid time to the next bit for bit), and "auto" (default)
     picks "closed" whenever the steady state exists. A ``dt`` that is not
-    finite and > 0, or a ``log_base`` <= 1, raises ``ValueError`` before any
-    work, whichever integrator runs.
+    finite and > 0 raises ``ValueError`` before any work, whichever
+    integrator runs.
 
     The measures of all rows are computed in one batched pass: block
     invariants in double-double arithmetic kept where a round test proves
@@ -202,7 +199,6 @@ def evolve_trajectory(
     them raise raises the same error here (the lowest such row first).
     """
     check_step(dt)
-    _log_scale(log_base)
     require_valid(params)
     if integrator == "auto":
         integrator = "closed" if steady_state_available(params) else "rk4"
@@ -217,11 +213,10 @@ def evolve_trajectory(
     else:
         sigmas = _rk4_grid(sigma0, params, times, dt)
 
-    data, report = _report_columns(_invariants_stack(sigmas), log_base)
+    data, report = _report_columns(_invariants_stack(sigmas))
     return Trajectory(
         params=params,
         grid=grid,
-        log_base=log_base,
         integrator=integrator,
         times=times,
         sigmas=sigmas,
@@ -240,30 +235,25 @@ def sweep_parameter(
     grid: TimeGrid = DEFAULT_GRID,
     integrator: str = "auto",
     dt: float = 1e-3,
-    log_base: float = math.e,
 ) -> list[SweepOutcome]:
     """One trajectory per value of parameter ``which``, in input order.
 
     Values that produce an invalid parameter set (or fail during evolution)
     are reported in the outcome's ``error`` field without aborting the
     remaining values; :func:`evolve_trajectory` validates each set. A
-    ``dt`` that is not finite and > 0, or a ``log_base`` <= 1, raises
-    ``ValueError`` before any work.
+    ``dt`` that is not finite and > 0 raises ``ValueError`` before any work.
     """
     if which not in _PARAM_NAMES:
         raise ValueError(
             f"unknown parameter {which!r}; expected one of {_PARAM_NAMES}"
         )
     check_step(dt)
-    _log_scale(log_base)
     outcomes = []
     for value in values:
         value = float(value)
         params = dataclasses.replace(base, **{which: value})
         try:
-            traj = evolve_trajectory(
-                params, grid, integrator=integrator, dt=dt, log_base=log_base
-            )
+            traj = evolve_trajectory(params, grid, integrator=integrator, dt=dt)
         except OscbathError as exc:
             outcomes.append(SweepOutcome(value=value, trajectory=None, error=str(exc)))
             continue
@@ -279,8 +269,8 @@ def detect_sudden_death(
     A death is the first grid interval on which the logarithmic negativity
     crosses from above ``threshold`` to at or below it; a revival is the
     reverse crossing. Crossing times are bracketed to one grid interval
-    (the recorded time is the interval's right endpoint). A non-finite
-    ``threshold`` raises ``ValueError``.
+    (the recorded time is the interval's right endpoint). ``threshold`` is
+    in nats, like the log negativity; a non-finite one raises ``ValueError``.
     """
     if not math.isfinite(threshold):
         raise ValueError(f"threshold must be finite (got {threshold})")

@@ -1,5 +1,6 @@
 """The batched trajectory path against the scalar measures, bit for bit."""
 
+import argparse
 import dataclasses
 import math
 import warnings
@@ -36,6 +37,7 @@ from oscbath.measures import (
     _invariants_stack,
     _report_columns,
 )
+from oscbath.cli import _trajectory_lines
 from helpers import FIG1A, random_physical_cov, random_symplectic
 
 
@@ -227,7 +229,7 @@ def assert_rows_match_scalar(traj, rows=None):
         assert np.array_equal(rec.sigma, traj.sigmas[k])
         data = invariants(rec.sigma)
         assert_same(rec.data, data)
-        assert_same(rec.report, report_from_data(data, base=traj.log_base))
+        assert_same(rec.report, report_from_data(data))
 
 
 class TestColumnsMatchScalar:
@@ -245,8 +247,15 @@ class TestColumnsMatchScalar:
             assert np.isnan(traj.report.discord).any()  # NaN rows match too
 
     def test_base_two(self):
-        traj = evolve_trajectory(FIG1A, TimeGrid(0.0, 10.0, 101), log_base=2.0)
-        assert_rows_match_scalar(traj)
+        # the CLI's bits are the scalar route's nats times one factor, 1 / ln 2
+        traj = evolve_trajectory(FIG1A, TimeGrid(0.0, 10.0, 101))
+        args = argparse.Namespace(hex_floats=True, log_base="2", threshold=0.0, dt=1e-3)
+        rows = [line.split(",") for line in _trajectory_lines(traj, args)[2:]]
+        factor = 1.0 / math.log(2.0)
+        for row, sigma in zip(rows, traj.sigmas):
+            report = report_from_data(invariants(sigma))
+            assert row[2] == (report.log_negativity * factor + 0.0).hex()
+            assert row[3] == (report.discord * factor + 0.0).hex()
 
     def test_sample_of_every_preset_trajectory(self):
         rng = np.random.default_rng(11)
@@ -265,9 +274,9 @@ class TestColumnsMatchScalar:
         assert traj.records is traj.records
 
 
-def scalar_error(sigma, base=math.e):
+def scalar_error(sigma):
     with pytest.raises(Exception) as info:
-        report_from_data(invariants(sigma), base=base)
+        report_from_data(invariants(sigma))
     return info.type, str(info.value)
 
 
@@ -346,13 +355,6 @@ class TestErrorsMatchScalar:
         with pytest.raises(OutOfRange, match="is beyond the float range"):
             run()
 
-    def test_bad_log_base(self):
-        kind, message = scalar_error(initial_squeezed_vacuum(FIG1A.r), base=0.5)
-        assert kind is ValueError
-        with pytest.raises(ValueError) as info:
-            evolve_trajectory(FIG1A, TimeGrid(0.0, 1.0, 11), log_base=0.5)
-        assert str(info.value) == message
-
 
 # Any finite float: the formulas take powers as products, so a square or
 # fourth power beyond the float range is inf on both routes and compared
@@ -394,25 +396,25 @@ def invariant_rows(draw):
     return row
 
 
-def scalar_row(row, base):
+def scalar_row(row):
     try:
         data = _assemble(*row)
-        return data, report_from_data(data, base)
+        return data, report_from_data(data)
     except OscbathError as error:
         return error
 
 
-def assert_rows_match_columns(rows, base):
+def assert_rows_match_columns(rows):
     """_report_columns of the stack equals the scalar route row by row, or
     raises the lowest raising row's class and message."""
-    expected = [scalar_row(row, base) for row in rows]
+    expected = [scalar_row(row) for row in rows]
     errors = [e for e in expected if isinstance(e, Exception)]
     if errors:
         with pytest.raises(type(errors[0])) as info:
-            _report_columns(np.array(rows), base)
+            _report_columns(np.array(rows))
         assert str(info.value) == str(errors[0])
         return
-    columns = _report_columns(np.array(rows), base)
+    columns = _report_columns(np.array(rows))
     for column, values in zip(columns, zip(*expected)):
         fields = [getattr(column, f.name).tolist() for f in dataclasses.fields(column)]
         for row, value in zip(zip(*fields), values):
@@ -426,12 +428,11 @@ class TestRowsMatchScalar:
 
     @settings(max_examples=150, deadline=None, database=None, derandomize=True,
               suppress_health_check=[HealthCheck.too_slow])
-    @given(st.lists(invariant_rows(), min_size=1, max_size=6),
-           st.sampled_from([math.e, 2.0]))
-    def test_rows(self, rows, base):
-        assert_rows_match_columns(rows, base)
+    @given(st.lists(invariant_rows(), min_size=1, max_size=6))
+    def test_rows(self, rows):
+        assert_rows_match_columns(rows)
         for row in rows:
-            assert_rows_match_columns([row], base)
+            assert_rows_match_columns([row])
 
 
 def premise_arguments(seed=11) -> np.ndarray:

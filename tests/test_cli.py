@@ -17,7 +17,7 @@ from oscbath import (
     purity,
 )
 from oscbath.cli import _COLUMNS, _trajectory_lines, main
-from oscbath.sweep import FIGURE_IDS
+from oscbath.sweep import FIGURE_IDS, figure_preset
 from helpers import FIG1A, parse_csv
 
 
@@ -57,8 +57,8 @@ def _special_trajectory(seed=0):
         physical=rng.random(n) < 0.5, zeta_branch=np.full(n, None, dtype=object),
     )
     data = SymplecticData(*(column() for _ in range(9)))
-    return Trajectory(params=FIG1A, grid=TimeGrid(0.0, 1.0, n), log_base=math.e,
-                      integrator="closed", times=column(), sigmas=None,
+    return Trajectory(params=FIG1A, grid=TimeGrid(0.0, 1.0, n), integrator="closed",
+                      times=column(), sigmas=None,
                       data=data, report=report)
 
 
@@ -217,6 +217,22 @@ class TestEvolveCommand:
         assert code == 1
         assert "left the float range" in capsys.readouterr().err
 
+    def test_rk4_step_count_beyond_float_range_exits_1(self, capsys):
+        code = main(["evolve", "--t-end", "1e308", "--integrator", "rk4"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "t/dt beyond the float range" in err
+
+    def test_unwritable_out_exits_1(self, tmp_path, capsys):
+        # a path below a regular file cannot be created, even by root
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        out = blocker / "run.csv"
+        assert main(["evolve", "--points", "3", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write to {out}: ")
+        assert "Traceback" not in err
+
     def test_rk4_integrator_conserves_purity(self, tmp_path):
         out = tmp_path / "run.csv"
         code = main(["evolve", "--lambda", "0", "--nu", "0.8", "--r", "1",
@@ -298,6 +314,15 @@ class TestSteadyCommand:
         assert err.startswith("error:") and "temperature" in err
         assert "Traceback" not in err
 
+    def test_unwritable_out_exits_1(self, tmp_path, capsys):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        out = blocker / "steady.csv"
+        assert main(["steady", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write to {out}: ")
+        assert "Traceback" not in err
+
     def test_warm_bath_accepted(self, capsys):
         # max|2D| ~ 2.4e7, so the residual bound scales up with it
         assert main(["steady", "--temp", "1e7"]) == 0
@@ -367,3 +392,70 @@ class TestFigureCommand:
         assert code == 1
         assert err.startswith(f"error: cannot write to {tmp_path}: ")
         assert "Traceback" not in err
+
+
+class TestLogBaseUnits:
+    """--log-base 2 converts at output only: the log negativity and discord
+    are the nats values times 1 / ln 2, bit for bit, and nothing else moves.
+    The threshold converts the other way, so the printed scan is the same."""
+
+    FACTOR = 1.0 / math.log(2.0)
+    ENTROPIC = ("log_negativity", "discord")
+
+    def bits(self, name, value):
+        if name in self.ENTROPIC:
+            return (float.fromhex(value) * self.FACTOR + 0.0).hex()
+        return value
+
+    def check_csv(self, nats_text, bits_text):
+        meta, header, rows = parse_csv(nats_text)
+        assert parse_csv(bits_text) == (
+            [m.replace("log_base=e", "log_base=2") for m in meta], header,
+            [{name: self.bits(name, v) for name, v in row.items()} for row in rows],
+        )
+
+    def run(self, argv, capsys):
+        assert main(argv) == 0
+        return capsys.readouterr().out
+
+    @pytest.mark.parametrize("integrator", ["closed", "rk4"])
+    def test_evolve(self, integrator, capsys):
+        argv = ["evolve", "--integrator", integrator, "--hex-floats", "--log-base"]
+        self.check_csv(self.run([*argv, "e"], capsys), self.run([*argv, "2"], capsys))
+
+    def test_steady(self, capsys):
+        argv = ["steady", "--hex-floats", "--log-base"]
+        nats = self.run([*argv, "e"], capsys).splitlines()
+        expected = [nats[0].replace("log_base=e", "log_base=2")]
+        for line in nats[1:]:
+            name, comma, value = line.partition(",")
+            expected.append(name + comma + self.bits(name, value))
+        assert self.run([*argv, "2"], capsys).splitlines() == expected
+
+    @pytest.mark.parametrize("figure", ["fig1a", "fig2a", "fig3a"])  # one per observable
+    def test_figure(self, figure, tmp_path, capsys):
+        nats, bits = tmp_path / "e", tmp_path / "2"
+        printed = [self.run(["figure", figure, "--hex-floats", "--log-base", base,
+                             "--out", str(tmp_path / base)], capsys) for base in "e2"]
+        assert "entanglement deaths" in printed[0]
+        assert printed[1] == printed[0].replace(str(nats), str(bits))
+        names = sorted(p.name for p in nats.glob("*.csv"))
+        assert len(names) == 4
+        assert sorted(p.name for p in bits.glob("*.csv")) == names
+        for name in names:
+            self.check_csv((nats / name).read_text(), (bits / name).read_text())
+        # only an entropic curve is drawn in bits; purity has no unit
+        svgs = [(d / f"{figure}.svg").read_text() for d in (nats, bits)]
+        assert (svgs[0] == svgs[1]) == (figure_preset(figure).observable == "purity")
+
+    def test_threshold_is_in_the_log_base_unit(self, tmp_path, capsys):
+        # 0.25 nats is 0.25 / ln 2 bits; 0.25 nats read as bits scans otherwise
+        nats, bits = 0.25, 0.25 * self.FACTOR
+        assert bits / self.FACTOR == nats
+        printed = [
+            self.run(["figure", "fig2a", "--log-base", base, "--threshold", repr(threshold),
+                      "--out", str(tmp_path / base)], capsys).splitlines()[:-1]
+            for base, threshold in (("e", nats), ("2", bits), ("2", nats))
+        ]
+        assert printed[0] and printed[1] == printed[0]
+        assert printed[2] != printed[0]

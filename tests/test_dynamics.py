@@ -489,6 +489,20 @@ class TestOdeOracle:
         with pytest.raises(OutOfRange, match="left the float range"):
             ode_oracle(initial_squeezed_vacuum(1.0), FIG1A, 1e300, dt)
 
+    def test_step_count_beyond_float_range_raises_before_any_map(self, monkeypatch):
+        import oscbath.dynamics as dynamics
+
+        def fail(*args):
+            raise AssertionError("built a step map")
+
+        monkeypatch.setattr(dynamics, "_rk4_map", fail)
+        message = r"t/dt beyond the float range \(t=1e\+300, dt=1e-10\)"
+        with pytest.raises(OutOfRange, match=message):
+            ode_oracle(initial_squeezed_vacuum(1.0), FIG1A, 1e300, dt=1e-10)
+        # each interval of this grid is 2e305 long, 2e308 steps of 1e-3
+        with pytest.raises(OutOfRange, match="t/dt beyond the float range"):
+            evolve_trajectory(FIG1A, TimeGrid(0.0, 1e308, 501), "rk4")
+
 
 class TestRk4Map:
     @pytest.mark.parametrize("name", ["fig1a", "stable", "lambda0", "marginal_nu"])

@@ -135,8 +135,9 @@ class TestLogNegativity:
         assert en == pytest.approx(2.0 * r, abs=1e-9)
 
     def test_base_two(self):
-        en = log_negativity(invariants(initial_squeezed_vacuum(1.0)), base=2)
-        assert en == pytest.approx(2.0 / math.log(2.0), rel=1e-12)
+        # nats / ln 2 is bits: -log2(nu_tilde_minus), nu_tilde_minus = e^-2r
+        en = log_negativity(invariants(initial_squeezed_vacuum(1.0)))
+        assert en / math.log(2.0) == pytest.approx(-math.log2(math.exp(-2.0)), rel=1e-12)
 
     def test_zero_at_separability_boundary(self):
         # scaled squeezed vacuum with nu_tilde_minus pinned at 1 +/- delta
@@ -176,8 +177,9 @@ class TestEntropyFunction:
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
     def test_base_two(self):
-        assert f_entropy(2.0, base=2) == pytest.approx(
-            f_entropy(2.0) / math.log(2.0), rel=1e-12
+        # f(2) = 1.5 log2(1.5) - 0.5 log2(0.5) bits
+        assert f_entropy(2.0) / math.log(2.0) == pytest.approx(
+            1.5 * math.log2(1.5) + 0.5, rel=1e-12
         )
 
 
@@ -209,10 +211,12 @@ class TestGaussianDiscord:
             )
 
     def test_base_two(self):
-        data = invariants(initial_squeezed_vacuum(1.0))
-        d_e, _ = gaussian_discord(data)
-        d_2, _ = gaussian_discord(data, base=2)
-        assert d_2 == pytest.approx(d_e / math.log(2.0), rel=1e-12)
+        # the squeezed vacuum's discord is f(cosh 2r), here in bits
+        discord, _ = gaussian_discord(invariants(initial_squeezed_vacuum(1.0)))
+        x = math.cosh(2.0)
+        plus, minus = 0.5 * (x + 1.0), 0.5 * (x - 1.0)
+        bits = plus * math.log2(plus) - minus * math.log2(minus)
+        assert discord / math.log(2.0) == pytest.approx(bits, rel=1e-9)
 
     def test_mode_swap_symmetric_state(self):
         sigma = initial_squeezed_vacuum(1.0)
@@ -266,17 +270,6 @@ class TestFullReport:
         rep = full_report(np.eye(4))
         assert (rep.purity, rep.log_negativity, rep.discord) == (1.0, 0.0, 0.0)
         assert rep.physical
-
-    @pytest.mark.parametrize("base", [0.5, -3.0])
-    def test_bad_log_base_rejected_without_a_logarithm(self, base):
-        # nu_tilde_minus = 0 gives log negativity inf and I2 = -1 an
-        # undefined discord, so no measure takes a logarithm here
-        data = SymplecticData(i1=1.0, i2=-1.0, i3=0.0, i4=1.0, delta=0.0,
-                              delta_tilde=0.0, nu_minus=1.0, nu_plus=1.0,
-                              nu_tilde_minus=0.0)
-        assert report_from_data(data).log_negativity == math.inf
-        with pytest.raises(ValueError, match="log base must be > 1"):
-            report_from_data(data, base=base)
 
     def test_sub_vacuum_flagged_not_raised(self):
         rep = full_report(0.5 * np.eye(4))

@@ -193,18 +193,10 @@ class TestEvolveTrajectory:
             t_prev = float(t)
 
     @pytest.mark.parametrize("dt", [math.nan, math.inf, -1.0, 0.0])
-    def test_bad_step_rejected(self, dt):
+    def test_bad_step_rejected(self, no_propagation, dt):
         for integrator in ("closed", "rk4"):
             with pytest.raises(ValueError, match="dt must be finite"):
                 evolve_trajectory(FIG1A, TimeGrid(0.0, 1.0, 3), integrator, dt)
-
-    @pytest.mark.parametrize("integrator", ["closed", "rk4"])
-    @pytest.mark.parametrize("base", [0.5, 1.0, -3.0, math.nan])
-    def test_bad_log_base_raises_before_any_work(self, no_propagation,
-                                                 integrator, base):
-        with pytest.raises(ValueError, match="log base must be > 1"):
-            evolve_trajectory(FIG1A, TimeGrid(0.0, 1.0, 3), integrator,
-                              log_base=base)
 
     def test_deterministic(self):
         a = evolve_trajectory(FIG1A, SMALL_GRID)
@@ -258,12 +250,6 @@ class TestSweepParameter:
         with pytest.raises(ValueError, match="dt must be finite"):
             sweep_parameter(FIG1A, "temperature", [-1.0, -2.0], SMALL_GRID, dt=dt)
 
-    @pytest.mark.parametrize("base", [0.5, -3.0])
-    def test_bad_log_base_raises_before_any_value(self, no_propagation, base):
-        with pytest.raises(ValueError, match="log base must be > 1"):
-            sweep_parameter(FIG1A, "temperature", [0.5, 1.0], SMALL_GRID,
-                            log_base=base)
-
     def test_unknown_parameter_rejected(self):
         with pytest.raises(ValueError):
             sweep_parameter(FIG1A, "kappa", [1.0], SMALL_GRID)
@@ -295,7 +281,7 @@ class TestDetectSuddenDeath:
             discord=np.zeros(n), physical=np.ones(n, dtype=bool),
             zeta_branch=np.full(n, None, dtype=object),
         )
-        return dict(params=FIG1A, log_base=math.e, integrator="closed",
+        return dict(params=FIG1A, integrator="closed",
                     times=np.arange(n, dtype=float), sigmas=None, data=None,
                     report=report)
 
