@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -204,10 +205,16 @@ def _write(texts: dict, where) -> int:
         for path, text in texts.items():
             if path == "-":
                 sys.stdout.write(text)
+                sys.stdout.flush()  # a closed pipe fails here, not at exit
             else:
                 Path(path).write_text(text, encoding="utf-8", newline="\n")
     except OSError as exc:
         print(f"error: cannot write to {where}: {exc}", file=sys.stderr)
+        if path == "-":
+            # what is left in the buffer would fail again when Python exits
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, sys.stdout.fileno())
+            os.close(null)
         return 1
     return 0
 
@@ -283,7 +290,7 @@ def _cmd_figure(args) -> int:
     obs_col = preset.observable  # matches the CorrelationReport field name
     unit = _unit_factor(args)
     obs_unit = 1.0 if obs_col == "purity" else unit  # purity has no unit
-    curves, files = [], {}
+    curves, files, printed = [], {}, []
     sweep_flag = preset.sweep.rstrip("_")
     for outcome in outcomes:
         if outcome.trajectory is None:
@@ -303,7 +310,7 @@ def _cmd_figure(args) -> int:
         if death.death_times:
             deaths = ", ".join(f"{t:g}" for t in death.death_times)
             revivals = ", ".join(f"{t:g}" for t in death.revival_times) or "none"
-            print(
+            printed.append(
                 f"{preset.figure} {label}: entanglement deaths at t <= [{deaths}] "
                 f"(interval {death.grid_spacing:g}), revivals [{revivals}], "
                 f"asymptotically entangled: "
@@ -322,8 +329,9 @@ def _cmd_figure(args) -> int:
     )
     if _write(files, out_dir):
         return 1
-    print(f"wrote {len(curves)} CSV files and {preset.figure}.svg to {out_dir}")
-    return 0
+    # stdout last, so that a closed pipe cannot keep the files from being written
+    printed.append(f"wrote {len(curves)} CSV files and {preset.figure}.svg to {out_dir}")
+    return _write({"-": "\n".join(printed) + "\n"}, "-")
 
 
 _PARSER = build_parser()

@@ -49,7 +49,6 @@ __all__ = [
     "steady_state_available",
     "propagate",
     "ode_oracle",
-    "check_step",
 ]
 
 
@@ -248,7 +247,8 @@ def propagate(sigma0, params: SystemParams, t: float | np.ndarray) -> np.ndarray
     """Closed-form covariance at finite time(s) t >= 0 from ``sigma0``.
 
     Evaluates e^{Mt} (sigma0 - sigma_inf) (e^{Mt})^T + sigma_inf and
-    symmetrizes the result to suppress roundoff asymmetry. e^{Mt} comes
+    symmetrizes the result to suppress roundoff asymmetry; a result beyond
+    the float range raises :class:`OutOfRange`. e^{Mt} comes
     from the two normal modes (cosines and sines of the normal frequencies
     times e^{-lambda t}), with no matrix exponential. ``t`` is either a
     scalar, giving one 4x4 matrix, or a 1-D array of N times, giving an
@@ -272,8 +272,15 @@ def propagate(sigma0, params: SystemParams, t: float | np.ndarray) -> np.ndarray
     sigma0 = check_covariance(sigma0)
     s_inf = steady_state(params)  # validates params once for this call
     e = _propagator(params, t)
-    s = e @ (sigma0 - s_inf) @ e.swapaxes(-1, -2) + s_inf
-    return 0.5 * (s + s.swapaxes(-1, -2))
+    # the inputs are finite, so the result is too unless an operation overflows
+    try:
+        with np.errstate(over="raise"):
+            s = 0.5 * (e @ (sigma0 - s_inf) @ e.swapaxes(-1, -2) + s_inf)
+    except FloatingPointError as exc:
+        raise OutOfRange(
+            f"propagated covariance left the float range (t up to {np.max(t):g})"
+        ) from exc
+    return s + s.swapaxes(-1, -2)  # the sum of two halves cannot overflow
 
 
 # Where each entry of e^{Mt}, row 2i+a and column 2j+b in (x1, p1, x2, p2)
@@ -428,12 +435,12 @@ def _rk4_grid(sigma0: np.ndarray, params: SystemParams, times,
     Steps from t = 0 to times[0], then from each time to the next, each
     interval of length T with step h = min(dt, T): floor(T/h) whole steps
     plus one step for a remainder of at least 1e-12 * max(T, 1). M, D and
-    L = M (+) M are built once; an interval's composed map is rebuilt only
-    when its (h, steps, remainder) differs from the previous interval's, so
-    a uniform grid builds it once and costs one matrix-vector product per
-    interval. Returns an (N, 4, 4) stack of exactly symmetric matrices;
-    raises :class:`OutOfRange` if any entry overflowed, or before any map is
-    built if an interval's step count t/dt is beyond the float range.
+    L = M (+) M are built once, and the composed map once per distinct
+    (h, steps, remainder), since linspace's spans can differ in the last
+    bits; each interval then costs one matrix-vector product. Returns an
+    (N, 4, 4) stack of exactly symmetric matrices; raises
+    :class:`OutOfRange` if any entry overflowed, or before any map is built
+    if an interval's step count t/dt is beyond the float range.
     """
     t = float(np.max(np.diff(times, prepend=0.0)))
     if not math.isfinite(t / dt):
@@ -441,9 +448,9 @@ def _rk4_grid(sigma0: np.ndarray, params: SystemParams, times,
     lsum = _kron_sum(_drift(params))
     b = 2.0 * np.diag(_diffusion(params)).reshape(-1)
     # the map keeps symmetric inputs exactly symmetric; make sure this one is
-    v = (0.5 * (sigma0 + sigma0.T)).reshape(-1)
+    v = (0.5 * sigma0 + 0.5 * sigma0.T).reshape(-1)
     out = np.empty((len(times), 4, 4))
-    key = None
+    maps = {}
     t_prev = 0.0
     # a step beyond the stability limit can overflow; one check at the end
     with np.errstate(over="ignore", invalid="ignore"):
@@ -456,9 +463,10 @@ def _rk4_grid(sigma0: np.ndarray, params: SystemParams, times,
                 remainder = span - n * h
                 if remainder < 1e-12 * max(span, 1.0):
                     remainder = 0.0
-                if key != (h, n, remainder):
-                    key = (h, n, remainder)
-                    k, c = _rk4_map(lsum, b, h, n, remainder)
+                key = (h, n, remainder)
+                if key not in maps:
+                    maps[key] = _rk4_map(lsum, b, h, n, remainder)
+                k, c = maps[key]
                 v = v + (k @ v + c)
             out[i] = v.reshape(4, 4)
             t_prev = t

@@ -1,5 +1,15 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "OscbathError",
+    "InvalidParameters",
+    "SteadyStateUnavailable",
+    "NonPhysicalInput",
+    "DomainError",
+    "OutOfRange",
+    "UnknownFigure",
+]
+
 
 class OscbathError(Exception):
     """Base class for all package-specific errors."""

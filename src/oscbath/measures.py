@@ -58,7 +58,7 @@ from types import ModuleType
 import numpy as np
 
 from .errors import DomainError, NonPhysicalInput, OutOfRange
-from .model import _SYMMETRY_TOL, check_covariance
+from .model import check_covariance
 
 __all__ = [
     "SymplecticData",
@@ -342,22 +342,14 @@ def _dd_block_invariants(sigmas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return values, accepted
 
 
-def _invariants_stack(sigmas) -> np.ndarray:
+def _invariants_stack(sigmas: np.ndarray) -> np.ndarray:
     """(N, 8) exact block invariants of an (N, 4, 4) stack, each row equal to
     :func:`_exact_block_invariants` of its slice bit for bit.
 
-    The stack is validated once, and the first bad slice raises the
-    ``ValueError`` of :func:`~oscbath.model.check_covariance`. Rows the
-    double-double round test cannot settle are recomputed together by
-    :func:`_exact_stack`.
+    The stack must be finite and exactly symmetric, as both integrators
+    return it; it is not checked again. Rows the double-double round test
+    cannot settle are recomputed together by :func:`_exact_stack`.
     """
-    sigmas = np.asarray(sigmas, dtype=float)
-    if sigmas.ndim != 3 or sigmas.shape[1:] != (4, 4):
-        raise ValueError(f"covariance stack must be (N, 4, 4) (got shape {sigmas.shape})")
-    with np.errstate(invalid="ignore"):  # inf - inf in a non-finite slice
-        bad = ~(np.abs(sigmas - sigmas.swapaxes(1, 2)).max(axis=(1, 2)) <= _SYMMETRY_TOL)
-    if bad.any():
-        check_covariance(sigmas[np.argmax(bad)])
     values, accepted = _dd_block_invariants(sigmas)
     rejected = ~accepted.all(axis=1)
     if rejected.any():

@@ -1,11 +1,15 @@
 import argparse
 import importlib.util
 import math
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+
+import oscbath
 
 from oscbath import (
     CorrelationReport,
@@ -169,6 +173,13 @@ class TestEvolveCommand:
         assert main(["evolve", "--r", "400", "--points", "3"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "squeezing r = 400.0" in err
+
+    @pytest.mark.parametrize("integrator", ["closed", "rk4"])
+    def test_squeezing_at_the_float_range_limit_exits_1(self, integrator, capsys):
+        code = main(["evolve", "--r", "355", "--points", "3", "--integrator", integrator])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: exact i1 ") and "beyond the float range" in err
 
     def test_invalid_params_exit_1_without_rk4_hint(self, capsys):
         code = main(["evolve", "--nu", "1.5", "--points", "11"])
@@ -383,6 +394,25 @@ class TestFigureCommand:
         code = main(["figure", "fig1a", "--out", str(blocker / "sub")])
         assert code == 1
         assert "cannot write" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    def test_closed_stdout_still_writes_every_file(self, unbuffered, tmp_path):
+        # as `oscbath figure fig2a --out DIR | head -0`: stdout is a pipe
+        # whose reader is gone, so each write raises BrokenPipeError
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = dict(os.environ, PYTHONUNBUFFERED=unbuffered,
+                   PYTHONPATH=str(Path(oscbath.__file__).parents[1]))
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "oscbath", "figure", "fig2a", "--out", str(tmp_path)],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, text=True, timeout=120)
+        finally:
+            os.close(write_end)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "fig2a.svg", *(f"fig2a_temperature={v}.csv" for v in ("0.1", "0.5", "1", "2"))]
+        assert result.returncode == 1  # README: 1 for unwritable output
+        assert result.stderr == "error: cannot write to -: [Errno 32] Broken pipe\n"
 
     def test_csv_path_taken_by_a_directory_exits_1(self, tmp_path, capsys):
         # the directory exists and is writable, but one output path is not

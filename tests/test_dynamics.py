@@ -409,6 +409,22 @@ class TestPropagate:
         with pytest.raises(ValueError, match="finite values >= 0"):
             propagate(np.eye(4), FIG1A, [0.0, t])
 
+    def test_entries_near_the_float_maximum_stay_finite(self):
+        # r = 355 puts entries near 1.1e308, where sigma + sigma^T overflows;
+        # the suite turns the RuntimeWarning of any overflow into an error
+        sigma0 = initial_squeezed_vacuum(355.0)
+        stack = propagate(sigma0, FIG1A, np.linspace(0.0, 10.0, 11))
+        assert np.isfinite(stack).all()
+        assert np.array_equal(stack, stack.swapaxes(1, 2))
+        assert np.array_equal(stack[0], sigma0)
+
+    def test_result_beyond_float_range_raises_out_of_range(self):
+        # sin(Wt)/W > 1 for W < 1 moves the position entries past the maximum
+        params = SystemParams(0.5, 0.0, 0.1, 1e-3, 0.2, 1.0)
+        for t in (1.0, np.array([0.0, 1.0, 2.0])):
+            with pytest.raises(OutOfRange, match="propagated covariance left the float range"):
+                propagate(1.5e308 * np.eye(4), params, t)
+
     def test_physicality_preserved(self):
         sigma0 = initial_squeezed_vacuum(1.0)
         for t in np.linspace(0.0, 20.0, 11):

@@ -112,6 +112,14 @@ class TestEvolveTrajectory:
         with pytest.raises(OutOfRange, match=f"squeezing r = {r}"):
             evolve_trajectory(params, TimeGrid(0.0, 10.0, 11))
 
+    @pytest.mark.parametrize("integrator", ["closed", "rk4"])
+    def test_squeezing_at_the_float_range_limit_raises_out_of_range(self, integrator):
+        # r = 355 gives finite entries near 1.1e308 whose invariants overflow;
+        # no RuntimeWarning from the symmetrization may come first
+        params = SystemParams(1.0, 0.0, 0.8, 0.6, 0.2, 355.0)
+        with pytest.raises(OutOfRange, match="exact i1 .* beyond the float range"):
+            evolve_trajectory(params, TimeGrid(0.0, 10.0, 11), integrator=integrator)
+
     def test_initial_record(self):
         traj = evolve_trajectory(FIG1A, TimeGrid(0.0, 10.0, 201))
         first = traj.records[0]
@@ -178,11 +186,21 @@ class TestEvolveTrajectory:
         "params, grid",
         [(dataclasses.replace(FIG1A, lambda_=0.0), DEFAULT_GRID),
          (FIG4, TimeGrid(0.75, 3.0, 41)),  # first interval starts at t = 0
-         (FIG4, TimeGrid(0.0, 0.01, 21))],  # spacing below dt
+         (FIG4, TimeGrid(0.0, 0.01, 21)),  # spacing below dt
+         # linspace's spans differ in the last bits: 10 maps for 300 intervals
+         (FIG4, TimeGrid(0.0, 10.0, 301))],
     )
-    def test_rk4_records_are_chained_ode_oracle(self, params, grid):
+    def test_rk4_records_are_chained_ode_oracle(self, monkeypatch, params, grid):
+        import oscbath.dynamics as dynamics
+
+        built = []  # (h, steps, remainder) of each map built
+        rk4_map = dynamics._rk4_map
+        monkeypatch.setattr(dynamics, "_rk4_map",
+                            lambda *args: built.append(args[2:]) or rk4_map(*args))
         dt = 1e-3
         traj = evolve_trajectory(params, grid, integrator="rk4", dt=dt)
+        assert len(built) == len(set(built))  # each distinct interval once
+        monkeypatch.undo()
         s = initial_squeezed_vacuum(params.r)
         t_prev = 0.0
         for t, rec in zip(grid.times(), traj.records):
