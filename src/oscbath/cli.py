@@ -7,12 +7,17 @@ threshold needed to reproduce the file. Floating values are printed with
 12 significant digits (or as hex floats with --hex-floats for bit-exact
 regression comparisons), -0.0 as 0.
 
-A trajectory is formatted from whole columns: the ten float columns are
-stacked once, and each row is one ``%`` template over its values (or one
-join of ``float.hex`` strings), byte for byte the same as formatting every
-value on its own. ``figure`` hands the time and observable columns to
-:func:`~oscbath.svgplot.line_plot` as arrays. The argument parser is built
-once, at import.
+Every command formats its floats a whole table at a time (``_csv_text``),
+byte for byte the same as ``%#.12g`` (or ``float.hex``) of each value plus
+0.0. Decimal digits are exact: for |x| in [1e-11, 1e12), x * 10**k with
+10**k exact is split into hi + lo by TwoProd, and rounding hi half to even,
+with lo deciding a tie that hi sits on, gives the 12 digits. Hex digits
+come from the float's bits. Each value's text is a fixed-width slot of
+bytes gathered from small tables; the slots become text by dropping NUL
+bytes. Values outside that range and non-finite values fall back to ``%``
+or ``float.hex``, one at a time. ``figure`` hands the time and observable
+columns to :func:`~oscbath.svgplot.line_plot` as arrays. The argument
+parser is built once, at import.
 
 The library reports log negativity and discord in nats; ``--log-base 2``
 converts them to bits at output, and ``--threshold`` is read in that unit.
@@ -31,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import OscbathError, SteadyStateUnavailable
-from .measures import full_report
+from .measures import _two_prod, full_report
 from .model import SystemParams, validate
 from .dynamics import check_step, steady_state
 from .svgplot import line_plot
@@ -54,14 +59,151 @@ _COLUMNS = (
 )
 
 
-# one CSV row: ten float columns, then the physical flag
-_ROW_TEMPLATE = ",".join(["%#.12g"] * 10 + ["%s"])
+# Whole-table CSV text. Each value gets a fixed-width slot of bytes, NUL
+# where its layout has no character: a row of a layout table, with digits
+# from small tables ORed or copied in, every row taken with np.take. The
+# slots of a table become text through one tobytes() and one translate()
+# that drops the NULs. Other temporaries hold one number per value.
+
+def _rows(strings, width):
+    """Byte strings as a (len, width) uint8 table, NUL-padded."""
+    return np.array(strings, dtype=f"S{width}").view(np.uint8).reshape(len(strings), width)
 
 
-def _fmt(value: float, hex_floats: bool) -> str:
-    # adding 0.0 turns -0.0 into 0.0 and leaves every other value as it is
-    v = float(value) + 0.0
-    return v.hex() if hex_floats else f"{v:#.12g}"
+_DIGITS = (np.arange(1000)[:, None] // np.array([100, 10, 1]) % 10
+           + ord("0")).astype(np.uint8)  # "000" ... "999"
+
+
+# %#.12g of a value with decimal exponent X in [-11, 12] has layout X + 11,
+# six 8-byte words. Word 0 holds the sign and, for fixed notation below 1,
+# the "0.000" prefix; words 1-4 the 12 digits in 3-digit chunks, each digit
+# followed by a slot for the point; word 5 the exponent "e+XX" and, in its
+# last byte, the separator.
+_DEC_WIDTH = 48
+_POW10 = 10.0 ** np.arange(23)  # exact up to 10**22
+
+
+def _dec_layout(x_exp):
+    slot = bytearray(_DEC_WIDTH)
+    if -4 <= x_exp < 0:
+        prefix = b"0." + b"0" * (-x_exp - 1)
+        slot[1:1 + len(prefix)] = prefix
+    else:
+        point = x_exp if 0 <= x_exp < 12 else 0  # the digit the point follows
+        slot[9 + 8 * (point // 3) + 2 * (point % 3)] = ord(".")
+        if point != x_exp:
+            slot[40:44] = b"e%+03d" % x_exp
+    slot[-1] = ord(",")
+    return bytes(slot)
+
+
+_DEC_LAYOUTS = _rows([_dec_layout(x_exp) for x_exp in range(-11, 13)], _DEC_WIDTH).view(np.uint64)
+_DEC_CHUNKS = np.zeros((1000, 8), np.uint8)  # "d.d.d." with NUL points
+_DEC_CHUNKS[:, 0:6:2] = _DIGITS
+_DEC_CHUNKS = _DEC_CHUNKS.view(np.uint64).ravel()
+_MINUS = _rows([b"-"], 8).view(np.uint64)[0, 0]
+
+# float.hex: bytes 0-4 hold the sign, "0x", the leading digit and the
+# point; bytes 5-17 the 13 hex digits of the 52-bit fraction (taken in
+# byte pairs after a shift left by 4, whose 0 lands in byte 18 and is
+# blanked; 0.0 keeps one digit); bytes 19-24 "p", the exponent's sign and
+# digits; byte 25 the separator.
+_HEX_WIDTH = 26
+_HEX_HEADS = _rows([b"0x0.", b"0x1.", b"-0x0.", b"-0x1."], 5)
+_HEX_PAIRS = np.frombuffer(b"0123456789abcdef", np.uint8)[
+    (np.arange(256)[:, None] >> np.array([4, 0])) & 15]
+_EXPONENT_DIGITS = np.zeros((1024, 4), np.uint8)  # "0" ... "1023"
+_EXPONENT_DIGITS[:1000, 1:] = _DIGITS
+_EXPONENT_DIGITS[1000:, 0] = ord("1")
+_EXPONENT_DIGITS[1000:, 1:] = _DIGITS[:24]
+_EXPONENT_DIGITS[:100, 1] = 0  # no leading zeros
+_EXPONENT_DIGITS[:10, 2] = 0
+
+_FLAG_SLOTS = _rows([b"false\n", b"true\n"], 6)
+
+
+def _dec_slots(x):
+    """%#.12g slots of x, and where they must fall back to ``%``.
+
+    For |x| in [1e-11, 1e12) the exponent X puts k = 11 - X in [0, 22], so
+    10**k is exact and TwoProd gives hi + lo = |x| * 10**k exactly. q, that
+    product rounded half to even, holds the 12 digits. Other values (0
+    aside) fall back.
+    """
+    a = np.abs(x)
+    fall = ~((a >= 1e-11) & (a < 1e12))
+    a_in = np.where(fall, 1.0, a)
+    # log10 can be one off only next to a power of ten (it reads 12.0 just
+    # below 1e12), where the 12 digits round to that power: q then reads
+    # 10**11, which is right, or 10**12, which the carry below handles
+    k = 11 - np.clip(np.floor(np.log10(a_in)), -11.0, 11.0).astype(np.intp)
+    hi, lo = _two_prod(a_in, _POW10[k])
+    # hi is the product rounded, so only a tie that hi sits on needs lo
+    q = np.rint(hi)
+    half = hi - q
+    q += (half == 0.5) & (lo > 0)
+    q -= (half == -0.5) & (lo < 0)
+    carry = q == 1e12
+    q[carry] = 1e11
+    q[a == 0] = 0.0  # k = 11, so 0.0 gets the layout of X = 0
+    words = np.take(_DEC_LAYOUTS, 22 - k + carry, axis=0)
+    words[:, 0] |= _MINUS * (x < 0)
+    above = 0.0
+    for c, scale in enumerate((1e9, 1e6, 1e3, 1.0), start=1):
+        # q < 2**40, so every quotient is floored exactly
+        upto = np.floor(q / scale)
+        words[:, c] |= np.take(_DEC_CHUNKS, (upto - 1000.0 * above).astype(np.intp))
+        above = upto
+    return words.view(np.uint8), fall & (a != 0)
+
+
+def _hex_slots(x):
+    """float.hex slots of x, and where they must fall back (inf and nan)."""
+    bits = x.view(np.uint64)
+    biased = (bits >> np.uint64(52)).astype(np.intp) & 0x7FF
+    fraction = bits & np.uint64((1 << 52) - 1)
+    fall = biased == 0x7FF
+    zero = (biased == 0) & (fraction == 0)
+    exponent = np.maximum(biased, 1) - 1023
+    exponent[zero | fall] = 0
+    slots = np.empty((len(x), _HEX_WIDTH), np.uint8)
+    slots[:, :5] = np.take(_HEX_HEADS, 2 * np.signbit(x) + (biased != 0), axis=0)
+    fraction = (fraction << np.uint64(4)).astype(">u8").view(np.uint8).reshape(-1, 8)
+    slots[:, 5:19] = np.take(_HEX_PAIRS, fraction[:, 1:], axis=0).reshape(-1, 14)
+    slots[:, 18] = 0  # the 0 shifted in
+    slots[zero, 6:18] = 0  # 0.0 has one digit
+    slots[:, 19] = ord("p")
+    slots[:, 20] = np.where(exponent < 0, ord("-"), ord("+"))
+    slots[:, 21:25] = np.take(_EXPONENT_DIGITS, np.abs(exponent), axis=0)
+    slots[:, 25] = ord(",")
+    return slots, fall
+
+
+def _csv_text(table, hex_floats, flags=None) -> str:
+    """CSV rows of a 2-D float table: each value as ``%#.12g`` of value + 0.0
+    (``float.hex`` with ``hex_floats``), then "true"/"false" from ``flags``
+    if given, and a newline.
+
+    The values the slot builders reject (non-finite, and for decimal |x|
+    outside [1e-11, 1e12)) are formatted one at a time by ``%`` or
+    ``float.hex`` and copied into their slots.
+    """
+    table = np.asarray(table, dtype=float)
+    # -0.0 prints as 0.0 (where, not + 0.0, which flags a signalling NaN)
+    x = np.where(table == 0, 0.0, table).ravel()
+    slots, fall = (_hex_slots if hex_floats else _dec_slots)(x)
+    if fall.any():
+        where = np.flatnonzero(fall)
+        fmt = float.hex if hex_floats else "%#.12g".__mod__
+        slots[where, :-1] = _rows([fmt(v).encode() for v in x[where].tolist()],
+                                  slots.shape[1] - 1)
+    slots = slots.reshape(len(table), -1)
+    if flags is None:
+        slots[:, -1] = ord("\n")
+    else:
+        flags = np.asarray(flags, dtype=bool).view(np.uint8)
+        slots = np.concatenate((slots, np.take(_FLAG_SLOTS, flags, axis=0)), axis=1)
+    return slots.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def _param_flags(parser: argparse.ArgumentParser) -> None:
@@ -170,7 +312,7 @@ def _meta_params(params: SystemParams) -> str:
     )
 
 
-def _trajectory_lines(traj, args, extra_meta: str = "") -> list[str]:
+def _trajectory_csv(traj, args, extra_meta: str = "") -> str:
     hex_floats = args.hex_floats
     dt = getattr(args, "dt", 1e-3)
     meta = (
@@ -182,21 +324,13 @@ def _trajectory_lines(traj, args, extra_meta: str = "") -> list[str]:
     )
     if extra_meta:
         meta += " " + extra_meta
-    lines = [meta, ",".join(_COLUMNS)]
     rep, data = traj.report, traj.data
     unit = _unit_factor(args)
-    # + 0.0 normalizes -0.0 for the whole table, as _fmt does per value
-    rows = (np.column_stack((
+    table = np.column_stack((
         traj.times, rep.purity, rep.log_negativity * unit, rep.discord * unit,
         data.nu_minus, data.nu_plus, data.i1, data.i2, data.i3, data.i4,
-    )) + 0.0).tolist()
-    flags = ["true" if p else "false" for p in rep.physical.tolist()]
-    if hex_floats:
-        lines.extend(",".join([*map(float.hex, row), flag])
-                     for row, flag in zip(rows, flags))
-    else:
-        lines.extend(_ROW_TEMPLATE % (*row, flag) for row, flag in zip(rows, flags))
-    return lines
+    ))
+    return f"{meta}\n{','.join(_COLUMNS)}\n" + _csv_text(table, hex_floats, rep.physical)
 
 
 def _write(texts: dict, where) -> int:
@@ -248,7 +382,7 @@ def _cmd_evolve(args) -> int:
     except OscbathError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return _write({args.out: "\n".join(_trajectory_lines(traj, args)) + "\n"}, args.out)
+    return _write({args.out: _trajectory_csv(traj, args)}, args.out)
 
 
 def _cmd_steady(args) -> int:
@@ -261,20 +395,20 @@ def _cmd_steady(args) -> int:
     report = full_report(s_inf)
     unit = _unit_factor(args)
     hexf = args.hex_floats
-    lines = [
+    measures = _csv_text([[report.purity], [report.log_negativity * unit],
+                          [report.discord * unit]], hexf).split()
+    text = (
         f"# oscbath steady {_meta_params(params)} log_base={args.log_base} "
-        f"float_format={'hex' if hexf else 'dec12'}",
-        "# steady-state covariance matrix, rows and columns (x1, p1, x2, p2)",
-    ]
-    for row in s_inf:
-        lines.append(",".join(_fmt(v, hexf) for v in row))
-    lines.append("# measures")
-    lines.append(f"purity,{_fmt(report.purity, hexf)}")
-    lines.append(f"log_negativity,{_fmt(report.log_negativity * unit, hexf)}")
-    lines.append(f"discord,{_fmt(report.discord * unit, hexf)}")
-    lines.append(f"zeta_branch,{report.zeta_branch or 'none'}")
-    lines.append(f"physical,{'true' if report.physical else 'false'}")
-    return _write({args.out: "\n".join(lines) + "\n"}, args.out)
+        f"float_format={'hex' if hexf else 'dec12'}\n"
+        "# steady-state covariance matrix, rows and columns (x1, p1, x2, p2)\n"
+        + _csv_text(s_inf, hexf)
+        + "# measures\n"
+        + "".join(f"{name},{value}\n" for name, value
+                  in zip(("purity", "log_negativity", "discord"), measures))
+        + f"zeta_branch,{report.zeta_branch or 'none'}\n"
+        f"physical,{'true' if report.physical else 'false'}\n"
+    )
+    return _write({args.out: text}, args.out)
 
 
 def _cmd_figure(args) -> int:
@@ -304,7 +438,7 @@ def _cmd_figure(args) -> int:
             f"figure={preset.figure} sweep={preset.sweep} "
             f"value={outcome.value!r} observable={preset.observable}"
         )
-        files[csv_path] = "\n".join(_trajectory_lines(traj, args, extra_meta=extra)) + "\n"
+        files[csv_path] = _trajectory_csv(traj, args, extra_meta=extra)
         curves.append((label, traj.times, getattr(traj.report, obs_col) * obs_unit))
         death = detect_sudden_death(traj, threshold=args.threshold / unit)
         if death.death_times:

@@ -81,6 +81,9 @@ def validate(params: SystemParams) -> ValidationResult:
         violations.append(f"omega must be finite and > 0 (got {p.omega})")
     if not 0.0 <= p.epsilon < 1.0:
         violations.append(f"epsilon must satisfy 0 <= epsilon < 1 (got {p.epsilon})")
+    nu_ok = math.isfinite(p.nu)
+    if not nu_ok:
+        violations.append(f"nu must be finite (got {p.nu})")
     if not (p.lambda_ >= 0 and math.isfinite(p.lambda_)):
         violations.append(f"lambda must be finite and >= 0 (got {p.lambda_})")
     if not (p.temperature >= 0 and math.isfinite(p.temperature)):
@@ -96,7 +99,7 @@ def validate(params: SystemParams) -> ValidationResult:
             violations.append(
                 f"omega1**2 and omega1*omega2 must be finite (got omega1 = {w1:.12g})"
             )
-        elif not abs(p.nu) <= bound:
+        elif nu_ok and not abs(p.nu) <= bound:
             violations.append(
                 f"|nu| <= omega1*omega2 violated (|{p.nu}| > {bound:.12g})"
             )

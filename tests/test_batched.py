@@ -37,7 +37,7 @@ from oscbath.measures import (
     _invariants_stack,
     _report_columns,
 )
-from oscbath.cli import _trajectory_lines
+from oscbath.cli import _trajectory_csv
 from helpers import FIG1A, random_physical_cov, random_symplectic
 
 
@@ -250,7 +250,7 @@ class TestColumnsMatchScalar:
         # the CLI's bits are the scalar route's nats times one factor, 1 / ln 2
         traj = evolve_trajectory(FIG1A, TimeGrid(0.0, 10.0, 101))
         args = argparse.Namespace(hex_floats=True, log_base="2", threshold=0.0, dt=1e-3)
-        rows = [line.split(",") for line in _trajectory_lines(traj, args)[2:]]
+        rows = [line.split(",") for line in _trajectory_csv(traj, args).splitlines()[2:]]
         factor = 1.0 / math.log(2.0)
         for row, sigma in zip(rows, traj.sigmas):
             report = report_from_data(invariants(sigma))

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oscbath
 
@@ -20,8 +21,8 @@ from oscbath import (
     log_negativity,
     purity,
 )
-from oscbath.cli import _COLUMNS, _trajectory_lines, main
-from oscbath.sweep import FIGURE_IDS, figure_preset
+from oscbath.cli import _COLUMNS, _csv_text, _trajectory_csv, main
+from oscbath.sweep import FIGURE_IDS, figure_preset, sweep_parameter
 from helpers import FIG1A, parse_csv
 
 
@@ -66,17 +67,15 @@ def _special_trajectory(seed=0):
                       data=data, report=report)
 
 
+def _per_value(v, hex_floats):
+    # the per-value formatter that the whole-table slots replaced
+    return (v + 0.0).hex() if hex_floats else f"{v + 0.0:#.12g}"
+
+
 def _per_value_rows(traj, hex_floats):
-    # the per-value formatter that the whole-column templates replaced
-    if hex_floats:
-        def fmt(v):
-            return (v + 0.0).hex()
-    else:
-        def fmt(v):
-            return f"{v + 0.0:#.12g}"
     rep, data = traj.report, traj.data
     columns = [
-        [fmt(v) for v in c.tolist()]
+        [_per_value(v, hex_floats) for v in c.tolist()]
         for c in (traj.times, rep.purity, rep.log_negativity, rep.discord,
                   data.nu_minus, data.nu_plus, data.i1, data.i2, data.i3, data.i4)
     ]
@@ -84,16 +83,78 @@ def _per_value_rows(traj, hex_floats):
     return [",".join(row) for row in zip(*columns)]
 
 
+def _args(hex_floats):
+    return argparse.Namespace(hex_floats=hex_floats, log_base="e", threshold=0.0, dt=1e-3)
+
+
 class TestTrajectoryLines:
     @pytest.mark.parametrize("hex_floats", [False, True])
     @pytest.mark.parametrize("seed", [0, 1])
     def test_rows_match_per_value_formatting(self, hex_floats, seed):
         traj = _special_trajectory(seed)
-        args = argparse.Namespace(hex_floats=hex_floats, log_base="e",
-                                  threshold=0.0, dt=1e-3)
-        lines = _trajectory_lines(traj, args)
+        lines = _trajectory_csv(traj, _args(hex_floats)).split("\n")
         assert lines[1] == ",".join(_COLUMNS)
-        assert lines[2:] == _per_value_rows(traj, hex_floats)
+        assert lines[2:] == [*_per_value_rows(traj, hex_floats), ""]
+
+    def test_every_preset_matches_per_value_formatting(self):
+        count = 0
+        for fid in FIGURE_IDS:
+            preset = figure_preset(fid)
+            for o in sweep_parameter(preset.params, preset.sweep, preset.values,
+                                     preset.grid):
+                for hex_floats in (False, True):
+                    lines = _trajectory_csv(o.trajectory, _args(hex_floats)).split("\n")
+                    assert lines[2:] == [*_per_value_rows(o.trajectory, hex_floats), ""]
+                count += 1
+        assert count == 60
+
+
+# Every float, then the ones the exact-digit path must get right: 12-digit
+# ties, whose product can land on a half with a nonzero low part, the
+# range [1e-12, 1e13] around the one it covers, and powers of ten and
+# their neighbours, where log10 can be one off.
+_TIE = st.builds(lambda m, e: (m + 0.5) * 10.0 ** -e,
+                 st.integers(10 ** 11, 10 ** 12 - 1), st.integers(0, 22))
+_COVERED = st.floats(min_value=1e-12, max_value=1e13)
+_POWER = st.integers(-13, 13).map(lambda e: 10.0 ** e)
+_NEAR_POWER = st.builds(math.nextafter, _POWER, st.sampled_from([0.0, math.inf]))
+
+
+class TestCsvText:
+    @settings(max_examples=1500, deadline=None, database=None, derandomize=True)
+    @given(st.one_of(st.floats(), _TIE, _COVERED, _POWER, _NEAR_POWER))
+    def test_every_float_matches_per_value_formatting(self, v):
+        assert _csv_text([[v]], False) == f"{v + 0.0:#.12g}\n"
+        assert _csv_text([[v]], True) == f"{(v + 0.0).hex()}\n"
+
+    @pytest.mark.parametrize("v,text", [
+        (123456789012.5, "123456789012."),  # tie to even
+        (123456789013.5, "123456789014."),
+        (999999999999.5, "1.00000000000e+12"),  # carry into the exponent
+        (1e12, "1.00000000000e+12"),
+        (math.nextafter(1e12, 0.0), "1.00000000000e+12"),
+        (9.99999999999995e-05, "0.000100000000000"),  # fixed/scientific boundary
+        (9.99999999999e-05, "9.99999999999e-05"),
+        (1e-4, "0.000100000000000"),
+        (1e-11, "1.00000000000e-11"),  # boundary of the exact-digit range
+        (9.999999999995e-12, "1.00000000000e-11"),
+        (-0.0, "0.00000000000"),
+        (5e-324, "4.94065645841e-324"),
+        (1.7976931348623157e308, "1.79769313486e+308"),
+    ])
+    def test_pinned_values(self, v, text):
+        assert _csv_text([[v]], False) == text + "\n"
+        assert _csv_text([[-v]], False) == ("-" if v else "") + text + "\n"
+        assert _csv_text([[v]], True) == (v + 0.0).hex() + "\n"
+
+    @pytest.mark.parametrize("hex_floats", [False, True])
+    def test_rows_mixing_exact_digits_and_fallback(self, hex_floats):
+        row = [1.5, math.nan, 1e-300, -2.5e-5, -math.inf, 1e15, 0.0, -0.0, 5e-324, 123.456]
+        table = [row, row[::-1]]
+        want = "".join(",".join([*(_per_value(v, hex_floats) for v in r), flag]) + "\n"
+                       for r, flag in zip(table, ("true", "false")))
+        assert _csv_text(table, hex_floats, np.array([True, False])) == want
+        assert _csv_text(table, hex_floats) == want.replace(",true", "").replace(",false", "")
 
 
 class TestValidateCommand:
@@ -105,6 +166,11 @@ class TestValidateCommand:
         code = main(["validate", "--nu", "1.5", "--omega", "1", "--epsilon", "0"])
         assert code == 1
         assert "omega1*omega2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("nu", ["nan", "inf"])
+    def test_non_finite_nu(self, nu, capsys):
+        assert main(["validate", "--nu", nu]) == 1
+        assert capsys.readouterr().err == f"nu must be finite (got {nu})\n"
 
     def test_epsilon_violation(self):
         assert main(["validate", "--epsilon", "1"]) == 1
@@ -313,6 +379,23 @@ class TestSteadyCommand:
         out = capsys.readouterr().out
         assert "1.01356730981" in out
         assert "purity,0.973407773317" in out
+
+    @pytest.mark.parametrize("hex_floats", [False, True])
+    def test_values_match_per_value_formatting(self, hex_floats, capsys):
+        flags = ["--log-base", "2"] + (["--hex-floats"] if hex_floats else [])
+        assert main(["steady", *FIG1A_FLAGS, *flags]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        s_inf = oscbath.steady_state(FIG1A)
+        report = oscbath.full_report(s_inf)
+        bits = 1.0 / math.log(2.0)
+        assert lines[2:6] == [",".join(_per_value(v, hex_floats) for v in row)
+                              for row in s_inf.tolist()]
+        assert lines[6:10] == [
+            "# measures",
+            f"purity,{_per_value(report.purity, hex_floats)}",
+            f"log_negativity,{_per_value(report.log_negativity * bits, hex_floats)}",
+            f"discord,{_per_value(report.discord * bits, hex_floats)}",
+        ]
 
     def test_marginal_coupling_exits_1(self, capsys):
         assert main(["steady", "--nu", "1.0", "--omega", "1",

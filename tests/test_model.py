@@ -57,6 +57,12 @@ class TestValidate:
         assert not validate(params(omega=float("nan"))).ok
         assert not validate(params(nu=float("nan"))).ok
 
+    @pytest.mark.parametrize("nu", [math.nan, math.inf, -math.inf])
+    def test_non_finite_nu_named_as_such(self, nu):
+        result = validate(params(nu=nu))
+        assert result.violations == (f"nu must be finite (got {nu})",)
+        assert result.warnings == ()
+
     @pytest.mark.parametrize("omega,epsilon", [(1e200, 0.0), (1.5e154, 0.0), (1e154, 0.9)])
     def test_overflowing_frequencies_rejected(self, omega, epsilon):
         result = validate(params(omega=omega, epsilon=epsilon, nu=0.0))
