@@ -11,18 +11,19 @@ Every command formats its floats a whole table at a time (``_csv_text``),
 byte for byte the same as ``%#.12g`` (or ``float.hex``) of each value plus
 0.0. Decimal digits are exact: for |x| in [1e-11, 1e12), x * 10**k with
 10**k exact is split into hi + lo by TwoProd, and rounding hi half to even,
-with lo deciding a tie that hi sits on, gives the 12 digits. Hex digits
-come from the float's bits. Each value's text is a fixed-width slot of
-bytes gathered from small tables; the slots become text by dropping NUL
-bytes. Values outside that range and non-finite values fall back to ``%``
-or ``float.hex``, one at a time. ``figure`` hands the time and observable
+with lo deciding a tie that hi sits on, gives the 12 digits. Each value's
+text is a fixed-width slot of bytes gathered from small tables; the slots
+become text by dropping NUL bytes. Decimal values outside that range and
+non-finite values fall back to ``%``, and every hex float is ``float.hex``
+of its value, one at a time. ``figure`` hands the time and observable
 columns to :func:`~oscbath.svgplot.line_plot` as arrays. The argument
 parser is built once, at import.
 
 The library reports log negativity and discord in nats; ``--log-base 2``
 converts them to bits at output, and ``--threshold`` is read in that unit.
 
-Exit codes: 0 success, 1 domain error or unwritable output, 2 usage error.
+Exit codes: 0 success, 1 domain error, unwritable output or too little
+memory for the grid, 2 usage error.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -60,18 +62,14 @@ _COLUMNS = (
 
 
 # Whole-table CSV text. Each value gets a fixed-width slot of bytes, NUL
-# where its layout has no character: a row of a layout table, with digits
-# from small tables ORed or copied in, every row taken with np.take. The
+# where its layout has no character: a row of a layout table, with digit
+# chunks from a small table ORed in, every row taken with np.take. The
 # slots of a table become text through one tobytes() and one translate()
 # that drops the NULs. Other temporaries hold one number per value.
 
 def _rows(strings, width):
     """Byte strings as a (len, width) uint8 table, NUL-padded."""
     return np.array(strings, dtype=f"S{width}").view(np.uint8).reshape(len(strings), width)
-
-
-_DIGITS = (np.arange(1000)[:, None] // np.array([100, 10, 1]) % 10
-           + ord("0")).astype(np.uint8)  # "000" ... "999"
 
 
 # %#.12g of a value with decimal exponent X in [-11, 12] has layout X + 11,
@@ -99,25 +97,9 @@ def _dec_layout(x_exp):
 
 _DEC_LAYOUTS = _rows([_dec_layout(x_exp) for x_exp in range(-11, 13)], _DEC_WIDTH).view(np.uint64)
 _DEC_CHUNKS = np.zeros((1000, 8), np.uint8)  # "d.d.d." with NUL points
-_DEC_CHUNKS[:, 0:6:2] = _DIGITS
+_DEC_CHUNKS[:, 0:6:2] = np.arange(1000)[:, None] // np.array([100, 10, 1]) % 10 + ord("0")
 _DEC_CHUNKS = _DEC_CHUNKS.view(np.uint64).ravel()
 _MINUS = _rows([b"-"], 8).view(np.uint64)[0, 0]
-
-# float.hex: bytes 0-4 hold the sign, "0x", the leading digit and the
-# point; bytes 5-17 the 13 hex digits of the 52-bit fraction (taken in
-# byte pairs after a shift left by 4, whose 0 lands in byte 18 and is
-# blanked; 0.0 keeps one digit); bytes 19-24 "p", the exponent's sign and
-# digits; byte 25 the separator.
-_HEX_WIDTH = 26
-_HEX_HEADS = _rows([b"0x0.", b"0x1.", b"-0x0.", b"-0x1."], 5)
-_HEX_PAIRS = np.frombuffer(b"0123456789abcdef", np.uint8)[
-    (np.arange(256)[:, None] >> np.array([4, 0])) & 15]
-_EXPONENT_DIGITS = np.zeros((1024, 4), np.uint8)  # "0" ... "1023"
-_EXPONENT_DIGITS[:1000, 1:] = _DIGITS
-_EXPONENT_DIGITS[1000:, 0] = ord("1")
-_EXPONENT_DIGITS[1000:, 1:] = _DIGITS[:24]
-_EXPONENT_DIGITS[:100, 1] = 0  # no leading zeros
-_EXPONENT_DIGITS[:10, 2] = 0
 
 _FLAG_SLOTS = _rows([b"false\n", b"true\n"], 6)
 
@@ -157,41 +139,23 @@ def _dec_slots(x):
     return words.view(np.uint8), fall & (a != 0)
 
 
-def _hex_slots(x):
-    """float.hex slots of x, and where they must fall back (inf and nan)."""
-    bits = x.view(np.uint64)
-    biased = (bits >> np.uint64(52)).astype(np.intp) & 0x7FF
-    fraction = bits & np.uint64((1 << 52) - 1)
-    fall = biased == 0x7FF
-    zero = (biased == 0) & (fraction == 0)
-    exponent = np.maximum(biased, 1) - 1023
-    exponent[zero | fall] = 0
-    slots = np.empty((len(x), _HEX_WIDTH), np.uint8)
-    slots[:, :5] = np.take(_HEX_HEADS, 2 * np.signbit(x) + (biased != 0), axis=0)
-    fraction = (fraction << np.uint64(4)).astype(">u8").view(np.uint8).reshape(-1, 8)
-    slots[:, 5:19] = np.take(_HEX_PAIRS, fraction[:, 1:], axis=0).reshape(-1, 14)
-    slots[:, 18] = 0  # the 0 shifted in
-    slots[zero, 6:18] = 0  # 0.0 has one digit
-    slots[:, 19] = ord("p")
-    slots[:, 20] = np.where(exponent < 0, ord("-"), ord("+"))
-    slots[:, 21:25] = np.take(_EXPONENT_DIGITS, np.abs(exponent), axis=0)
-    slots[:, 25] = ord(",")
-    return slots, fall
-
-
 def _csv_text(table, hex_floats, flags=None) -> str:
     """CSV rows of a 2-D float table: each value as ``%#.12g`` of value + 0.0
     (``float.hex`` with ``hex_floats``), then "true"/"false" from ``flags``
     if given, and a newline.
 
-    The values the slot builders reject (non-finite, and for decimal |x|
-    outside [1e-11, 1e12)) are formatted one at a time by ``%`` or
-    ``float.hex`` and copied into their slots.
+    Decimal values come from the exact-digit slots; the ones those reject
+    (non-finite, and |x| outside [1e-11, 1e12)) and every hex value are
+    formatted one at a time by ``%`` or ``float.hex`` and copied into their
+    slots.
     """
     table = np.asarray(table, dtype=float)
     # -0.0 prints as 0.0 (where, not + 0.0, which flags a signalling NaN)
     x = np.where(table == 0, 0.0, table).ravel()
-    slots, fall = (_hex_slots if hex_floats else _dec_slots)(x)
+    if hex_floats:  # 24 bytes hold the longest float.hex, then the separator
+        slots, fall = np.full((len(x), 25), ord(","), np.uint8), np.ones(len(x), bool)
+    else:
+        slots, fall = _dec_slots(x)
     if fall.any():
         where = np.flatnonzero(fall)
         fmt = float.hex if hex_floats else "%#.12g".__mod__
@@ -382,6 +346,9 @@ def _cmd_evolve(args) -> int:
     except OscbathError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        print(f"error: not enough memory for {grid.n_points} time points", file=sys.stderr)
+        return 1
     return _write({args.out: _trajectory_csv(traj, args)}, args.out)
 
 
@@ -471,7 +438,15 @@ def _cmd_figure(args) -> int:
 _PARSER = build_parser()
 
 
+# A negative value that argparse would take for an option ("-1e-3", "-inf")
+_NEGATIVE = re.compile(r"-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf(inity)?|nan)", re.I)
+
+
 def main(argv=None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in reversed(range(1, len(argv))):  # joined to its option as "--opt=value"
+        if _NEGATIVE.fullmatch(argv[i]) and re.fullmatch(r"--[\w-]+", argv[i - 1]):
+            argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     args = _PARSER.parse_args(argv)
     handlers = {
         "validate": _cmd_validate,

@@ -96,22 +96,6 @@ class SymplecticData:
     nu_plus: float
     nu_tilde_minus: float
 
-    @classmethod
-    def from_invariants(
-        cls, i1: float, i2: float, i3: float, i4: float
-    ) -> "SymplecticData":
-        """Rebuild the spectrum from the four determinants alone.
-
-        Used to recompute measures from logged diagnostics; works in plain
-        float arithmetic, so it is less accurate than :func:`invariants`
-        near degenerate (pure-state) spectra.
-        """
-        delta = i1 + i2 + 2.0 * i3
-        delta_tilde = i1 + i2 - 2.0 * i3
-        rad = delta * delta - 4.0 * i4
-        rad_tilde = delta_tilde * delta_tilde - 4.0 * i4
-        return _assemble(i1, i2, i3, i4, delta, delta_tilde, rad, rad_tilde)
-
 
 @dataclass(frozen=True)
 class CorrelationReport:

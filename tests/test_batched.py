@@ -289,18 +289,35 @@ class TestErrorsMatchScalar:
                                     [-1.0, 6.0, 6.0, 3.0],
                                     [0.0, 0.0, 3.0, 4.0]])
 
+    # non-physical matrices caught by the state discriminant, the partial-
+    # transpose discriminant and the squared partial-transpose eigenvalue
+    STATE_DISCRIMINANT = np.array([[4.0, 0.0, -2.0, -2.0], [0.0, -6.0, -1.0, -2.0],
+                                   [-2.0, -1.0, 2.0, 6.0], [-2.0, -2.0, 6.0, 4.0]])
+    PT_DISCRIMINANT = np.array([[0.0, 1.0, 1.0, 5.0], [1.0, 0.0, -2.0, 1.0],
+                                [1.0, -2.0, 6.0, -3.0], [5.0, 1.0, -3.0, 2.0]])
+    PT_EIGENVALUE = np.array([[0.0, 3.0, 4.0, 2.0], [3.0, 0.0, -3.0, 3.0],
+                              [4.0, -3.0, 0.0, 1.0], [2.0, 3.0, 1.0, 4.0]])
+
     def stack(self, bad_rows):
         sigmas = evolve_stack("closed")[:20].copy()
         for k, sigma in bad_rows.items():
             sigmas[k] = sigma
         return sigmas
 
-    @pytest.mark.parametrize("bad", ["INDEFINITE", "INCONSISTENT"])
+    REASONS = {
+        "INDEFINITE": "negative squared state symplectic eigenvalue (-1)",
+        "INCONSISTENT": "contradicts",
+        "STATE_DISCRIMINANT": "state discriminant negative beyond tolerance (-16)",
+        "PT_DISCRIMINANT": "partial-transpose discriminant negative beyond tolerance (-64)",
+        "PT_EIGENVALUE": "negative squared partial-transpose symplectic eigenvalue",
+    }
+
+    @pytest.mark.parametrize("bad", list(REASONS))
     def test_lowest_bad_row_raises_its_scalar_error(self, bad):
         sigma = getattr(self, bad)
         kind, message = scalar_error(sigma)
         assert kind is NonPhysicalInput
-        assert ("contradicts" in message) == (bad == "INCONSISTENT")
+        assert self.REASONS[bad] in message
         other = self.INCONSISTENT if bad == "INDEFINITE" else self.INDEFINITE
         sigmas = self.stack({7: sigma, 12: other})
         with pytest.raises(kind) as info:

@@ -62,8 +62,11 @@ class TestInvariants:
             invariants(np.diag([1.0, -1.0, 1.0, 1.0]))
 
     def test_negative_discriminant_rejected(self):
-        with pytest.raises(NonPhysicalInput):
-            SymplecticData.from_invariants(1.0, 1.0, 0.0, 10.0)
+        sigma = np.array([[4.0, 0.0, -2.0, -2.0], [0.0, -6.0, -1.0, -2.0],
+                          [-2.0, -1.0, 2.0, 6.0], [-2.0, -2.0, 6.0, 4.0]])
+        with pytest.raises(NonPhysicalInput,
+                           match=r"^state discriminant negative beyond tolerance \(-16\)$"):
+            invariants(sigma)
 
     def test_asymmetric_input_rejected(self):
         bad = np.eye(4)
@@ -79,17 +82,6 @@ class TestInvariants:
         bad[2, 2] = math.nan
         with pytest.raises(ValueError):
             invariants(bad)
-
-    def test_from_invariants_matches_direct(self):
-        sigma = 1.7 * np.eye(4)
-        direct = invariants(sigma)
-        rebuilt = SymplecticData.from_invariants(
-            direct.i1, direct.i2, direct.i3, direct.i4
-        )
-        assert rebuilt.nu_minus == pytest.approx(direct.nu_minus, rel=1e-12)
-        assert rebuilt.nu_tilde_minus == pytest.approx(
-            direct.nu_tilde_minus, rel=1e-12
-        )
 
 
 class TestPhysicalityAndPurity:
