@@ -356,10 +356,10 @@ def _cmd_steady(args) -> int:
     params = _params(args)
     try:
         s_inf = steady_state(params)
+        report = full_report(s_inf)
     except OscbathError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    report = full_report(s_inf)
     unit = _unit_factor(args)
     hexf = args.hex_floats
     measures = _csv_text([[report.purity], [report.log_negativity * unit],

@@ -56,8 +56,10 @@ def thermal_coth(omega_i: float, temperature: float) -> float:
     """Thermal occupation factor coth(omega_i / (2*T)) = 2*nbar + 1.
 
     Returns exactly 1.0 at T = 0 (and whenever the argument is large enough
-    to underflow); computed as 1 + 2/(e^{omega/T} - 1), which is
-    overflow-free and accurate for small arguments as well.
+    to underflow); computed as 1 + 2/(e^{omega/T} - 1), which is accurate
+    for small arguments as well. About 2T/omega_i for T >> omega_i, so it
+    overflows only where omega_i/T is below about 1.1e-308; there it raises
+    :class:`OutOfRange`.
     """
     if not omega_i > 0:
         raise ValueError(f"omega_i must be > 0 (got {omega_i})")
@@ -68,7 +70,13 @@ def thermal_coth(omega_i: float, temperature: float) -> float:
     x = omega_i / temperature
     if x > 700.0:
         return 1.0
-    return 1.0 + 2.0 / math.expm1(x)
+    coth = 1.0 + 2.0 / math.expm1(x) if x > 0.0 else math.inf
+    if coth == math.inf:
+        raise OutOfRange(
+            f"coth(omega_i / 2T) is beyond the float range "
+            f"(omega_i = {omega_i:g}, T = {temperature:g})"
+        )
+    return coth
 
 
 def build_drift(params: SystemParams) -> np.ndarray:
@@ -84,9 +92,15 @@ def build_drift(params: SystemParams) -> np.ndarray:
 
 
 def _drift(params: SystemParams) -> np.ndarray:
-    """:func:`build_drift` without validation, for callers that validated."""
+    """:func:`build_drift` without validation, for callers that validated.
+
+    Raises :class:`OutOfRange` where 2*lambda, the diagonal of the Kronecker
+    sum that both the steady state and RK4 build from M, overflows.
+    """
     w1, w2 = mode_frequencies(params)
     lam = params.lambda_
+    if 2.0 * lam == math.inf:
+        raise OutOfRange(f"2*lambda is beyond the float range (lambda = {lam!r})")
     nu = params.nu
     return np.array(
         [
@@ -215,7 +229,9 @@ def steady_state(params: SystemParams) -> np.ndarray:
 
     Raises :class:`SteadyStateUnavailable` for marginal parameter sets
     (lambda = 0 or |nu| = omega1*omega2) and whenever the linear system is
-    singular or too ill-conditioned to meet the residual bound.
+    singular or too ill-conditioned to meet the residual bound. Raises
+    :class:`OutOfRange` when D, the solution or the residual leaves the
+    float range (a residual or bound that is not finite, NaN included).
     """
     require_valid(params)
     if not steady_state_available(params):
@@ -235,10 +251,16 @@ def steady_state(params: SystemParams) -> np.ndarray:
     s = 0.5 * (s + s.T)
     residual = np.abs(m @ s + s @ m.T + 2.0 * d).max()
     bound = _RESIDUAL_TOL * max(1.0, 2.0 * np.abs(d).max())
-    if residual > bound:
-        raise SteadyStateUnavailable(
-            f"steady-state residual {residual:g} exceeds {bound:g} "
-            "(system near-singular)"
+    # NaN fails every comparison, so the test is written to fail on it
+    if not residual <= bound < math.inf:
+        if bound < residual < math.inf:
+            raise SteadyStateUnavailable(
+                f"steady-state residual {residual:g} exceeds {bound:g} "
+                "(system near-singular)"
+            )
+        raise OutOfRange(
+            f"steady state left the float range (residual {residual:g}, "
+            f"bound {bound:g})"
         )
     return s
 
@@ -322,6 +344,11 @@ def _propagator(params: SystemParams, t: float | np.ndarray) -> np.ndarray:
     hi_sq = 0.5 * (w1_sq + w2_sq) + math.hypot(half_gap, nu)
     b = coupling_bound(params)
     w_lo = math.sqrt((b - abs(nu)) * (b + abs(nu)) / hi_sq)
+    if w_lo == 0.0:  # |nu| < b, so the exact W-^2 is positive
+        raise OutOfRange(
+            f"the lower normal-mode frequency squared W-^2 = det V / W+^2 "
+            f"underflows to 0 (omega1*omega2 = {b:g}, nu = {nu:g})"
+        )
     w_hi = math.sqrt(hi_sq)
     t = np.asarray(t, dtype=float)
     times = t.reshape(-1)  # (1,) for a scalar; the time axis is last below

@@ -229,33 +229,60 @@ _ENTRY_MIN = 2.0 ** -200
 _ENTRY_MAX = 2.0 ** 200
 
 
+# The kernels below run each operation of the textbook expressions in the
+# same order, but write their later steps in place into the temporaries they
+# made, never into an input; a product written as b *= a is exact, because
+# float multiplication commutes.
+
 def _two_sum(a, b):
+    """s + e = a + b exactly, s = fl(a + b)."""
     s = a + b
     bb = s - a
-    return s, (a - (s - bb)) + (b - bb)
+    e = s - bb
+    np.subtract(a, e, out=e)  # a - (s - bb)
+    np.subtract(b, bb, out=bb)  # b - bb
+    e += bb
+    return s, e
 
 
 def _split(a):
+    """hi + lo = a exactly, each half with at most 26 significant bits."""
     c = _SPLIT * a
-    hi = c - (c - a)
-    return hi, a - hi
+    hi = c - a
+    np.subtract(c, hi, out=hi)  # c - (c - a)
+    np.subtract(a, hi, out=c)  # a - hi
+    return hi, c
 
 
 def _two_prod(a, b):
+    """p + e = a * b exactly, p = fl(a * b)."""
     p = a * b
     ah, al = _split(a)
     bh, bl = _split(b)
-    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+    # e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
+    e = ah * bh
+    e -= p
+    ah *= bl
+    e += ah
+    bh *= al
+    e += bh
+    al *= bl
+    e += al
+    return p, e
 
 
 def _dd_add(x, y):
     s, t = _two_sum(x[0], y[0])
-    return _two_sum(s, t + (x[1] + y[1]))
+    t += x[1] + y[1]
+    return _two_sum(s, t)
 
 
 def _dd_mul(x, y):
     p, q = _two_prod(x[0], y[0])
-    return _two_sum(p, q + (x[0] * y[1] + x[1] * y[0]))
+    cross = x[0] * y[1]
+    cross += x[1] * y[0]
+    q += cross
+    return _two_sum(p, q)
 
 
 def _dd_scale(x, factor):
@@ -263,49 +290,90 @@ def _dd_scale(x, factor):
     return factor * x[0], factor * x[1]
 
 
-def _round_test(x, mag):
-    """Correctly rounded value of x (within _DD_ERROR * mag of exact) and
-    whether it is proven: both ends of the error interval round alike.
+def _round_test(x, mag, value, proven):
+    """Write to ``value`` the correctly rounded value of x (within
+    _DD_ERROR * mag of exact) and to ``proven`` whether it is proven: both
+    ends of the error interval round alike.
 
     e is widened so that the rounding of lo -+ e cannot narrow the
     interval; adding 0.0 turns a -0.0 into the 0.0 the exact path returns.
     """
     hi, lo = x
     e = _DD_ERROR * mag
-    e = e + (np.abs(lo) + e) * 2.0 ** -50
-    low = hi + (lo - e)
-    return low + 0.0, low == hi + (lo + e)
+    t = np.abs(lo)
+    t += e
+    t *= 2.0 ** -50
+    e += t  # e + (|lo| + e) * 2**-50
+    np.subtract(lo, e, out=t)
+    t += hi  # low = hi + (lo - e)
+    np.add(t, 0.0, out=value)
+    e += lo
+    e += hi  # hi + (lo + e)
+    np.equal(t, e, out=proven)
 
 
-# Entries a, b, c, d of the twelve 2x2 minors a*b - c*d in the Laplace
-# expansion: columns 0-5 are rows (0,1) with columns (c0,c1) of each
-# _MINOR_COLS pair, columns 6-11 rows (2,3) with its (c2,c3). Column 0 is
-# I1, column 5 is I3 and column 6 is I2.
-_MINOR_ENTRIES = tuple(
-    ([r0] * 6 + [r1] * 6, [cols[i] for cols in _MINOR_COLS] + [cols[j] for cols in _MINOR_COLS])
-    for r0, r1, i, j in ((0, 2, 0, 2), (1, 3, 1, 3), (0, 2, 1, 3), (1, 3, 0, 2))
+# Rows (r0, r1) and columns (left, right) of the six 2x2 minors
+# m[r0][left] * m[r1][right] - m[r0][right] * m[r1][left] in each half of
+# the Laplace expansion: rows (0,1) take the column pair (c0,c1) of each
+# _MINOR_COLS entry, rows (2,3) its (c2,c3). Column 0 of the first half is
+# I1 and column 5 is I3; column 0 of the second half is I2.
+_MINOR_HALVES = tuple(
+    (r0, r1, [cols[r0] for cols in _MINOR_COLS], [cols[r1] for cols in _MINOR_COLS])
+    for r0, r1 in ((0, 1), (2, 3))
 )
+_MINOR_SIGN_ROW = np.array(_MINOR_SIGNS, float)
+
+
+def _dd_product(x, y):
+    """x * y as a double-double, and its magnitude |x| * |y|."""
+    mag = np.abs(x)
+    mag *= np.abs(y)
+    return _two_prod(x, y), mag
+
+
+def _dd_minors(sigmas, r0, r1, left, right):
+    """(N, 6) minors of one half of the Laplace expansion as a double-double,
+    and their magnitudes. Each operand pair is gathered just before its
+    product and released after it."""
+    plus, mag = _dd_product(sigmas[:, r0, left], sigmas[:, r1, right])
+    minus, mag_minus = _dd_product(sigmas[:, r0, right], sigmas[:, r1, left])
+    mag += mag_minus
+    for part in minus:
+        part *= -1.0
+    return _dd_add(plus, minus), mag
+
+
+def _dd_determinants(sigmas):
+    """((I1, A1), (I2, A2), (I3, A3), (I4, A4)): the four block determinants
+    of a stack as double-doubles of (N,) arrays, each with its magnitude.
+    None of them is a view of the minors, which are released on return."""
+    (top, mag_top), (bottom, mag_bottom) = (_dd_minors(sigmas, *half) for half in _MINOR_HALVES)
+    i123 = [((x[0][:, k].copy(), x[1][:, k].copy()), mag[:, k].copy())
+            for x, mag, k in ((top, mag_top, 0), (bottom, mag_bottom, 0), (top, mag_top, 5))]
+    for part in top:
+        part *= _MINOR_SIGN_ROW
+    terms = _dd_mul(top, bottom)
+    i4 = terms[0][:, 0], terms[1][:, 0]
+    for k in range(1, 6):
+        i4 = _dd_add(i4, (terms[0][:, k], terms[1][:, k]))
+    mag_top *= mag_bottom
+    return (*i123, (i4, mag_top.sum(axis=1)))
 
 
 def _dd_block_invariants(sigmas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(N, 8) invariants of a finite (N, 4, 4) stack, as from
     :func:`_exact_block_invariants`, and an (N, 8) mask of the values the
     round test proves equal to it. Rows with an entry outside the safe
-    range are never accepted."""
+    range are never accepted.
+
+    Every row depends on its own matrix alone, so a stack of several
+    trajectories gives each the rows its own call would. The twelve minors
+    are built as two halves of six, rows (0,1) and rows (2,3), and released
+    before the round tests, which write into the two (N, 8) results.
+    """
+    values, accepted = np.empty((len(sigmas), 8)), np.empty((len(sigmas), 8), bool)
     with np.errstate(all="ignore"):  # rows out of range may overflow
-        a, b, c, d = (sigmas[:, rows, cols] for rows, cols in _MINOR_ENTRIES)
-        minors = _dd_add(_two_prod(a, b), _dd_scale(_two_prod(c, d), -1.0))
-        mag = np.abs(a) * np.abs(b) + np.abs(c) * np.abs(d)
-        i1, i2, i3 = ((minors[0][:, k], minors[1][:, k]) for k in (0, 6, 5))
-        a1, a2, a3 = mag[:, 0], mag[:, 6], mag[:, 5]
-
-        top = _dd_scale((minors[0][:, :6], minors[1][:, :6]), np.array(_MINOR_SIGNS, float))
-        terms = _dd_mul(top, (minors[0][:, 6:], minors[1][:, 6:]))
-        i4 = terms[0][:, 0], terms[1][:, 0]
-        for k in range(1, 6):
-            i4 = _dd_add(i4, (terms[0][:, k], terms[1][:, k]))
-        a4 = (mag[:, :6] * mag[:, 6:]).sum(axis=1)
-
+        (i1, a1), (i2, a2), (i3, a3), (i4, a4) = _dd_determinants(sigmas)
         i12 = _dd_add(i1, i2)
         delta = _dd_add(i12, _dd_scale(i3, 2.0))
         delta_tilde = _dd_add(i12, _dd_scale(i3, -2.0))
@@ -315,14 +383,14 @@ def _dd_block_invariants(sigmas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         rad_tilde = _dd_add(_dd_mul(delta_tilde, delta_tilde), minus_4i4)
         a_rad = a_delta * a_delta + 4.0 * a4
 
-        tested = [_round_test(x, m) for x, m in (
-            (i1, a1), (i2, a2), (i3, a3), (i4, a4), (delta, a_delta),
-            (delta_tilde, a_delta), (rad, a_rad), (rad_tilde, a_rad))]
+        for k, (x, mag) in enumerate((
+                (i1, a1), (i2, a2), (i3, a3), (i4, a4), (delta, a_delta),
+                (delta_tilde, a_delta), (rad, a_rad), (rad_tilde, a_rad))):
+            _round_test(x, mag, values[:, k], accepted[:, k])
         absolute = np.abs(sigmas)
         in_range = ((absolute == 0.0)
                     | ((absolute >= _ENTRY_MIN) & (absolute <= _ENTRY_MAX))).all(axis=(1, 2))
-    values = np.stack([v for v, _ in tested], axis=1)
-    accepted = np.stack([ok for _, ok in tested], axis=1) & in_range[:, None]
+    accepted &= in_range[:, None]
     return values, accepted
 
 

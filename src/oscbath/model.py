@@ -167,7 +167,9 @@ def initial_squeezed_vacuum(r: float) -> np.ndarray:
     try:
         ch, sh = math.cosh(2.0 * r), math.sinh(2.0 * r)
     except OverflowError:
-        raise OutOfRange(f"squeezing r = {r} puts cosh(2r) beyond the float range") from None
+        ch = math.inf
+    if ch == math.inf:  # 2r itself may be inf, which cosh takes without error
+        raise OutOfRange(f"squeezing r = {r} puts cosh(2r) beyond the float range")
     return np.array(
         [
             [ch, 0.0, sh, 0.0],

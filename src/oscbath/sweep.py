@@ -5,8 +5,9 @@ parameter set, evolves the covariance matrix over a uniform time grid
 (closed form when a steady state exists, RK4 stepping otherwise) and
 computes the full correlation report, in nats, at every grid point in one
 batched pass. Sweeps rerun the same grid while one parameter steps through a
-list of values; sudden-death scans locate the grid intervals where the
-logarithmic negativity hits zero and where it revives.
+list of values, and measure the rows of all values in one batched pass;
+sudden-death scans locate the grid intervals where the logarithmic
+negativity hits zero and where it revives.
 
 Trajectories within a sweep are independent and may be computed
 concurrently; results are assembled in input order and all outputs are
@@ -196,8 +197,17 @@ def evolve_trajectory(
     them correctly rounded, one exact integer pass over all other rows, then
     the measures as arrays. Every row equals :func:`invariants` and
     :func:`report_from_data` of its matrix bit for bit, and a row that makes
-    them raise raises the same error here (the lowest such row first).
+    them raise raises the same error here (the lowest such row first). The
+    call is validation and propagation, then that pass; :func:`sweep_parameter`
+    runs the same two steps, with one pass for all of its values.
     """
+    return _measured(*_propagated(params, grid, integrator, dt))
+
+
+def _propagated(params, grid, integrator, dt):
+    """Validation and propagation, the first step of :func:`evolve_trajectory`:
+    (params, grid, integrator, times, sigmas), the first five fields of its
+    :class:`Trajectory`, with "auto" resolved."""
     check_step(dt)
     require_valid(params)
     if integrator == "auto":
@@ -212,17 +222,20 @@ def evolve_trajectory(
         sigmas = propagate(sigma0, params, times)
     else:
         sigmas = _rk4_grid(sigma0, params, times, dt)
+    return params, grid, integrator, times, sigmas
 
-    data, report = _report_columns(_invariants_stack(sigmas))
-    return Trajectory(
-        params=params,
-        grid=grid,
-        integrator=integrator,
-        times=times,
-        sigmas=sigmas,
-        data=data,
-        report=report,
-    )
+
+def _measured(params, grid, integrator, times, sigmas) -> Trajectory:
+    """The measures, the second step of :func:`evolve_trajectory`."""
+    return Trajectory(params, grid, integrator, times, sigmas,
+                      *_report_columns(_invariants_stack(sigmas)))
+
+
+def _row_slices(columns, rows: slice):
+    """The column dataclass ``columns`` with each field cut to ``rows``, as views."""
+    return dataclasses.replace(columns, **{
+        f.name: getattr(columns, f.name)[rows] for f in dataclasses.fields(columns)
+    })
 
 
 _PARAM_NAMES = tuple(f.name for f in dataclasses.fields(SystemParams))
@@ -239,26 +252,49 @@ def sweep_parameter(
     """One trajectory per value of parameter ``which``, in input order.
 
     Values that produce an invalid parameter set (or fail during evolution)
-    are reported in the outcome's ``error`` field without aborting the
-    remaining values; :func:`evolve_trajectory` validates each set. A
-    ``dt`` that is not finite and > 0 raises ``ValueError`` before any work.
+    are reported in the outcome's ``error`` field, with the message
+    :func:`evolve_trajectory` raises for them, without aborting the
+    remaining values. A ``dt`` that is not finite and > 0 raises
+    ``ValueError`` before any work.
+
+    Each value is validated and propagated as :func:`evolve_trajectory`
+    does it; then the stacks of all propagated values are measured in one
+    batched pass, and each trajectory's columns are views of its rows of
+    that pass, equal to its own :func:`evolve_trajectory` bit for bit. If
+    that pass raises an :class:`OscbathError`, each stack is measured
+    alone, so only the values whose rows raise get an error.
     """
     if which not in _PARAM_NAMES:
         raise ValueError(
             f"unknown parameter {which!r}; expected one of {_PARAM_NAMES}"
         )
     check_step(dt)
-    outcomes = []
-    for value in values:
-        value = float(value)
+    values = [float(value) for value in values]
+    errors, propagated, trajectories = {}, {}, {}
+    for k, value in enumerate(values):
         params = dataclasses.replace(base, **{which: value})
         try:
-            traj = evolve_trajectory(params, grid, integrator=integrator, dt=dt)
+            propagated[k] = _propagated(params, grid, integrator, dt)
         except OscbathError as exc:
-            outcomes.append(SweepOutcome(value=value, trajectory=None, error=str(exc)))
-            continue
-        outcomes.append(SweepOutcome(value=value, trajectory=traj, error=None))
-    return outcomes
+            errors[k] = str(exc)
+    if propagated:
+        try:
+            data, report = _report_columns(_invariants_stack(
+                np.concatenate([p[-1] for p in propagated.values()])))
+        except OscbathError:
+            for k, p in propagated.items():
+                try:
+                    trajectories[k] = _measured(*p)
+                except OscbathError as exc:
+                    errors[k] = str(exc)
+        else:
+            n = grid.n_points
+            for i, (k, p) in enumerate(propagated.items()):
+                rows = slice(i * n, (i + 1) * n)
+                trajectories[k] = Trajectory(*p, _row_slices(data, rows),
+                                             _row_slices(report, rows))
+    return [SweepOutcome(value=value, trajectory=trajectories.get(k), error=errors.get(k))
+            for k, value in enumerate(values)]
 
 
 def detect_sudden_death(

@@ -28,15 +28,24 @@ from oscbath import (
 )
 from oscbath.measures import (
     _COLUMN,
+    _DD_ERROR,
     _FLOAT,
     _FLOAT_LIMIT,
+    _SPLIT,
     _assemble,
+    _dd_add,
     _dd_block_invariants,
+    _dd_mul,
     _exact_block_invariants,
     _exact_stack,
     _invariants_stack,
     _report_columns,
+    _round_test,
+    _split,
+    _two_prod,
+    _two_sum,
 )
+import oscbath.sweep
 from oscbath.cli import _trajectory_csv
 from helpers import FIG1A, random_physical_cov, random_symplectic
 
@@ -125,6 +134,118 @@ class TestRoundTest:
         assert not accepted.any()
         exact = [_exact_block_invariants(s) for s in sigmas]
         assert np.array_equal(bits(_invariants_stack(sigmas)), bits(exact))
+
+
+# The double-double kernels as textbook expressions: the lean kernels must
+# give the same bits, since they run the same operations in the same order.
+def textbook_two_sum(a, b):
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
+def textbook_split(a):
+    c = _SPLIT * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def textbook_two_prod(a, b):
+    p = a * b
+    ah, al = textbook_split(a)
+    bh, bl = textbook_split(b)
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def textbook_dd_add(x, y):
+    s, t = textbook_two_sum(x[0], y[0])
+    return textbook_two_sum(s, t + (x[1] + y[1]))
+
+
+def textbook_dd_mul(x, y):
+    p, q = textbook_two_prod(x[0], y[0])
+    return textbook_two_sum(p, q + (x[0] * y[1] + x[1] * y[0]))
+
+
+def textbook_round_test(x, mag):
+    hi, lo = x
+    e = _DD_ERROR * mag
+    e = e + (np.abs(lo) + e) * 2.0 ** -50
+    low = hi + (lo - e)
+    return low + 0.0, low == hi + (lo + e)
+
+
+SPECIAL_OPERANDS = np.array([0.0, -0.0, 5e-324, -1.0, 1.0, math.inf, -math.inf,
+                             math.nan, 1.7976931348623157e308, 2.2250738585072014e-308])
+
+
+def kernel_operands(count=3000, seed=5):
+    """Four (count,) arrays of floats with exponents over the whole range;
+    the first 100 entries pair every special operand with every other, as
+    (a, b) and as (c, d)."""
+    rng = np.random.default_rng(seed)
+    x = np.ldexp(rng.uniform(-1.0, 1.0, (4, count)), rng.integers(-1080, 1025, (4, count)))
+    n = len(SPECIAL_OPERANDS)
+    x[0::2, :n * n] = np.repeat(SPECIAL_OPERANDS, n)
+    x[1::2, :n * n] = np.tile(SPECIAL_OPERANDS, n)
+    return list(x)
+
+
+class TestLeanKernels:
+    """The in-place kernels give the textbook expressions' bits and write
+    into no input."""
+
+    @staticmethod
+    def check(kernel, textbook, *args):
+        before = [bits(a).copy() for a in args]
+        with np.errstate(all="ignore"):
+            got, want = kernel(*args), textbook(*args)
+        for g, w in zip(got, want, strict=True):
+            assert np.array_equal(bits(g), bits(w))
+        for a, b in zip(args, before):
+            assert np.array_equal(bits(a), b)
+
+    def test_error_free_transforms(self):
+        a, b, c, d = kernel_operands()
+        self.check(_two_sum, textbook_two_sum, a, b)
+        self.check(_split, textbook_split, a)
+        self.check(_two_prod, textbook_two_prod, a, b)
+        self.check(_two_prod, textbook_two_prod, a, a)  # one array as both factors
+        self.check(_dd_add, textbook_dd_add, (a, b), (c, d))
+        self.check(_dd_mul, textbook_dd_mul, (a, b), (c, d))
+        self.check(_dd_mul, textbook_dd_mul, (a, b), (a, b))
+
+    def test_round_test(self):
+        a, b, c, _ = kernel_operands()
+        with np.errstate(all="ignore"):
+            hi, lo = textbook_two_sum(a, b)
+        before = [bits(x).copy() for x in (hi, lo, c)]
+        value, proven = np.empty(len(a)), np.empty(len(a), bool)
+        with np.errstate(all="ignore"):
+            _round_test((hi, lo), np.abs(c), value, proven)
+            want_value, want_proven = textbook_round_test((hi, lo), np.abs(c))
+        assert np.array_equal(bits(value), bits(want_value))
+        assert np.array_equal(proven, want_proven)
+        for x, b in zip((hi, lo, c), before):
+            assert np.array_equal(bits(x), b)
+
+    def test_block_invariants_leave_the_stack_unchanged(self):
+        sigmas = near_pure_stack(200)
+        before = bits(sigmas).copy()
+        _dd_block_invariants(sigmas)
+        assert np.array_equal(bits(sigmas), before)
+
+    def test_concatenated_stack_equals_its_slices(self):
+        stacks = [*fig1a_stacks(), evolve_stack("lambda0_rk4"), near_pure_stack()]
+        values, accepted = _dd_block_invariants(np.concatenate(stacks))
+        start = 0
+        for sigmas in stacks:
+            rows = slice(start, start + len(sigmas))
+            want_values, want_accepted = _dd_block_invariants(sigmas)
+            assert np.array_equal(bits(values[rows]), bits(want_values))
+            assert np.array_equal(accepted[rows], want_accepted)
+            start = rows.stop
+        assert start == len(values)
 
 
 def assert_exact_stack_matches_scalar(sigmas):
@@ -272,6 +393,92 @@ class TestColumnsMatchScalar:
     def test_records_are_cached(self):
         traj = evolve_trajectory(FIG1A, TimeGrid(0.0, 1.0, 3))
         assert traj.records is traj.records
+
+
+def assert_same_columns(a, b):
+    """Column dataclasses equal field for field: floats by their bits, the
+    physical and zeta_branch columns by value and dtype."""
+    for field in dataclasses.fields(a):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        assert x.dtype == y.dtype and x.shape == y.shape, field.name
+        if x.dtype == float:
+            assert np.array_equal(bits(x), bits(y)), field.name
+        else:
+            assert x.tolist() == y.tolist(), field.name
+
+
+def per_value(base, which, values, grid):
+    """evolve_trajectory of each value, or the message of its error."""
+    out = []
+    for value in values:
+        try:
+            out.append(evolve_trajectory(dataclasses.replace(base, **{which: float(value)}), grid))
+        except OscbathError as error:
+            out.append(str(error))
+    return out
+
+
+class TestSweepOnePass:
+    """sweep_parameter measures all its values in one pass, and each outcome
+    equals the per-value evolve_trajectory bit for bit, errors included."""
+
+    @staticmethod
+    def assert_matches_per_value(base, which, values, grid=DEFAULT_GRID):
+        outcomes = sweep_parameter(base, which, iter(values), grid)
+        for outcome, value, expected in zip(
+                outcomes, values, per_value(base, which, values, grid), strict=True):
+            assert outcome.value == float(value)
+            if isinstance(expected, str):
+                assert outcome.trajectory is None and outcome.error == expected
+                continue
+            traj = outcome.trajectory
+            assert outcome.error is None
+            assert (traj.params, traj.grid, traj.integrator) == (
+                expected.params, expected.grid, expected.integrator)
+            assert np.array_equal(traj.times, expected.times)
+            assert np.array_equal(bits(traj.sigmas), bits(expected.sigmas))
+            assert_same_columns(traj.data, expected.data)
+            assert_same_columns(traj.report, expected.report)
+        return outcomes
+
+    @pytest.mark.parametrize("fid", FIGURE_IDS)
+    def test_every_preset(self, fid):
+        preset = figure_preset(fid)
+        self.assert_matches_per_value(preset.params, preset.sweep, preset.values,
+                                      preset.grid)
+
+    def test_failing_values_keep_their_errors(self):
+        # r = 20 fails its measures, r = 200 its exact invariants and r = 400
+        # its initial state; r = 1 and r = 2 still get their trajectories
+        base = figure_preset("fig1c").params
+        outcomes = self.assert_matches_per_value(base, "r", (1, 20, 200, 2, 400))
+        assert [o.error for o in outcomes] == [
+            None,
+            "negative squared state symplectic eigenvalue (-1.1657e+18)",
+            "exact i1 of the covariance matrix is beyond the float range",
+            None,
+            "squeezing r = 400.0 puts cosh(2r) beyond the float range",
+        ]
+
+    def test_closed_and_rk4_in_one_pass(self):
+        outcomes = self.assert_matches_per_value(FIG1A, "lambda_", (0.6, 0.0))
+        assert [o.trajectory.integrator for o in outcomes] == ["closed", "rk4"]
+
+    def test_one_measure_pass(self, monkeypatch):
+        calls = []
+
+        def counted(sigmas):
+            calls.append(len(sigmas))
+            return _invariants_stack(sigmas)
+
+        monkeypatch.setattr(oscbath.sweep, "_invariants_stack", counted)
+        preset = figure_preset("fig1a")
+        sweep_parameter(preset.params, preset.sweep, preset.values, preset.grid)
+        assert calls == [4 * 501]
+        # a pass that raises is repeated per value, for the values that propagated
+        calls.clear()
+        sweep_parameter(FIG1A, "r", (1, 20, 400), TimeGrid(0.0, 1.0, 3))
+        assert calls == [6, 3, 3]
 
 
 def scalar_error(sigma):

@@ -252,6 +252,19 @@ class TestEvolveCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: exact i1 ") and "beyond the float range" in err
 
+    @pytest.mark.parametrize("flags, reason", [
+        (["--omega", "1e-150", "--nu", "0"], "the lower normal-mode frequency squared"),
+        (["--r", "1e308"], "squeezing r = 1e+308 puts cosh(2r) beyond the float range"),
+        (["--lambda", "1.7976931348623157e+308", "--nu", "0", "--r", "1e-300"],
+         "2*lambda is beyond the float range"),
+    ])
+    def test_float_range_limits_exit_1(self, flags, reason, capsys):
+        assert main(["evolve", *flags, "--points", "3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {reason}")
+        assert captured.err.count("\n") == 1
+
     def test_invalid_params_exit_1_without_rk4_hint(self, capsys):
         code = main(["evolve", "--nu", "1.5", "--points", "11"])
         assert code == 1
@@ -397,6 +410,24 @@ class TestSteadyCommand:
         assert main(["steady", "--nu", "1.0", "--omega", "1",
                      "--epsilon", "0"]) == 1
         assert "steady state" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, reason", [
+        # full_report of a steady state that steady_state accepts
+        (["--epsilon", "0.5", "--lambda", "2.1113590913827084e-290", "--temp", "0"],
+         "partial-transpose discriminant negative beyond tolerance"),
+        (["--epsilon", "1e-08", "--temp", "1.9473953578010756e+121"],
+         "exact i4 of the covariance matrix is beyond the float range"),
+        # the steady state itself beyond the float range
+        (["--omega", "1e150"], "steady state left the float range"),
+        (["--temp", "1e308"], "coth(omega_i / 2T) is beyond the float range"),
+        (["--lambda", "1.7976931348623157e+308"], "2*lambda is beyond the float range"),
+    ])
+    def test_errors_beyond_the_solve_exit_1(self, flags, reason, capsys):
+        assert main(["steady", *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {reason}")
+        assert captured.err.count("\n") == 1
 
     def test_infinite_temperature_exits_1(self, capsys):
         assert main(["steady", "--temp", "inf"]) == 1

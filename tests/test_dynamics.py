@@ -23,6 +23,7 @@ from oscbath import (
     steady_state,
     steady_state_available,
     thermal_coth,
+    validate,
 )
 from oscbath.dynamics import _drift, _kron_sum, _propagator
 from oscbath.sweep import (
@@ -109,6 +110,14 @@ class TestThermalCoth:
         for temp in (0.0, 0.01, 0.5, 3.0, 50.0):
             for w in (0.3, 1.0, 2.5):
                 assert thermal_coth(w, temp) >= 1.0
+
+    def test_beyond_float_range_raises_out_of_range(self):
+        # about 2T/omega: 2e307 is finite, 2e308 is not; at omega/T = 0 the
+        # value is infinite too
+        assert thermal_coth(1.0, 1e307) == pytest.approx(2e307, rel=1e-12)
+        for omega, temperature in ((1.0, 1e308), (5e-324, 10.0)):
+            with pytest.raises(OutOfRange, match="coth.*beyond the float range"):
+                thermal_coth(omega, temperature)
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
@@ -327,6 +336,13 @@ class TestPropagator:
         stack = propagate(sigma0, FIG1A, np.array([0.0, t]))
         assert np.array_equal(stack[1], s_inf)
 
+    def test_underflowing_lower_mode_raises_out_of_range(self):
+        # omega1*omega2 = 1e-300, so det V = 1e-600 underflows to 0
+        params = SystemParams(1e-150, 0.0, 0.0, 0.6, 0.2, 1.0)
+        for t in (1.0, np.array([0.0, 1.0])):
+            with pytest.raises(OutOfRange, match="W-\\^2 .* underflows to 0"):
+                _propagator(params, t)
+
     def test_overflowing_phase_without_decay_raises_out_of_range(self):
         # lambda * t = 1 keeps e^{-lambda t} finite while W t overflows
         params = SystemParams(1e10, 0.0, 0.0, 1e-300, 0.0, 0.0)
@@ -362,6 +378,17 @@ class TestSteadyState:
     def test_marginal_coupling_rejected(self):
         with pytest.raises(SteadyStateUnavailable):
             steady_state(dataclasses.replace(FIG1A, nu=1.0))
+
+    @pytest.mark.parametrize("params, message", [
+        # the solve overflows to NaN rows; the residual test must fail on NaN
+        (SystemParams(1e150, 0.0, 0.8, 0.6, 0.2, 1.0), "steady state left the float range"),
+        (SystemParams(1.0, 0.0, 0.8, 0.6, 1e308, 1.0), "coth"),
+        (SystemParams(1.0, 0.0, 0.0, 1.7976931348623157e308, 0.2, 1.0), "2[*]lambda"),
+    ])
+    def test_beyond_float_range_raises_out_of_range(self, params, message):
+        assert validate(params).ok
+        with pytest.raises(OutOfRange, match=message):
+            steady_state(params)
 
     def test_availability_flag(self):
         assert steady_state_available(FIG1A)

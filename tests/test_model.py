@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -164,6 +165,10 @@ class TestInitialSqueezedVacuum:
         assert np.isfinite(initial_squeezed_vacuum(355.0)).all()
         with pytest.raises(OutOfRange, match="squeezing r = 356.0"):
             initial_squeezed_vacuum(356.0)
+        # 2r = inf, which cosh takes without an OverflowError
+        for r in (1e308, math.inf):
+            with pytest.raises(OutOfRange, match=re.escape(f"squeezing r = {r} puts cosh")):
+                initial_squeezed_vacuum(r)
 
     @pytest.mark.parametrize("r", [0.0, 0.3, 0.5, 1.0, 1.5, 2.0])
     def test_pure_state_properties(self, r):
