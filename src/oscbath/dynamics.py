@@ -14,7 +14,9 @@ the solution has the closed form
 where sigma_inf is the unique solution of M S + S M^T = -2 D. Both
 oscillators damp at the same rate, so e^{Mt} is e^{-lambda t} times the
 undamped flow, which :func:`propagate` evaluates in closed form from the
-two normal modes. Both the closed form and an independent fixed-step
+two normal modes. In the same modes M is block-diagonal, and
+:func:`steady_state` solves for sigma_inf block by block, also in closed
+form. Both the closed form and an independent fixed-step
 Runge-Kutta integrator of the differential form are provided; the
 integrator also covers the marginal cases (lambda = 0 or
 |nu| = omega1*omega2) where no steady state exists. :func:`mat_exp`, a
@@ -95,12 +97,11 @@ def _drift(params: SystemParams) -> np.ndarray:
     """:func:`build_drift` without validation, for callers that validated.
 
     Raises :class:`OutOfRange` where 2*lambda, the diagonal of the Kronecker
-    sum that both the steady state and RK4 build from M, overflows.
+    sum that RK4 builds from M, overflows.
     """
     w1, w2 = mode_frequencies(params)
     lam = params.lambda_
-    if 2.0 * lam == math.inf:
-        raise OutOfRange(f"2*lambda is beyond the float range (lambda = {lam!r})")
+    _two_lambda(lam)
     nu = params.nu
     return np.array(
         [
@@ -110,6 +111,14 @@ def _drift(params: SystemParams) -> np.ndarray:
             [-nu, 0.0, -w2 * w2, -lam],
         ]
     )
+
+
+def _two_lambda(lam: float) -> float:
+    """2*lambda, the diagonal of M (+) M and of the steady-state residual;
+    :class:`OutOfRange` where it overflows."""
+    if 2.0 * lam == math.inf:
+        raise OutOfRange(f"2*lambda is beyond the float range (lambda = {lam!r})")
+    return 2.0 * lam
 
 
 def build_diffusion(params: SystemParams) -> np.ndarray:
@@ -215,42 +224,156 @@ def steady_state_available(params: SystemParams) -> bool:
     return params.lambda_ > 0.0 and abs(params.nu) < coupling_bound(params)
 
 
-_RESIDUAL_TOL = 1e-10
+def _normal_modes(params: SystemParams) -> tuple[float, float, float, float]:
+    """(c, s, W-^2, W+^2): the normal modes of V = [[w1^2, nu], [nu, w2^2]],
+    shared by :func:`_propagator` and :func:`steady_state`.
 
-
-def steady_state(params: SystemParams) -> np.ndarray:
-    """Asymptotic covariance matrix: the solution S of M S + S M^T = -2 D.
-
-    The equation is vectorized to the 16x16 Kronecker-sum system
-    (kron(M, I) + kron(I, M)) vec(S) = -2 vec(D) and solved by dense LU
-    with partial pivoting; the result is symmetrized and its max-abs
-    residual is verified to be below 1e-10 * max(1, max|2D|), a bound that
-    scales with the size of the right-hand side.
-
-    Raises :class:`SteadyStateUnavailable` for marginal parameter sets
-    (lambda = 0 or |nu| = omega1*omega2) and whenever the linear system is
-    singular or too ill-conditioned to meet the residual bound. Raises
-    :class:`OutOfRange` when D, the solution or the residual leaves the
-    float range (a residual or bound that is not finite, NaN included).
+    (c, s) = (cos theta, sin theta) with theta = atan2(nu, (w1^2 - w2^2)/2)/2,
+    so the mode coordinates are q+ = c x1 + s x2 and q- = -s x1 + c x2 (and
+    the same for p), and P+ = [[c^2, cs], [cs, s^2]] projects on the W+ mode.
+    W-^2 comes from det V = (b - |nu|)(b + |nu|), b = w1*w2, which stays
+    accurate near the marginal coupling and positive for every |nu| < b;
+    it can still underflow to 0, or overflow, at extreme frequencies.
     """
+    w1, w2 = mode_frequencies(params)
+    nu = params.nu
+    w1_sq, w2_sq = w1 * w1, w2 * w2
+    half_gap = 0.5 * (w1_sq - w2_sq)
+    theta = 0.5 * math.atan2(nu, half_gap)
+    hi_sq = 0.5 * (w1_sq + w2_sq) + math.hypot(half_gap, nu)
+    b = coupling_bound(params)
+    lo_sq = (b - abs(nu)) * (b + abs(nu)) / hi_sq
+    return math.cos(theta), math.sin(theta), lo_sq, hi_sq
+
+
+def _stable_modes(params: SystemParams) -> tuple[float, float, float, float]:
+    """Validate ``params``, require a steady state, return their normal modes."""
     require_valid(params)
     if not steady_state_available(params):
         raise SteadyStateUnavailable(
             "steady state requires lambda > 0 and |nu| < omega1*omega2; "
             f"got lambda={params.lambda_}, nu={params.nu}"
         )
-    m = _drift(params)
-    d = np.diag(_diffusion(params))
-    try:
-        vec = np.linalg.solve(_kron_sum(m), -2.0 * d.reshape(-1))
-    except np.linalg.LinAlgError as exc:
-        raise SteadyStateUnavailable(
-            f"steady-state linear system is singular: {exc}"
-        ) from exc
-    s = vec.reshape(4, 4)
-    s = 0.5 * (s + s.T)
-    residual = np.abs(m @ s + s @ m.T + 2.0 * d).max()
-    bound = _RESIDUAL_TOL * max(1.0, 2.0 * np.abs(d).max())
+    return _normal_modes(params)
+
+
+def _mode_block(wk_sq: float, wl_sq: float, lam: float, x: float, p: float):
+    """(xx, xp, px, pp) of the steady block <(q_k, p_k) (q_l, p_l)> of the
+    normal modes k and l, from the rotated diffusion entries divided by
+    lambda (x, p); k = l gives a mode's own block, with xp = px.
+
+    M is block-diagonal in the normal modes, M_k = [[-lambda, 1],
+    [-W_k^2, -lambda]], so the block is the solution of
+    M_k S + S M_l^T = -2 lambda diag(x, p). With Delta = W_k^2 - W_l^2,
+    S2 = W_k^2 + W_l^2, q = 2p + (S2 + 4 lambda^2) x and
+    den = Delta^2 + 8 lambda^2 S2 + 16 lambda^4, it is
+    xx = 4 q g, xp, px = e +- q f and pp = 2 lambda e + S2 xx / 2, where
+    g = lambda^2 / den, f = lambda Delta / den and
+    e = lambda (xx - x) = 4 lambda g (2p - S2 x) - Delta f x, the last
+    written without the cancellation of its first form. g and f are formed
+    from Delta/lambda or lambda/Delta, whichever is at most 1, so neither
+    overflows nor divides by 0, and lambda^2 may underflow. Where lambda^2
+    would overflow, the block is solved with time and x scaled by a power of
+    two mu, which maps lambda, W^2, x, p to lambda/mu, W^2/mu^2, mu x, p/mu
+    and the block's xx, pp to mu xx, pp/mu exactly.
+    """
+    if lam > 2.0 ** 500:
+        mu = math.ldexp(1.0, math.frexp(lam)[1])
+        xx, xp, px, pp = _mode_block(
+            wk_sq / mu / mu, wl_sq / mu / mu, lam / mu, mu * x, p / mu)
+        return xx / mu, xp, px, pp * mu
+    lam_sq = lam * lam
+    gap = wk_sq - wl_sq
+    s2 = wk_sq + wl_sq
+    k = 8.0 * s2 + 16.0 * lam_sq
+    if abs(gap) <= lam:
+        rho = gap / lam
+        g = 1.0 / (rho * rho + k)
+        f = rho * g
+    else:
+        tau = lam / gap
+        f = tau / (1.0 + k * tau * tau)
+        g = tau * f
+    q = 2.0 * p + (s2 + 4.0 * lam_sq) * x
+    xx = 4.0 * q * g
+    e = 4.0 * lam * g * (2.0 * p - s2 * x) - gap * f * x
+    return xx, e + q * f, e - q * f, 2.0 * lam * e + 0.5 * s2 * xx
+
+
+def _rotate(c: float, s: float, pp: float, pm: float, mp: float, mm: float):
+    """Entries 11, 12, 21, 22 of R T R^T, R = [[c, -s], [s, c]], for the
+    mode-basis 2x2 block T = [[pp, pm], [mp, mm]]."""
+    cc, ss, cs = c * c, s * s, c * s
+    diag = cs * (pp - mm)
+    return (cc * pp - cs * (pm + mp) + ss * mm, diag + cc * pm - ss * mp,
+            diag - ss * pm + cc * mp, ss * pp + cs * (pm + mp) + cc * mm)
+
+
+_RESIDUAL_TOL = 1e-10
+
+
+def steady_state(params: SystemParams, *, _modes=None) -> np.ndarray:
+    """Asymptotic covariance matrix: the solution S of M S + S M^T = -2 D.
+
+    Solved in closed form in the normal-mode basis of :func:`propagate`
+    (Bartels-Stewart with the Schur form replaced by the known modes): there
+    M is block-diagonal per mode, so the equation splits into the 2x2
+    blocks (++), (--) and (+-), each solved exactly, and rotating back
+    gives S, exactly symmetric. D is carried divided by lambda, and lambda
+    cancels from each mode's own block, so S keeps its finite thermal limit
+    as lambda -> 0+ (lambda down to 5e-324). Its max-abs residual
+    is then verified to be below 1e-10 * max(1, max|2D|), a bound that
+    scales with the size of the right-hand side.
+
+    Raises :class:`SteadyStateUnavailable` for marginal parameter sets
+    (lambda = 0 or |nu| = omega1*omega2), and for near-singular ones: those
+    whose solution misses the residual bound. Raises :class:`OutOfRange`
+    when D, the solution or the residual leaves the float range (a residual
+    or bound that is not finite, NaN included), and when W-^2 + lambda^2
+    underflows to 0. ``_modes`` is for :func:`propagate`, which passes the
+    normal modes of ``params`` that it has validated already.
+    """
+    c, s, lo_sq, hi_sq = _stable_modes(params) if _modes is None else _modes
+    lam = params.lambda_
+    lam2 = _two_lambda(lam)
+    if lo_sq + lam * lam == 0.0:
+        raise OutOfRange(
+            f"W-^2 + lambda^2 underflows to 0 (W-^2 = {lo_sq:g}, lambda = {lam:g})"
+        )
+    w1, w2 = mode_frequencies(params)
+    c1 = thermal_coth(w1, params.temperature)
+    c2 = thermal_coth(w2, params.temperature)
+    x1, p1, x2, p2 = c1 / w1, c1 * w1, c2 / w2, c2 * w2  # D / lambda
+    cc, ss, cs = c * c, s * s, c * s
+    xx_hi, xp_hi, _, pp_hi = _mode_block(
+        hi_sq, hi_sq, lam, cc * x1 + ss * x2, cc * p1 + ss * p2)
+    xx_lo, xp_lo, _, pp_lo = _mode_block(
+        lo_sq, lo_sq, lam, ss * x1 + cc * x2, ss * p1 + cc * p2)
+    xx, xp, px, pp = _mode_block(
+        hi_sq, lo_sq, lam, cs * (x2 - x1), cs * (p2 - p1))
+    s00, s02, _, s22 = _rotate(c, s, xx_hi, xx, xx, xx_lo)
+    s01, s03, s12, s23 = _rotate(c, s, xp_hi, xp, px, xp_lo)
+    s11, s13, _, s33 = _rotate(c, s, pp_hi, pp, pp, pp_lo)
+    # M S + S M^T + 2 D, upper triangle, with M = -lambda I + A and
+    # (A S)_{1j} = -w1^2 S_{0j} - nu S_{2j}, (A S)_{3j} = -nu S_{0j} - w2^2 S_{2j}
+    w1_sq, w2_sq, nu = w1 * w1, w2 * w2, params.nu
+    d = (lam2 * x1, lam2 * p1, lam2 * x2, lam2 * p2)  # 2 D
+    res = (
+        2.0 * (s01 - lam * s00) + d[0],
+        s11 - lam2 * s01 - w1_sq * s00 - nu * s02,
+        s12 + s03 - lam2 * s02,
+        s13 - lam2 * s03 - nu * s00 - w2_sq * s02,
+        d[1] - 2.0 * (lam * s11 + w1_sq * s01 + nu * s12),
+        s13 - lam2 * s12 - w1_sq * s02 - nu * s22,
+        -lam2 * s13 - w1_sq * s03 - nu * (s23 + s01) - w2_sq * s12,
+        2.0 * (s23 - lam * s22) + d[2],
+        s33 - lam2 * s23 - nu * s02 - w2_sq * s22,
+        d[3] - 2.0 * (lam * s33 + nu * s03 + w2_sq * s23),
+    )
+    residual = max(map(abs, res))
+    if math.isnan(sum(res)):  # max drops a NaN that is not first
+        residual = math.nan
+    bound = _RESIDUAL_TOL * max(1.0, *d)
     # NaN fails every comparison, so the test is written to fail on it
     if not residual <= bound < math.inf:
         if bound < residual < math.inf:
@@ -262,7 +385,12 @@ def steady_state(params: SystemParams) -> np.ndarray:
             f"steady state left the float range (residual {residual:g}, "
             f"bound {bound:g})"
         )
-    return s
+    return np.array([
+        [s00, s01, s02, s03],
+        [s01, s11, s12, s13],
+        [s02, s12, s22, s23],
+        [s03, s13, s23, s33],
+    ])
 
 
 def propagate(sigma0, params: SystemParams, t: float | np.ndarray) -> np.ndarray:
@@ -292,8 +420,9 @@ def propagate(sigma0, params: SystemParams, t: float | np.ndarray) -> np.ndarray
     elif not 0 <= t < math.inf:
         raise ValueError(f"time must be finite and >= 0 (got {t})")
     sigma0 = check_covariance(sigma0)
-    s_inf = steady_state(params)  # validates params once for this call
-    e = _propagator(params, t)
+    modes = _stable_modes(params)  # validates params once for this call
+    s_inf = steady_state(params, _modes=modes)
+    e = _propagator(params, t, modes)
     # the inputs are finite, so the result is too unless an operation overflows
     try:
         with np.errstate(over="raise"):
@@ -316,7 +445,8 @@ _ENTRY = np.array([
 _ON_DIAGONAL = np.array([1.0, 1.0, 0.0])[:, None, None]
 
 
-def _propagator(params: SystemParams, t: float | np.ndarray) -> np.ndarray:
+def _propagator(params: SystemParams, t: float | np.ndarray,
+                modes=None) -> np.ndarray:
     """e^{Mt} from the normal modes, for a scalar t or an (N,) array of times.
 
     Both oscillators damp at the same rate, so M = -lambda I + A, where A is
@@ -325,9 +455,8 @@ def _propagator(params: SystemParams, t: float | np.ndarray) -> np.ndarray:
     [[cos(W t), sin(W t)/W], [-W sin(W t), cos(W t)]] with W = sqrt(V). Each
     2x2 function of V is f(V) = f(W-) I + (f(W+) - f(W-)) P+, with P+ the
     projector on the W+ mode, so E(0) = I exactly and equal frequencies need
-    no branch. W-^2 comes from det V = (b - |nu|)(b + |nu|), b = w1*w2, which
-    stays accurate near the marginal coupling and positive for every
-    |nu| < b, the condition of a steady state.
+    no branch. ``modes`` are :func:`_normal_modes` of ``params``, derived
+    here when not given.
 
     A scalar t runs through the same ufuncs as a stack (numpy's vector exp
     can differ from math.exp in the last bit), so each slice of the stack
@@ -335,19 +464,13 @@ def _propagator(params: SystemParams, t: float | np.ndarray) -> np.ndarray:
     the slice is exactly 0; any other non-finite entry raises
     :class:`OutOfRange`.
     """
-    w1, w2 = mode_frequencies(params)
-    nu = params.nu
-    w1_sq, w2_sq = w1 * w1, w2 * w2
-    half_gap = 0.5 * (w1_sq - w2_sq)
-    theta = 0.5 * math.atan2(nu, half_gap)  # P+ = [[c^2, cs], [cs, s^2]]
-    c, s = math.cos(theta), math.sin(theta)
-    hi_sq = 0.5 * (w1_sq + w2_sq) + math.hypot(half_gap, nu)
-    b = coupling_bound(params)
-    w_lo = math.sqrt((b - abs(nu)) * (b + abs(nu)) / hi_sq)
+    c, s, lo_sq, hi_sq = _normal_modes(params) if modes is None else modes
+    w_lo = math.sqrt(lo_sq)
     if w_lo == 0.0:  # |nu| < b, so the exact W-^2 is positive
         raise OutOfRange(
             f"the lower normal-mode frequency squared W-^2 = det V / W+^2 "
-            f"underflows to 0 (omega1*omega2 = {b:g}, nu = {nu:g})"
+            f"underflows to 0 (omega1*omega2 = {coupling_bound(params):g}, "
+            f"nu = {params.nu:g})"
         )
     w_hi = math.sqrt(hi_sq)
     t = np.asarray(t, dtype=float)

@@ -194,10 +194,13 @@ def check_covariance(sigma) -> np.ndarray:
     arr = np.array(sigma, dtype=float)
     if arr.shape != (4, 4):
         raise ValueError(f"covariance matrix must be 4x4 (got shape {arr.shape})")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("covariance matrix entries must be finite")
-    asym = np.abs(arr - arr.T).max()
-    if asym > _SYMMETRY_TOL:
+    # a non-finite entry makes its asymmetry inf or NaN (inf - inf), so one
+    # pass tests both; the finite test only picks the message
+    with np.errstate(invalid="ignore"):
+        asym = np.abs(arr - arr.T).max()
+    if not asym <= _SYMMETRY_TOL:
+        if not np.isfinite(arr).all():
+            raise ValueError("covariance matrix entries must be finite")
         raise ValueError(
             f"covariance matrix must be symmetric within {_SYMMETRY_TOL:g} "
             f"(max asymmetry {asym:g})"

@@ -1,12 +1,14 @@
-"""Shared test utilities: random physical states and caption parameter sets."""
+"""Shared test utilities: random physical states, caption parameter sets
+and steady-state oracles."""
 
 from __future__ import annotations
 
 import math
 
 import numpy as np
+import pytest
 
-from oscbath import SystemParams
+from oscbath import SystemParams, build_diffusion, build_drift
 
 # Parameter sets fixed by the four figure captions (omega = 1 throughout).
 # Panels that sweep the temperature leave it free; 0.2 is the value the
@@ -105,3 +107,26 @@ def parse_csv(text: str):
         elif line:
             rows.append(dict(zip(header, line.split(","))))
     return meta, header, rows
+
+
+def kron_steady_state(params: SystemParams) -> np.ndarray:
+    """Steady state by dense LU on the 16x16 Kronecker-sum system
+    (kron(M, I) + kron(I, M)) vec(S) = -2 vec(D), symmetrized.
+
+    The package solved it this way before its normal-mode closed form; the
+    solve stays here as an oracle that shares no code with it.
+    """
+    m = build_drift(params)
+    d = np.diag(build_diffusion(params))
+    ident = np.eye(4)
+    vec = np.linalg.solve(np.kron(m, ident) + np.kron(ident, m), -2.0 * d.reshape(-1))
+    s = vec.reshape(4, 4)
+    return 0.5 * (s + s.T)
+
+
+def scipy_steady_state(params: SystemParams) -> np.ndarray:
+    """Steady state by scipy's Bartels-Stewart ``solve_continuous_lyapunov``
+    (skips the test when scipy is missing)."""
+    linalg = pytest.importorskip("scipy.linalg")
+    m = build_drift(params)
+    return linalg.solve_continuous_lyapunov(m, -2.0 * np.diag(build_diffusion(params)))

@@ -412,9 +412,10 @@ class TestSteadyCommand:
         assert "steady state" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags, reason", [
+        # det V = 1e-400 and lambda^2 = 1e-400 both underflow to 0
+        (["--omega", "1e-100", "--nu", "0", "--lambda", "1e-200"],
+         "W-^2 + lambda^2 underflows to 0"),
         # full_report of a steady state that steady_state accepts
-        (["--epsilon", "0.5", "--lambda", "2.1113590913827084e-290", "--temp", "0"],
-         "partial-transpose discriminant negative beyond tolerance"),
         (["--epsilon", "1e-08", "--temp", "1.9473953578010756e+121"],
          "exact i4 of the covariance matrix is beyond the float range"),
         # the steady state itself beyond the float range
@@ -428,6 +429,14 @@ class TestSteadyCommand:
         assert captured.out == ""
         assert captured.err.startswith(f"error: {reason}")
         assert captured.err.count("\n") == 1
+
+    def test_vanishing_lambda_exits_0_with_a_physical_state(self, capsys):
+        # lambda^2 underflows to 0, yet sigma_inf keeps its lambda -> 0+ limit
+        flags = ["--epsilon", "0.5", "--lambda", "2.1113590913827084e-290", "--temp", "0"]
+        assert main(["steady", *flags]) == 0
+        out = capsys.readouterr().out
+        assert "physical,true" in out
+        assert out.splitlines()[2].startswith("2.45322743577,")
 
     def test_infinite_temperature_exits_1(self, capsys):
         assert main(["steady", "--temp", "inf"]) == 1

@@ -6,6 +6,7 @@ import pytest
 
 from oscbath import (
     InvalidParameters,
+    OscbathError,
     OutOfRange,
     SteadyStateUnavailable,
     SystemParams,
@@ -29,7 +30,10 @@ from oscbath.dynamics import _drift, _kron_sum, _propagator
 from oscbath.sweep import (
     FIGURE_IDS, TimeGrid, evolve_trajectory, figure_preset, sweep_parameter,
 )
-from helpers import FIG1A, FIG4, random_valid_params
+from helpers import (
+    FIG1A, FIG4, kron_steady_state, random_valid_params, scipy_steady_state,
+)
+from hypothesis import assume, given, settings, strategies as st
 
 import dataclasses
 
@@ -394,6 +398,93 @@ class TestSteadyState:
         assert steady_state_available(FIG1A)
         assert not steady_state_available(dataclasses.replace(FIG1A, lambda_=0.0))
         assert not steady_state_available(dataclasses.replace(FIG1A, nu=1.0))
+
+    W1, W2 = mode_frequencies(FIG4)
+    EDGES = [
+        # equal normal frequencies: W+ = W-, so Delta = 0 in the cross block
+        dataclasses.replace(FIG1A, nu=0.0, temperature=0.0),
+        dataclasses.replace(FIG1A, nu=0.0, lambda_=0.05, temperature=0.7),
+        dataclasses.replace(FIG4, nu=(1.0 - 1e-4) * W1 * W2, temperature=0.0),
+        dataclasses.replace(FIG4, nu=-(1.0 - 1e-4) * W1 * W2),
+    ]
+
+    def test_matches_kronecker_and_scipy_oracles(self):
+        rng = np.random.default_rng(2718)
+        cases = self.EDGES.copy()
+        for _ in range(300):
+            params, _ = scan_box_params(rng)
+            temperature = 0.0 if rng.random() < 0.1 else rng.uniform(0.0, 3.0)
+            cases.append(dataclasses.replace(params, temperature=temperature))
+        for params in cases:
+            s = steady_state(params)
+            for oracle in (kron_steady_state, scipy_steady_state):
+                err = np.abs(s - oracle(params)).max()
+                assert err <= 1e-11 * np.abs(s).max(), (params, oracle.__name__)
+
+    @pytest.mark.parametrize("lam", [1e-160, 2.1113590913827084e-290, 5e-324])
+    def test_vanishing_lambda_gives_the_thermal_limit(self, lam):
+        # D and the damping both scale with lambda, so sigma_inf has a finite
+        # limit as lambda -> 0+, though lambda^2 underflows here. The oracle
+        # is the Kronecker solve in 100 digits at lambda = 1e-40, O(lambda)
+        # from the limit.
+        mpmath = pytest.importorskip("mpmath")
+        params = SystemParams(1.0, 0.5, 0.8, lam, 0.0, 1.0)
+        s = steady_state(params)
+        with mpmath.workdps(100):
+            small = mpmath.mpf("1e-40")
+            w1, w2 = (mpmath.sqrt(mpmath.mpf(v)) for v in (1.5, 0.5))
+            nu = mpmath.mpf(params.nu)
+            m = mpmath.matrix([[-small, 1, 0, 0], [-w1 ** 2, -small, -nu, 0],
+                               [0, 0, -small, 1], [-nu, 0, -w2 ** 2, -small]])
+            d = [small / w1, small * w1, small / w2, small * w2]
+            ident = mpmath.eye(4)
+            lsum = mpmath.matrix(16, 16)
+            for i, j, k, l in np.ndindex(4, 4, 4, 4):
+                lsum[4 * i + j, 4 * k + l] = m[i, k] * ident[j, l] + ident[i, k] * m[j, l]
+            rhs = mpmath.matrix([-2 * d[i] if i == j else 0 for i in range(4) for j in range(4)])
+            ref = np.array(mpmath.lu_solve(lsum, rhs).tolist(), dtype=float).reshape(4, 4)
+        assert np.abs(s - ref).max() <= 1e-14 * np.abs(ref).max()
+        assert full_report(s).physical
+
+    def test_underflowing_lambda_and_lower_mode_raises_out_of_range(self):
+        # det V = 1e-400 and lambda^2 = 1e-400 both underflow to 0
+        params = SystemParams(1e-100, 0.0, 0.0, 1e-200, 0.0, 0.0)
+        with pytest.raises(OutOfRange, match="W-\\^2 \\+ lambda\\^2 underflows to 0"):
+            steady_state(params)
+
+    @pytest.mark.parametrize("lam", [1e200, 1e300])
+    def test_huge_lambda_keeps_the_local_thermal_state(self, lam):
+        # lambda^2 overflows, so the blocks are solved in scaled units; the
+        # bath dominates the coupling and sigma_inf tends to the uncoupled
+        # diag(c/w, c w) of each oscillator
+        params = dataclasses.replace(FIG4, lambda_=lam)
+        s = steady_state(params)
+        assert np.abs(s - decoupled_steady(params)).max() <= 1e-14
+
+    @settings(max_examples=400, deadline=None, database=None, derandomize=True)
+    @given(
+        omega=st.floats(min_value=5e-324, max_value=1e154),
+        epsilon=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+        share=st.floats(min_value=-1.0, max_value=1.0),
+        lam=st.floats(min_value=0.0, max_value=1.7976931348623157e308),
+        temperature=st.floats(min_value=0.0, max_value=1.7976931348623157e308),
+    )
+    def test_accepted_box_gives_a_verified_state_or_an_error(
+            self, omega, epsilon, share, lam, temperature):
+        params = SystemParams(omega, epsilon, 0.0, lam, temperature, 0.0)
+        assume(validate(params).ok)
+        params = dataclasses.replace(params, nu=share * coupling_bound(params))
+        try:
+            s = steady_state(params)
+        except OscbathError:
+            return
+        m = build_drift(params)
+        d = np.diag(build_diffusion(params))
+        assert np.isfinite(s).all()
+        with np.errstate(over="ignore", invalid="ignore"):
+            residual = np.abs(m @ s + s @ m.T + 2.0 * d).max()
+        # the library forms the same residual in another order of operations
+        assert residual <= 2e-10 * max(1.0, 2.0 * np.abs(d).max())
 
 
 class TestPropagate:

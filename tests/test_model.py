@@ -8,6 +8,7 @@ from oscbath import (
     InvalidParameters,
     OutOfRange,
     SystemParams,
+    check_covariance,
     coupling_bound,
     evolve_trajectory,
     initial_squeezed_vacuum,
@@ -178,3 +179,54 @@ class TestInitialSqueezedVacuum:
         data = invariants(sigma)
         assert abs(data.nu_minus - 1.0) < 1e-10
         assert abs(data.nu_plus - 1.0) < 1e-10
+
+
+class TestCheckCovariance:
+    FINITE = "covariance matrix entries must be finite"
+    SYMMETRIC = "covariance matrix must be symmetric within 1e-12"
+
+    def test_returns_a_fresh_float_copy(self):
+        sigma = initial_squeezed_vacuum(1.0)
+        out = check_covariance(sigma)
+        assert out is not sigma and np.array_equal(out, sigma)
+        assert check_covariance(np.eye(4, dtype=int)).dtype == float
+
+    def test_asymmetry_up_to_the_tolerance_is_accepted(self):
+        sigma = np.eye(4)
+        sigma[0, 2] = 1e-12
+        check_covariance(sigma)
+        sigma[0, 2] = 2e-12
+        with pytest.raises(ValueError, match=self.SYMMETRIC):
+            check_covariance(sigma)
+
+    def test_wrong_shape(self):
+        with pytest.raises(ValueError, match="must be 4x4"):
+            check_covariance(np.eye(3))
+
+    @pytest.mark.parametrize("entry", [math.inf, -math.inf, math.nan])
+    def test_non_finite_diagonal(self, entry):
+        # inf - inf on the diagonal: NaN asymmetry, and no RuntimeWarning
+        sigma = np.eye(4)
+        sigma[1, 1] = entry
+        with pytest.raises(ValueError, match=self.FINITE):
+            check_covariance(sigma)
+
+    @pytest.mark.parametrize("entry", [math.inf, math.nan])
+    def test_non_finite_symmetric_pair(self, entry):
+        sigma = np.eye(4)
+        sigma[0, 3] = sigma[3, 0] = entry
+        with pytest.raises(ValueError, match=self.FINITE):
+            check_covariance(sigma)
+
+    def test_nan_off_the_diagonal(self):
+        sigma = np.eye(4)
+        sigma[2, 1] = math.nan
+        with pytest.raises(ValueError, match=self.FINITE):
+            check_covariance(sigma)
+
+    def test_non_finite_is_reported_before_asymmetric(self):
+        sigma = np.eye(4)
+        sigma[0, 1] = 0.5  # asymmetric by 0.5
+        sigma[3, 3] = math.inf
+        with pytest.raises(ValueError, match=self.FINITE):
+            check_covariance(sigma)
