@@ -513,7 +513,9 @@ def ode_oracle(sigma0, params: SystemParams, t: float, dt: float = 1e-3) -> np.n
     The flow is linear, so one RK4 step is a fixed affine map on vec(sigma);
     it is built once, composed over all steps of the interval and applied as
     a single matrix-vector product. The result is exactly symmetric.
-    ``evolve_trajectory`` runs whole grids through the same core.
+    ``evolve_trajectory`` runs whole grids through the same core, where a
+    run of L intervals with one map costs ceil(log2(L + 1)) products, so
+    its rows equal chained calls of this function to rounding.
 
     t must be finite and >= 0 and dt finite and > 0 (see
     :func:`check_step`). The step is min(dt, t): floor(t/dt) whole steps,
@@ -542,40 +544,53 @@ def _sym_rows(a: np.ndarray) -> np.ndarray:
     return (0.5 * (b + b.swapaxes(0, 1))).reshape(a.shape)
 
 
-def _rk4_map(lsum: np.ndarray, b: np.ndarray, h: float, n: int,
-             remainder: float) -> tuple[np.ndarray, np.ndarray]:
-    """Increment (K, C) of n >= 1 RK4 steps of size h, then one of
-    ``remainder`` (if nonzero), for v' = lsum v + b: the steps take v to
-    v + (K v + C).
+def _rk4_step(lsum: np.ndarray, b: np.ndarray, size: float) -> np.ndarray:
+    """Increment [K | C], as one (16, 17) array, of one RK4 step of ``size``
+    for v' = lsum v + b: the step takes v to v + (K v + C).
 
-    One step is K = P (hL) Phi and c = P h Phi b with
-    Phi = sum_{j=0..3} (hL)^j / (j+1)!, the exact RK4 map of this linear
-    flow minus the identity; P keeps the result exactly symmetric in place
-    of a symmetrization after each step. [K_a | C_a] then [K_b | C_b] is
-    K = K_a + (K_b K_a + K_b), C = C_a + (K_b C_a + C_b); this increment form
-    keeps the rounding relative to the small change per step, not to the
-    state (composing R = I + K lets det(sigma) drift ~10x more at
-    lambda = 0). The n steps compose by repeated squaring: O(log n) products.
+    K = P (hL) Phi and C = P h Phi b with Phi = sum_{j=0..3} (hL)^j / (j+1)!,
+    the exact RK4 map of this linear flow minus the identity; P keeps the
+    result exactly symmetric in place of a symmetrization after each step.
     """
     ident = np.eye(lsum.shape[0])
+    a = size * lsum
+    phi = ident + a @ (0.5 * ident + a @ (ident / 6.0 + a / 24.0))
+    # the step as a map on the columns of [K | C], C in the last column
+    return _sym_rows(np.column_stack((a @ phi, size * (phi @ b))))
 
-    def step(size):
-        a = size * lsum
-        phi = ident + a @ (0.5 * ident + a @ (ident / 6.0 + a / 24.0))
-        # one step as a map on the columns of [K | C], c in the last column
-        return _sym_rows(np.column_stack((a @ phi, size * (phi @ b))))
 
-    def then(g, kc):
-        return g + (kc[:, :-1] @ g + kc)
+def _rk4_map(lsum: np.ndarray, b: np.ndarray, h: float, n: int,
+             remainder: float, whole: dict) -> np.ndarray:
+    """Increment [K | C] of n >= 1 RK4 steps of size h, then one of
+    ``remainder`` (if nonzero).
 
-    g = kc = step(h)
-    for bit in bin(n)[3:]:  # the bits of n below its leading one
-        g = then(g, g)
-        if bit == "1":
-            g = then(g, kc)
+    The n steps compose by :func:`_then` and repeated squaring: O(log n)
+    products. ``whole`` caches the n whole steps by (h, n), since the spans
+    of a grid often differ only in their remainder; a cached map is the
+    one built here, so sharing it changes no bit.
+    """
+    g = whole.get((h, n))
+    if g is None:
+        g = kc = _rk4_step(lsum, b, h)
+        for bit in bin(n)[3:]:  # the bits of n below its leading one
+            g = _then(g, g)
+            if bit == "1":
+                g = _then(g, kc)
+        whole[(h, n)] = g
     if remainder:
-        g = then(g, step(remainder))
-    return np.ascontiguousarray(g[:, :-1]), g[:, -1].copy()
+        g = _then(g, _rk4_step(lsum, b, remainder))
+    return g
+
+
+def _then(g: np.ndarray, kc: np.ndarray) -> np.ndarray:
+    """The map [K_a | C_a] = ``g``, then [K_b | C_b] = ``kc``:
+    K = K_a + (K_b K_a + K_b), C = C_a + (K_b C_a + C_b).
+
+    This increment form keeps the rounding relative to the small change per
+    step, not to the state (composing R = I + K lets det(sigma) drift ~10x
+    more at lambda = 0).
+    """
+    return g + (kc[:, :-1] @ g + kc)
 
 
 def _rk4_grid(sigma0: np.ndarray, params: SystemParams, times,
@@ -584,42 +599,71 @@ def _rk4_grid(sigma0: np.ndarray, params: SystemParams, times,
 
     Steps from t = 0 to times[0], then from each time to the next, each
     interval of length T with step h = min(dt, T): floor(T/h) whole steps
-    plus one step for a remainder of at least 1e-12 * max(T, 1). M, D and
-    L = M (+) M are built once, and the composed map once per distinct
-    (h, steps, remainder), since linspace's spans can differ in the last
-    bits; each interval then costs one matrix-vector product. Returns an
-    (N, 4, 4) stack of exactly symmetric matrices; raises
+    plus one step for a remainder of at least 1e-12 * max(T, 1); an
+    interval of length 0 repeats the state before it. M, D and
+    L = M (+) M are built once, and the map of an interval once per
+    distinct key (h, steps, remainder), since linspace's spans can differ
+    in the last bits.
+
+    Consecutive intervals that share a key form a run, which applies one
+    affine map v -> v + (K v + C) L times; its states are filled by
+    doubling, a parallel prefix. With x_0 the state before the run and
+    [K_m | C_m] the map of m intervals, round m = 1, 2, 4, ... gives
+    x_m .. x_{2m-1} = x_j + (K_m x_j + C_m), j = 0 .. m-1, in one
+    (m, 16) x (16, 16) product, so a run of L intervals costs
+    ceil(log2(L + 1)) products. [K_2m | C_2m] is [K_m | C_m] composed with
+    itself by :func:`_then`, cached with the key. The rows therefore equal
+    chained one-interval calls (:func:`ode_oracle`) to rounding, not bit
+    for bit.
+
+    Returns an (N, 4, 4) stack of exactly symmetric matrices; raises
     :class:`OutOfRange` if any entry overflowed, or before any map is built
     if an interval's step count t/dt is beyond the float range.
     """
-    t = float(np.max(np.diff(times, prepend=0.0)))
+    spans = np.diff(times, prepend=0.0)
+    t = float(spans.max())
     if not math.isfinite(t / dt):
         raise OutOfRange(f"RK4 step count t/dt beyond the float range (t={t:g}, dt={dt:g})")
+    moving = spans > 0.0
+    span = spans[moving]
+    h = np.minimum(dt, span)
+    n = np.floor(span / h + 1e-9)
+    remainder = span - n * h
+    remainder[remainder < 1e-12 * np.maximum(span, 1.0)] = 0.0
+    keys = np.column_stack((h, n, remainder))
+    # a run starts at the first interval and wherever the key changes
+    starts = [0, *(np.flatnonzero((keys[1:] != keys[:-1]).any(axis=1)) + 1).tolist()]
     lsum = _kron_sum(_drift(params))
     b = 2.0 * np.diag(_diffusion(params)).reshape(-1)
-    # the map keeps symmetric inputs exactly symmetric; make sure this one is
-    v = (0.5 * sigma0 + 0.5 * sigma0.T).reshape(-1)
-    out = np.empty((len(times), 4, 4))
-    maps = {}
-    t_prev = 0.0
+    # row 0 is sigma0 and row i the state after the i-th moving interval;
+    # the maps keep symmetric inputs exactly symmetric, so make sure this is
+    states = np.empty((len(span) + 1, 16))
+    states[0] = (0.5 * sigma0 + 0.5 * sigma0.T).reshape(-1)
+    whole = {}
+    maps = {}  # key -> [([K_m | C_m], K_m^T, C_m) for m = 1, 2, 4, ...]
     # a step beyond the stability limit can overflow; one check at the end
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, t in enumerate(times):
-            t = float(t)
-            span = t - t_prev
-            if span > 0.0:
-                h = min(dt, span)
-                n = math.floor(span / h + 1e-9)
-                remainder = span - n * h
-                if remainder < 1e-12 * max(span, 1.0):
-                    remainder = 0.0
-                key = (h, n, remainder)
-                if key not in maps:
-                    maps[key] = _rk4_map(lsum, b, h, n, remainder)
-                k, c = maps[key]
-                v = v + (k @ v + c)
-            out[i] = v.reshape(4, 4)
-            t_prev = t
+        for start, end, (h, n, remainder) in zip(
+                starts, [*starts[1:], len(span)], keys[starts].tolist()):
+            key = (h, int(n), remainder)
+            powers = maps.get(key)
+            if powers is None:
+                g = _rk4_map(lsum, b, *key, whole)
+                powers = maps[key] = [(g, g[:, :-1].T, g[:, -1])]
+            length = end - start
+            for i in range(length.bit_length()):
+                if i == len(powers):
+                    g = _then(powers[-1][0], powers[-1][0])
+                    powers.append((g, g[:, :-1].T, g[:, -1]))
+                _, kt, c = powers[i]
+                m = 1 << i
+                count = min(m, length + 1 - m)
+                x = states[start:start + count]
+                y = states[start + m:start + m + count]
+                np.matmul(x, kt, out=y)  # then y = x + (K x + C)
+                y += c
+                y += x
+    out = states[np.cumsum(moving)].reshape(-1, 4, 4)
     if not np.isfinite(out).all():
         raise OutOfRange(
             f"RK4 covariance left the float range (dt={dt:g}, "

@@ -185,9 +185,10 @@ def evolve_trajectory(
     :func:`~oscbath.dynamics.propagate` call (needs a steady state), "rk4"
     steps the whole grid with one call of the RK4 core behind
     :func:`~oscbath.dynamics.ode_oracle`, using step ``min(dt, interval)``
-    (one step map per distinct interval, then one matrix-vector product
-    per interval; every row equals the chained ``ode_oracle``
-    calls from one grid time to the next bit for bit), and "auto" (default)
+    (one step map per distinct interval; a run of L consecutive intervals
+    with one map is filled by doubling in ceil(log2(L + 1)) batched
+    products, so every row equals the chained ``ode_oracle`` calls from
+    one grid time to the next to rounding), and "auto" (default)
     picks "closed" whenever the steady state exists. A ``dt`` that is not
     finite and > 0 raises ``ValueError`` before any work, whichever
     integrator runs.

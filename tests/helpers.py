@@ -1,5 +1,5 @@
-"""Shared test utilities: random physical states, caption parameter sets
-and steady-state oracles."""
+"""Shared test utilities: random physical states, caption parameter sets,
+steady-state oracles and RK4 oracles."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from oscbath import SystemParams, build_diffusion, build_drift
+from oscbath import SystemParams, build_diffusion, build_drift, ode_oracle
 
 # Parameter sets fixed by the four figure captions (omega = 1 throughout).
 # Panels that sweep the temperature leave it free; 0.2 is the value the
@@ -130,3 +130,41 @@ def scipy_steady_state(params: SystemParams) -> np.ndarray:
     linalg = pytest.importorskip("scipy.linalg")
     m = build_drift(params)
     return linalg.solve_continuous_lyapunov(m, -2.0 * np.diag(build_diffusion(params)))
+
+
+def rk4_reference(sigma0, params: SystemParams, t: float, dt: float) -> np.ndarray:
+    """The per-step RK4 of earlier versions: four right-hand sides and one
+    symmetrization per step, with ``ode_oracle``'s step and remainder rule."""
+    m = build_drift(params)
+    d2 = 2.0 * np.diag(build_diffusion(params))
+
+    def rhs(s):
+        return m @ s + s @ m.T + d2
+
+    n = int(math.floor(t / dt + 1e-9))
+    remainder = t - n * dt
+    if remainder < 1e-12 * max(t, 1.0):
+        remainder = 0.0
+    s = np.array(sigma0, dtype=float)
+    for h in [dt] * n + ([remainder] if remainder else []):
+        k1 = rhs(s)
+        k2 = rhs(s + (0.5 * h) * k1)
+        k3 = rhs(s + (0.5 * h) * k2)
+        k4 = rhs(s + h * k3)
+        s = s + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        s = 0.5 * (s + s.T)
+    return s
+
+
+def chained_ode_oracle(sigma0, params: SystemParams, times, dt: float) -> np.ndarray:
+    """(N, 4, 4) RK4 states at the non-decreasing ``times``: one
+    ``ode_oracle`` call per interval, from t = 0 to times[0] and then from
+    each time to the next; an interval of length 0 repeats the state."""
+    s = np.asarray(sigma0, dtype=float)
+    out = []
+    t_prev = 0.0
+    for t in times:
+        s = ode_oracle(s, params, float(t) - t_prev, dt)
+        out.append(s)
+        t_prev = float(t)
+    return np.array(out)

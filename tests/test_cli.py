@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import oscbath
 
@@ -608,3 +608,65 @@ class TestLogBaseUnits:
         ]
         assert printed[0] and printed[1] == printed[0]
         assert printed[2] != printed[0]
+
+
+# Every option of the four commands, by the kind of value it takes; an
+# option drawn for a command that lacks it is a usage error (exit 2).
+_FLOAT_FLAGS = ["--omega", "--epsilon", "--nu", "--lambda", "--temp", "--r",
+                "--t-start", "--t-end", "--dt", "--threshold"]
+_CHOICE_FLAGS = {"--integrator": ["closed", "rk4"], "--log-base": ["e", "2"]}
+_SHORT_TEXT = st.text(alphabet="-+.0123456789eEinfatx ", max_size=6)
+_OPTION = st.one_of(
+    st.tuples(st.sampled_from(_FLOAT_FLAGS), st.floats().map(repr) | _SHORT_TEXT),
+    st.tuples(st.just("--points"), st.integers(max_value=2001).map(str) | _SHORT_TEXT),
+    *[st.tuples(st.just(flag), st.sampled_from(values) | _SHORT_TEXT)
+      for flag, values in _CHOICE_FLAGS.items()],
+    st.tuples(st.just("--out"), st.sampled_from(["-", "out.csv", "missing/out.csv"])),
+    st.just(("--hex-floats",)),
+)
+# the RK4 core's edges: tiny steps, step counts t/dt near the float range,
+# grids of two points, and the sets only RK4 evolves
+_RK4_EVOLVE = st.builds(
+    lambda dt, t_end, points, flags: [
+        "evolve", "--integrator", "rk4", "--dt", repr(dt), "--t-end", repr(t_end),
+        "--points", str(points), *flags],
+    st.floats(min_value=5e-324, max_value=1.0) | st.sampled_from([5e-324, 1e-300, 1e-10, 0.3]),
+    st.floats(min_value=0.0, max_value=1e308) | st.sampled_from([1e-300, 1e-3, 2.0, 1e300]),
+    st.integers(min_value=2, max_value=40),
+    st.sampled_from([[], ["--lambda", "0"], ["--nu", "1", "--omega", "1"]]),
+)
+
+
+def _run_argv(argv, capsys):
+    """Run ``main(argv)`` and check it exits 0, 1 or 2 with no traceback; any
+    exception other than argparse's SystemExit fails the test as it is."""
+    capsys.readouterr()
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2), (argv, code, err)
+    assert "Traceback" not in err, (argv, err)
+
+
+class TestArgvNeverCrashes:
+    """Every command line exits 0, 1 or 2, with no traceback."""
+
+    @settings(max_examples=120, deadline=None, database=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.sampled_from(["validate", "evolve", "steady", "figure"]),
+           st.lists(_OPTION, max_size=5),
+           st.sampled_from(FIGURE_IDS) | _SHORT_TEXT)
+    def test_drawn_options(self, monkeypatch, tmp_path, capsys, command, options, figure):
+        monkeypatch.chdir(tmp_path)  # every --out is relative
+        argv = [command, *(part for option in options for part in option)]
+        if command == "figure":
+            argv[1:1] = [figure, "--out", "figure_out"]
+        _run_argv(argv, capsys)
+
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(_RK4_EVOLVE)
+    def test_rk4_evolve_edges(self, tmp_path, capsys, argv):
+        _run_argv(argv + ["--out", str(tmp_path / "rk4.csv")], capsys)

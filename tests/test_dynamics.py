@@ -31,7 +31,8 @@ from oscbath.sweep import (
     FIGURE_IDS, TimeGrid, evolve_trajectory, figure_preset, sweep_parameter,
 )
 from helpers import (
-    FIG1A, FIG4, kron_steady_state, random_valid_params, scipy_steady_state,
+    FIG1A, FIG4, kron_steady_state, random_valid_params, rk4_reference,
+    scipy_steady_state,
 )
 from hypothesis import assume, given, settings, strategies as st
 
@@ -46,30 +47,6 @@ def taylor_expm(a, terms=60):
         term = term @ a / k
         acc = acc + term
     return acc
-
-
-def rk4_reference(sigma0, params, t, dt):
-    # the per-step RK4 of earlier versions: four right-hand sides and one
-    # symmetrization per step, with ode_oracle's step and remainder rule
-    m = build_drift(params)
-    d2 = 2.0 * np.diag(build_diffusion(params))
-
-    def rhs(s):
-        return m @ s + s @ m.T + d2
-
-    n = int(math.floor(t / dt + 1e-9))
-    remainder = t - n * dt
-    if remainder < 1e-12 * max(t, 1.0):
-        remainder = 0.0
-    s = np.array(sigma0, dtype=float)
-    for h in [dt] * n + ([remainder] if remainder else []):
-        k1 = rhs(s)
-        k2 = rhs(s + (0.5 * h) * k1)
-        k3 = rhs(s + (0.5 * h) * k2)
-        k4 = rhs(s + h * k3)
-        s = s + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        s = 0.5 * (s + s.T)
-    return s
 
 
 def rk4_sets():

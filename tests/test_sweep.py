@@ -15,18 +15,23 @@ from oscbath import (
     TimeGrid,
     Trajectory,
     UnknownFigure,
+    build_diffusion,
+    build_drift,
+    coupling_bound,
     detect_sudden_death,
     evolve_trajectory,
     figure_preset,
     full_report,
-    ode_oracle,
     propagate,
     initial_squeezed_vacuum,
     steady_state,
     sweep_parameter,
     validate,
 )
-from helpers import FIG1A, FIG2A, FIG4
+from helpers import FIG1A, FIG2A, FIG4, chained_ode_oracle, random_valid_params
+
+LAMBDA0 = dataclasses.replace(FIG1A, lambda_=0.0)
+MARGINAL = dataclasses.replace(FIG4, nu=-coupling_bound(FIG4))
 
 SMALL_GRID = TimeGrid(0.0, 10.0, 101)
 
@@ -184,31 +189,82 @@ class TestEvolveTrajectory:
 
     @pytest.mark.parametrize(
         "params, grid",
-        [(dataclasses.replace(FIG1A, lambda_=0.0), DEFAULT_GRID),
+        [(LAMBDA0, DEFAULT_GRID),
          (FIG4, TimeGrid(0.75, 3.0, 41)),  # first interval starts at t = 0
          (FIG4, TimeGrid(0.0, 0.01, 21)),  # spacing below dt
          # linspace's spans differ in the last bits: 10 maps for 300 intervals
-         (FIG4, TimeGrid(0.0, 10.0, 301))],
+         (FIG4, TimeGrid(0.0, 10.0, 301)),
+         (MARGINAL, DEFAULT_GRID),
+         (FIG1A, TimeGrid(0.0, 10.0, 2001)),  # one run of 2000 intervals
+         # times no TimeGrid gives: intervals of length 0, at the start and
+         # inside runs
+         (FIG4, np.array([0.0, 0.0, 0.5, 1.0, 1.0, 1.5, 2.0, 2.0, 2.7]))],
     )
-    def test_rk4_records_are_chained_ode_oracle(self, monkeypatch, params, grid):
+    def test_rk4_records_are_chained_ode_oracle(self, monkeypatch, record_property,
+                                                params, grid):
+        # runs of one map are filled by doubling, so rows agree with the
+        # chain of one-interval ode_oracle calls to rounding, not bit for bit
         import oscbath.dynamics as dynamics
 
         built = []  # (h, steps, remainder) of each map built
         rk4_map = dynamics._rk4_map
         monkeypatch.setattr(dynamics, "_rk4_map",
-                            lambda *args: built.append(args[2:]) or rk4_map(*args))
+                            lambda *args: built.append(args[2:5]) or rk4_map(*args))
         dt = 1e-3
-        traj = evolve_trajectory(params, grid, integrator="rk4", dt=dt)
+        sigma0 = initial_squeezed_vacuum(params.r)
+        if isinstance(grid, TimeGrid):
+            times = grid.times()
+            sigmas = evolve_trajectory(params, grid, integrator="rk4", dt=dt).sigmas
+        else:
+            times = grid
+            sigmas = dynamics._rk4_grid(sigma0, params, times, dt)
         assert len(built) == len(set(built))  # each distinct interval once
         monkeypatch.undo()
-        s = initial_squeezed_vacuum(params.r)
-        t_prev = 0.0
-        for t, rec in zip(grid.times(), traj.records):
-            step = float(t) - t_prev
-            s = ode_oracle(s, params, step, min(dt, step))
-            assert np.array_equal(rec.sigma, s), rec.t
-            assert np.array_equal(rec.sigma, rec.sigma.T), rec.t
-            t_prev = float(t)
+        chain = chained_ode_oracle(sigma0, params, times, dt)
+        rel = (np.abs(sigmas - chain).max(axis=(1, 2))
+               / np.abs(chain).max(axis=(1, 2)))
+        record_property("max_rel_diff", float(rel.max()))
+        assert rel.max() <= 1e-13, float(rel.max())
+        assert np.array_equal(sigmas, sigmas.swapaxes(1, 2))
+
+    def test_rk4_shares_whole_steps_between_remainders(self, monkeypatch):
+        # the 40 spans of this grid are 56 steps of 1e-3 plus a remainder
+        # that differs in the last bits: five keys, one set of whole steps
+        import oscbath.dynamics as dynamics
+
+        steps = []
+        rk4_step = dynamics._rk4_step
+        monkeypatch.setattr(dynamics, "_rk4_step",
+                            lambda *args: steps.append(args[2]) or rk4_step(*args))
+        maps = {}
+        rk4_map = dynamics._rk4_map
+        monkeypatch.setattr(dynamics, "_rk4_map",
+                            lambda *args: maps.setdefault(args[2:5], rk4_map(*args)))
+        evolve_trajectory(FIG4, TimeGrid(0.75, 3.0, 41), "rk4", dt=1e-3)
+        assert sorted({(h, n) for h, n, _ in maps}) == [(1e-3, 56), (1e-3, 750)]
+        assert len(steps) == 2 + sum(1 for key in maps if key[2])
+        monkeypatch.undo()
+        # a shared set of whole steps changes no bit of a map
+        lsum = dynamics._kron_sum(build_drift(FIG4))
+        b = 2.0 * np.diag(build_diffusion(FIG4)).reshape(-1)
+        for key, g in maps.items():
+            assert np.array_equal(dynamics._rk4_map(lsum, b, *key, {}), g), key
+
+    def test_rk4_purity_conserved_on_every_row_at_lambda0(self):
+        # the rk4 bench gate on lambda = 0 sets, over all 501 rows
+        purity = evolve_trajectory(LAMBDA0, DEFAULT_GRID, "rk4", dt=1e-3).report.purity
+        assert len(purity) == 501
+        assert np.abs(purity - purity[0]).max() <= 1e-9
+
+    def test_rk4_rows_match_closed_form_on_stable_sets(self):
+        # the rk4 bench gate on stable sets: every row within 1e-7
+        rng = np.random.default_rng(2024)
+        for _ in range(4):
+            params = random_valid_params(rng)
+            traj = evolve_trajectory(params, DEFAULT_GRID, "rk4", dt=1e-3)
+            closed = propagate(initial_squeezed_vacuum(params.r), params,
+                               DEFAULT_GRID.times())
+            assert np.abs(traj.sigmas - closed).max() <= 1e-7, params
 
     @pytest.mark.parametrize("dt", [math.nan, math.inf, -1.0, 0.0])
     def test_bad_step_rejected(self, no_propagation, dt):
