@@ -309,7 +309,12 @@ def _rotate(c: float, s: float, pp: float, pm: float, mp: float, mm: float):
             diag - ss * pm + cc * mp, ss * pp + cs * (pm + mp) + cc * mm)
 
 
-_RESIDUAL_TOL = 1e-10
+# The residual is checked against 64 u times the largest entry of
+# |M| |S| + |S| |M|^T + 2 |D|, the sums of the magnitudes of the terms each
+# entry is formed from (u = 2**-53): evaluating it rounds by at most 5 u of
+# that, a correctly rounded S adds u, and the rest is left to the closed
+# form's own rounding.
+_RESIDUAL_TOL = 2.0 ** -47
 
 
 def steady_state(params: SystemParams, *, _modes=None) -> np.ndarray:
@@ -322,8 +327,9 @@ def steady_state(params: SystemParams, *, _modes=None) -> np.ndarray:
     gives S, exactly symmetric. D is carried divided by lambda, and lambda
     cancels from each mode's own block, so S keeps its finite thermal limit
     as lambda -> 0+ (lambda down to 5e-324). Its max-abs residual
-    is then verified to be below 1e-10 * max(1, max|2D|), a bound that
-    scales with the size of the right-hand side.
+    M S + S M^T + 2 D is then verified to be at most 2**-47 (64 ulp of 1)
+    times the largest entry of |M| |S| + |S| |M|^T + 2 |D|, the size of the
+    terms it is formed from.
 
     Raises :class:`SteadyStateUnavailable` for marginal parameter sets
     (lambda = 0 or |nu| = omega1*omega2), and for near-singular ones: those
@@ -340,6 +346,14 @@ def steady_state(params: SystemParams, *, _modes=None) -> np.ndarray:
         raise OutOfRange(
             f"W-^2 + lambda^2 underflows to 0 (W-^2 = {lo_sq:g}, lambda = {lam:g})"
         )
+    if lo_sq * hi_sq < 2.0 ** -1021:  # det V = W-^2 W+^2 may have underflowed
+        b, nu_abs = coupling_bound(params), abs(params.nu)
+        unscaled = (b - nu_abs) / hi_sq * (b + nu_abs)
+        if not abs(unscaled - lo_sq) <= 2.0 ** -52 * (unscaled + lam * lam):
+            raise OutOfRange(
+                f"W-^2 loses its digits to underflow (W-^2 = {lo_sq:g}, "
+                f"(b - |nu|) / W+^2 * (b + |nu|) = {unscaled:g}, lambda = {lam:g})"
+            )
     w1, w2 = mode_frequencies(params)
     c1 = thermal_coth(w1, params.temperature)
     c2 = thermal_coth(w2, params.temperature)
@@ -355,7 +369,8 @@ def steady_state(params: SystemParams, *, _modes=None) -> np.ndarray:
     s01, s03, s12, s23 = _rotate(c, s, xp_hi, xp, px, xp_lo)
     s11, s13, _, s33 = _rotate(c, s, pp_hi, pp, pp, pp_lo)
     # M S + S M^T + 2 D, upper triangle, with M = -lambda I + A and
-    # (A S)_{1j} = -w1^2 S_{0j} - nu S_{2j}, (A S)_{3j} = -nu S_{0j} - w2^2 S_{2j}
+    # (A S)_{1j} = -w1^2 S_{0j} - nu S_{2j}, (A S)_{3j} = -nu S_{0j} - w2^2 S_{2j},
+    # and the same sums of products on |S| and |nu|: |M| |S| + |S| |M|^T + 2 D
     w1_sq, w2_sq, nu = w1 * w1, w2 * w2, params.nu
     d = (lam2 * x1, lam2 * p1, lam2 * x2, lam2 * p2)  # 2 D
     res = (
@@ -370,10 +385,24 @@ def steady_state(params: SystemParams, *, _modes=None) -> np.ndarray:
         s33 - lam2 * s23 - nu * s02 - w2_sq * s22,
         d[3] - 2.0 * (lam * s33 + nu * s03 + w2_sq * s23),
     )
+    a00, a01, a02, a03, a11, a12, a13, a22, a23, a33, a_nu = map(
+        abs, (s00, s01, s02, s03, s11, s12, s13, s22, s23, s33, nu))
+    magnitude = (
+        2.0 * (a01 + lam * a00) + d[0],
+        a11 + lam2 * a01 + w1_sq * a00 + a_nu * a02,
+        a12 + a03 + lam2 * a02,
+        a13 + lam2 * a03 + a_nu * a00 + w2_sq * a02,
+        d[1] + 2.0 * (lam * a11 + w1_sq * a01 + a_nu * a12),
+        a13 + lam2 * a12 + w1_sq * a02 + a_nu * a22,
+        lam2 * a13 + w1_sq * a03 + a_nu * (a23 + a01) + w2_sq * a12,
+        2.0 * (a23 + lam * a22) + d[2],
+        a33 + lam2 * a23 + a_nu * a02 + w2_sq * a22,
+        d[3] + 2.0 * (lam * a33 + a_nu * a03 + w2_sq * a23),
+    )
     residual = max(map(abs, res))
     if math.isnan(sum(res)):  # max drops a NaN that is not first
         residual = math.nan
-    bound = _RESIDUAL_TOL * max(1.0, *d)
+    bound = _RESIDUAL_TOL * max(magnitude)
     # NaN fails every comparison, so the test is written to fail on it
     if not residual <= bound < math.inf:
         if bound < residual < math.inf:

@@ -22,16 +22,34 @@ cancellation residual), which would wreck purity and physicality checks at
 and near t = 0.
 
 A whole trajectory (an (N, 4, 4) stack) takes a batched route with the same
-results bit for bit. Its invariants are evaluated in vectorized
-double-double arithmetic (Dekker's error-free products and sums) with an
-error bound, and each value is kept only where Ziv's round test proves that
-rounding it gives the correctly rounded exact value. Every other row (pure
-states such as t = 0, a whole lambda = 0 trajectory, entries beyond
-2**+-200) is recomputed in one exact pass over object arrays of Python
-ints, which runs the same integer polynomial code as the scalar route and
-differs from it only in how the floats become integers. An exact invariant
-beyond the float range raises :class:`OutOfRange` on both routes, on the
-stack for its lowest such row.
+results bit for bit, in three stages, each cheap filter first and the exact
+fallback last (Shewchuk, "Adaptive Precision Floating-Point Arithmetic and
+Fast Robust Geometric Predicates", DCG 18, 1997):
+
+1. All eight invariants in vectorized double-double arithmetic (Dekker's
+   error-free products and sums) with an error bound; each value is kept
+   only where Ziv's round test proves that rounding it gives the correctly
+   rounded exact value. Near a degenerate spectrum (pure states such as
+   t = 0, a whole lambda = 0 trajectory) the discriminants cancel beyond
+   double-double and stay open.
+2. For rows whose only open values are the discriminants, rad and
+   rad_tilde again, from the identities
+
+       Delta^2 - 4 I4 = (I1 - I2)^2 + 4 (q02 q13 - q03 q12),
+       Delta~^2 - 4 I4 = (I1 - I2)^2 - 4 (r02 r13 - r03 r12),
+
+   where q_ij and r_ij are entries of sigma Omega sigma and of its partial
+   transpose (Weedbrook et al., Rev. Mod. Phys. 84, 621 (2012)). They and
+   I1 - I2 vanish where nu_+ = nu_-, so the cancellation happens inside
+   sums of four products that are evaluated almost exactly, and the same
+   round test settles the rows with a bound made of computed quantities.
+3. Every row still open (entries beyond 2**+-200 among them) is recomputed
+   in one exact pass over object arrays of Python ints, which runs the
+   same integer polynomial code as the scalar route and differs from it
+   only in how the floats become integers.
+
+An exact invariant beyond the float range raises :class:`OutOfRange` on
+both routes, on the stack for its lowest such row.
 
 Each measure formula is written once, as a function of its inputs and a
 namespace ``xp`` of the few operations that differ between one float
@@ -290,16 +308,15 @@ def _dd_scale(x, factor):
     return factor * x[0], factor * x[1]
 
 
-def _round_test(x, mag, value, proven):
-    """Write to ``value`` the correctly rounded value of x (within
-    _DD_ERROR * mag of exact) and to ``proven`` whether it is proven: both
-    ends of the error interval round alike.
+def _round_test(x, e, value, proven):
+    """Write to ``value`` the correctly rounded value of x (within e of
+    exact) and to ``proven`` whether it is proven: both ends of the error
+    interval round alike. e is overwritten.
 
     e is widened so that the rounding of lo -+ e cannot narrow the
     interval; adding 0.0 turns a -0.0 into the 0.0 the exact path returns.
     """
     hi, lo = x
-    e = _DD_ERROR * mag
     t = np.abs(lo)
     t += e
     t *= 2.0 ** -50
@@ -386,12 +403,177 @@ def _dd_block_invariants(sigmas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         for k, (x, mag) in enumerate((
                 (i1, a1), (i2, a2), (i3, a3), (i4, a4), (delta, a_delta),
                 (delta_tilde, a_delta), (rad, a_rad), (rad_tilde, a_rad))):
-            _round_test(x, mag, values[:, k], accepted[:, k])
-        absolute = np.abs(sigmas)
-        in_range = ((absolute == 0.0)
-                    | ((absolute >= _ENTRY_MIN) & (absolute <= _ENTRY_MAX))).all(axis=(1, 2))
-    accepted &= in_range[:, None]
+            _round_test(x, _DD_ERROR * mag, values[:, k], accepted[:, k])
+    accepted &= _in_range(sigmas)[:, None]
     return values, accepted
+
+
+def _in_range(sigmas):
+    """(N,) mask of the matrices whose nonzero entries all lie in
+    [_ENTRY_MIN, _ENTRY_MAX]."""
+    absolute = np.abs(sigmas)
+    return ((absolute == 0.0)
+            | ((absolute >= _ENTRY_MIN) & (absolute <= _ENTRY_MAX))).all(axis=(1, 2))
+
+
+# ---------------------------------------------------------------------------
+# Batched discriminants of near-degenerate rows: entries of sigma Omega sigma
+# ---------------------------------------------------------------------------
+
+# With M(ab; ij) the 2x2 minor of sigma on rows (a, b) and columns (i, j),
+# d = I1 - I2 and q_ij, r_ij = M(01; ij) +- M(23; ij), the discriminants are
+#
+#     rad       = Delta^2 - 4 I4 = d^2 + 4 (q02 q13 - q03 q12),
+#     rad_tilde = Delta~^2 - 4 I4 = d^2 - 4 (r02 r13 - r03 r12)
+#
+# for every symmetric sigma. q_ij is entry (i, j) of sigma Omega sigma with
+# Omega = diag(J, J), J = [[0, 1], [-1, 0]], and r_ij the same entry for the
+# partial transpose (J -> -J in mode 2). Where nu_+ = nu_-, for pure and
+# mixed states alike, sigma Omega sigma = nu^2 Omega, so d and every q
+# vanish: the cancellation that costs Delta^2 - 4 I4 all its digits there
+# happens inside these nine sums of four products, which are evaluated
+# almost exactly, before any rounding.
+#
+# Error analysis (u = 2**-53). The nine sums share ten minors, M(01; c) for
+# c = 01, 02, 03, 12, 13 and M(23; c) for c = 23, 02, 03, 12, 13. Each
+# minor is two TwoProds p+ + f+ and p- + f-, exact. TwoSums give
+# m + e = p+ + p- and then u + g + g' = f+ + f- + e, so M = m + u + g + g'
+# exactly. A sum M_A +- M_B takes h + e_h = m_A +- m_B and then
+# t + g + g' = u_A +- u_B + e_h: its high parts and its seven small terms
+# (e, f+ and f- of both minors, and e_h) are each summed by error-free
+# TwoSums, and hi + lo = h + t exactly, which leaves six TwoSum errors g,
+# each O(u) of a small term. fl(sum g) is within 5.01 u sum|g| of sum g and
+# lo' = fl(lo + fl(sum g)) within u |lo'| of lo + fl(sum g), so the sum is
+# within
+#
+#     E = 2 u |lo'| + 16 u sum|g|   (2 and 16 cover the rounding of E)
+#
+# of hi + lo', which one more TwoSum renormalizes. E is made of computed
+# quantities only and is zero when every step was exact, so exactly
+# degenerate rows (t = 0, where rad = 0) are proven too; near degeneracy,
+# where a sum is O(u) of its products, E is O(u^2) of the sum.
+#
+# Each discriminant is then c_0 z_0 + c_1 z_1 + c_2 z_2 with products
+# z = x y of the sums and c = 1, 4, -4. TwoProd(xh, yh) = p + e, and the
+# small part e + xh yl + xl yh drops xl yl and rounds four times: at most
+# 8.1 u^2 P, P = |xh yh|. The scaled highs c p are summed by two TwoSums
+# and the five small terms in plain floats (at most 4 u times their sum,
+# itself at most 5.02 u sum |c| P), then one TwoSum: 28.2 u^2 sum |c| P in
+# all, 64 u^2 used. Inexact sums add |x^| Ey + |y^| Ex + Ex Ey per product.
+# Every term is positive and each of its few dozen roundings is below u,
+# so the bound is widened by 2**-40 before _round_test. A nonzero entry in
+# [2**-200, 2**200] is a multiple of 2**-252, so every nonzero product and
+# TwoSum error above is a multiple of 2**-504; with every nonzero hi and E
+# of the nine sums at least 2**-400, no product or bound term over- or
+# underflows. Rows outside either range are never accepted.
+_SUM_MIN = 2.0 ** -400
+_FORM_PAIRS = ((0, 2), (0, 3), (1, 2), (1, 3))
+# The ten minors as (first row, columns), and the flat (left, right)
+# entries of their products m_ri m_(r+1)j and m_rj m_(r+1)i.
+_FORM_MINORS = ([(0, cols) for cols in ((0, 1), *_FORM_PAIRS)]
+                + [(2, cols) for cols in ((2, 3), *_FORM_PAIRS)])
+_FORM_LEFT, _FORM_RIGHT, _FORM_LEFT_MINUS, _FORM_RIGHT_MINUS = np.array(
+    [(4 * r + i, 4 * r + 4 + j, 4 * r + j, 4 * r + 4 + i) for r, (i, j) in _FORM_MINORS]).T
+# d, q02, q03, q12, q13, r02, r03, r12, r13 as minor A + sign * minor B
+_FORM_A, _FORM_B = [0, 1, 2, 3, 4, 1, 2, 3, 4], [5, 6, 7, 8, 9, 6, 7, 8, 9]
+_FORM_B_SIGN = np.array([-1.0] + [1.0] * 4 + [-1.0] * 4)[:, None]
+# the products d d, q02 q13, q03 q12, r03 r12, r02 r13 as indices of the
+# sums, and their coefficients: rad = z0 + 4 z1 - 4 z2, rad~ = z0 + 4 z3 - 4 z4
+_FORM_X, _FORM_Y = [0, 1, 2, 6, 5], [0, 4, 3, 7, 8]
+_RAD_COEF = np.array([1.0, 4.0, -4.0, 4.0, -4.0])[:, None]
+
+
+def _signed_b(x):
+    """Minor B of each of the nine sums in x, times its sign."""
+    b = x[_FORM_B]
+    b *= _FORM_B_SIGN
+    return b
+
+
+def _dd_form_sums(sigmas):
+    """d, q02, q03, q12, q13, r02, r03, r12, r13 of a (K, 4, 4) stack as a
+    double-double of (9, K) arrays, their error bounds E, and a (K,) mask
+    of the rows whose nonzero |hi| and E are all at least _SUM_MIN.
+
+    No temporary is larger than (10, K): on a 501-row stack that keeps
+    every array below the size that the allocator maps in fresh pages."""
+    flat = sigmas.reshape(-1, 16).T
+    p, f = _two_prod(flat[_FORM_LEFT], flat[_FORM_RIGHT])
+    left = flat[_FORM_LEFT_MINUS]
+    np.negative(left, out=left)
+    p_minus, f_minus = _two_prod(left, flat[_FORM_RIGHT_MINUS])
+    m, e = _two_sum(p, p_minus)
+    u, g_minor = _two_sum(f, f_minus)
+    u, g = _two_sum(u, e)
+    g_abs = np.abs(g_minor)
+    g_abs += np.abs(g)
+    g_minor += g  # each minor is m + u + (its two g), g_abs their |g| summed
+    h, e = _two_sum(m[_FORM_A], _signed_b(m))
+    t, g = _two_sum(u[_FORM_A], _signed_b(u))
+    t, g_next = _two_sum(t, e)
+    hi, lo = _two_sum(h, t)
+    g_sum = g_minor[_FORM_A]
+    g_sum += _signed_b(g_minor)
+    g_sum += g
+    g_sum += g_next
+    lo += g_sum
+    err = g_abs[_FORM_A]
+    err += g_abs[_FORM_B]
+    err += np.abs(g)
+    err += np.abs(g_next)
+    err *= 2.0 ** -49
+    err += 2.0 ** -52 * np.abs(lo)
+    hi, lo = _two_sum(hi, lo)
+    tiny = (0.0 < err) & (err < _SUM_MIN)
+    size = np.abs(hi)
+    tiny |= (0.0 < size) & (size < _SUM_MIN)
+    return (hi, lo), err, ~tiny.any(axis=0)
+
+
+def _dd_rads(sigmas):
+    """rad and rad_tilde of a (K, 4, 4) stack from the nine sums of
+    :func:`_dd_form_sums`, as a double-double of (2, K) arrays, their error
+    bounds, and the sums' (K,) underflow mask (the error analysis above)."""
+    (hi, lo), err, safe = _dd_form_sums(sigmas)
+    sums = np.stack((hi, lo, err))
+    (xh, xl, ex), (yh, yl, ey) = sums[:, _FORM_X], sums[:, _FORM_Y]
+    bound = np.abs(xh)
+    bound *= ey
+    bound += np.abs(yh) * ex
+    ex *= ey
+    bound += ex  # |x^| Ey + |y^| Ex + Ex Ey
+    p, e = _two_prod(xh, yh)
+    xh *= yl
+    xl *= yh
+    xh += xl
+    e += xh  # the small part of each product
+    bound += 2.0 ** -100 * np.abs(p)
+    bound *= np.abs(_RAD_COEF)
+    p *= _RAD_COEF
+    e *= _RAD_COEF
+    s, e_s = _two_sum(p[1::2], p[2::2])
+    h, e_h = _two_sum(s, p[0])
+    t = e[1::2] + e[2::2]
+    t += e[0]
+    t += e_s
+    t += e_h
+    err = bound[1::2] + bound[2::2]
+    err += bound[0]
+    err *= 1.0 + 2.0 ** -40
+    return _two_sum(h, t), err, safe
+
+
+def _dd_discriminants(sigmas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(K, 2) rad and rad_tilde of a finite (K, 4, 4) stack, from
+    :func:`_dd_rads`, and a (K, 2) mask of the values the round test proves
+    equal to :func:`_exact_block_invariants`'. Rows with an entry outside
+    the safe range, or a sum that could underflow, are never accepted."""
+    values, proven = np.empty((2, len(sigmas))), np.empty((2, len(sigmas)), bool)
+    with np.errstate(all="ignore"):  # rows out of range may overflow
+        rads, err, safe = _dd_rads(sigmas)
+        _round_test(rads, err, values, proven)
+    proven &= safe & _in_range(sigmas)
+    return values.T, proven.T
 
 
 def _invariants_stack(sigmas: np.ndarray) -> np.ndarray:
@@ -399,10 +581,20 @@ def _invariants_stack(sigmas: np.ndarray) -> np.ndarray:
     :func:`_exact_block_invariants` of its slice bit for bit.
 
     The stack must be finite and exactly symmetric, as both integrators
-    return it; it is not checked again. Rows the double-double round test
-    cannot settle are recomputed together by :func:`_exact_stack`.
+    return it; it is not checked again. Three stages, each settling what it
+    can prove correctly rounded: :func:`_dd_block_invariants` for all eight
+    values; :func:`_dd_discriminants`, from the entries of sigma Omega sigma,
+    for rows whose only open values are rad and rad_tilde (near-degenerate
+    spectra: t = 0, and every row of a lambda = 0 trajectory); and
+    :func:`_exact_stack` for the rows left, together.
     """
     values, accepted = _dd_block_invariants(sigmas)
+    # rows whose only open values are the discriminants
+    rows = np.flatnonzero(accepted[:, :6].all(axis=1) & ~accepted[:, 6:].all(axis=1))
+    if len(rows):
+        rads, proven = _dd_discriminants(sigmas[rows])
+        values[rows, 6:] = np.where(proven, rads, values[rows, 6:])
+        accepted[rows, 6:] |= proven
     rejected = ~accepted.all(axis=1)
     if rejected.any():
         values[rejected] = _exact_stack(sigmas[rejected])

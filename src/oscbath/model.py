@@ -65,12 +65,26 @@ class ValidationResult:
     warnings: tuple[str, ...]
 
 
+# The float initial state holds ch = fl(cosh 2r) and sh = fl(sinh 2r), each
+# within one ulp (2u, u = 2**-53) of exact, so its symplectic eigenvalue
+# squared, ch^2 - sh^2, is within 8 cosh^2(2r) u of 1 (typically about
+# 2 cosh^2(2r) u). The measures call a state physical while nu_- >= 1 - 1e-8,
+# that is ch^2 - sh^2 >= 1 - 2e-8, so the float state is certain to pass
+# while 4 cosh^2(2r) u <= 1e-8: r <= acosh(sqrt(1e-8 / (4 u))) / 2.
+_SQUEEZING_LIMIT = 0.5 * math.acosh(math.sqrt(1e-8 / 2.0 ** -51))  # 4.5790...
+
+
 def validate(params: SystemParams) -> ValidationResult:
     """Check every parameter constraint and report all failures at once.
 
     Marginal sets (|nu| exactly at the omega1*omega2 bound, or lambda = 0)
     are accepted but flagged with a warning, because the closed-form
-    propagation needs a strictly stable drift and will reject them.
+    propagation needs a strictly stable drift and will reject them. So is a
+    squeezing r above the supported range r <= 4.579 (acosh(sqrt(1e-8 / (4u)))
+    / 2, u = 2**-53), where the rounding of the float initial state, up to
+    8 cosh^2(2r) u in ch^2 - sh^2, may pass the 1e-8 physicality
+    tolerance: near r = 4.66 some t = 0 states already read non-physical,
+    and from r = 7 on the float state is itself non-physical.
     """
     violations = []
     warnings = []
@@ -108,6 +122,13 @@ def validate(params: SystemParams) -> ValidationResult:
                 "marginal coupling |nu| = omega1*omega2: steady state "
                 "unavailable, use the rk4 integrator"
             )
+
+    if math.isfinite(p.r) and p.r > _SQUEEZING_LIMIT:
+        warnings.append(
+            f"r = {p.r} is beyond the supported squeezing range r <= "
+            f"{_SQUEEZING_LIMIT:.4f}: the initial state's rounding, up to "
+            "8 cosh^2(2r) u, may pass the 1e-8 physicality tolerance"
+        )
 
     if p.lambda_ == 0:
         warnings.append(

@@ -195,8 +195,10 @@ def evolve_trajectory(
 
     The measures of all rows are computed in one batched pass: block
     invariants in double-double arithmetic kept where a round test proves
-    them correctly rounded, one exact integer pass over all other rows, then
-    the measures as arrays. Every row equals :func:`invariants` and
+    them correctly rounded, the discriminants of near-degenerate rows (t = 0,
+    a whole lambda = 0 trajectory) again from the entries of
+    sigma Omega sigma under the same test, one exact integer pass over any
+    row still open, then the measures as arrays. Every row equals :func:`invariants` and
     :func:`report_from_data` of its matrix bit for bit, and a row that makes
     them raise raises the same error here (the lowest such row first). The
     call is validation and propagation, then that pass; :func:`sweep_parameter`

@@ -4,6 +4,7 @@ import argparse
 import dataclasses
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -35,9 +36,13 @@ from oscbath.measures import (
     _assemble,
     _dd_add,
     _dd_block_invariants,
+    _dd_discriminants,
+    _dd_form_sums,
     _dd_mul,
+    _dd_rads,
     _exact_block_invariants,
     _exact_stack,
+    _in_range,
     _invariants_stack,
     _report_columns,
     _round_test,
@@ -45,6 +50,7 @@ from oscbath.measures import (
     _two_prod,
     _two_sum,
 )
+import oscbath.measures
 import oscbath.sweep
 from oscbath.cli import _trajectory_csv
 from helpers import FIG1A, random_physical_cov, random_symplectic
@@ -109,7 +115,8 @@ class TestRoundTest:
         accepted = accepted_against_exact(evolve_stack(name))
         assert not accepted[0].all()
         if name == "lambda0_rk4":
-            # the state stays pure: rad needs ~124 bits, beyond double-double
+            # the state stays pure: rad needs ~124 bits, beyond double-double,
+            # and is left to the sigma Omega sigma stage (TestDiscriminantStage)
             assert not accepted.all(axis=1).any()
         else:
             assert accepted.all(axis=1).mean() > 0.9
@@ -222,7 +229,7 @@ class TestLeanKernels:
         before = [bits(x).copy() for x in (hi, lo, c)]
         value, proven = np.empty(len(a)), np.empty(len(a), bool)
         with np.errstate(all="ignore"):
-            _round_test((hi, lo), np.abs(c), value, proven)
+            _round_test((hi, lo), _DD_ERROR * np.abs(c), value, proven)
             want_value, want_proven = textbook_round_test((hi, lo), np.abs(c))
         assert np.array_equal(bits(value), bits(want_value))
         assert np.array_equal(proven, want_proven)
@@ -327,6 +334,226 @@ class TestExactStack:
         assert (_FLOAT_LIMIT - 1) / 1 == np.finfo(float).max
         with pytest.raises(OverflowError):
             _FLOAT_LIMIT / 1
+
+
+def fraction_minor(m, r, i, j):
+    """The 2x2 minor of m on rows (r, r + 1) and columns (i, j)."""
+    return m[r][i] * m[r + 1][j] - m[r][j] * m[r + 1][i]
+
+
+def fraction_det(m):
+    """Determinant by cofactor expansion along the first row."""
+    if len(m) == 1:
+        return m[0][0]
+    return sum((-1) ** k * m[0][k] * fraction_det([row[:k] + row[k + 1:] for row in m[1:]])
+               for k in range(len(m)))
+
+
+FORM_PAIRS = ((0, 2), (0, 3), (1, 2), (1, 3))
+
+
+def fraction_sums(m):
+    """d = I1 - I2 and q_ij, r_ij = M(01; ij) +- M(23; ij) of a 4x4 matrix,
+    in the order of _dd_form_sums."""
+    return ([fraction_minor(m, 0, 0, 1) - fraction_minor(m, 2, 2, 3)]
+            + [fraction_minor(m, 0, *ij) + sign * fraction_minor(m, 2, *ij)
+               for sign in (1, -1) for ij in FORM_PAIRS])
+
+
+def fraction_matrices(kind, count=200, seed=17):
+    """Random symmetric 4x4 matrices of Fractions: small integers, or
+    integers over powers of two up to 2**60."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        upper = [Fraction(int(v)) for v in rng.integers(-1000, 1001, 10)]
+        if kind == "dyadic":
+            upper = [v / 2 ** int(k) for v, k in zip(upper, rng.integers(0, 61, 10))]
+        m = [[None] * 4 for _ in range(4)]
+        for v, (i, j) in zip(upper, zip(*np.triu_indices(4))):
+            m[i][j] = m[j][i] = v
+        yield m
+
+
+def squeezed_vacua():
+    """The t = 0 states: initial_squeezed_vacuum over r in [0, 5]."""
+    return np.array([initial_squeezed_vacuum(r) for r in np.linspace(0.0, 5.0, 101)])
+
+
+def williamson_stack(gaps, count=2000, seed=3):
+    """S diag(nu+, nu+, nu-, nu-) S^T with random symplectic S (squeezing up
+    to 2), nu- in [1, 10] and nu+ - nu- cycling through ``gaps``: 0 makes
+    S (n I) S^T, pure at n = 1, degenerate and mixed above."""
+    rng = np.random.default_rng(seed)
+    out = np.empty((count, 4, 4))
+    for k in range(count):
+        s = random_symplectic(rng, max_squeeze=2.0)
+        nu = 1.0 if k % 3 == 0 else rng.uniform(1.0, 10.0)
+        gap = gaps[k % len(gaps)]
+        sigma = s @ np.diag([nu + gap, nu + gap, nu, nu]) @ s.T
+        out[k] = 0.5 * (sigma + sigma.T)
+    return out
+
+
+def discriminants_against_exact(sigmas):
+    """Assert every discriminant the sigma Omega sigma stage accepts is the
+    exact path's, bit for bit; return the (K, 2) accepted mask."""
+    values, proven = _dd_discriminants(sigmas)
+    exact = _exact_stack(sigmas)[:, 6:]
+    assert np.array_equal(bits(values)[proven], bits(exact)[proven])
+    return proven
+
+
+class TestDiscriminantStage:
+    """The second vectorized stage: rad and rad_tilde from the nine sums
+    d = I1 - I2, q_ij and r_ij, the entries of sigma Omega sigma and of its
+    partial transpose, for the rows the double-double stage leaves open."""
+
+    @pytest.mark.parametrize("kind", ["integer", "dyadic"])
+    def test_identities_in_exact_arithmetic(self, kind):
+        omega = [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]]
+        for m in fraction_matrices(kind):
+            i1, i2, i3 = (fraction_minor(m, 0, 0, 1), fraction_minor(m, 2, 2, 3),
+                          fraction_minor(m, 0, 2, 3))
+            i4 = fraction_det(m)
+            d, q02, q03, q12, q13, r02, r03, r12, r13 = fraction_sums(m)
+            assert (i1 + i2 + 2 * i3) ** 2 - 4 * i4 == d * d + 4 * (q02 * q13 - q03 * q12)
+            assert (i1 + i2 - 2 * i3) ** 2 - 4 * i4 == d * d - 4 * (r02 * r13 - r03 * r12)
+            # I4 is the Pfaffian identity of sigma Omega sigma
+            assert i4 == (i1 + i3) * (i2 + i3) - (q02 * q13 - q03 * q12)
+            # q_ij is entry (i, j) of sigma Omega sigma
+            form = [[sum(m[i][a] * omega[a][b] * m[b][j] for a in range(4) for b in range(4))
+                     for j in range(4)] for i in range(4)]
+            assert [form[i][j] for i, j in FORM_PAIRS] == [q02, q03, q12, q13]
+
+    @pytest.mark.parametrize("make,exact", [
+        (lambda: symmetric(np.random.default_rng(4).integers(-1000, 1001, (50, 10))), 9),
+        (squeezed_vacua, 5),
+        (lambda: near_pure_stack(500), 0),
+        (lambda: williamson_stack([0.0, 1e-12], count=500), 0),
+        (lambda: evolve_stack("lambda0_rk4"), 0),
+    ], ids=["integers", "vacua", "near_pure", "williamson", "lambda0_rk4"])
+    def test_nine_sums_within_their_bound(self, make, exact):
+        sigmas = make()
+        (hi, lo), err, safe = _dd_form_sums(sigmas)
+        assert safe.all()
+        for k, sigma in enumerate(sigmas):
+            m = [[Fraction(x) for x in row] for row in sigma.tolist()]
+            for s, value in enumerate(fraction_sums(m)):
+                assert abs(Fraction(hi[s, k]) + Fraction(lo[s, k]) - value) <= Fraction(err[s, k])
+        # where no step rounds the bound is zero: every sum of small
+        # integers, and d and q at t = 0, whose products cancel exactly
+        assert (err[:exact] == 0.0).all()
+
+    @pytest.mark.parametrize("make", [
+        lambda: symmetric(np.ldexp(np.random.default_rng(8).integers(-2 ** 40, 2 ** 40, (100, 10)),
+                                   -20).astype(float)),
+        squeezed_vacua, lambda: near_pure_stack(300),
+        lambda: williamson_stack([0.0, 1e-16, 1e-12], count=300),
+        lambda: evolve_stack("lambda0_rk4")[::5],
+    ], ids=["dyadic", "vacua", "near_pure", "williamson", "lambda0_rk4"])
+    def test_discriminants_within_their_bound(self, make):
+        sigmas = make()
+        with np.errstate(all="ignore"):
+            (hi, lo), err, safe = _dd_rads(sigmas)
+        assert safe.all()
+        for k, sigma in enumerate(sigmas):
+            m = [[Fraction(x) for x in row] for row in sigma.tolist()]
+            d, q02, q03, q12, q13, r02, r03, r12, r13 = fraction_sums(m)
+            exact = (d * d + 4 * (q02 * q13 - q03 * q12), d * d - 4 * (r02 * r13 - r03 * r12))
+            for s, value in enumerate(exact):
+                assert abs(Fraction(hi[s, k]) + Fraction(lo[s, k]) - value) <= Fraction(err[s, k])
+
+    @pytest.mark.parametrize("name,make", [
+        ("vacua", squeezed_vacua),
+        ("degenerate", lambda: williamson_stack([0.0])),
+        ("near_degenerate", lambda: williamson_stack([1e-16, 1e-13, 1e-10, 1e-7, 1e-4])),
+        ("near_pure", near_pure_stack),
+        ("lambda0_rk4", lambda: evolve_stack("lambda0_rk4")),
+    ])
+    def test_accepted_values_are_exact(self, name, make):
+        sigmas = make()
+        proven = discriminants_against_exact(sigmas)
+        # every row is settled: t = 0 (rad = 0 exactly), S (n I) S^T, where
+        # both discriminants vanish, and a whole lambda = 0 trajectory
+        assert proven.all(), proven.mean(axis=0)
+        assert_exact_stack_matches_scalar(sigmas)
+
+    def test_mixed_scale_stack_is_left_to_the_exact_pass(self):
+        sigmas = mixed_scale_stack()
+        proven = discriminants_against_exact(sigmas)
+        assert not proven[~_in_range(sigmas)].any()
+
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.integers(0, 2 ** 32 - 1),
+           st.one_of(st.just(0.0), st.floats(1e-16, 1e-4)),
+           st.floats(1.0, 10.0), st.floats(0.0, 3.0))
+    def test_williamson_forms(self, seed, gap, nu, squeeze):
+        rng = np.random.default_rng(seed)
+        s = random_symplectic(rng, max_squeeze=squeeze)
+        sigma = s @ np.diag([nu + gap, nu + gap, nu, nu]) @ s.T
+        sigma = 0.5 * (sigma + sigma.T)
+        sigmas = np.stack([sigma, np.diag([nu + gap, nu + gap, nu, nu])])
+        assert discriminants_against_exact(sigmas)[1].all()  # diagonal: exact
+
+    @pytest.mark.parametrize("exponent", [250, 201, -201, -250])
+    def test_out_of_range_entries_are_never_accepted(self, exponent):
+        # each row scaled by a power of two that puts its largest entry
+        # (exponent > 0) or its smallest nonzero one (exponent < 0) just
+        # beyond 2**+-200, or further
+        sigmas = np.concatenate([squeezed_vacua(), evolve_stack("lambda0_rk4")[::25]])
+        absolute = np.abs(sigmas).reshape(len(sigmas), -1)
+        edge = (absolute.max(axis=1) if exponent > 0
+                else np.where(absolute > 0.0, absolute, np.inf).min(axis=1))
+        shift = exponent - np.frexp(edge)[1] + (exponent > 0)
+        sigmas = np.ldexp(sigmas, shift[:, None, None])
+        assert not _in_range(sigmas).any()
+        _, proven = _dd_discriminants(sigmas)
+        assert not proven.any()
+        assert_exact_stack_matches_scalar(sigmas)
+
+    def test_sums_that_could_underflow_are_never_accepted(self):
+        # entries in range, but d = 2**-380 (1 - (1 + 2**-40)) = -2**-420
+        a = 2.0 ** -190
+        sigma = np.diag([a, a, a, a * (1.0 + 2.0 ** -40)])
+        (hi, _), _, safe = _dd_form_sums(sigma[None])
+        assert hi[0, 0] == -(2.0 ** -420) and not safe[0]
+        _, proven = _dd_discriminants(sigma[None])
+        assert not proven.any()
+        # scaled into the safe range, the same matrix is accepted
+        assert discriminants_against_exact(sigma[None] * 2.0 ** 100).all()
+
+
+class TestExactPassRows:
+    """The rows that reach the exact pass, counted by a spy: none on a
+    lambda = 0 RK4 trajectory, every row of which the double-double stage
+    leaves open, and none on any figure."""
+
+    @pytest.fixture
+    def exact_rows(self, monkeypatch):
+        rows = []
+
+        def spy(sigmas):
+            rows.append(len(sigmas))
+            return _exact_stack(sigmas)
+
+        monkeypatch.setattr(oscbath.measures, "_exact_stack", spy)
+        return rows
+
+    @pytest.mark.parametrize("omega", [0.5, 0.55, 1.0, 1.5])
+    def test_lambda0_rk4(self, omega, exact_rows):
+        params = dataclasses.replace(FIG1A, omega=omega, nu=0.8 * omega * omega, lambda_=0.0)
+        traj = evolve_trajectory(params, DEFAULT_GRID, "rk4", 1e-3)
+        _, accepted = _dd_block_invariants(traj.sigmas)
+        assert not accepted.all(axis=1).any()
+        assert np.abs(traj.report.purity - 1.0).max() < 1e-10
+        assert exact_rows == []
+
+    def test_every_figure(self, exact_rows):
+        for fid in FIGURE_IDS:
+            preset = figure_preset(fid)
+            sweep_parameter(preset.params, preset.sweep, preset.values, preset.grid)
+        assert exact_rows == []
 
 
 def assert_same(a, b):

@@ -429,6 +429,44 @@ class TestSteadyState:
         with pytest.raises(OutOfRange, match="W-\\^2 \\+ lambda\\^2 underflows to 0"):
             steady_state(params)
 
+    def test_residual_bound_scales_with_the_terms(self):
+        # w1^2 s00 = 1e40 * 1e-20 rounds by about 1e4 alone: a bound on |D|
+        # only (2e-10 here) refused this state, which the bound on every
+        # term's magnitude accepts
+        params = SystemParams(1e20, 0.0, 0.0, 1e-20, 0.0, 0.0)
+        s = steady_state(params)
+        exact = np.diag([1e-20, 1e20, 1e-20, 1e20])
+        assert np.array_equal(exact, decoupled_steady(params))
+        scale = np.sqrt(np.outer(np.diag(exact), np.diag(exact)))
+        assert (np.abs(s - exact) <= 1e-15 * scale).all()
+        # the Kronecker LU agrees; scipy's Bartels-Stewart warns that the
+        # eigenvalue pairs nearly cancel and returns no solution here
+        assert (np.abs(kron_steady_state(params) - exact) <= 1e-15 * scale).all()
+
+    @pytest.mark.parametrize("omega, lam, epsilon, share, error", [
+        (1e-80, 1e-200, 0.0, 0.0, 5.6e-6),
+        (1e-80, 1e-200, 0.5, 0.5, 2.5e-4),
+        (1e-104, 1e-100, 0.3, 0.999, 3.0e-12),
+        (1e-96, 1e-100, 0.0, 0.0, 5.0e7),
+        (1e-84, 1e-100, 0.0, 0.0, 5.0e31),
+    ])
+    def test_underflowing_det_v_is_refused(self, omega, lam, epsilon, share, error):
+        # det V = (w1 w2)^2 - nu^2 underflows, so W-^2 = det V / W+^2 lost
+        # digits that lambda^2 does not make up for; the solve was `error`
+        # (relative) off a 700-digit Kronecker solve, and the residual bound
+        # on |D| alone passed it
+        params = SystemParams(omega, epsilon, 0.0, lam, 0.0, 0.0)
+        params = dataclasses.replace(params, nu=share * coupling_bound(params))
+        with pytest.raises(OutOfRange, match="W-\\^2 loses its digits to underflow"):
+            steady_state(params)
+
+    def test_underflowing_det_v_is_kept_where_lambda_dominates(self):
+        # det V underflows here too, but lambda^2 = 1 dwarfs W-^2 ~ 1e-240
+        params = SystemParams(1e-120, 0.0, 0.0, 1.0, 0.0, 0.0)
+        exact = decoupled_steady(params)
+        scale = np.sqrt(np.outer(np.diag(exact), np.diag(exact)))
+        assert (np.abs(steady_state(params) - exact) <= 1e-15 * scale).all()
+
     @pytest.mark.parametrize("lam", [1e200, 1e300])
     def test_huge_lambda_keeps_the_local_thermal_state(self, lam):
         # lambda^2 overflows, so the blocks are solved in scaled units; the
@@ -460,8 +498,10 @@ class TestSteadyState:
         assert np.isfinite(s).all()
         with np.errstate(over="ignore", invalid="ignore"):
             residual = np.abs(m @ s + s @ m.T + 2.0 * d).max()
-        # the library forms the same residual in another order of operations
-        assert residual <= 2e-10 * max(1.0, 2.0 * np.abs(d).max())
+            magnitude = np.abs(m) @ np.abs(s) + np.abs(s) @ np.abs(m).T + 2.0 * d
+        # the library's bound, 2**-47 of the largest term magnitude; it forms
+        # the same residual in another order of operations
+        assert residual <= 2.0 * 2.0 ** -47 * magnitude.max()
 
 
 class TestPropagate:

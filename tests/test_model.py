@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -5,12 +6,15 @@ import numpy as np
 import pytest
 
 from oscbath import (
+    FIGURE_IDS,
     InvalidParameters,
     OutOfRange,
     SystemParams,
     check_covariance,
     coupling_bound,
     evolve_trajectory,
+    figure_preset,
+    full_report,
     initial_squeezed_vacuum,
     invariants,
     mode_frequencies,
@@ -18,6 +22,8 @@ from oscbath import (
     steady_state_available,
     validate,
 )
+from oscbath import measures
+from oscbath.model import _SQUEEZING_LIMIT
 from helpers import FIG1A
 
 
@@ -80,6 +86,37 @@ class TestValidate:
         result = validate(params(nu=1.0))  # omega1*omega2 = 1 here
         assert result.ok
         assert any("marginal" in w for w in result.warnings)
+
+    def test_squeezing_limit_is_where_the_rounding_meets_the_tolerance(self):
+        # 8 cosh^2(2r) u, the bound on ch^2 - sh^2 - 1, reaches 2e-8, the
+        # room nu_- >= 1 - 1e-8 leaves
+        u = 2.0 ** -53
+        assert 8.0 * math.cosh(2.0 * _SQUEEZING_LIMIT) ** 2 * u == pytest.approx(
+            2.0 * measures._PHYSICAL_TOL, rel=1e-12)
+        assert _SQUEEZING_LIMIT == pytest.approx(4.5790, abs=1e-4)
+
+    def test_squeezing_beyond_the_supported_range_warns_but_passes(self):
+        assert validate(params(r=_SQUEEZING_LIMIT)).warnings == ()
+        for r in (math.nextafter(_SQUEEZING_LIMIT, math.inf), 7.0, 300.0):
+            result = validate(params(r=r))
+            assert result.ok
+            assert len(result.warnings) == 1
+            assert "supported squeezing range r <= 4.5790" in result.warnings[0]
+
+    def test_supported_squeezing_gives_a_physical_initial_state(self):
+        for r in np.linspace(0.0, _SQUEEZING_LIMIT, 2001):
+            assert full_report(initial_squeezed_vacuum(r)).physical, r
+        # a little beyond it the rounding already shows
+        assert not full_report(initial_squeezed_vacuum(4.721426689928442)).physical
+
+    def test_no_preset_and_no_bench_input_warns(self):
+        # every preset and every bench input draws r from [0, 2]
+        for fid in FIGURE_IDS:
+            preset = figure_preset(fid)
+            for value in preset.values:
+                varied = dataclasses.replace(preset.params, **{preset.sweep: float(value)})
+                assert not any("squeezing" in w for w in validate(varied).warnings)
+        assert validate(params(r=2.0)).warnings == ()
 
     def test_zero_dissipation_warns_but_passes(self):
         result = validate(params(lambda_=0.0))
