@@ -474,20 +474,20 @@ _FORM_MINORS = ([(0, cols) for cols in ((0, 1), *_FORM_PAIRS)]
                 + [(2, cols) for cols in ((2, 3), *_FORM_PAIRS)])
 _FORM_LEFT, _FORM_RIGHT, _FORM_LEFT_MINUS, _FORM_RIGHT_MINUS = np.array(
     [(4 * r + i, 4 * r + 4 + j, 4 * r + j, 4 * r + 4 + i) for r, (i, j) in _FORM_MINORS]).T
-# d, q02, q03, q12, q13, r02, r03, r12, r13 as minor A + sign * minor B
-_FORM_A, _FORM_B = [0, 1, 2, 3, 4, 1, 2, 3, 4], [5, 6, 7, 8, 9, 6, 7, 8, 9]
+# d, q02, q03, q12, q13, r02, r03, r12, r13 as minor A + sign * minor B,
+# gathered from two stacked (10, K) arrays of the ten minors at once
+_FORM_A = [0, 1, 2, 3, 4, 1, 2, 3, 4]
+_FORM_B = [5, 6, 7, 8, 9, 6, 7, 8, 9]
+_FORM_A2, _FORM_B2 = (np.array(rows + [10 + k for k in rows]) for rows in (_FORM_A, _FORM_B))
 _FORM_B_SIGN = np.array([-1.0] + [1.0] * 4 + [-1.0] * 4)[:, None]
+_FORM_B_SIGN2 = np.concatenate((_FORM_B_SIGN, _FORM_B_SIGN))
 # the products d d, q02 q13, q03 q12, r03 r12, r02 r13 as indices of the
-# sums, and their coefficients: rad = z0 + 4 z1 - 4 z2, rad~ = z0 + 4 z3 - 4 z4
+# sums, and their coefficients: rad = z0 + 4 z1 - 4 z2, rad~ = z0 + 4 z3 - 4 z4;
+# _FORM_XY gathers (hi, lo, E) of both factors from the stacked (27, K) sums
 _FORM_X, _FORM_Y = [0, 1, 2, 6, 5], [0, 4, 3, 7, 8]
+_FORM_XY = np.array([9 * part + k for factor in (_FORM_X, _FORM_Y)
+                     for part in range(3) for k in factor])
 _RAD_COEF = np.array([1.0, 4.0, -4.0, 4.0, -4.0])[:, None]
-
-
-def _signed_b(x):
-    """Minor B of each of the nine sums in x, times its sign."""
-    b = x[_FORM_B]
-    b *= _FORM_B_SIGN
-    return b
 
 
 def _dd_form_sums(sigmas):
@@ -495,8 +495,8 @@ def _dd_form_sums(sigmas):
     double-double of (9, K) arrays, their error bounds E, and a (K,) mask
     of the rows whose nonzero |hi| and E are all at least _SUM_MIN.
 
-    No temporary is larger than (10, K): on a 501-row stack that keeps
-    every array below the size that the allocator maps in fresh pages."""
+    The products are formed ten rows at a time and no temporary is larger
+    than (20, K): wider arrays cost more per element on a 501-row stack."""
     flat = sigmas.reshape(-1, 16).T
     p, f = _two_prod(flat[_FORM_LEFT], flat[_FORM_RIGHT])
     left = flat[_FORM_LEFT_MINUS]
@@ -508,25 +508,31 @@ def _dd_form_sums(sigmas):
     g_abs = np.abs(g_minor)
     g_abs += np.abs(g)
     g_minor += g  # each minor is m + u + (its two g), g_abs their |g| summed
-    h, e = _two_sum(m[_FORM_A], _signed_b(m))
-    t, g = _two_sum(u[_FORM_A], _signed_b(u))
+    # (m, u) of each sum's minors A and sign * B, then (h + e, t + g)
+    high = np.concatenate((m, u))
+    b = high[_FORM_B2]
+    b *= _FORM_B_SIGN2
+    s, e = _two_sum(high[_FORM_A2], b)
+    h, t, e, g = s[:9], s[9:], e[:9], e[9:]
     t, g_next = _two_sum(t, e)
     hi, lo = _two_sum(h, t)
-    g_sum = g_minor[_FORM_A]
-    g_sum += _signed_b(g_minor)
+    # (sum g, sum |g|) of each sum
+    low = np.concatenate((g_minor, g_abs))
+    b = low[_FORM_B2]
+    b[:9] *= _FORM_B_SIGN
+    low = low[_FORM_A2]
+    low += b
+    g_sum, err = low[:9], low[9:]
     g_sum += g
     g_sum += g_next
     lo += g_sum
-    err = g_abs[_FORM_A]
-    err += g_abs[_FORM_B]
     err += np.abs(g)
     err += np.abs(g_next)
     err *= 2.0 ** -49
     err += 2.0 ** -52 * np.abs(lo)
     hi, lo = _two_sum(hi, lo)
-    tiny = (0.0 < err) & (err < _SUM_MIN)
-    size = np.abs(hi)
-    tiny |= (0.0 < size) & (size < _SUM_MIN)
+    size = np.concatenate((np.abs(hi), err))
+    tiny = (0.0 < size) & (size < _SUM_MIN)
     return (hi, lo), err, ~tiny.any(axis=0)
 
 
@@ -535,8 +541,8 @@ def _dd_rads(sigmas):
     :func:`_dd_form_sums`, as a double-double of (2, K) arrays, their error
     bounds, and the sums' (K,) underflow mask (the error analysis above)."""
     (hi, lo), err, safe = _dd_form_sums(sigmas)
-    sums = np.stack((hi, lo, err))
-    (xh, xl, ex), (yh, yl, ey) = sums[:, _FORM_X], sums[:, _FORM_Y]
+    factors = np.concatenate((hi, lo, err))[_FORM_XY]
+    xh, xl, ex, yh, yl, ey = factors.reshape(6, 5, -1)
     bound = np.abs(xh)
     bound *= ey
     bound += np.abs(yh) * ex
