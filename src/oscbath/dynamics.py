@@ -335,9 +335,12 @@ def steady_state(params: SystemParams, *, _modes=None) -> np.ndarray:
     (lambda = 0 or |nu| = omega1*omega2), and for near-singular ones: those
     whose solution misses the residual bound. Raises :class:`OutOfRange`
     when D, the solution or the residual leaves the float range (a residual
-    or bound that is not finite, NaN included), and when W-^2 + lambda^2
-    underflows to 0. ``_modes`` is for :func:`propagate`, which passes the
-    normal modes of ``params`` that it has validated already.
+    or bound that is not finite, NaN included), when W-^2 + lambda^2
+    underflows to 0, and when det V = W-^2 W+^2 underflows so that W-^2
+    = det V / W+^2 is off by more than 2 ulp of W-^2 + lambda^2 (omega below
+    about 1e-77 with lambda not dominating). ``_modes`` is for
+    :func:`propagate`, which passes the normal modes of ``params`` that it
+    has validated already.
     """
     c, s, lo_sq, hi_sq = _stable_modes(params) if _modes is None else _modes
     lam = params.lambda_

@@ -198,11 +198,12 @@ def evolve_trajectory(
     them correctly rounded, the discriminants of near-degenerate rows (t = 0,
     a whole lambda = 0 trajectory) again from the entries of
     sigma Omega sigma under the same test, one exact integer pass over any
-    row still open, then the measures as arrays. Every row equals :func:`invariants` and
-    :func:`report_from_data` of its matrix bit for bit, and a row that makes
-    them raise raises the same error here (the lowest such row first). The
-    call is validation and propagation, then that pass; :func:`sweep_parameter`
-    runs the same two steps, with one pass for all of its values.
+    row still open, then the measures as arrays. Every row equals
+    :func:`invariants` and :func:`report_from_data` of its matrix bit for
+    bit, and a row that makes them raise raises the same error here (the
+    lowest such row first). The call is validation and propagation, then
+    that pass; :func:`sweep_parameter` runs the same two steps, with one
+    pass for all of its values.
     """
     return _measured(*_propagated(params, grid, integrator, dt))
 
