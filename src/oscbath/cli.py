@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import OscbathError, SteadyStateUnavailable
 from .measures import _two_prod, full_report
-from .model import SystemParams, validate
+from .model import SystemParams, _squeezing_warnings, validate
 from .dynamics import check_step, steady_state
 from .svgplot import line_plot
 from .sweep import (
@@ -317,6 +317,14 @@ def _write(texts: dict, where) -> int:
     return 0
 
 
+def _warn_squeezing(*rs: float) -> None:
+    """Print validate's warning for each r beyond the supported squeezing
+    range, where a run would otherwise go on silently."""
+    for r in rs:
+        for warning in _squeezing_warnings(r):
+            print(f"warning: {warning}", file=sys.stderr)
+
+
 def _cmd_validate(args) -> int:
     result = validate(_params(args))
     for warning in result.warnings:
@@ -337,6 +345,7 @@ def _cmd_evolve(args) -> int:
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
+    _warn_squeezing(params.r)
     try:
         traj = evolve_trajectory(params, grid, integrator=args.integrator, dt=args.dt)
     except SteadyStateUnavailable as exc:
@@ -354,6 +363,7 @@ def _cmd_evolve(args) -> int:
 
 def _cmd_steady(args) -> int:
     params = _params(args)
+    _warn_squeezing(params.r)
     try:
         s_inf = steady_state(params)
         report = full_report(s_inf)
@@ -387,6 +397,7 @@ def _cmd_figure(args) -> int:
         print(f"error: cannot write to {out_dir}: {exc}", file=sys.stderr)
         return 1
 
+    _warn_squeezing(*(preset.values if preset.sweep == "r" else [preset.params.r]))
     outcomes = sweep_parameter(preset.params, preset.sweep, preset.values, preset.grid)
     obs_col = preset.observable  # matches the CorrelationReport field name
     unit = _unit_factor(args)

@@ -103,14 +103,12 @@ def _drift(params: SystemParams) -> np.ndarray:
     lam = params.lambda_
     _two_lambda(lam)
     nu = params.nu
-    return np.array(
-        [
-            [-lam, 1.0, 0.0, 0.0],
-            [-w1 * w1, -lam, -nu, 0.0],
-            [0.0, 0.0, -lam, 1.0],
-            [-nu, 0.0, -w2 * w2, -lam],
-        ]
-    )
+    return np.array([
+        [-lam, 1.0, 0.0, 0.0],
+        [-w1 * w1, -lam, -nu, 0.0],
+        [0.0, 0.0, -lam, 1.0],
+        [-nu, 0.0, -w2 * w2, -lam],
+    ])
 
 
 def _two_lambda(lam: float) -> float:
@@ -433,25 +431,21 @@ def propagate(sigma0, params: SystemParams, t: float | np.ndarray) -> np.ndarray
 
     Evaluates e^{Mt} (sigma0 - sigma_inf) (e^{Mt})^T + sigma_inf and
     symmetrizes the result to suppress roundoff asymmetry; a result beyond
-    the float range raises :class:`OutOfRange`. e^{Mt} comes
-    from the two normal modes (cosines and sines of the normal frequencies
-    times e^{-lambda t}), with no matrix exponential. ``t`` is either a
-    scalar, giving one 4x4 matrix, or a 1-D array of N times, giving an
-    (N, 4, 4) stack from a single steady-state solve and one evaluation of
-    e^{Mt} over all times; each slice equals the scalar call at that time
-    bit for bit. Where e^{-lambda t} underflows to 0 the result is
-    sigma_inf exactly. Requires a steady state to exist; marginal parameter
-    sets raise :class:`SteadyStateUnavailable` and must use
-    :func:`ode_oracle`.
+    the float range raises :class:`OutOfRange`. e^{Mt} comes from the two
+    normal modes (:func:`_propagator`), with no matrix exponential. ``t`` is
+    either a scalar, giving one 4x4 matrix from Python-float arithmetic, or
+    a 1-D array of N times, giving an (N, 4, 4) stack from a single
+    steady-state solve and one evaluation of e^{Mt} over all times; each
+    slice equals the scalar call at that time bit for bit. Where
+    e^{-lambda t} underflows to 0 the result is sigma_inf exactly. Requires
+    a steady state to exist; marginal parameter sets raise
+    :class:`SteadyStateUnavailable` and must use :func:`ode_oracle`.
     """
     # the float test spares single-time calls the cost of np.ndim
-    batched = not isinstance(t, float) and np.ndim(t) > 0
-    if batched:
+    if not isinstance(t, float) and np.ndim(t) > 0:
         t = np.asarray(t, dtype=float)
         if t.ndim != 1 or not np.all((t >= 0) & (t < math.inf)):
-            raise ValueError(
-                f"times must be a 1-D array of finite values >= 0 (got {t})"
-            )
+            raise ValueError(f"times must be a 1-D array of finite values >= 0 (got {t})")
     elif not 0 <= t < math.inf:
         raise ValueError(f"time must be finite and >= 0 (got {t})")
     sigma0 = check_covariance(sigma0)
@@ -469,20 +463,10 @@ def propagate(sigma0, params: SystemParams, t: float | np.ndarray) -> np.ndarray
     return s + s.swapaxes(-1, -2)  # the sum of two halves cannot overflow
 
 
-# Where each entry of e^{Mt}, row 2i+a and column 2j+b in (x1, p1, x2, p2)
-# order, sits among the nine values of _propagator: mode block (i, j) =
-# (0, 0), (1, 1) or off-diagonal, times function cos, sin/W or -W sin for
-# (a, b) = diagonal, (x, p) or (p, x).
-_ENTRY = np.array([
-    3 * (0 if i == j == 0 else 1 if i == j else 2) + (0 if a == b else 1 + a)
-    for i in range(2) for a in range(2) for j in range(2) for b in range(2)
-])
-_ON_DIAGONAL = np.array([1.0, 1.0, 0.0])[:, None, None]
-
-
 def _propagator(params: SystemParams, t: float | np.ndarray,
                 modes=None) -> np.ndarray:
-    """e^{Mt} from the normal modes, for a scalar t or an (N,) array of times.
+    """e^{Mt} from the normal modes: one 4x4 matrix for a scalar t (float,
+    int, numpy scalar or 0-d array), an (N, 4, 4) stack for (N,) times.
 
     Both oscillators damp at the same rate, so M = -lambda I + A, where A is
     the Hamiltonian flow x' = p, p' = -V x of V = [[w1^2, nu], [nu, w2^2]],
@@ -491,13 +475,12 @@ def _propagator(params: SystemParams, t: float | np.ndarray,
     2x2 function of V is f(V) = f(W-) I + (f(W+) - f(W-)) P+, with P+ the
     projector on the W+ mode, so E(0) = I exactly and equal frequencies need
     no branch. ``modes`` are :func:`_normal_modes` of ``params``, derived
-    here when not given.
-
-    A scalar t runs through the same ufuncs as a stack (numpy's vector exp
-    can differ from math.exp in the last bit), so each slice of the stack
-    equals the scalar call bit for bit. Where e^{-lambda t} underflows to 0
-    the slice is exactly 0; any other non-finite entry raises
-    :class:`OutOfRange`.
+    here when not given. :func:`_flow_entries` runs on Python floats for a
+    scalar t, sparing it numpy's cost per call on tiny arrays, and on (N,)
+    columns for an array. Both routes take cos, sin and exp from numpy's
+    ufuncs (its exp can differ from math.exp in the last bit), so each slice
+    equals the scalar call bit for bit. Where the phase W t overflows, the
+    slice is exactly 0 if e^{-lambda t} is 0, and :class:`OutOfRange` else.
     """
     c, s, lo_sq, hi_sq = _normal_modes(params) if modes is None else modes
     w_lo = math.sqrt(lo_sq)
@@ -508,32 +491,49 @@ def _propagator(params: SystemParams, t: float | np.ndarray,
             f"nu = {params.nu:g})"
         )
     w_hi = math.sqrt(hi_sq)
-    t = np.asarray(t, dtype=float)
-    times = t.reshape(-1)  # (1,) for a scalar; the time axis is last below
-    with np.errstate(invalid="ignore", over="ignore"):
-        phase = np.multiply.outer((w_lo, w_hi), times)
-        # (function, mode, time) for the functions cos, sin/W and -W sin
-        f = np.empty((3, 2, len(times)))
-        np.cos(phase, out=f[0])
-        np.sin(phase, out=f[1])
-        f[2] = f[1]
-        f *= np.array([[1.0, 1.0], [1.0 / w_lo, 1.0 / w_hi], [-w_lo, -w_hi]])[:, :, None]
-        f *= np.exp(-params.lambda_ * times)
-        f_lo = f[:, 0]
-        # (block, function, time) for the blocks (0, 0), (1, 1), off-diagonal
-        proj = np.array([c * c, s * s, c * s])[:, None, None]
-        e = f_lo * _ON_DIAGONAL + (f[:, 1] - f_lo) * proj
-    e = e.reshape(9, len(times))[_ENTRY].T
-    e = np.ascontiguousarray(e).reshape((*t.shape, 4, 4))
-    if not np.isfinite(e).all():
-        # the phase overflowed; harmless only where e^{-lambda t} is 0
-        e[np.exp(-params.lambda_ * t) == 0.0] = 0.0
-        if not np.isfinite(e).all():
-            raise OutOfRange(
-                f"e^(Mt) left the float range (t up to {float(np.max(t)):g}): "
-                "the mode phase overflowed while e^(-lambda t) stayed above 0"
-            )
-    return e
+    lam = params.lambda_
+    if isinstance(t, np.ndarray) and t.ndim:
+        with np.errstate(invalid="ignore", over="ignore"):  # an overflowed phase
+            phase = np.multiply.outer((w_lo, w_hi), t)
+            damp = np.exp(-lam * t)
+            e = np.array(_flow_entries(
+                np.cos(phase), np.sin(phase), damp, w_lo, w_hi, c, s))
+        e = np.ascontiguousarray(e.T).reshape(-1, 4, 4)
+        overflowed = ~(phase < math.inf).all(axis=0)
+        if not damp[overflowed].any():
+            e[overflowed] = 0.0
+            return e
+    else:
+        t = float(t)
+        phase = (w_lo * t, w_hi * t)
+        damp = float(np.exp(-lam * t))
+        # with a finite phase every entry is finite: |1/W-| <= 1/sqrt(5e-324)
+        if phase[0] < math.inf and phase[1] < math.inf:
+            cos = [float(np.cos(x)) for x in phase]
+            sin = [float(np.sin(x)) for x in phase]
+            return np.array(_flow_entries(cos, sin, damp, w_lo, w_hi, c, s)).reshape(4, 4)
+        if not damp:
+            return np.zeros((4, 4))
+    raise OutOfRange(
+        f"e^(Mt) left the float range (t up to {float(np.max(t)):g}): "
+        "the mode phase overflowed while e^(-lambda t) stayed above 0"
+    )
+
+
+def _flow_entries(cos, sin, damp, w_lo, w_hi, c, s):
+    """The 16 entries of e^{Mt} by rows, with only + - *, from the cos and
+    sin of (W- t, W+ t) and damp = e^{-lambda t}, as floats or columns: each
+    of cos, sin/W and -W sin times damp on the blocks (0, 0), (1, 1) and off
+    them, where 0 f(W-), from f(W-) I, fixes the sign of a zero."""
+    cc, ss, cs = c * c, s * s, c * s
+    values = []
+    for lo, hi in ((cos[0] * damp, cos[1] * damp),
+                   (sin[0] * (1.0 / w_lo) * damp, sin[1] * (1.0 / w_hi) * damp),
+                   (sin[0] * -w_lo * damp, sin[1] * -w_hi * damp)):
+        d = hi - lo
+        values += (lo + d * cc, lo + d * ss, lo * 0.0 + d * cs)
+    c0, c1, c2, s0, s1, s2, n0, n1, n2 = values
+    return (c0, s0, c2, s2, n0, c0, n2, c2, c2, s2, c1, s1, n2, c2, n1, c1)
 
 
 def ode_oracle(sigma0, params: SystemParams, t: float, dt: float = 1e-3) -> np.ndarray:

@@ -582,6 +582,15 @@ def _dd_discriminants(sigmas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return values.T, proven.T
 
 
+# Fewest rows for which the sigma Omega sigma stage costs less than the exact
+# pass. Timed on the first K open rows of a lambda = 0 trajectory and of
+# fig1a's pass (minimum over 15 x 30 calls, 2-vCPU Xeon, numpy 2.4), the
+# stage costs a near-constant 103-128 us for K = 1..32 and the exact pass
+# about 56 us plus 3.7-4.7 us a row, so the two cross at 13-14 rows of the
+# trajectory and at about 17 of the figure; the lower is taken.
+_STAGE2_MIN_ROWS = 14
+
+
 def _invariants_stack(sigmas: np.ndarray) -> np.ndarray:
     """(N, 8) exact block invariants of an (N, 4, 4) stack, each row equal to
     :func:`_exact_block_invariants` of its slice bit for bit.
@@ -592,12 +601,15 @@ def _invariants_stack(sigmas: np.ndarray) -> np.ndarray:
     values; :func:`_dd_discriminants`, from the entries of sigma Omega sigma,
     for rows whose only open values are rad and rad_tilde (near-degenerate
     spectra: t = 0, and every row of a lambda = 0 trajectory); and
-    :func:`_exact_stack` for the rows left, together.
+    :func:`_exact_stack` for the rows left, together. The second stage runs
+    only for at least ``_STAGE2_MIN_ROWS`` rows; fewer go to the exact pass,
+    which costs less there (a stable trajectory's t = 0 and its neighbour, a
+    figure's 4-10 rows) and gives the same bits.
     """
     values, accepted = _dd_block_invariants(sigmas)
     # rows whose only open values are the discriminants
     rows = np.flatnonzero(accepted[:, :6].all(axis=1) & ~accepted[:, 6:].all(axis=1))
-    if len(rows):
+    if len(rows) >= _STAGE2_MIN_ROWS:
         rads, proven = _dd_discriminants(sigmas[rows])
         values[rows, 6:] = np.where(proven, rads, values[rows, 6:])
         accepted[rows, 6:] |= proven

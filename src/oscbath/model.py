@@ -80,11 +80,9 @@ def validate(params: SystemParams) -> ValidationResult:
     Marginal sets (|nu| exactly at the omega1*omega2 bound, or lambda = 0)
     are accepted but flagged with a warning, because the closed-form
     propagation needs a strictly stable drift and will reject them. So is a
-    squeezing r above the supported range r <= 4.579 (acosh(sqrt(1e-8 / (4u)))
-    / 2, u = 2**-53), where the rounding of the float initial state, up to
-    8 cosh^2(2r) u in ch^2 - sh^2, may pass the 1e-8 physicality
-    tolerance: near r = 4.66 some t = 0 states already read non-physical,
-    and from r = 7 on the float state is itself non-physical.
+    squeezing r above the supported range r <= 4.579 (``_SQUEEZING_LIMIT``):
+    near r = 4.66 some t = 0 states already read non-physical, and from
+    r = 7 on the float state is itself non-physical.
     """
     violations = []
     warnings = []
@@ -123,24 +121,24 @@ def validate(params: SystemParams) -> ValidationResult:
                 "unavailable, use the rk4 integrator"
             )
 
-    if math.isfinite(p.r) and p.r > _SQUEEZING_LIMIT:
-        warnings.append(
-            f"r = {p.r} is beyond the supported squeezing range r <= "
-            f"{_SQUEEZING_LIMIT:.4f}: the initial state's rounding, up to "
-            "8 cosh^2(2r) u, may pass the 1e-8 physicality tolerance"
-        )
-
+    warnings += _squeezing_warnings(p.r)
     if p.lambda_ == 0:
         warnings.append(
             "lambda = 0: no dissipation, steady state unavailable, "
             "use the rk4 integrator"
         )
 
-    return ValidationResult(
-        ok=not violations,
-        violations=tuple(violations),
-        warnings=tuple(warnings),
-    )
+    return ValidationResult(ok=not violations, violations=tuple(violations),
+                            warnings=tuple(warnings))
+
+
+def _squeezing_warnings(r: float) -> list[str]:
+    """:func:`validate`'s warning for an r beyond the supported squeezing range."""
+    if not (math.isfinite(r) and r > _SQUEEZING_LIMIT):
+        return []
+    return [f"r = {r} is beyond the supported squeezing range r <= "
+            f"{_SQUEEZING_LIMIT:.4f}: the initial state's rounding, up to "
+            "8 cosh^2(2r) u, may pass the 1e-8 physicality tolerance"]
 
 
 def require_valid(params: SystemParams) -> None:
@@ -191,14 +189,12 @@ def initial_squeezed_vacuum(r: float) -> np.ndarray:
         ch = math.inf
     if ch == math.inf:  # 2r itself may be inf, which cosh takes without error
         raise OutOfRange(f"squeezing r = {r} puts cosh(2r) beyond the float range")
-    return np.array(
-        [
-            [ch, 0.0, sh, 0.0],
-            [0.0, ch, 0.0, -sh],
-            [sh, 0.0, ch, 0.0],
-            [0.0, -sh, 0.0, ch],
-        ]
-    )
+    return np.array([
+        [ch, 0.0, sh, 0.0],
+        [0.0, ch, 0.0, -sh],
+        [sh, 0.0, ch, 0.0],
+        [0.0, -sh, 0.0, ch],
+    ])
 
 
 # Largest max-abs asymmetry of a matrix accepted as a covariance matrix.
@@ -211,17 +207,19 @@ def check_covariance(sigma) -> np.ndarray:
     Requires a real, finite 4x4 matrix that is symmetric within 1e-12 in
     max-abs. Positive definiteness is not enforced here; sub-vacuum and
     outright non-physical matrices are diagnosed by the measures module.
+    Both tests run on the entries as Python floats, cheaper than numpy on so
+    small an array; the max-abs asymmetry is the largest of six |a_ij - a_ji|.
     """
     arr = np.array(sigma, dtype=float)
     if arr.shape != (4, 4):
         raise ValueError(f"covariance matrix must be 4x4 (got shape {arr.shape})")
-    # a non-finite entry makes its asymmetry inf or NaN (inf - inf), so one
-    # pass tests both; the finite test only picks the message
-    with np.errstate(invalid="ignore"):
-        asym = np.abs(arr - arr.T).max()
+    r0, r1, r2, r3 = arr.tolist()
+    # tested first and on its own: Python's max drops a NaN that is not first
+    if not all(map(math.isfinite, r0 + r1 + r2 + r3)):
+        raise ValueError("covariance matrix entries must be finite")
+    asym = max(abs(r0[1] - r1[0]), abs(r0[2] - r2[0]), abs(r0[3] - r3[0]),
+               abs(r1[2] - r2[1]), abs(r1[3] - r3[1]), abs(r2[3] - r3[2]))
     if not asym <= _SYMMETRY_TOL:
-        if not np.isfinite(arr).all():
-            raise ValueError("covariance matrix entries must be finite")
         raise ValueError(
             f"covariance matrix must be symmetric within {_SYMMETRY_TOL:g} "
             f"(max asymmetry {asym:g})"

@@ -33,6 +33,7 @@ from oscbath.measures import (
     _FLOAT,
     _FLOAT_LIMIT,
     _SPLIT,
+    _STAGE2_MIN_ROWS,
     _assemble,
     _dd_add,
     _dd_block_invariants,
@@ -525,35 +526,56 @@ class TestDiscriminantStage:
 
 
 class TestExactPassRows:
-    """The rows that reach the exact pass, counted by a spy: none on a
-    lambda = 0 RK4 trajectory, every row of which the double-double stage
-    leaves open, and none on any figure."""
+    """The rows that reach the sigma Omega sigma stage and the exact pass,
+    counted by spies: a lambda = 0 RK4 trajectory, every row of which the
+    double-double stage leaves open, sends all of them to the second stage
+    and none to the exact pass; fewer than _STAGE2_MIN_ROWS open rows (a
+    stable trajectory's, a figure's) skip the second stage for the exact
+    pass, which costs less there."""
 
     @pytest.fixture
-    def exact_rows(self, monkeypatch):
-        rows = []
+    def spied(self, monkeypatch):
+        rows = {"stage2": [], "exact": []}
 
-        def spy(sigmas):
-            rows.append(len(sigmas))
-            return _exact_stack(sigmas)
+        def spy(name, stage):
+            def counted(sigmas):
+                rows[name].append(len(sigmas))
+                return stage(sigmas)
+            monkeypatch.setattr(oscbath.measures, stage.__name__, counted)
 
-        monkeypatch.setattr(oscbath.measures, "_exact_stack", spy)
+        spy("stage2", _dd_discriminants)
+        spy("exact", _exact_stack)
         return rows
 
     @pytest.mark.parametrize("omega", [0.5, 0.55, 1.0, 1.5])
-    def test_lambda0_rk4(self, omega, exact_rows):
+    def test_lambda0_rk4(self, omega, spied):
         params = dataclasses.replace(FIG1A, omega=omega, nu=0.8 * omega * omega, lambda_=0.0)
         traj = evolve_trajectory(params, DEFAULT_GRID, "rk4", 1e-3)
         _, accepted = _dd_block_invariants(traj.sigmas)
         assert not accepted.all(axis=1).any()
         assert np.abs(traj.report.purity - 1.0).max() < 1e-10
-        assert exact_rows == []
+        assert spied == {"stage2": [len(DEFAULT_GRID.times())], "exact": []}
 
-    def test_every_figure(self, exact_rows):
+    @pytest.mark.parametrize("integrator, rows", [("closed", 1), ("rk4", 2)])
+    def test_stable_trajectory(self, integrator, rows, spied):
+        # the open rows are t = 0 and, for rk4, its neighbour
+        evolve_trajectory(FIG1A, DEFAULT_GRID, integrator)
+        assert spied == {"stage2": [], "exact": [rows]}
+
+    def test_every_figure(self, spied):
         for fid in FIGURE_IDS:
             preset = figure_preset(fid)
             sweep_parameter(preset.params, preset.sweep, preset.values, preset.grid)
-        assert exact_rows == []
+        assert spied["stage2"] == []
+        assert len(spied["exact"]) == len(FIGURE_IDS)
+        assert all(4 <= rows < _STAGE2_MIN_ROWS for rows in spied["exact"])
+
+    def test_routes_give_the_same_bits(self, monkeypatch):
+        # the exact pass in place of the second stage changes no bit
+        sigmas = evolve_stack("lambda0_rk4")[:_STAGE2_MIN_ROWS]
+        staged = _invariants_stack(sigmas)
+        monkeypatch.setattr(oscbath.measures, "_STAGE2_MIN_ROWS", len(sigmas) + 1)
+        assert np.array_equal(bits(_invariants_stack(sigmas)), bits(staged))
 
 
 def assert_same(a, b):

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import importlib.util
 import math
 import os
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import oscbath
+import oscbath.cli
 
 from oscbath import (
     CorrelationReport,
@@ -19,6 +21,7 @@ from oscbath import (
     Trajectory,
 )
 from oscbath.cli import _COLUMNS, _csv_text, _trajectory_csv, main
+from oscbath.model import _SQUEEZING_LIMIT
 from oscbath.sweep import FIGURE_IDS, figure_preset, sweep_parameter
 from helpers import FIG1A, parse_csv
 
@@ -31,6 +34,14 @@ def _load_workloads():
     sys.modules[spec.name] = module  # dataclasses look their module up here
     spec.loader.exec_module(module)
     return module
+
+
+def after_squeezing_warning(err: str, r: str) -> str:
+    """stderr after its first line, which must be validate's warning for an
+    r beyond the supported squeezing range."""
+    first, _, rest = err.partition("\n")
+    assert first.startswith(f"warning: r = {r} is beyond the supported squeezing range")
+    return rest
 
 
 FIG1A_FLAGS = ["--omega", "1", "--epsilon", "0", "--nu", "0.8",
@@ -237,19 +248,19 @@ class TestEvolveCommand:
 
     def test_large_squeezing_exits_1(self, capsys):
         assert main(["evolve", "--r", "50", "--points", "3"]) == 1
-        err = capsys.readouterr().err
+        err = after_squeezing_warning(capsys.readouterr().err, "50.0")
         assert err.startswith("error:") and "symplectic eigenvalue" in err
 
     def test_squeezing_beyond_float_range_exits_1(self, capsys):
         assert main(["evolve", "--r", "400", "--points", "3"]) == 1
-        err = capsys.readouterr().err
+        err = after_squeezing_warning(capsys.readouterr().err, "400.0")
         assert err.startswith("error:") and "squeezing r = 400.0" in err
 
     @pytest.mark.parametrize("integrator", ["closed", "rk4"])
     def test_squeezing_at_the_float_range_limit_exits_1(self, integrator, capsys):
         code = main(["evolve", "--r", "355", "--points", "3", "--integrator", integrator])
         assert code == 1
-        err = capsys.readouterr().err
+        err = after_squeezing_warning(capsys.readouterr().err, "355.0")
         assert err.startswith("error: exact i1 ") and "beyond the float range" in err
 
     @pytest.mark.parametrize("flags, reason", [
@@ -262,8 +273,21 @@ class TestEvolveCommand:
         assert main(["evolve", *flags, "--points", "3"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith(f"error: {reason}")
-        assert captured.err.count("\n") == 1
+        err = captured.err
+        r = float(flags[flags.index("--r") + 1]) if "--r" in flags else 1.0
+        if r > _SQUEEZING_LIMIT:  # validate's warning comes first
+            err = after_squeezing_warning(err, repr(r))
+        assert err.startswith(f"error: {reason}")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", [["evolve", "--points", "3"], ["steady"]])
+    def test_squeezing_beyond_the_supported_range_warns(self, command, capsys):
+        assert main([*command, "--r", "4.58"]) == 0
+        captured = capsys.readouterr()
+        assert after_squeezing_warning(captured.err, "4.58") == ""
+        assert captured.out.startswith(f"# oscbath {command[0]} ")
+        assert main([*command, "--r", "4.579"]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_invalid_params_exit_1_without_rk4_hint(self, capsys):
         code = main(["evolve", "--nu", "1.5", "--points", "11"])
@@ -476,6 +500,14 @@ class TestFigureCommand:
         assert ">t</text>" in svg
         for value in ("0.1", "0.5", "1", "2"):
             assert f">T={value}</text>".replace("T", "temperature") in svg
+
+    def test_squeezing_beyond_the_supported_range_warns(self, monkeypatch, tmp_path, capsys):
+        # no preset has r > 2; one swept to r = 5 warns once, for that value
+        preset = dataclasses.replace(figure_preset("fig2c"), values=(1.0, 5.0),
+                                     grid=TimeGrid(0.0, 1.0, 3))
+        monkeypatch.setattr(oscbath.cli, "figure_preset", lambda _: preset)
+        assert main(["figure", "fig2c", "--out", str(tmp_path)]) == 0
+        assert after_squeezing_warning(capsys.readouterr().err, "5.0") == ""
 
     def test_unknown_figure_exits_2(self):
         with pytest.raises(SystemExit) as exc:

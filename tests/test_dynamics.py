@@ -325,11 +325,61 @@ class TestPropagator:
                 _propagator(params, t)
 
     def test_overflowing_phase_without_decay_raises_out_of_range(self):
-        # lambda * t = 1 keeps e^{-lambda t} finite while W t overflows
+        # lambda * t = 1 keeps e^{-lambda t} finite while W t overflows, on
+        # the scalar and the column route alike
         params = SystemParams(1e10, 0.0, 0.0, 1e-300, 0.0, 0.0)
         for t in (1e300, np.array([0.0, 1e300])):
-            with pytest.raises(OutOfRange, match="left the float range"):
+            with pytest.raises(OutOfRange, match=r"t up to 1e\+300\): the mode phase overflowed"):
                 propagate(np.eye(4), params, t)
+
+
+def bits(a) -> bytes:
+    return np.asarray(a, dtype=float).tobytes()
+
+
+@st.composite
+def scan_box_problems(draw):
+    # scan's parameter box, with the edges drawn on purpose: epsilon = 0,
+    # |nu| one float below the bound, and t = 0 or so large that
+    # e^{-lambda t} underflows
+    omega = draw(st.floats(0.5, 2.0))
+    epsilon = draw(st.just(0.0) | st.floats(0.0, 0.9))
+    bound = coupling_bound(SystemParams(omega, epsilon, 0.0, 1.0, 0.0, 0.0))
+    share = draw(st.floats(0.0, 0.95) | st.floats(-4.0, -1.0).map(lambda e: 1.0 - 10.0 ** e))
+    nu = draw(st.sampled_from([1.0, -1.0])) * draw(
+        st.just(math.nextafter(bound, 0.0)) | st.just(share * bound))
+    params = SystemParams(
+        omega, epsilon, nu, draw(st.floats(-2.0, math.log10(2.0)).map(lambda e: 10.0 ** e)),
+        draw(st.just(0.0) | st.floats(0.0, 3.0)), draw(st.floats(0.0, 2.0)))
+    t = draw(st.sampled_from([0.0, 1e300, 1.7e308]) | st.floats(0.0, 10.0))
+    return params, t
+
+
+class TestPropagatorRoutes:
+    """The scalar route (Python floats) and the column route ((N,) arrays)
+    of e^{Mt} run one formula; every slice equals the scalar call bit for
+    bit, and so does the propagated covariance."""
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(scan_box_problems())
+    def test_scalar_calls_equal_the_grid_slice(self, problem):
+        params, t = problem
+        times = np.array([0.0, 0.5 * t, t, 3.7])
+        stack = _propagator(params, times)
+        for k, tk in enumerate(times.tolist()):
+            assert bits(_propagator(params, tk)) == bits(stack[k])
+        sigma0 = initial_squeezed_vacuum(params.r)
+        sigmas = propagate(sigma0, params, times)
+        assert bits(propagate(sigma0, params, t)) == bits(sigmas[2])
+        if t == 0.0:
+            assert np.array_equal(stack[2], np.eye(4))
+        elif t >= 1e300:
+            assert bits(sigmas[2]) == bits(steady_state(params))
+
+    @pytest.mark.parametrize("t", [3, np.float64(3.0), np.array(3.0), np.float32(3.0)])
+    def test_every_scalar_type_takes_the_float_route(self, t):
+        e = _propagator(FIG4, t)
+        assert e.shape == (4, 4) and bits(e) == bits(_propagator(FIG4, 3.0))
 
 
 class TestSteadyState:

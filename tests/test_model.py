@@ -4,6 +4,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oscbath import (
     FIGURE_IDS,
@@ -267,3 +268,75 @@ class TestCheckCovariance:
         sigma[3, 3] = math.inf
         with pytest.raises(ValueError, match=self.FINITE):
             check_covariance(sigma)
+
+
+def numpy_check_covariance(sigma):
+    """The same decision made with whole-array numpy operations, as an
+    oracle for the Python-float one: a non-finite entry makes its
+    asymmetry inf or NaN, so one max-abs pass rejects it too."""
+    arr = np.array(sigma, dtype=float)
+    if arr.shape != (4, 4):
+        raise ValueError(f"covariance matrix must be 4x4 (got shape {arr.shape})")
+    with np.errstate(invalid="ignore", over="ignore"):
+        asym = np.abs(arr - arr.T).max()
+    if not asym <= 1e-12:
+        if not np.isfinite(arr).all():
+            raise ValueError("covariance matrix entries must be finite")
+        raise ValueError(f"covariance matrix must be symmetric within 1e-12 "
+                         f"(max asymmetry {asym:g})")
+    return arr
+
+
+def outcome(check, sigma):
+    try:
+        return "accepted", check(sigma).tobytes()
+    except ValueError as exc:
+        return "rejected", str(exc)
+
+
+def with_entries(*entries):
+    sigma = np.eye(4)
+    for i, j, value in entries:
+        sigma[i, j] = value
+    return sigma
+
+
+PARITY_CASES = {
+    **{f"{value}_at_{i}{j}": with_entries((i, j, value))
+       for value in (math.nan, math.inf, -math.inf) for i, j in ((0, 0), (2, 2), (1, 3), (3, 1))},
+    **{f"{value}_pair_{i}{j}": with_entries((i, j, value), (j, i, value))
+       for value in (math.nan, math.inf, -math.inf) for i, j in ((0, 1), (2, 3))},
+    "nan_after_asymmetry": with_entries((0, 1, 0.5), (2, 3, math.nan)),
+    "asymmetry_1e-12": with_entries((0, 2, 1e-12)),
+    "asymmetry_above_1e-12": with_entries((0, 2, math.nextafter(1e-12, math.inf))),
+    "asymmetry_below_1e-12": with_entries((3, 1, -math.nextafter(1e-12, 0.0))),
+    "overflowing_asymmetry": with_entries((0, 3, 1.5e308), (3, 0, -1.5e308)),
+    "shape_3x3": np.eye(3),
+    "shape_4x4x1": np.eye(4)[..., None],
+    "int_dtype": np.eye(4, dtype=int) * 3,
+    "nested_lists": initial_squeezed_vacuum(0.7).tolist(),
+    "nested_list_asymmetric": [[1, 2, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+    "signed_zeros": with_entries((0, 1, -0.0), (1, 0, 0.0)),
+}
+
+
+class TestCheckCovarianceParity:
+    """The Python-float check accepts and rejects what the numpy one does,
+    with the same messages, and returns the same array."""
+
+    @pytest.mark.parametrize("name", PARITY_CASES)
+    def test_edge_cases(self, name):
+        sigma = PARITY_CASES[name]
+        assert outcome(check_covariance, sigma) == outcome(numpy_check_covariance, sigma)
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(st.lists(st.floats() | st.sampled_from([0.0, 1e-12, 2e-12, 1.0]),
+                    min_size=16, max_size=16),
+           st.floats(0.0, 1.0))
+    def test_random_matrices(self, entries, symmetric_share):
+        # a share of the pairs made symmetric, so both branches are reached
+        sigma = np.array(entries).reshape(4, 4)
+        pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+        for i, j in pairs[:round(symmetric_share * len(pairs))]:
+            sigma[j, i] = sigma[i, j]
+        assert outcome(check_covariance, sigma) == outcome(numpy_check_covariance, sigma)
