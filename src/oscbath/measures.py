@@ -44,9 +44,7 @@ Fast Robust Geometric Predicates", DCG 18, 1997):
    sums of four products that are evaluated almost exactly, and the same
    round test settles the rows with a bound made of computed quantities.
 3. Every row still open (entries beyond 2**+-200 among them) is recomputed
-   in one exact pass over object arrays of Python ints, which runs the
-   same integer polynomial code as the scalar route and differs from it
-   only in how the floats become integers.
+   by the scalar route's exact integer pass, row by row.
 
 An exact invariant beyond the float range raises :class:`OutOfRange` on
 both routes, on the stack for its lowest such row.
@@ -143,91 +141,63 @@ _MINOR_COLS = ((0, 1, 2, 3), (0, 2, 1, 3), (0, 3, 1, 2),
 _MINOR_SIGNS = (1, -1, 1, 1, -1, 1)
 
 _INVARIANT_NAMES = ("i1", "i2", "i3", "i4", "delta", "delta_tilde", "rad", "rad_tilde")
-# Each invariant of m / 2**shift is an integer over 2**(degree * shift).
-_INVARIANT_DEGREES = (2, 2, 2, 4, 2, 2, 4, 4)
 # The least |n / s| that rounds to infinity: half an ulp above the largest
 # float, a tie that rounds to even, away from its odd significand.
 _FLOAT_LIMIT = 2 ** 1024 - 2 ** 970
 
 
-def _det2(m, r0, r1, c0, c1):
-    return m[r0][c0] * m[r1][c1] - m[r0][c1] * m[r1][c0]
+def _exact_block_invariants(sigma: np.ndarray):
+    """Return (i1, i2, i3, i4, delta, delta_tilde, rad, rad_tilde) of a
+    finite 4x4 matrix as floats, each correctly rounded from an exact
+    integer computation.
 
-
-def _block_polys(m):
-    """Integer numerators of (i1, i2, i3, i4, delta, delta_tilde, rad,
-    rad_tilde) of the matrix m / 2**shift, each over 2**(degree * shift).
-
-    Only * - + are used, so m[i][j] may be Python ints (one matrix) or
-    object arrays of them (one element per matrix). Each of the twelve
-    Laplace minors is computed once; I1, I3 and I2 are three of them.
+    One power of two makes every entry an integer: with e the frexp
+    exponent of the smallest nonzero |x|, each x * 2**k, k = max(0, 53 - e),
+    is one, and exact as a float unless it overflows (entries spanning
+    beyond about 2**970, or 2**k itself beyond the float range); then the
+    entries are converted one by one. The twelve Laplace minors, I4, Delta,
+    Delta~ and both discriminants are integers over 2**(2k) or 2**(4k), and
+    CPython's int / int rounds each quotient once, correctly. Raises
+    :class:`OutOfRange` naming the first invariant beyond the float range.
     """
-    top = [_det2(m, 0, 1, c0, c1) for c0, c1, _, _ in _MINOR_COLS]
-    bottom = [_det2(m, 2, 3, c2, c3) for _, _, c2, c3 in _MINOR_COLS]
-    # signed as _MINOR_SIGNS
-    i4 = (top[0] * bottom[0] - top[1] * bottom[1] + top[2] * bottom[2]
-          + top[3] * bottom[3] - top[4] * bottom[4] + top[5] * bottom[5])
-    i1, i2, i3 = top[0], bottom[0], top[5]
+    entries = sigma.ravel().tolist()
+    smallest = min(map(abs, entries)) or min(filter(None, map(abs, entries)), default=1.0)
+    k = max(0, 53 - math.frexp(smallest)[1])
+    try:
+        scale = 2.0 ** k
+        ints = list(map(int, map(scale.__mul__, entries)))
+    except OverflowError:  # 2**k, or an entry times it, is not a float
+        ints = [num << (k + 1 - den.bit_length())
+                for num, den in map(float.as_integer_ratio, entries)]
+    m00, m01, m02, m03, m10, m11, m12, m13, m20, m21, m22, m23, m30, m31, m32, m33 = ints
+    # the minors of rows (0, 1) times their complements in rows (2, 3),
+    # signed as _MINOR_SIGNS; I1, I2 and I3 are three of them
+    i1, i2, i3 = m00 * m11 - m01 * m10, m22 * m33 - m23 * m32, m02 * m13 - m03 * m12
+    i4 = (i1 * i2 - (m00 * m12 - m02 * m10) * (m21 * m33 - m23 * m31)
+          + (m00 * m13 - m03 * m10) * (m21 * m32 - m22 * m31)
+          + (m01 * m12 - m02 * m11) * (m20 * m33 - m23 * m30)
+          - (m01 * m13 - m03 * m11) * (m20 * m32 - m22 * m30)
+          + i3 * (m20 * m31 - m21 * m30))
     i12, twice_i3, four_i4 = i1 + i2, 2 * i3, 4 * i4
     delta, delta_tilde = i12 + twice_i3, i12 - twice_i3
-    return (i1, i2, i3, i4, delta, delta_tilde,
-            delta * delta - four_i4, delta_tilde * delta_tilde - four_i4)
-
-
-def _out_of_range(numerators, scales) -> OutOfRange:
-    """The error for the first of the (..., 8) quotients numerators / scales,
-    in row-major order, that rounds beyond the float range."""
-    k = np.argwhere(abs(numerators) >= _FLOAT_LIMIT * scales)[0, -1]
-    return OutOfRange(
-        f"exact {_INVARIANT_NAMES[k]} of the covariance matrix is beyond the float range"
-    )
-
-
-def _exact_block_invariants(sigma: np.ndarray):
-    """Return (i1, i2, i3, i4, delta, delta_tilde, rad, rad_tilde) as floats,
-    each correctly rounded from an exact integer computation.
-
-    Raises :class:`OutOfRange` naming the first invariant beyond the float
-    range.
-    """
-    pairs = [x.as_integer_ratio() for x in sigma.reshape(-1).tolist()]
-    shift = max(den.bit_length() for _, den in pairs) - 1
-    ints = [num << (shift + 1 - den.bit_length()) for num, den in pairs]
-    polys = _block_polys([ints[0:4], ints[4:8], ints[8:12], ints[12:16]])
-    scales = [1 << (degree * shift) for degree in _INVARIANT_DEGREES]
+    rad, rad_tilde = delta * delta - four_i4, delta_tilde * delta_tilde - four_i4
+    s2, s4 = 1 << 2 * k, 1 << 4 * k
     try:
-        # int / int division is correctly rounded in CPython
-        return tuple(map(operator.truediv, polys, scales))
+        return (i1 / s2, i2 / s2, i3 / s2, i4 / s4, delta / s2, delta_tilde / s2,
+                rad / s4, rad_tilde / s4)
     except OverflowError:
-        raise _out_of_range(np.array(polys, dtype=object),
-                            np.array(scales, dtype=object)) from None
+        values = (i1, i2, i3, i4, delta, delta_tilde, rad, rad_tilde)
+        scales = (s2, s2, s2, s4, s2, s2, s4, s4)
+        name = next(name for name, value, scale in zip(_INVARIANT_NAMES, values, scales)
+                    if abs(value) >= _FLOAT_LIMIT * scale)
+        raise OutOfRange(
+            f"exact {name} of the covariance matrix is beyond the float range") from None
 
 
 def _exact_stack(sigmas: np.ndarray) -> np.ndarray:
-    """(K, 8) :func:`_exact_block_invariants` of a finite (K, 4, 4) stack in
-    one pass over object arrays of Python ints, bit for bit the same.
-
-    Each row is scaled by its own 2**shift, one that makes all its entries
-    integers (frexp gives mantissa * 2**53 as an exact int64); the shift may
-    differ from the scalar route's, but both round the same exact quotient
-    once. The lowest row with a value beyond the float range raises the
-    scalar route's :class:`OutOfRange`.
-    """
-    mantissa, exponent = np.frexp(sigmas)
-    ints = (mantissa * 2.0 ** 53).astype(np.int64)
-    exponent = exponent.astype(np.int64) - 53
-    nonzero = ints != 0
-    lowest = np.where(nonzero, exponent, 0).min(axis=(1, 2), initial=0)
-    shift = -lowest  # >= 0
-    lshift = np.where(nonzero, exponent + shift[:, None, None], 0)
-    m = np.left_shift(ints.astype(object), lshift.astype(object)).transpose(1, 2, 0)
-    table = np.stack(_block_polys([list(row) for row in m]), axis=1)
-    scales = np.left_shift(1, np.multiply.outer(shift, _INVARIANT_DEGREES).astype(object))
-    try:
-        # object true division calls int / int element by element
-        return (table / scales).astype(float)
-    except OverflowError:
-        raise _out_of_range(table, scales) from None
+    """(K, 8) :func:`_exact_block_invariants` of a finite (K, 4, 4) stack,
+    row by row; the lowest row beyond the float range raises its error."""
+    return np.array([_exact_block_invariants(sigma) for sigma in sigmas]).reshape(-1, 8)
 
 
 # ---------------------------------------------------------------------------
@@ -583,12 +553,13 @@ def _dd_discriminants(sigmas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 # Fewest rows for which the sigma Omega sigma stage costs less than the exact
-# pass. Timed on the first K open rows of a lambda = 0 trajectory and of
-# fig1a's pass (minimum over 15 x 30 calls, 2-vCPU Xeon, numpy 2.4), the
-# stage costs a near-constant 103-128 us for K = 1..32 and the exact pass
-# about 56 us plus 3.7-4.7 us a row, so the two cross at 13-14 rows of the
-# trajectory and at about 17 of the figure; the lower is taken.
-_STAGE2_MIN_ROWS = 14
+# pass. Each stage was timed on the first K open rows of a lambda = 0 RK4
+# trajectory and on the open rows of the 15 figures' passes (K = 1..32 and
+# 501; minimum over 15 x 30 calls, interleaved, three runs; 2-vCPU Xeon,
+# Python 3.11, numpy 2.4). The stage costs a near-constant 125-165 us and
+# the exact pass 9.5-10.5 us a row, so the two tie at K = 15 and the stage
+# is cheaper from 16 rows on, in both sets and all three runs.
+_STAGE2_MIN_ROWS = 16
 
 
 def _invariants_stack(sigmas: np.ndarray) -> np.ndarray:
@@ -601,7 +572,7 @@ def _invariants_stack(sigmas: np.ndarray) -> np.ndarray:
     values; :func:`_dd_discriminants`, from the entries of sigma Omega sigma,
     for rows whose only open values are rad and rad_tilde (near-degenerate
     spectra: t = 0, and every row of a lambda = 0 trajectory); and
-    :func:`_exact_stack` for the rows left, together. The second stage runs
+    :func:`_exact_stack` for the rows left, row by row. The second stage runs
     only for at least ``_STAGE2_MIN_ROWS`` rows; fewer go to the exact pass,
     which costs less there (a stable trajectory's t = 0 and its neighbour, a
     figure's 4-10 rows) and gives the same bits.

@@ -1,5 +1,5 @@
 """Shared test utilities: random physical states, caption parameter sets,
-steady-state oracles and RK4 oracles."""
+the exact-invariant oracle, steady-state oracles and RK4 oracles."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from oscbath import SystemParams, build_diffusion, build_drift, ode_oracle
+from oscbath import OutOfRange, SystemParams, build_diffusion, build_drift, ode_oracle
 
 # Parameter sets fixed by the four figure captions (omega = 1 throughout).
 # Panels that sweep the temperature leave it free; 0.2 is the value the
@@ -107,6 +107,48 @@ def parse_csv(text: str):
         elif line:
             rows.append(dict(zip(header, line.split(","))))
     return meta, header, rows
+
+
+def cofactor_det(m):
+    """Determinant of a square list of lists by cofactor expansion along the
+    first row; exact for ints and Fractions."""
+    if len(m) == 1:
+        return m[0][0]
+    return sum((-1) ** k * m[0][k] * cofactor_det([row[:k] + row[k + 1:] for row in m[1:]])
+               for k in range(len(m)))
+
+
+INVARIANT_NAMES = ("i1", "i2", "i3", "i4", "delta", "delta_tilde", "rad", "rad_tilde")
+
+
+def exact_invariants(sigma) -> tuple[float, ...]:
+    """(i1, i2, i3, i4, delta, delta_tilde, rad, rad_tilde) of a 4x4 float
+    matrix, each correctly rounded from its exact value; for the first one
+    beyond the float range, the ``OutOfRange`` that ``measures`` raises.
+
+    The oracle for ``measures._exact_block_invariants``, sharing no code
+    with it: every entry is num / den by ``as_integer_ratio``, all are put
+    over the largest den (a power of two), the determinants are cofactor
+    expansions of those integers, and each value is rounded by one int / int
+    division, which CPython rounds correctly.
+    """
+    pairs = [x.as_integer_ratio() for x in np.asarray(sigma, dtype=float).ravel().tolist()]
+    den = max(d for _, d in pairs)
+    m = [[num * (den // d) for num, d in pairs[row:row + 4]] for row in range(0, 16, 4)]
+    i1 = cofactor_det([row[0:2] for row in m[0:2]])
+    i2 = cofactor_det([row[2:4] for row in m[2:4]])
+    i3 = cofactor_det([row[2:4] for row in m[0:2]])
+    i4 = cofactor_det(m)
+    delta, delta_tilde = i1 + i2 + 2 * i3, i1 + i2 - 2 * i3
+    values = (i1, i2, i3, i4, delta, delta_tilde, delta ** 2 - 4 * i4, delta_tilde ** 2 - 4 * i4)
+    out = []
+    for name, value, degree in zip(INVARIANT_NAMES, values, (2, 2, 2, 4, 2, 2, 4, 4)):
+        try:
+            out.append(value / den ** degree)
+        except OverflowError:
+            raise OutOfRange(
+                f"exact {name} of the covariance matrix is beyond the float range") from None
+    return tuple(out)
 
 
 def kron_steady_state(params: SystemParams) -> np.ndarray:

@@ -54,7 +54,7 @@ from oscbath.measures import (
 import oscbath.measures
 import oscbath.sweep
 from oscbath.cli import _trajectory_csv
-from helpers import FIG1A, random_physical_cov, random_symplectic
+from helpers import FIG1A, cofactor_det, exact_invariants, random_physical_cov, random_symplectic
 
 
 def bits(values) -> np.ndarray:
@@ -256,24 +256,30 @@ class TestLeanKernels:
         assert start == len(values)
 
 
-def assert_exact_stack_matches_scalar(sigmas):
-    """The stacked exact pass, and the whole stack path, equal the scalar
-    exact invariants of each row bit for bit; when a row's scalar call
-    raises, both raise the lowest such row's class and message."""
-    rows = []
-    for sigma in sigmas:
-        try:
-            rows.append(_exact_block_invariants(sigma))
-        except OutOfRange as error:
-            rows.append(error)
-    errors = [row for row in rows if isinstance(row, Exception)]
+def exact_outcome(function, sigma):
+    """A row's eight invariants as bits, or its OutOfRange as (class, message)."""
+    try:
+        return bits(function(sigma)).tolist()
+    except OutOfRange as error:
+        return type(error), str(error)
+
+
+def assert_exact_passes_match_oracle(sigmas):
+    """The scalar exact pass of each row, the stacked exact pass and the
+    whole stack path equal the oracle's exact invariants bit for bit; where
+    the oracle raises, the scalar pass raises the same class and message,
+    and both stacked passes raise the lowest such row's. Returns the number
+    of such rows."""
+    expected = [exact_outcome(exact_invariants, sigma) for sigma in sigmas]
+    assert [exact_outcome(_exact_block_invariants, sigma) for sigma in sigmas] == expected
+    errors = [row for row in expected if isinstance(row, tuple)]
     for stacked in (_exact_stack, _invariants_stack):
         if errors:
             with pytest.raises(OutOfRange) as info:
                 stacked(sigmas)
-            assert str(info.value) == str(errors[0])
+            assert (type(info.value), str(info.value)) == errors[0]
         else:
-            assert np.array_equal(bits(stacked(sigmas)), bits(rows))
+            assert bits(stacked(sigmas)).tolist() == expected
     return len(errors)
 
 
@@ -315,21 +321,70 @@ def mixed_scale_stack(count=4000, seed=7):
     return symmetric(upper)
 
 
+def with_entries(sigma, entries):
+    """A copy of sigma with entries {(i, j): value} set."""
+    sigma = np.array(sigma, dtype=float)
+    for index, value in entries.items():
+        sigma[index] = value
+    return sigma
+
+
+def mixed_state():
+    return random_physical_cov(np.random.default_rng(2))
+
+
+def asymmetric_state():
+    """A mixed state with one off-diagonal pair 5e-13 apart, as invariants
+    accepts (up to 1e-12)."""
+    sigma = mixed_state()
+    sigma[1, 0] += 5e-13
+    return sigma
+
+
+# The exact pass scales every entry by 2**k, k = 53 - (frexp exponent of the
+# smallest nonzero |x|), and converts entry by entry where that leaves the
+# float range: 2**k itself (the subnormal, 1e-300) or an entry times it
+# (2**500 beside 2**-480, 2**1023).
+EXACT_EDGES = {
+    "subnormal_beside_one": lambda: with_entries(np.eye(4), {(0, 1): 5e-324, (1, 0): 5e-324}),
+    "subnormal_in_a_state": lambda: with_entries(mixed_state(), {(0, 3): 5e-324, (3, 0): 5e-324}),
+    "tiny_beside_huge": lambda: np.diag([1e300, 1e-300, 1e300, 1e-300]),
+    "entry_times_scale_overflows": lambda: np.diag([2.0 ** 500, 2.0 ** -480, 1.0, 1.0]),
+    # k = 53 and rad beyond the float range
+    "largest_power_of_two": lambda: np.diag([2.0 ** 1023, 0.75, 1.0, 1.0]),
+    # k = 0: every entry is already an integer
+    "largest_power_of_two_everywhere": lambda: np.full((4, 4), 2.0 ** 1023),
+    "signed_zeros": lambda: with_entries(1.5 * np.eye(4), {(0, 2): -0.0, (2, 0): -0.0,
+                                                           (1, 3): -0.0, (3, 1): 0.0}),
+    "all_zero": lambda: np.zeros((4, 4)),
+    "asymmetric": asymmetric_state,
+}
+
+
 class TestExactStack:
     @settings(max_examples=100, deadline=None, database=None, derandomize=True,
               suppress_health_check=[HealthCheck.too_slow])
     @given(STACKS)
     def test_random_full_range_stacks(self, sigmas):
-        assert_exact_stack_matches_scalar(sigmas)
+        assert_exact_passes_match_oracle(sigmas)
 
     def test_seeded_mixed_scale_stack(self):
         sigmas = mixed_scale_stack()
-        assert assert_exact_stack_matches_scalar(sigmas) == 0
+        assert assert_exact_passes_match_oracle(sigmas) == 0
         _, accepted = _dd_block_invariants(sigmas)
         assert (~accepted.all(axis=1)).mean() > 0.9  # mostly the exact pass
 
     def test_lambda0_rk4_rows(self):
-        assert assert_exact_stack_matches_scalar(evolve_stack("lambda0_rk4")) == 0
+        assert assert_exact_passes_match_oracle(evolve_stack("lambda0_rk4")) == 0
+
+    @pytest.mark.parametrize("name", sorted(EXACT_EDGES))
+    def test_edges(self, name):
+        assert_exact_passes_match_oracle(EXACT_EDGES[name]()[None])
+
+    def test_edges_stacked(self):
+        # only the 2**1023 row is beyond the float range, and raises for all
+        sigmas = np.stack([make() for make in EXACT_EDGES.values()])
+        assert assert_exact_passes_match_oracle(sigmas) == 1
 
     def test_float_limit_is_the_overflow_threshold(self):
         assert (_FLOAT_LIMIT - 1) / 1 == np.finfo(float).max
@@ -340,14 +395,6 @@ class TestExactStack:
 def fraction_minor(m, r, i, j):
     """The 2x2 minor of m on rows (r, r + 1) and columns (i, j)."""
     return m[r][i] * m[r + 1][j] - m[r][j] * m[r + 1][i]
-
-
-def fraction_det(m):
-    """Determinant by cofactor expansion along the first row."""
-    if len(m) == 1:
-        return m[0][0]
-    return sum((-1) ** k * m[0][k] * fraction_det([row[:k] + row[k + 1:] for row in m[1:]])
-               for k in range(len(m)))
 
 
 FORM_PAIRS = ((0, 2), (0, 3), (1, 2), (1, 3))
@@ -415,7 +462,7 @@ class TestDiscriminantStage:
         for m in fraction_matrices(kind):
             i1, i2, i3 = (fraction_minor(m, 0, 0, 1), fraction_minor(m, 2, 2, 3),
                           fraction_minor(m, 0, 2, 3))
-            i4 = fraction_det(m)
+            i4 = cofactor_det(m)
             d, q02, q03, q12, q13, r02, r03, r12, r13 = fraction_sums(m)
             assert (i1 + i2 + 2 * i3) ** 2 - 4 * i4 == d * d + 4 * (q02 * q13 - q03 * q12)
             assert (i1 + i2 - 2 * i3) ** 2 - 4 * i4 == d * d - 4 * (r02 * r13 - r03 * r12)
@@ -477,7 +524,7 @@ class TestDiscriminantStage:
         # every row is settled: t = 0 (rad = 0 exactly), S (n I) S^T, where
         # both discriminants vanish, and a whole lambda = 0 trajectory
         assert proven.all(), proven.mean(axis=0)
-        assert_exact_stack_matches_scalar(sigmas)
+        assert_exact_passes_match_oracle(sigmas)
 
     def test_mixed_scale_stack_is_left_to_the_exact_pass(self):
         sigmas = mixed_scale_stack()
@@ -511,7 +558,7 @@ class TestDiscriminantStage:
         assert not _in_range(sigmas).any()
         _, proven = _dd_discriminants(sigmas)
         assert not proven.any()
-        assert_exact_stack_matches_scalar(sigmas)
+        assert_exact_passes_match_oracle(sigmas)
 
     def test_sums_that_could_underflow_are_never_accepted(self):
         # entries in range, but d = 2**-380 (1 - (1 + 2**-40)) = -2**-420
