@@ -547,23 +547,21 @@ def ode_oracle(sigma0, params: SystemParams, t: float, dt: float = 1e-3) -> np.n
 
     The flow is linear, so one RK4 step is a fixed affine map on vec(sigma);
     it is built once, composed over all steps of the interval and applied as
-    a single matrix-vector product. The result is exactly symmetric.
-    ``evolve_trajectory`` runs whole grids through the same core, where a
-    run of L intervals with one map costs ceil(log2(L + 1)) products, so
-    its rows equal chained calls of this function to rounding.
+    a single matrix-vector product. The result is exactly symmetric (at
+    t = 0, the symmetrized sigma0). ``evolve_trajectory`` fills whole grids
+    by doubling in the same core, so its rows equal chained calls of this
+    function to rounding.
 
     t must be finite and >= 0 and dt finite and > 0 (see
-    :func:`check_step`). The step is min(dt, t): floor(t/dt) whole steps,
-    then one shorter step for any remainder.
+    :func:`check_step`), also at t = 0. The step is min(dt, t): floor(t/dt)
+    whole steps, then one shorter step for any remainder.
     """
+    check_step(dt)
     if not 0 <= t < math.inf:
         raise ValueError(f"time must be finite and >= 0 (got {t})")
     sigma0 = check_covariance(sigma0)
     require_valid(params)
-    if t == 0.0:
-        return sigma0
-    check_step(dt)
-    return _rk4_grid(sigma0, params, [t], dt)[0]
+    return _rk4_grid(sigma0, params, t, 0.0, 0, dt)[0]
 
 
 def check_step(dt: float) -> None:
@@ -594,25 +592,22 @@ def _rk4_step(lsum: np.ndarray, b: np.ndarray, size: float) -> np.ndarray:
     return _sym_rows(np.column_stack((a @ phi, size * (phi @ b))))
 
 
-def _rk4_map(lsum: np.ndarray, b: np.ndarray, h: float, n: int,
-             remainder: float, whole: dict) -> np.ndarray:
-    """Increment [K | C] of n >= 1 RK4 steps of size h, then one of
-    ``remainder`` (if nonzero).
+def _rk4_map(lsum: np.ndarray, b: np.ndarray, span: float, dt: float) -> np.ndarray:
+    """Increment [K | C] of RK4 over an interval of length ``span`` > 0.
 
-    The n steps compose by :func:`_then` and repeated squaring: O(log n)
-    products. ``whole`` caches the n whole steps by (h, n), since the spans
-    of a grid often differ only in their remainder; a cached map is the
-    one built here, so sharing it changes no bit.
+    The step is h = min(dt, span): n = floor(span/h) whole steps, then one
+    step of the remainder if it is at least 1e-12 * max(span, 1). The n
+    steps compose by :func:`_then` and repeated squaring: O(log n) products.
     """
-    g = whole.get((h, n))
-    if g is None:
-        g = kc = _rk4_step(lsum, b, h)
-        for bit in bin(n)[3:]:  # the bits of n below its leading one
-            g = _then(g, g)
-            if bit == "1":
-                g = _then(g, kc)
-        whole[(h, n)] = g
-    if remainder:
+    h = min(dt, span)
+    n = math.floor(span / h + 1e-9)
+    remainder = span - n * h
+    g = kc = _rk4_step(lsum, b, h)
+    for bit in bin(n)[3:]:  # the bits of n below its leading one
+        g = _then(g, g)
+        if bit == "1":
+            g = _then(g, kc)
+    if remainder >= 1e-12 * max(span, 1.0):
         g = _then(g, _rk4_step(lsum, b, remainder))
     return g
 
@@ -628,81 +623,70 @@ def _then(g: np.ndarray, kc: np.ndarray) -> np.ndarray:
     return g + (kc[:, :-1] @ g + kc)
 
 
-def _rk4_grid(sigma0: np.ndarray, params: SystemParams, times,
-              dt: float) -> np.ndarray:
-    """RK4 states at each of the non-decreasing ``times``, from sigma0 at 0.
+def _fill_by_doubling(states: np.ndarray, g: np.ndarray) -> None:
+    """Fill ``states[1:]`` from ``states[0]`` by applying the map ``g`` of
+    one interval once per row, v -> v + (K v + C), by doubling.
 
-    Steps from t = 0 to times[0], then from each time to the next, each
-    interval of length T with step h = min(dt, T): floor(T/h) whole steps
-    plus one step for a remainder of at least 1e-12 * max(T, 1); an
-    interval of length 0 repeats the state before it. M, D and
-    L = M (+) M are built once, and the map of an interval once per
-    distinct key (h, steps, remainder), since linspace's spans can differ
-    in the last bits.
-
-    Consecutive intervals that share a key form a run, which applies one
-    affine map v -> v + (K v + C) L times; its states are filled by
-    doubling, a parallel prefix. With x_0 the state before the run and
-    [K_m | C_m] the map of m intervals, round m = 1, 2, 4, ... gives
-    x_m .. x_{2m-1} = x_j + (K_m x_j + C_m), j = 0 .. m-1, in one
-    (m, 16) x (16, 16) product, so a run of L intervals costs
-    ceil(log2(L + 1)) products. [K_2m | C_2m] is [K_m | C_m] composed with
-    itself by :func:`_then`, cached with the key. The rows therefore equal
-    chained one-interval calls (:func:`ode_oracle`) to rounding, not bit
-    for bit.
-
-    Returns an (N, 4, 4) stack of exactly symmetric matrices; raises
-    :class:`OutOfRange` if any entry overflowed, or before any map is built
-    if an interval's step count t/dt is beyond the float range.
+    A parallel prefix: with x_0 = states[0] and [K_m | C_m] the map of m
+    intervals, round m = 1, 2, 4, ... gives x_m .. x_{2m-1} =
+    x_j + (K_m x_j + C_m), j = 0 .. m-1, in one (m, 16) x (16, 16) product,
+    so L intervals cost ceil(log2(L + 1)) products. [K_2m | C_2m] is
+    [K_m | C_m] composed with itself by :func:`_then`.
     """
-    spans = np.diff(times, prepend=0.0)
-    t = float(spans.max())
+    length = len(states) - 1
+    for i in range(length.bit_length()):
+        if i:
+            g = _then(g, g)
+        m = 1 << i
+        count = min(m, length + 1 - m)
+        x = states[:count]
+        y = states[m:m + count]
+        np.matmul(x, g[:, :-1].T, out=y)  # then y = x + (K x + C)
+        y += g[:, -1]
+        y += x
+
+
+def _rk4_grid(sigma0: np.ndarray, params: SystemParams, t_start: float,
+              spacing: float, intervals: int, dt: float) -> np.ndarray:
+    """RK4 states at t_start + k * spacing, k = 0 .. intervals, from sigma0
+    at t = 0.
+
+    At most two interval maps (:func:`_rk4_map`): one from 0 to t_start if
+    t_start > 0, applied once, and one of the spacing, which fills the grid
+    (:func:`_fill_by_doubling`; 9 products on the default 501-point grid).
+    A spacing of 0 repeats the state at t_start. M, D and L = M (+) M are
+    built even where no time moves. The rows equal chained one-interval
+    calls (:func:`ode_oracle`) to rounding, not bit for bit.
+
+    Returns an (intervals + 1, 4, 4) stack of exactly symmetric matrices;
+    raises :class:`OutOfRange` if any entry overflowed, or before any map is
+    built if t_start/dt or spacing/dt is beyond the float range.
+    """
+    t_start, spacing = float(t_start), float(spacing)
+    t = max(t_start, spacing)
     if not math.isfinite(t / dt):
         raise OutOfRange(f"RK4 step count t/dt beyond the float range (t={t:g}, dt={dt:g})")
-    moving = spans > 0.0
-    span = spans[moving]
-    h = np.minimum(dt, span)
-    n = np.floor(span / h + 1e-9)
-    remainder = span - n * h
-    remainder[remainder < 1e-12 * np.maximum(span, 1.0)] = 0.0
-    keys = np.column_stack((h, n, remainder))
-    # a run starts at the first interval and wherever the key changes
-    starts = [0, *(np.flatnonzero((keys[1:] != keys[:-1]).any(axis=1)) + 1).tolist()]
     lsum = _kron_sum(_drift(params))
     b = 2.0 * np.diag(_diffusion(params)).reshape(-1)
-    # row 0 is sigma0 and row i the state after the i-th moving interval;
-    # the maps keep symmetric inputs exactly symmetric, so make sure this is
-    states = np.empty((len(span) + 1, 16))
+    # row 0 is sigma0, then the state at t_start if that is later, then one
+    # row per grid interval; the maps keep symmetric inputs exactly
+    # symmetric, so make sure sigma0 is
+    first = int(t_start > 0.0)
+    states = np.empty((first + intervals + 1, 16))
     states[0] = (0.5 * sigma0 + 0.5 * sigma0.T).reshape(-1)
-    whole = {}
-    maps = {}  # key -> [([K_m | C_m], K_m^T, C_m) for m = 1, 2, 4, ...]
     # a step beyond the stability limit can overflow; one check at the end
     with np.errstate(over="ignore", invalid="ignore"):
-        for start, end, (h, n, remainder) in zip(
-                starts, [*starts[1:], len(span)], keys[starts].tolist()):
-            key = (h, int(n), remainder)
-            powers = maps.get(key)
-            if powers is None:
-                g = _rk4_map(lsum, b, *key, whole)
-                powers = maps[key] = [(g, g[:, :-1].T, g[:, -1])]
-            length = end - start
-            for i in range(length.bit_length()):
-                if i == len(powers):
-                    g = _then(powers[-1][0], powers[-1][0])
-                    powers.append((g, g[:, :-1].T, g[:, -1]))
-                _, kt, c = powers[i]
-                m = 1 << i
-                count = min(m, length + 1 - m)
-                x = states[start:start + count]
-                y = states[start + m:start + m + count]
-                np.matmul(x, kt, out=y)  # then y = x + (K x + C)
-                y += c
-                y += x
-    out = states[np.cumsum(moving)].reshape(-1, 4, 4)
+        if first:
+            _fill_by_doubling(states[:2], _rk4_map(lsum, b, t_start, dt))
+        if spacing > 0.0:
+            _fill_by_doubling(states[first:], _rk4_map(lsum, b, spacing, dt))
+        else:
+            states[first + 1:] = states[first]
+    out = states[first:].reshape(-1, 4, 4)
     if not np.isfinite(out).all():
         raise OutOfRange(
             f"RK4 covariance left the float range (dt={dt:g}, "
-            f"t up to {float(times[-1]):g}); the step may exceed the "
+            f"t up to {t_start + intervals * spacing:g}); the step may exceed the "
             "integrator's stability limit, or an undamped flow grow by "
             "rounding over too many steps"
         )

@@ -185,13 +185,13 @@ def evolve_trajectory(
     :func:`~oscbath.dynamics.propagate` call (needs a steady state), "rk4"
     steps the whole grid with one call of the RK4 core behind
     :func:`~oscbath.dynamics.ode_oracle`, using step ``min(dt, interval)``
-    (one step map per distinct interval; a run of L consecutive intervals
-    with one map is filled by doubling in ceil(log2(L + 1)) batched
-    products, so every row equals the chained ``ode_oracle`` calls from
-    one grid time to the next to rounding), and "auto" (default)
-    picks "closed" whenever the steady state exists. A ``dt`` that is not
-    finite and > 0 raises ``ValueError`` before any work, whichever
-    integrator runs.
+    (one step map from 0 to ``grid.t_start`` if that is later, one for
+    ``grid.spacing``, whose L intervals are filled by doubling in
+    ceil(log2(L + 1)) batched products, so every row equals the chained
+    ``ode_oracle`` calls from one grid time to the next to rounding), and
+    "auto" (default) picks "closed" whenever the steady state exists. A
+    ``dt`` that is not finite and > 0 raises ``ValueError`` before any
+    work, whichever integrator runs.
 
     The measures of all rows are computed in one batched pass: block
     invariants in double-double arithmetic kept where a round test proves
@@ -225,7 +225,8 @@ def _propagated(params, grid, integrator, dt):
     if integrator == "closed":
         sigmas = propagate(sigma0, params, times)
     else:
-        sigmas = _rk4_grid(sigma0, params, times, dt)
+        sigmas = _rk4_grid(sigma0, params, grid.t_start, grid.spacing,
+                           grid.n_points - 1, dt)
     return params, grid, integrator, times, sigmas
 
 

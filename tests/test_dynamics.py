@@ -629,6 +629,22 @@ class TestOdeOracle:
     def test_time_zero_returns_initial(self):
         sigma0 = initial_squeezed_vacuum(1.0)
         assert np.array_equal(ode_oracle(sigma0, FIG1A, 0.0), sigma0)
+        # asymmetric within check_covariance's 1e-12 tolerance: the result
+        # is exactly symmetric, as at every t > 0
+        sigma0[0, 1] += 5e-13
+        s = ode_oracle(sigma0, FIG1A, 0.0)
+        assert np.array_equal(s, 0.5 * sigma0 + 0.5 * sigma0.T)
+        assert np.array_equal(s, s.T)
+
+    @pytest.mark.parametrize("params, message", [
+        (SystemParams(1e-300, 0.0, 0.0, 0.6, 1e10, 1.0), "coth"),
+        (dataclasses.replace(FIG1A, lambda_=1e308), "2\\*lambda"),
+    ])
+    def test_time_zero_out_of_range_like_any_grid(self, params, message):
+        # t = 0 builds the same drift and diffusion as every grid
+        for t in (0.0, 1.0):
+            with pytest.raises(OutOfRange, match=message):
+                ode_oracle(np.eye(4), params, t)
 
     def test_matches_closed_form_at_unit_time(self):
         sigma0 = initial_squeezed_vacuum(1.0)
@@ -668,9 +684,10 @@ class TestOdeOracle:
         assert np.abs(s - propagate(sigma0, FIG1A, 0.345)).max() <= 1e-6
 
     def test_bad_dt_rejected(self):
-        for dt in (0.0, -1.0, math.inf, math.nan):
-            with pytest.raises(ValueError, match="dt must be finite and > 0"):
-                ode_oracle(np.eye(4), FIG1A, 1.0, dt)
+        for t in (0.0, 1.0):
+            for dt in (0.0, -1.0, math.inf, math.nan):
+                with pytest.raises(ValueError, match="dt must be finite and > 0"):
+                    ode_oracle(np.eye(4), FIG1A, t, dt)
 
     def test_step_longer_than_t_is_one_step_of_t(self):
         # the step is min(dt, t), the rule of every evolve_trajectory interval

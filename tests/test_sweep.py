@@ -15,8 +15,6 @@ from oscbath import (
     TimeGrid,
     Trajectory,
     UnknownFigure,
-    build_diffusion,
-    build_drift,
     coupling_bound,
     detect_sudden_death,
     evolve_trajectory,
@@ -192,63 +190,49 @@ class TestEvolveTrajectory:
         [(LAMBDA0, DEFAULT_GRID),
          (FIG4, TimeGrid(0.75, 3.0, 41)),  # first interval starts at t = 0
          (FIG4, TimeGrid(0.0, 0.01, 21)),  # spacing below dt
-         # linspace's spans differ in the last bits: 10 maps for 300 intervals
+         # linspace's spans differ in the last bits from the spacing
          (FIG4, TimeGrid(0.0, 10.0, 301)),
          (MARGINAL, DEFAULT_GRID),
-         (FIG1A, TimeGrid(0.0, 10.0, 2001)),  # one run of 2000 intervals
-         # times no TimeGrid gives: intervals of length 0, at the start and
-         # inside runs
-         (FIG4, np.array([0.0, 0.0, 0.5, 1.0, 1.0, 1.5, 2.0, 2.0, 2.7]))],
+         (FIG1A, TimeGrid(0.0, 10.0, 2001)),  # 2000 intervals by doubling
+         # the spacing rounds to 0, while some grid times are 5e-324
+         (FIG4, TimeGrid(0.0, 5e-324, 40))],
     )
-    def test_rk4_records_are_chained_ode_oracle(self, monkeypatch, record_property,
-                                                params, grid):
-        # runs of one map are filled by doubling, so rows agree with the
-        # chain of one-interval ode_oracle calls to rounding, not bit for bit
-        import oscbath.dynamics as dynamics
-
-        built = []  # (h, steps, remainder) of each map built
-        rk4_map = dynamics._rk4_map
-        monkeypatch.setattr(dynamics, "_rk4_map",
-                            lambda *args: built.append(args[2:5]) or rk4_map(*args))
+    def test_rk4_records_are_chained_ode_oracle(self, record_property, params, grid):
+        # the grid is filled by doubling, so rows agree with the chain of
+        # one-interval ode_oracle calls to rounding, not bit for bit
         dt = 1e-3
-        sigma0 = initial_squeezed_vacuum(params.r)
-        if isinstance(grid, TimeGrid):
-            times = grid.times()
-            sigmas = evolve_trajectory(params, grid, integrator="rk4", dt=dt).sigmas
-        else:
-            times = grid
-            sigmas = dynamics._rk4_grid(sigma0, params, times, dt)
-        assert len(built) == len(set(built))  # each distinct interval once
-        monkeypatch.undo()
-        chain = chained_ode_oracle(sigma0, params, times, dt)
+        sigmas = evolve_trajectory(params, grid, integrator="rk4", dt=dt).sigmas
+        chain = chained_ode_oracle(initial_squeezed_vacuum(params.r), params,
+                                   grid.times(), dt)
         rel = (np.abs(sigmas - chain).max(axis=(1, 2))
                / np.abs(chain).max(axis=(1, 2)))
         record_property("max_rel_diff", float(rel.max()))
         assert rel.max() <= 1e-13, float(rel.max())
         assert np.array_equal(sigmas, sigmas.swapaxes(1, 2))
 
-    def test_rk4_shares_whole_steps_between_remainders(self, monkeypatch):
-        # the 40 spans of this grid are 56 steps of 1e-3 plus a remainder
-        # that differs in the last bits: five keys, one set of whole steps
+    @pytest.mark.parametrize("grid, spans, steps", [
+        # 0.75 is 750 steps of 1e-3; the spacing 0.05625 is 56 steps and a
+        # remainder of 2.5e-4
+        (TimeGrid(0.75, 3.0, 41), [0.75, 0.05625], [1e-3, 1e-3, 2.5e-4]),
+        # 300 spans that differ in the last bits: one map of the spacing
+        (TimeGrid(0.0, 10.0, 301), [10.0 / 300], [1e-3, 1e-3 / 3]),
+        (TimeGrid(0.0, 10.0, 2001), [0.005], [1e-3]),
+    ])
+    def test_rk4_builds_at_most_two_maps(self, monkeypatch, grid, spans, steps):
+        # the step counts follow from the spans by ode_oracle's rule, which
+        # TestRk4Map checks against per-step RK4
         import oscbath.dynamics as dynamics
 
-        steps = []
-        rk4_step = dynamics._rk4_step
-        monkeypatch.setattr(dynamics, "_rk4_step",
-                            lambda *args: steps.append(args[2]) or rk4_step(*args))
-        maps = {}
+        built, sizes = [], []  # the spans of the maps, their single steps
         rk4_map = dynamics._rk4_map
         monkeypatch.setattr(dynamics, "_rk4_map",
-                            lambda *args: maps.setdefault(args[2:5], rk4_map(*args)))
-        evolve_trajectory(FIG4, TimeGrid(0.75, 3.0, 41), "rk4", dt=1e-3)
-        assert sorted({(h, n) for h, n, _ in maps}) == [(1e-3, 56), (1e-3, 750)]
-        assert len(steps) == 2 + sum(1 for key in maps if key[2])
-        monkeypatch.undo()
-        # a shared set of whole steps changes no bit of a map
-        lsum = dynamics._kron_sum(build_drift(FIG4))
-        b = 2.0 * np.diag(build_diffusion(FIG4)).reshape(-1)
-        for key, g in maps.items():
-            assert np.array_equal(dynamics._rk4_map(lsum, b, *key, {}), g), key
+                            lambda *args: built.append(args[2]) or rk4_map(*args))
+        rk4_step = dynamics._rk4_step
+        monkeypatch.setattr(dynamics, "_rk4_step",
+                            lambda *args: sizes.append(args[2]) or rk4_step(*args))
+        evolve_trajectory(FIG4, grid, "rk4", dt=1e-3)
+        assert built == spans
+        assert sizes == pytest.approx(steps, rel=1e-9)
 
     def test_rk4_purity_conserved_on_every_row_at_lambda0(self):
         # the rk4 bench gate on lambda = 0 sets, over all 501 rows
