@@ -11,13 +11,16 @@ Every command formats its floats a whole table at a time (``_csv_text``),
 byte for byte the same as ``%#.12g`` (or ``float.hex``) of each value plus
 0.0. Decimal digits are exact: for |x| in [1e-11, 1e12), x * 10**k with
 10**k exact is split into hi + lo by TwoProd, and rounding hi half to even,
-with lo deciding a tie that hi sits on, gives the 12 digits. Each value's
-text is a fixed-width slot of bytes gathered from small tables; the slots
-become text by dropping NUL bytes. Decimal values outside that range and
-non-finite values fall back to ``%``, and every hex float is ``float.hex``
-of its value, one at a time. ``figure`` hands the time and observable
-columns to :func:`~oscbath.svgplot.line_plot` as arrays. The argument
-parser is built once, at import.
+with lo deciding a tie that hi sits on, gives the 12 digits. A table is one
+array of uint64 words: each value's text is a 32-byte slot of four words
+gathered from small tables (sign and prefix, two words of 3-digit chunks
+with the point, exponent and separator), and the "true"/"false" flag of a
+row is one more word written in place at its end. One tobytes() and one
+translate() that drops the NUL bytes make the text. Decimal values
+outside that range and non-finite values fall back to ``%``, and every
+hex float is ``float.hex`` of its value, one at a time. ``figure`` hands
+the time and observable columns to :func:`~oscbath.svgplot.line_plot` as
+arrays. The argument parser is built once, at import.
 
 The library reports log negativity and discord in nats; ``--log-base 2``
 converts them to bits at output, and ``--threshold`` is read in that unit.
@@ -38,7 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import OscbathError, SteadyStateUnavailable
-from .measures import _two_prod, full_report
+from .measures import _rint_product, full_report
 from .model import SystemParams, _squeezing_warnings, validate
 from .dynamics import check_step, steady_state
 from .svgplot import line_plot
@@ -61,57 +64,76 @@ _COLUMNS = (
 )
 
 
-# Whole-table CSV text. Each value gets a fixed-width slot of bytes, NUL
-# where its layout has no character: a row of a layout table, with digit
-# chunks from a small table ORed in, every row taken with np.take. The
-# slots of a table become text through one tobytes() and one translate()
-# that drops the NULs. Other temporaries hold one number per value.
+# Whole-table CSV text. A table is one array of uint64 words: each value
+# gets a 32-byte slot of four words, NUL where its layout has no character,
+# and a row with flags ends in one more word, "true\n" or "false\n". The
+# array becomes text through one tobytes() and one translate() that drops
+# the NULs.
 
 def _rows(strings, width):
-    """Byte strings as a (len, width) uint8 table, NUL-padded."""
+    """ASCII strings or byte strings as a (len, width) uint8 table, NUL-padded."""
     return np.array(strings, dtype=f"S{width}").view(np.uint8).reshape(len(strings), width)
 
 
-# %#.12g of a value with decimal exponent X in [-11, 12] has layout X + 11,
-# six 8-byte words. Word 0 holds the sign and, for fixed notation below 1,
-# the "0.000" prefix; words 1-4 the 12 digits in 3-digit chunks, each digit
-# followed by a slot for the point; word 5 the exponent "e+XX" and, in its
-# last byte, the separator.
-_DEC_WIDTH = 48
+def _words(strings):
+    """Byte strings of at most 8 bytes as uint64 words, NUL-padded."""
+    return _rows(strings, 8).view(np.uint64).ravel()
+
+
+# %#.12g of a value with decimal exponent X in [-11, 12] has layout X + 11.
+# Word 0 holds the sign and, for fixed notation below 1, the "0.000" prefix;
+# words 1-2 the 12 digits as four 4-byte chunks of 3 digits, each with the
+# point after its 1st, 2nd or 3rd digit (variants 0-2) or nowhere (variant
+# 3); word 3 the exponent "e+XX" and, in its last byte, the separator.
 _POW10 = 10.0 ** np.arange(23)  # exact up to 10**22
 
 
 def _dec_layout(x_exp):
-    slot = bytearray(_DEC_WIDTH)
+    """(word 0, the four chunks' variants, word 3) of layout x_exp + 11."""
+    variants = [3] * 4
     if -4 <= x_exp < 0:
-        prefix = b"0." + b"0" * (-x_exp - 1)
-        slot[1:1 + len(prefix)] = prefix
-    else:
-        point = x_exp if 0 <= x_exp < 12 else 0  # the digit the point follows
-        slot[9 + 8 * (point // 3) + 2 * (point % 3)] = ord(".")
-        if point != x_exp:
-            slot[40:44] = b"e%+03d" % x_exp
-    slot[-1] = ord(",")
-    return bytes(slot)
+        return b"\0" + b"0." + b"0" * (-x_exp - 1), variants, b"\0" * 7 + b","
+    point = x_exp if 0 <= x_exp < 12 else 0  # the digit the point follows
+    variants[point // 3] = point % 3
+    suffix = b"e%+03d" % x_exp if point != x_exp else b""
+    return b"", variants, suffix.ljust(7, b"\0") + b","
 
 
-_DEC_LAYOUTS = _rows([_dec_layout(x_exp) for x_exp in range(-11, 13)], _DEC_WIDTH).view(np.uint64)
-_DEC_CHUNKS = np.zeros((1000, 8), np.uint8)  # "d.d.d." with NUL points
-_DEC_CHUNKS[:, 0:6:2] = np.arange(1000)[:, None] // np.array([100, 10, 1]) % 10 + ord("0")
-_DEC_CHUNKS = _DEC_CHUNKS.view(np.uint64).ravel()
-_MINUS = _rows([b"-"], 8).view(np.uint64)[0, 0]
-
-_FLAG_SLOTS = _rows([b"false\n", b"true\n"], 6)
+_DEC_PREFIX, _DEC_VARIANTS, _DEC_SUFFIX = zip(*map(_dec_layout, range(-11, 13)))
+_DEC_PREFIX, _DEC_SUFFIX = _words(_DEC_PREFIX), _words(_DEC_SUFFIX)
+# per chunk, the offset of its variant's row in the chunk table, by layout
+_DEC_CHUNK_ROW = 1000 * np.array(_DEC_VARIANTS, np.int64).T
 
 
-def _dec_slots(x):
-    """%#.12g slots of x, and where they must fall back to ``%``.
+def _dec_chunks():
+    """The (4 x 1000) chunk table, flat: the 4 bytes of each variant and
+    chunk value, its 3 digits around the point."""
+    table = np.zeros((4, 1000, 4), np.uint8)
+    digits = np.arange(1000)[:, None] // np.array([100, 10, 1]) % 10 + ord("0")
+    for variant in range(4):
+        table[variant, :, :3] = digits
+        if variant < 3:  # the digits after the point move up one byte
+            table[variant, :, variant + 2:] = digits[:, variant + 1:]
+            table[variant, :, variant + 1] = ord(".")
+    return table.view(np.uint32).ravel()
+
+
+_DEC_CHUNKS = _dec_chunks()
+_MINUS = _words([b"-"])[0]
+_FLAG_WORDS = _words([b"false\n", b"true\n"])
+
+
+def _dec_slots(x, words):
+    """Write the %#.12g slots of the 2-D x to the first 4 * x.shape[1] words
+    of each row of ``words``; return where they must fall back to ``%``.
 
     For |x| in [1e-11, 1e12) the exponent X puts k = 11 - X in [0, 22], so
-    10**k is exact and TwoProd gives hi + lo = |x| * 10**k exactly. q, that
-    product rounded half to even, holds the 12 digits. Other values (0
-    aside) fall back.
+    10**k is exact, and q, |x| * 10**k rounded half to even from the exact
+    product, holds the 12 digits. Other values (0 aside) fall back.
     """
+    rows, cols = x.shape
+    slots = words[:, :4 * cols].reshape(rows, cols, 4)
+    chunks = words.view(np.uint32)[:, :8 * cols].reshape(rows, cols, 8)
     a = np.abs(x)
     fall = ~((a >= 1e-11) & (a < 1e12))
     a_in = np.where(fall, 1.0, a)
@@ -119,24 +141,23 @@ def _dec_slots(x):
     # below 1e12), where the 12 digits round to that power: q then reads
     # 10**11, which is right, or 10**12, which the carry below handles
     k = 11 - np.clip(np.floor(np.log10(a_in)), -11.0, 11.0).astype(np.intp)
-    hi, lo = _two_prod(a_in, _POW10[k])
-    # hi is the product rounded, so only a tie that hi sits on needs lo
-    q = np.rint(hi)
-    half = hi - q
-    q += (half == 0.5) & (lo > 0)
-    q -= (half == -0.5) & (lo < 0)
+    q = _rint_product(a_in, _POW10[k])
     carry = q == 1e12
     q[carry] = 1e11
     q[a == 0] = 0.0  # k = 11, so 0.0 gets the layout of X = 0
-    words = np.take(_DEC_LAYOUTS, 22 - k + carry, axis=0)
-    words[:, 0] |= _MINUS * (x < 0)
-    above = 0.0
-    for c, scale in enumerate((1e9, 1e6, 1e3, 1.0), start=1):
-        # q < 2**40, so every quotient is floored exactly
-        upto = np.floor(q / scale)
-        words[:, c] |= np.take(_DEC_CHUNKS, (upto - 1000.0 * above).astype(np.intp))
+    layout = 22 - k + carry
+    slots[..., 0] = np.take(_DEC_PREFIX, layout) | _MINUS * (x < 0)
+    slots[..., 3] = np.take(_DEC_SUFFIX, layout)
+    q = q.astype(np.int64)
+    above = 0
+    for c, scale in enumerate((10 ** 9, 10 ** 6, 10 ** 3, 1)):
+        upto = q // scale
+        row = np.take(_DEC_CHUNK_ROW[c], layout)
+        row += upto
+        row -= 1000 * above
+        chunks[..., 2 + c] = np.take(_DEC_CHUNKS, row)
         above = upto
-    return words.view(np.uint8), fall & (a != 0)
+    return fall & (a != 0)
 
 
 def _csv_text(table, hex_floats, flags=None) -> str:
@@ -151,23 +172,26 @@ def _csv_text(table, hex_floats, flags=None) -> str:
     """
     table = np.asarray(table, dtype=float)
     # -0.0 prints as 0.0 (where, not + 0.0, which flags a signalling NaN)
-    x = np.where(table == 0, 0.0, table).ravel()
-    if hex_floats:  # 24 bytes hold the longest float.hex, then the separator
-        slots, fall = np.full((len(x), 25), ord(","), np.uint8), np.ones(len(x), bool)
+    x = np.where(table == 0, 0.0, table)
+    rows, cols = x.shape
+    words = np.empty((rows, 4 * cols + (flags is not None)), np.uint64)
+    chars = words.view(np.uint8)
+    slots = chars[:, :32 * cols].reshape(rows, cols, 32)
+    if hex_floats:  # 31 bytes hold the longest float.hex, then the separator
+        slots[..., :31] = _rows(list(map(float.hex, x.ravel().tolist())),
+                                31).reshape(rows, cols, 31)
+        slots[..., 31] = ord(",")
     else:
-        slots, fall = _dec_slots(x)
-    if fall.any():
-        where = np.flatnonzero(fall)
-        fmt = float.hex if hex_floats else "%#.12g".__mod__
-        slots[where, :-1] = _rows([fmt(v).encode() for v in x[where].tolist()],
-                                  slots.shape[1] - 1)
-    slots = slots.reshape(len(table), -1)
+        fall = _dec_slots(x, words)
+        if fall.any():
+            where = np.nonzero(fall)
+            slots[where + (slice(31),)] = _rows(
+                [b"%#.12g" % v for v in x[where].tolist()], 31)
     if flags is None:
-        slots[:, -1] = ord("\n")
+        chars[:, -1] = ord("\n")  # the last value's separator
     else:
-        flags = np.asarray(flags, dtype=bool).view(np.uint8)
-        slots = np.concatenate((slots, np.take(_FLAG_SLOTS, flags, axis=0)), axis=1)
-    return slots.tobytes().translate(None, b"\0").decode("ascii")
+        words[:, -1] = np.take(_FLAG_WORDS, np.asarray(flags, dtype=bool).view(np.uint8))
+    return words.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def _param_flags(parser: argparse.ArgumentParser) -> None:

@@ -259,6 +259,21 @@ def _two_prod(a, b):
     return p, e
 
 
+def _rint_product(a, b):
+    """a * b rounded half to even to an integer, for |a * b| < 2**52.
+
+    hi + lo = a * b exactly by TwoProd. hi is the product rounded, so only
+    a half that hi sits on needs lo to settle which way the exact product
+    rounds.
+    """
+    hi, lo = _two_prod(a, b)
+    q = np.rint(hi)
+    half = hi - q
+    q += (half == 0.5) & (lo > 0)
+    q -= (half == -0.5) & (lo < 0)
+    return q
+
+
 def _dd_add(x, y):
     s, t = _two_sum(x[0], y[0])
     t += x[1] + y[1]

@@ -2,7 +2,8 @@
 
 Produces a fixed-size 2D plot with axes, tick labels, one polyline per
 curve and a legend. Output is deterministic text, suitable for regression
-comparison byte by byte.
+comparison byte by byte. Polyline coordinates are formatted a whole plot
+at a time, byte for byte as ``"%.2f"`` formats each.
 """
 
 from __future__ import annotations
@@ -10,6 +11,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from .measures import _rint_product
 
 __all__ = ["line_plot"]
 
@@ -23,8 +26,66 @@ _MARGIN_BOTTOM = 56
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
-def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
-    """Round tick positions covering [lo, hi] with a 1-2-5 step."""
+# "%.2f" text of a pixel coordinate v in (0, 1000) as one 8-byte word: the
+# integer part right-aligned in bytes 0-3 and the point in byte 4 (a word
+# of _INT_WORDS), two digits of hundredths in bytes 5-6 (_FRAC_WORDS) and
+# the separator in byte 7, NUL where no character is.
+def _digit_words():
+    """(_INT_WORDS, _FRAC_WORDS): the words of the integer parts 0-1000,
+    without leading zeros, and of the hundredths 0-99."""
+    n = np.arange(1001)
+    whole = np.zeros((1001, 8), np.uint8)
+    whole[:, :4] = n[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0")
+    for place, scale in enumerate((1000, 100, 10)):  # no leading zeros
+        whole[:scale, place] = 0
+    whole[:, 4] = ord(".")
+    frac = np.zeros((100, 8), np.uint8)
+    frac[:, 5:7] = n[:100, None] // np.array([10, 1]) % 10 + ord("0")
+    return whole.view(np.uint64).ravel(), frac.view(np.uint64).ravel()
+
+
+_INT_WORDS, _FRAC_WORDS = _digit_words()
+_COMMA, _SPACE = (np.frombuffer(sep.rjust(8, b"\0"), np.uint64)[0] for sep in (b",", b" "))
+_MARK = np.frombuffer(b"\x01".ljust(8, b"\0"), np.uint64)[0]  # where a fallback goes
+
+
+def _points(curves):
+    """The polyline text "x,y x,y ..." of each (n, 2) array of pixel
+    coordinates in ``curves``, each coordinate as ``"%.2f"`` formats it.
+
+    All curves are formatted in one pass: q = 100·v rounded half to even
+    from the exact product, the rounding ``%`` does, picks a word from each
+    table. A coordinate outside (0, 1000), -0.0 and 0.0 included, or not
+    finite falls back to ``%``, one at a time.
+    """
+    coords = np.concatenate(curves)
+    fall = ~((coords > 0.0) & (coords < 1000.0))
+    fallback = coords[fall].tolist()
+    q = _rint_product(np.where(fall, 1.0, coords), np.full(coords.shape, 100.0)).astype(np.intp)
+    words = np.take(_INT_WORDS, q // 100)
+    words |= np.take(_FRAC_WORDS, q % 100)
+    if fallback:
+        words[fall] = _MARK
+    words[:, 0] |= _COMMA
+    words[:, 1] |= _SPACE
+    # the last y of a curve ends its line
+    lengths = np.array([len(c) for c in curves])
+    words.view(np.uint8)[np.cumsum(lengths)[lengths > 0] - 1, -1] = ord("\n")
+    text = words.tobytes().translate(None, b"\0").decode("ascii")
+    if fallback:
+        parts = text.split("\x01")
+        text = parts[0] + "".join("%.2f" % value + part
+                                  for value, part in zip(fallback, parts[1:]))
+    lines = iter(text.split("\n"))
+    return [next(lines) if len(c) else "" for c in curves]
+
+
+def _nice_ticks(lo: float, hi: float, axis: str, target: int = 5) -> list[float]:
+    """Round tick positions covering [lo, hi] with a 1-2-5 step.
+
+    Raises ``ValueError`` naming the axis if the step is too small to move
+    a tick at the magnitude of its values.
+    """
     if hi <= lo:
         hi = lo + 1.0
     span = hi - lo
@@ -39,8 +100,27 @@ def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
     value = first
     while value <= hi + 1e-9 * span:
         ticks.append(0.0 if abs(value) < 1e-12 * span else value)
+        if value + step == value:
+            raise ValueError(f"{axis} range [{lo!r}, {hi!r}] is too narrow to plot "
+                             f"at the magnitude of its values")
         value += step
     return ticks
+
+
+def _axis_range(lo: float, hi: float, axis: str, margin: float) -> tuple[float, float]:
+    """The plotted range of data in [lo, hi]: widened by 0.5 at each end if
+    narrower than 1e-12, then by ``margin`` times its width at each end.
+
+    Raises ``ValueError`` naming the axis if that range is not finite or
+    has no width.
+    """
+    low, high = (lo - 0.5, hi + 0.5) if hi - lo < 1e-12 else (lo, hi)
+    pad = margin * (high - low)
+    low, high = low - pad, high + pad
+    if not (math.isfinite(high - low) and high > low):
+        raise ValueError(f"{axis} values in [{lo!r}, {hi!r}] cannot be plotted: "
+                         f"the padded range is not finite or has no width")
+    return low, high
 
 
 def _fmt_tick(v: float) -> str:
@@ -53,9 +133,17 @@ def line_plot(curves, xlabel: str, ylabel: str, title: str) -> str:
 
     ``xs`` and ``ys`` are equal-length sequences or 1-D arrays of floats.
     Every x must be finite; a non-finite y drops that point from its
-    polyline. Pixel coordinates are computed for whole curves at once and
-    printed with two decimals. Raises ``ValueError`` for no curves, unequal
-    lengths, a non-finite x or no finite y at all.
+    polyline. An axis whose data span less than 1e-12 (all x equal, say a
+    single point) is widened by 0.5 at each end; the y axis then gets 4% of
+    its width at each end. Pixel coordinates are computed for whole curves
+    at once and printed with exact hundredths, as ``"%.2f"`` prints them:
+    100·v rounded half to even from the exact product, every curve in one
+    pass through small byte tables (see ``_points``).
+
+    Raises ``ValueError`` for no curves, unequal lengths, a non-finite x or
+    no finite y at all, and, naming the axis, for an axis range that is not
+    finite or has no width after padding, or too narrow for its tick step
+    to move at the magnitude of its values.
     """
     if not curves:
         raise ValueError("need at least one curve")
@@ -76,14 +164,8 @@ def line_plot(curves, xlabel: str, ylabel: str, title: str) -> str:
     ys_all = ys_all[np.isfinite(ys_all)]
     if not ys_all.size:
         raise ValueError("curves contain no finite data")
-    x_lo, x_hi = float(xs_all.min()), float(xs_all.max())
-    y_lo, y_hi = float(ys_all.min()), float(ys_all.max())
-    if y_hi - y_lo < 1e-12:
-        y_lo -= 0.5
-        y_hi += 0.5
-    pad = 0.04 * (y_hi - y_lo)
-    y_lo -= pad
-    y_hi += pad
+    x_lo, x_hi = _axis_range(float(xs_all.min()), float(xs_all.max()), "x", 0.0)
+    y_lo, y_hi = _axis_range(float(ys_all.min()), float(ys_all.max()), "y", 0.04)
 
     px0, px1 = _MARGIN_LEFT, _WIDTH - _MARGIN_RIGHT
     py0, py1 = _HEIGHT - _MARGIN_BOTTOM, _MARGIN_TOP
@@ -106,7 +188,7 @@ def line_plot(curves, xlabel: str, ylabel: str, title: str) -> str:
         f'font-size="15" text-anchor="middle">{title}</text>'
     )
 
-    for xv in _nice_ticks(x_lo, x_hi):
+    for xv in _nice_ticks(x_lo, x_hi, "x"):
         px = sx(xv)
         out.append(
             f'<line x1="{px:.2f}" y1="{py0:.2f}" x2="{px:.2f}" '
@@ -116,7 +198,7 @@ def line_plot(curves, xlabel: str, ylabel: str, title: str) -> str:
             f'<text x="{px:.2f}" y="{py0 + 20:.2f}" font-family="sans-serif" '
             f'font-size="12" text-anchor="middle">{_fmt_tick(xv)}</text>'
         )
-    for yv in _nice_ticks(y_lo, y_hi):
+    for yv in _nice_ticks(y_lo, y_hi, "y"):
         py = sy(yv)
         out.append(
             f'<line x1="{px0 - 5:.2f}" y1="{py:.2f}" x2="{px0:.2f}" '
@@ -150,11 +232,13 @@ def line_plot(curves, xlabel: str, ylabel: str, title: str) -> str:
         f'transform="rotate(-90 20 {(py0 + py1) / 2:.1f})">{ylabel}</text>'
     )
 
-    for idx, (label, xs, ys) in enumerate(columns):
-        color = _PALETTE[idx % len(_PALETTE)]
+    def pixels(xs, ys):
         keep = np.isfinite(ys)
-        coords = np.column_stack((sx(xs[keep]), sy(ys[keep])))
-        points = " ".join(["%.2f,%.2f"] * len(coords)) % tuple(coords.ravel().tolist())
+        return np.column_stack((sx(xs[keep]), sy(ys[keep])))
+
+    polylines = _points([pixels(xs, ys) for _, xs, ys in columns])
+    for idx, ((label, _, _), points) in enumerate(zip(columns, polylines)):
+        color = _PALETTE[idx % len(_PALETTE)]
         out.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.8" '
             f'points="{points}"/>'

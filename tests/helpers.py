@@ -1,5 +1,6 @@
 """Shared test utilities: random physical states, caption parameter sets,
-the exact-invariant oracle, steady-state oracles and RK4 oracles."""
+the exact-invariant oracle, steady-state oracles, RK4 oracles and the
+per-curve polyline template."""
 
 from __future__ import annotations
 
@@ -107,6 +108,14 @@ def parse_csv(text: str):
         elif line:
             rows.append(dict(zip(header, line.split(","))))
     return meta, header, rows
+
+
+def template_points(curves):
+    """The polyline text of each (n, 2) array of pixel coordinates by one
+    ``%`` template per curve, "%.2f,%.2f" per point joined by spaces: the
+    formatter that ``svgplot._points`` replaced, and its oracle."""
+    return [" ".join(["%.2f,%.2f"] * len(c)) % tuple(np.asarray(c).ravel().tolist())
+            for c in curves]
 
 
 def cofactor_det(m):

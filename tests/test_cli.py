@@ -149,10 +149,39 @@ class TestCsvText:
         (-0.0, "0.00000000000"),
         (5e-324, "4.94065645841e-324"),
         (1.7976931348623157e308, "1.79769313486e+308"),
+        # one value per decimal layout X = -11..11: the "0.000" prefix word,
+        # the point in every place of the four 3-digit chunks, chunks with
+        # inner zeros, and the exponent word
+        (9.07060504031e-11, "9.07060504031e-11"),
+        (9.07060504031e-10, "9.07060504031e-10"),
+        (9.07060504031e-09, "9.07060504031e-09"),
+        (9.07060504031e-08, "9.07060504031e-08"),
+        (9.07060504031e-07, "9.07060504031e-07"),
+        (9.07060504031e-06, "9.07060504031e-06"),
+        (9.07060504031e-05, "9.07060504031e-05"),
+        (0.000907060504031, "0.000907060504031"),
+        (0.00907060504031, "0.00907060504031"),
+        (0.0907060504031, "0.0907060504031"),
+        (0.907060504031, "0.907060504031"),
+        (9.07060504031, "9.07060504031"),
+        (90.7060504031, "90.7060504031"),
+        (907.060504031, "907.060504031"),
+        (9070.60504031, "9070.60504031"),
+        (90706.0504031, "90706.0504031"),
+        (907060.504031, "907060.504031"),
+        (9070605.04031, "9070605.04031"),
+        (90706050.4031, "90706050.4031"),
+        (907060504.031, "907060504.031"),
+        (9070605040.31, "9070605040.31"),
+        (90706050403.1, "90706050403.1"),
+        (907060504031.0, "907060504031."),
     ])
     def test_pinned_values(self, v, text):
+        negative = ("-" if v else "") + text
         assert _csv_text([[v]], False) == text + "\n"
-        assert _csv_text([[-v]], False) == ("-" if v else "") + text + "\n"
+        assert _csv_text([[-v]], False) == negative + "\n"
+        assert _csv_text([[v, -v], [-v, v]], False, np.array([True, False])) == (
+            f"{text},{negative},true\n{negative},{text},false\n")
         assert _csv_text([[v]], True) == (v + 0.0).hex() + "\n"
 
     @pytest.mark.parametrize("hex_floats", [False, True])

@@ -4,7 +4,9 @@ tests/golden/line_plot.svg holds the plot of ``_fixture_curves()`` written
 by the per-point formatter that the array-built polylines replaced; the
 fixture curves include NaN and infinite y values, a constant curve and
 seven curves, so the six-colour palette wraps. Rewrite it only when a
-change of the plot is intended.
+change of the plot is intended. The polylines of all 15 figure presets
+are compared in-process with the per-curve ``%`` template of
+``helpers.template_points``, and each coordinate's text with ``"%.2f"``.
 """
 
 import math
@@ -13,8 +15,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from oscbath.svgplot import line_plot
+from oscbath import svgplot
+from oscbath.svgplot import _points, line_plot
+from oscbath.sweep import FIGURE_IDS, figure_preset, sweep_parameter
+from helpers import template_points
 
 GOLDEN_SVG = Path(__file__).with_name("golden") / "line_plot.svg"
 
@@ -102,3 +108,61 @@ def test_non_finite_x_raises(bad):
 def test_length_mismatch_raises():
     with pytest.raises(ValueError, match="same length"):
         line_plot([("a", [0.0, 1.0, 2.0], [0.0, 1.0])], **_LABELS)
+
+
+# Pixel coordinates whose "%.2f" text is easy to get wrong: exact ties m/8,
+# the floats next to x.xx5, 0.0 and the neighbours of 1000, and values that
+# take the fallback (-0.0, negative, 1000 and above, non-finite).
+_EIGHTHS = st.integers(0, 8 * 1000 - 1).map(lambda m: m / 8)
+_NEAR_HALF = st.builds(lambda m, to: math.nextafter((m + 0.5) / 100, to),
+                       st.integers(0, 99999), st.sampled_from([0.0, 1000.0, math.inf]))
+_EDGES = st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 1000.0, math.nextafter(1000.0, 0.0),
+                          999.995, 999.994999, 1000.5, 1e300, -1e300, math.nan, math.inf])
+_COORDINATE = st.one_of(st.floats(0.0, 1000.0), st.floats(), _EIGHTHS, _NEAR_HALF, _EDGES)
+
+
+class TestPoints:
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(st.lists(st.lists(_COORDINATE, min_size=0, max_size=8).map(
+        lambda vs: vs[:len(vs) // 2 * 2]), min_size=1, max_size=4))
+    def test_each_coordinate_formats_as_percent(self, curves):
+        curves = [np.array(c, dtype=float).reshape(-1, 2) for c in curves]
+        got = _points(curves)
+        assert got == template_points(curves)
+        for curve, text in zip(curves, got):
+            assert [p for p in text.split(" ") if p] == [
+                f"{x:.2f},{y:.2f}" for x, y in curve.tolist()]
+
+    def test_presets_match_template(self, monkeypatch):
+        plots = []
+        for fid in FIGURE_IDS:
+            preset = figure_preset(fid)
+            curves = [(f"{o.value:g}", o.trajectory.times,
+                       getattr(o.trajectory.report, preset.observable))
+                      for o in sweep_parameter(preset.params, preset.sweep, preset.values,
+                                               preset.grid)]
+            plots.append((curves, dict(xlabel="t", ylabel=preset.observable, title=fid)))
+        got = [line_plot(curves, **labels) for curves, labels in plots]
+        monkeypatch.setattr(svgplot, "_points", template_points)
+        assert got == [line_plot(curves, **labels) for curves, labels in plots]
+        assert len(got) == 15
+
+
+class TestDegenerateRanges:
+    @pytest.mark.parametrize("xs,ys", [([2.0], [0.5]), ([3.0, 3.0, 3.0], [0.0, 1.0, 2.0])])
+    def test_equal_x_values_padded(self, xs, ys):
+        lines = _polylines(line_plot([("a", xs, ys)], **_LABELS))
+        x_pixels = {p.split(",")[0] for p in lines[0].get("points").split(" ")}
+        assert x_pixels == {"341.00"}  # the middle of the padded range
+
+    @pytest.mark.parametrize("axis,xs,ys", [
+        ("y", [0.0, 1.0], [1e308, -1e308]),
+        ("y", [0.0, 1.0], [1.7e308, 1.7e308]),
+        ("y", [0.0, 1.0], [1e17, 1e17]),  # +-0.5 cannot widen the range
+        ("x", [-1e308, 1e308], [0.0, 1.0]),
+        ("y", [0.0, 1.0], [4e15, 4e15]),  # ticks too fine to move
+        ("y", [0.0, 1.0], [1e6, math.nextafter(1e6, 2e6)]),
+    ])
+    def test_unplottable_range_raises_naming_the_axis(self, axis, xs, ys):
+        with pytest.raises(ValueError, match=f"^{axis} "):
+            line_plot([("a", xs, ys)], **_LABELS)
