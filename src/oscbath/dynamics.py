@@ -11,17 +11,15 @@ the solution has the closed form
 
     sigma(t) = e^{Mt} (sigma(0) - sigma_inf) (e^{Mt})^T + sigma_inf,
 
-where sigma_inf is the unique solution of M S + S M^T = -2 D. Both
-oscillators damp at the same rate, so e^{Mt} is e^{-lambda t} times the
-undamped flow, which :func:`propagate` evaluates in closed form from the
-two normal modes. In the same modes M is block-diagonal, and
-:func:`steady_state` solves for sigma_inf block by block, also in closed
-form. Both the closed form and an independent fixed-step
-Runge-Kutta integrator of the differential form are provided; the
-integrator also covers the marginal cases (lambda = 0 or
-|nu| = omega1*omega2) where no steady state exists. :func:`mat_exp`, a
-Pade-13 exponential of one matrix at one time, is independent of both;
-the package never calls it, and the tests use it as an oracle.
+where sigma_inf is the unique solution of M S + S M^T = -2 D. In the two
+normal modes M is block-diagonal, so :func:`steady_state` solves for
+sigma_inf and :func:`propagate` evolves sigma block by block, in closed
+form with no matrix exponential. An independent fixed-step Runge-Kutta
+integrator of the differential form also covers the marginal cases
+(lambda = 0 or |nu| = omega1*omega2) where no steady state exists.
+:func:`mat_exp`, a Pade-13 exponential of one matrix at one time, is
+independent of both; the package never calls it, and the tests use it as
+an oracle.
 
 All functions are pure; different time points or parameter sets may be
 evaluated concurrently with no shared state.
@@ -222,37 +220,27 @@ def steady_state_available(params: SystemParams) -> bool:
     return params.lambda_ > 0.0 and abs(params.nu) < coupling_bound(params)
 
 
-def _normal_modes(params: SystemParams) -> tuple[float, float, float, float]:
-    """(c, s, W-^2, W+^2): the normal modes of V = [[w1^2, nu], [nu, w2^2]],
-    shared by :func:`_propagator` and :func:`steady_state`.
-
-    (c, s) = (cos theta, sin theta) with theta = atan2(nu, (w1^2 - w2^2)/2)/2,
-    so the mode coordinates are q+ = c x1 + s x2 and q- = -s x1 + c x2 (and
-    the same for p), and P+ = [[c^2, cs], [cs, s^2]] projects on the W+ mode.
-    W-^2 comes from det V = (b - |nu|)(b + |nu|), b = w1*w2, which stays
-    accurate near the marginal coupling and positive for every |nu| < b;
-    it can still underflow to 0, or overflow, at extreme frequencies.
-    """
+def _normal_modes(params: SystemParams):
+    """((cc, ss, cs), W-^2, W+^2) of V = [[w1^2, nu], [nu, w2^2]]: modes
+    q+ = c x1 + s x2, q- = -s x1 + c x2 (and the same for p), and
+    (cc, ss, cs) = (c^2, s^2, c s) from 2 theta without cancellation: with
+    g = (w1^2 - w2^2)/2 >= 0 and h = hypot(g, nu), cs = nu/(2h),
+    cc = (h + g)/(2h), ss = cs (nu/(h + g)); exactly (1/2, 1/2, +-1/2) at
+    epsilon = 0, and (1/2, 1/2, 1/2), the limit nu -> 0+, where h = 0, so
+    identical oscillators stay exactly symmetric. W-^2 = (b - |nu|)/W+^2
+    (b + |nu|), b = w1 w2, never forms det V, which underflows first."""
     w1, w2 = mode_frequencies(params)
     nu = params.nu
     w1_sq, w2_sq = w1 * w1, w2 * w2
-    half_gap = 0.5 * (w1_sq - w2_sq)
-    theta = 0.5 * math.atan2(nu, half_gap)
-    hi_sq = 0.5 * (w1_sq + w2_sq) + math.hypot(half_gap, nu)
+    g = 0.5 * (w1_sq - w2_sq)
+    h = math.hypot(g, nu)
+    hi_sq = 0.5 * (w1_sq + w2_sq) + h
     b = coupling_bound(params)
-    lo_sq = (b - abs(nu)) * (b + abs(nu)) / hi_sq
-    return math.cos(theta), math.sin(theta), lo_sq, hi_sq
-
-
-def _stable_modes(params: SystemParams) -> tuple[float, float, float, float]:
-    """Validate ``params``, require a steady state, return their normal modes."""
-    require_valid(params)
-    if not steady_state_available(params):
-        raise SteadyStateUnavailable(
-            "steady state requires lambda > 0 and |nu| < omega1*omega2; "
-            f"got lambda={params.lambda_}, nu={params.nu}"
-        )
-    return _normal_modes(params)
+    lo_sq = (b - abs(nu)) / hi_sq * (b + abs(nu))
+    if h == 0.0:
+        return (0.5, 0.5, 0.5), lo_sq, hi_sq
+    cs = nu / (2.0 * h)
+    return ((h + g) / (2.0 * h), cs * (nu / (h + g)), cs), lo_sq, hi_sq
 
 
 def _mode_block(wk_sq: float, wl_sq: float, lam: float, x: float, p: float):
@@ -298,13 +286,30 @@ def _mode_block(wk_sq: float, wl_sq: float, lam: float, x: float, p: float):
     return xx, e + q * f, e - q * f, 2.0 * lam * e + 0.5 * s2 * xx
 
 
-def _rotate(c: float, s: float, pp: float, pm: float, mp: float, mm: float):
-    """Entries 11, 12, 21, 22 of R T R^T, R = [[c, -s], [s, c]], for the
-    mode-basis 2x2 block T = [[pp, pm], [mp, mm]]."""
-    cc, ss, cs = c * c, s * s, c * s
-    diag = cs * (pp - mm)
-    return (cc * pp - cs * (pm + mp) + ss * mm, diag + cc * pm - ss * mp,
-            diag - ss * pm + cc * mp, ss * pp + cs * (pm + mp) + cc * mm)
+def _rotate_blocks(rot, b):
+    """A symmetric 4x4 matrix in blocks, (xx, xp, pp) of mode (or
+    oscillator) 1, the same of 2, and (xx, xp, px, pp) of <(1) (2)>, rotated
+    from the modes to the lab by rot = (c^2, s^2, c s), or from the lab to
+    the modes by (c^2, s^2, -c s); floats or (N,) columns. Each quadrature
+    block T goes to R T R^T, R = [[c, -s], [s, c]]."""
+    cc, ss, cs = rot
+    xx1, xp1, pp1, xx2, xp2, pp2, xx, xp, px, pp = b
+    sx, sp, sq = cs * (xx + xx), cs * (xp + px), cs * (pp + pp)
+    dx, dp, dq = cs * (xx1 - xx2), cs * (xp1 - xp2), cs * (pp1 - pp2)
+    return (cc * xx1 + ss * xx2 - sx, cc * xp1 + ss * xp2 - sp, cc * pp1 + ss * pp2 - sq,
+            ss * xx1 + cc * xx2 + sx, ss * xp1 + cc * xp2 + sp, ss * pp1 + cc * pp2 + sq,
+            dx + cc * xx - ss * xx, dp + cc * xp - ss * px, dp - ss * xp + cc * px,
+            dq + cc * pp - ss * pp)
+
+
+# Each 4x4 entry's index in (s00, s01, s11, s22, s23, s33, s02, s03, s12, s13)
+_FULL = (0, 1, 6, 7, 1, 2, 8, 9, 6, 8, 3, 4, 7, 9, 4, 5)
+
+
+def _full(blocks) -> np.ndarray:
+    """The symmetric 4x4 matrix of lab blocks, or (N, 4, 4) stack of columns."""
+    a = np.array([blocks[i] for i in _FULL])
+    return a.T.reshape(-1, 4, 4) if a.ndim > 1 else a.reshape(4, 4)
 
 
 # The residual is checked against 64 u times the largest entry of
@@ -315,60 +320,55 @@ def _rotate(c: float, s: float, pp: float, pm: float, mp: float, mm: float):
 _RESIDUAL_TOL = 2.0 ** -47
 
 
-def steady_state(params: SystemParams, *, _modes=None) -> np.ndarray:
+def steady_state(params: SystemParams) -> np.ndarray:
     """Asymptotic covariance matrix: the solution S of M S + S M^T = -2 D.
 
-    Solved in closed form in the normal-mode basis of :func:`propagate`
-    (Bartels-Stewart with the Schur form replaced by the known modes): there
-    M is block-diagonal per mode, so the equation splits into the 2x2
-    blocks (++), (--) and (+-), each solved exactly, and rotating back
-    gives S, exactly symmetric. D is carried divided by lambda, and lambda
-    cancels from each mode's own block, so S keeps its finite thermal limit
-    as lambda -> 0+ (lambda down to 5e-324). Its max-abs residual
-    M S + S M^T + 2 D is then verified to be at most 2**-47 (64 ulp of 1)
-    times the largest entry of |M| |S| + |S| |M|^T + 2 |D|, the size of the
-    terms it is formed from.
+    Solved in closed form in the normal modes (Bartels-Stewart with the
+    Schur form replaced by the known modes): M is block-diagonal there, so
+    the equation splits into the 2x2 blocks (++), (--) and (+-), each solved
+    exactly, and one rotation gives S, exactly symmetric, and at
+    epsilon = 0 exactly symmetric under the swap (x1, p1) <-> (x2, p2).
+    D is carried divided by lambda, which cancels from each mode's own
+    block, so S keeps its finite thermal limit as lambda -> 0+ (down to
+    5e-324). Its max-abs residual M S + S M^T + 2 D must be at most 2**-47
+    (64 ulp of 1) times the largest entry of |M| |S| + |S| |M|^T + 2 |D|,
+    the size of the terms it is formed from.
 
     Raises :class:`SteadyStateUnavailable` for marginal parameter sets
     (lambda = 0 or |nu| = omega1*omega2), and for near-singular ones: those
     whose solution misses the residual bound. Raises :class:`OutOfRange`
     when D, the solution or the residual leaves the float range (a residual
-    or bound that is not finite, NaN included), when W-^2 + lambda^2
-    underflows to 0, and when det V = W-^2 W+^2 underflows so that W-^2
-    = det V / W+^2 is off by more than 2 ulp of W-^2 + lambda^2 (omega below
-    about 1e-77 with lambda not dominating). ``_modes`` is for
-    :func:`propagate`, which passes the normal modes of ``params`` that it
-    has validated already.
+    or bound that is not finite, NaN included), and when W-^2 + lambda^2
+    underflows to 0 (omega1*omega2 subnormal and lambda below 1e-162).
     """
-    c, s, lo_sq, hi_sq = _stable_modes(params) if _modes is None else _modes
+    return _steady_solve(params)[2]
+
+
+def _steady_solve(params: SystemParams):
+    """Validate ``params``, require a steady state and solve it: the
+    :func:`_normal_modes`, sigma_inf's mode blocks in the layout of
+    :func:`_rotate_blocks` and the checked lab matrix of :func:`steady_state`."""
+    require_valid(params)
+    if not steady_state_available(params):
+        raise SteadyStateUnavailable(
+            "steady state requires lambda > 0 and |nu| < omega1*omega2; "
+            f"got lambda={params.lambda_}, nu={params.nu}")
+    modes = rot, lo_sq, hi_sq = _normal_modes(params)
     lam = params.lambda_
     lam2 = _two_lambda(lam)
     if lo_sq + lam * lam == 0.0:
-        raise OutOfRange(
-            f"W-^2 + lambda^2 underflows to 0 (W-^2 = {lo_sq:g}, lambda = {lam:g})"
-        )
-    if lo_sq * hi_sq < 2.0 ** -1021:  # det V = W-^2 W+^2 may have underflowed
-        b, nu_abs = coupling_bound(params), abs(params.nu)
-        unscaled = (b - nu_abs) / hi_sq * (b + nu_abs)
-        if not abs(unscaled - lo_sq) <= 2.0 ** -52 * (unscaled + lam * lam):
-            raise OutOfRange(
-                f"W-^2 loses its digits to underflow (W-^2 = {lo_sq:g}, "
-                f"(b - |nu|) / W+^2 * (b + |nu|) = {unscaled:g}, lambda = {lam:g})"
-            )
+        raise OutOfRange(f"W-^2 + lambda^2 underflows to 0 (W-^2 = {lo_sq:g}, lambda = {lam:g})")
     w1, w2 = mode_frequencies(params)
-    c1 = thermal_coth(w1, params.temperature)
-    c2 = thermal_coth(w2, params.temperature)
+    c1, c2 = thermal_coth(w1, params.temperature), thermal_coth(w2, params.temperature)
     x1, p1, x2, p2 = c1 / w1, c1 * w1, c2 / w2, c2 * w2  # D / lambda
-    cc, ss, cs = c * c, s * s, c * s
+    cc, ss, cs = rot
     xx_hi, xp_hi, _, pp_hi = _mode_block(
         hi_sq, hi_sq, lam, cc * x1 + ss * x2, cc * p1 + ss * p2)
     xx_lo, xp_lo, _, pp_lo = _mode_block(
         lo_sq, lo_sq, lam, ss * x1 + cc * x2, ss * p1 + cc * p2)
-    xx, xp, px, pp = _mode_block(
-        hi_sq, lo_sq, lam, cs * (x2 - x1), cs * (p2 - p1))
-    s00, s02, _, s22 = _rotate(c, s, xx_hi, xx, xx, xx_lo)
-    s01, s03, s12, s23 = _rotate(c, s, xp_hi, xp, px, xp_lo)
-    s11, s13, _, s33 = _rotate(c, s, pp_hi, pp, pp, pp_lo)
+    blocks = (xx_hi, xp_hi, pp_hi, xx_lo, xp_lo, pp_lo, *_mode_block(
+        hi_sq, lo_sq, lam, cs * (x2 - x1), cs * (p2 - p1)))
+    lab = s00, s01, s11, s22, s23, s33, s02, s03, s12, s13 = _rotate_blocks(rot, blocks)
     # M S + S M^T + 2 D, upper triangle, with M = -lambda I + A and
     # (A S)_{1j} = -w1^2 S_{0j} - nu S_{2j}, (A S)_{3j} = -nu S_{0j} - w2^2 S_{2j},
     # and the same sums of products on |S| and |nu|: |M| |S| + |S| |M|^T + 2 D
@@ -386,9 +386,8 @@ def steady_state(params: SystemParams, *, _modes=None) -> np.ndarray:
         s33 - lam2 * s23 - nu * s02 - w2_sq * s22,
         d[3] - 2.0 * (lam * s33 + nu * s03 + w2_sq * s23),
     )
-    residual = max(map(abs, res))
-    if math.isnan(sum(res)):  # max drops a NaN that is not first
-        residual = math.nan
+    # max drops a NaN that is not first
+    residual = math.nan if math.isnan(sum(res)) else max(map(abs, res))
     # |s11|, |s33| and each 2 D are terms of some entry, so at most the
     # largest magnitude: a residual within that share needs no more terms
     bound = _RESIDUAL_TOL * max(abs(s11), abs(s33), *d)
@@ -411,129 +410,108 @@ def steady_state(params: SystemParams, *, _modes=None) -> np.ndarray:
     if not residual <= bound < math.inf:
         if bound < residual < math.inf:
             raise SteadyStateUnavailable(
-                f"steady-state residual {residual:g} exceeds {bound:g} "
-                "(system near-singular)"
-            )
+                f"steady-state residual {residual:g} exceeds {bound:g} (system near-singular)")
         raise OutOfRange(
-            f"steady state left the float range (residual {residual:g}, "
-            f"bound {bound:g})"
-        )
-    return np.array([
-        [s00, s01, s02, s03],
-        [s01, s11, s12, s13],
-        [s02, s12, s22, s23],
-        [s03, s13, s23, s33],
-    ])
+            f"steady state left the float range (residual {residual:g}, bound {bound:g})")
+    return modes, blocks, _full(lab)
 
 
 def propagate(sigma0, params: SystemParams, t: float | np.ndarray) -> np.ndarray:
     """Closed-form covariance at finite time(s) t >= 0 from ``sigma0``.
 
-    Evaluates e^{Mt} (sigma0 - sigma_inf) (e^{Mt})^T + sigma_inf and
-    symmetrizes the result to suppress roundoff asymmetry; a result beyond
-    the float range raises :class:`OutOfRange`. e^{Mt} comes from the two
-    normal modes (:func:`_propagator`), with no matrix exponential. ``t`` is
-    either a scalar, giving one 4x4 matrix from Python-float arithmetic, or
-    a 1-D array of N times, giving an (N, 4, 4) stack from a single
-    steady-state solve and one evaluation of e^{Mt} over all times; each
-    slice equals the scalar call at that time bit for bit. Where
-    e^{-lambda t} underflows to 0 the result is sigma_inf exactly. Requires
-    a steady state to exist; marginal parameter sets raise
-    :class:`SteadyStateUnavailable` and must use :func:`ode_oracle`.
+    sigma(t) = e^{Mt} (sigma0 - sigma_inf) (e^{Mt})^T + sigma_inf, built in
+    the normal modes with no e^{Mt} matrix (:func:`_sigma_t`) from sigma0's
+    symmetric part and sigma_inf's mode blocks: exactly symmetric, and at
+    epsilon = 0 exactly swap-symmetric wherever sigma0 is. ``t`` is a
+    scalar, giving one 4x4 matrix from Python-float arithmetic, or a 1-D
+    array of N times, giving an (N, 4, 4) stack from one steady-state solve
+    and the same formula on (N,) columns; each slice equals the scalar call
+    bit for bit. At t = 0 the result is sigma0's symmetric part exactly,
+    and where e^{-lambda t} underflows to 0, sigma_inf exactly. Where the
+    phase W t overflows while e^{-lambda t} > 0, and where a result leaves
+    the float range, it raises :class:`OutOfRange`. Marginal parameter sets
+    raise :class:`SteadyStateUnavailable` and must use :func:`ode_oracle`.
     """
     # the float test spares single-time calls the cost of np.ndim
-    if not isinstance(t, float) and np.ndim(t) > 0:
+    grid = not isinstance(t, float) and np.ndim(t) > 0
+    if grid:
         t = np.asarray(t, dtype=float)
         if t.ndim != 1 or not np.all((t >= 0) & (t < math.inf)):
             raise ValueError(f"times must be a 1-D array of finite values >= 0 (got {t})")
     elif not 0 <= t < math.inf:
         raise ValueError(f"time must be finite and >= 0 (got {t})")
-    sigma0 = check_covariance(sigma0)
-    modes = _stable_modes(params)  # validates params once for this call
-    s_inf = steady_state(params, _modes=modes)
-    e = _propagator(params, t, modes)
-    # the inputs are finite, so the result is too unless an operation overflows
-    try:
-        with np.errstate(over="raise"):
-            s = 0.5 * (e @ (sigma0 - s_inf) @ e.swapaxes(-1, -2) + s_inf)
-    except FloatingPointError as exc:
+    r0, r1, r2, r3 = check_covariance(sigma0).tolist()
+    (rot, lo_sq, hi_sq), blocks, s_inf = _steady_solve(params)
+    w = (math.sqrt(lo_sq), math.sqrt(hi_sq))
+    if w[0] == 0.0:  # |nu| < b, so the exact W-^2 is positive
         raise OutOfRange(
-            f"propagated covariance left the float range (t up to {np.max(t):g})"
-        ) from exc
-    return s + s.swapaxes(-1, -2)  # the sum of two halves cannot overflow
-
-
-def _propagator(params: SystemParams, t: float | np.ndarray,
-                modes=None) -> np.ndarray:
-    """e^{Mt} from the normal modes: one 4x4 matrix for a scalar t (float,
-    int, numpy scalar or 0-d array), an (N, 4, 4) stack for (N,) times.
-
-    Both oscillators damp at the same rate, so M = -lambda I + A, where A is
-    the Hamiltonian flow x' = p, p' = -V x of V = [[w1^2, nu], [nu, w2^2]],
-    and e^{Mt} = e^{-lambda t} e^{At}. In (x, p) blocks e^{At} is
-    [[cos(W t), sin(W t)/W], [-W sin(W t), cos(W t)]] with W = sqrt(V). Each
-    2x2 function of V is f(V) = f(W-) I + (f(W+) - f(W-)) P+, with P+ the
-    projector on the W+ mode, so E(0) = I exactly and equal frequencies need
-    no branch. ``modes`` are :func:`_normal_modes` of ``params``, derived
-    here when not given. :func:`_flow_entries` runs on Python floats for a
-    scalar t, sparing it numpy's cost per call on tiny arrays, and on (N,)
-    columns for an array. Both routes take cos, sin and exp from numpy's
-    ufuncs (its exp can differ from math.exp in the last bit), so each slice
-    equals the scalar call bit for bit. Where the phase W t overflows, the
-    slice is exactly 0 if e^{-lambda t} is 0, and :class:`OutOfRange` else.
-    """
-    c, s, lo_sq, hi_sq = _normal_modes(params) if modes is None else modes
-    w_lo = math.sqrt(lo_sq)
-    if w_lo == 0.0:  # |nu| < b, so the exact W-^2 is positive
-        raise OutOfRange(
-            f"the lower normal-mode frequency squared W-^2 = det V / W+^2 "
-            f"underflows to 0 (omega1*omega2 = {coupling_bound(params):g}, "
-            f"nu = {params.nu:g})"
-        )
-    w_hi = math.sqrt(hi_sq)
+            "the lower normal-mode frequency squared W-^2 = (b - |nu|)/W+^2 (b + |nu|) "
+            f"underflows to 0 (b = omega1*omega2 = {coupling_bound(params):g}, "
+            f"nu = {params.nu:g})")
+    lab0 = (r0[0], 0.5 * r0[1] + 0.5 * r1[0], r1[1], r2[2], 0.5 * r2[3] + 0.5 * r3[2],
+            r3[3], 0.5 * r0[2] + 0.5 * r2[0], 0.5 * r0[3] + 0.5 * r3[0],
+            0.5 * r1[2] + 0.5 * r2[1], 0.5 * r1[3] + 0.5 * r3[1])  # symmetric part
     lam = params.lambda_
-    if isinstance(t, np.ndarray) and t.ndim:
-        with np.errstate(invalid="ignore", over="ignore"):  # an overflowed phase
-            phase = np.multiply.outer((w_lo, w_hi), t)
-            damp = np.exp(-lam * t)
-            e = np.array(_flow_entries(
-                np.cos(phase), np.sin(phase), damp, w_lo, w_hi, c, s))
-        e = np.ascontiguousarray(e.T).reshape(-1, 4, 4)
-        overflowed = ~(phase < math.inf).all(axis=0)
-        if not damp[overflowed].any():
-            e[overflowed] = 0.0
-            return e
-    else:
+    if not grid:  # Python floats where no rule below applies, else a grid of one
         t = float(t)
-        phase = (w_lo * t, w_hi * t)
         damp = float(np.exp(-lam * t))
-        # with a finite phase every entry is finite: |1/W-| <= 1/sqrt(5e-324)
-        if phase[0] < math.inf and phase[1] < math.inf:
-            cos = [float(np.cos(x)) for x in phase]
-            sin = [float(np.sin(x)) for x in phase]
-            return np.array(_flow_entries(cos, sin, damp, w_lo, w_hi, c, s)).reshape(4, 4)
-        if not damp:
-            return np.zeros((4, 4))
-    raise OutOfRange(
-        f"e^(Mt) left the float range (t up to {float(np.max(t)):g}): "
-        "the mode phase overflowed while e^(-lambda t) stayed above 0"
-    )
+        phase = (w[0] * t, w[1] * t)
+        if t and damp and phase[1] < math.inf:
+            s = _sigma_t(lab0, blocks, rot, w, [float(np.cos(x)) for x in phase],
+                         [float(np.sin(x)) for x in phase], damp)
+            if all(map(math.isfinite, s)):
+                return _full(s)
+        t = np.array([t])
+    with np.errstate(invalid="ignore", over="ignore"):  # checked below
+        damp = np.exp(-lam * t)
+        phase = np.multiply.outer(w, t)
+        cos, sin = np.cos(phase), np.sin(phase)
+        out = _full(_sigma_t(lab0, blocks, rot, w, cos, sin, damp))
+        if damp[~(phase[1] < math.inf)].any():
+            raise OutOfRange(
+                f"propagated covariance left the float range (t up to {t.max():g}): "
+                "the mode phase overflowed while e^(-lambda t) stayed above 0")
+        out[damp == 0.0] = s_inf
+        out[t == 0.0] = _full(lab0)
+        if not np.isfinite(out).all():
+            # mode-basis values reach twice the lab ones: evaluate again with
+            # sigma0 and sigma_inf scaled by 1/4, exact away from subnormals
+            bad = ~np.isfinite(out).all(axis=(1, 2))
+            out[bad] = 4.0 * _full(_sigma_t(
+                [0.25 * v for v in lab0], [0.25 * v for v in blocks], rot, w,
+                cos[:, bad], sin[:, bad], damp[bad]))
+            if not np.isfinite(out).all():
+                raise OutOfRange(
+                    f"propagated covariance left the float range (t up to {t.max():g})")
+    return out if grid else out[0]
 
 
-def _flow_entries(cos, sin, damp, w_lo, w_hi, c, s):
-    """The 16 entries of e^{Mt} by rows, with only + - *, from the cos and
-    sin of (W- t, W+ t) and damp = e^{-lambda t}, as floats or columns: each
-    of cos, sin/W and -W sin times damp on the blocks (0, 0), (1, 1) and off
-    them, where 0 f(W-), from f(W-) I, fixes the sign of a zero."""
-    cc, ss, cs = c * c, s * s, c * s
-    values = []
-    for lo, hi in ((cos[0] * damp, cos[1] * damp),
-                   (sin[0] * (1.0 / w_lo) * damp, sin[1] * (1.0 / w_hi) * damp),
-                   (sin[0] * -w_lo * damp, sin[1] * -w_hi * damp)):
-        d = hi - lo
-        values += (lo + d * cc, lo + d * ss, lo * 0.0 + d * cs)
-    c0, c1, c2, s0, s1, s2, n0, n1, n2 = values
-    return (c0, s0, c2, s2, n0, c0, n2, c2, c2, s2, c1, s1, n2, c2, n1, c1)
+def _flow(ek, el, a, b, c, d):
+    """Entries 11, 12, 21, 22 of E_k [[a, b], [c, d]] E_l^T, E = [[c, s],
+    [n, c]] given as (c, s, n): how the (k, l) mode block of sigma evolves."""
+    ck, sk, nk = ek
+    cl, sl, nl = el
+    f00, f01, f10, f11 = ck * a + sk * c, ck * b + sk * d, nk * a + ck * c, nk * b + ck * d
+    return (f00 * cl + f01 * sl, f00 * nl + f01 * cl,
+            f10 * cl + f11 * sl, f10 * nl + f11 * cl)
+
+
+def _sigma_t(lab0, blocks, rot, w, cos, sin, damp):
+    """sigma(t)'s lab blocks from sigma0's, sigma_inf's mode blocks and the
+    rotation of :func:`_steady_solve`, w = (W-, W+), the cos and sin of
+    (W- t, W+ t) and damp = e^{-lambda t}; only + - *, on floats or (N,)
+    columns. In the modes M_k = [[-lambda, 1], [-W_k^2, -lambda]], so block
+    (k, l) of sigma - sigma_inf evolves to E_k (block) E_l^T, E_k = damp
+    [[cos W_k t, sin W_k t / W_k], [-W_k sin W_k t, cos W_k t]]."""
+    e_lo, e_hi = [(ck * damp, sk * (1.0 / wk) * damp, sk * -wk * damp)
+                  for wk, ck, sk in zip(w, cos, sin)]
+    m, b = _rotate_blocks((rot[0], rot[1], -rot[2]), lab0), blocks
+    hi = _flow(e_hi, e_hi, m[0] - b[0], m[1] - b[1], m[1] - b[1], m[2] - b[2])
+    lo = _flow(e_lo, e_lo, m[3] - b[3], m[4] - b[4], m[4] - b[4], m[5] - b[5])
+    x = _flow(e_hi, e_lo, m[6] - b[6], m[7] - b[7], m[8] - b[8], m[9] - b[9])
+    return _rotate_blocks(rot, (hi[0] + b[0], hi[1] + b[1], hi[3] + b[2], lo[0] + b[3],
+                                lo[1] + b[4], lo[3] + b[5], x[0] + b[6], x[1] + b[7],
+                                x[2] + b[8], x[3] + b[9]))
 
 
 def ode_oracle(sigma0, params: SystemParams, t: float, dt: float = 1e-3) -> np.ndarray:

@@ -128,6 +128,11 @@ def _fmt_tick(v: float) -> str:
     return "0" if text in ("-0", "0.0", "-0.0") else text
 
 
+def _escape(text) -> str:
+    """``text`` as XML character data: ``&``, ``<`` and ``>`` as entities."""
+    return str(text).replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def line_plot(curves, xlabel: str, ylabel: str, title: str) -> str:
     """Render curves = [(label, xs, ys), ...] to an SVG document string.
 
@@ -138,7 +143,8 @@ def line_plot(curves, xlabel: str, ylabel: str, title: str) -> str:
     its width at each end. Pixel coordinates are computed for whole curves
     at once and printed with exact hundredths, as ``"%.2f"`` prints them:
     100·v rounded half to even from the exact product, every curve in one
-    pass through small byte tables (see ``_points``).
+    pass through small byte tables (see ``_points``). The title, the axis
+    labels and the curve labels are XML-escaped (``&``, ``<``, ``>``).
 
     Raises ``ValueError`` for no curves, unequal lengths, a non-finite x or
     no finite y at all, and, naming the axis, for an axis range that is not
@@ -185,7 +191,7 @@ def line_plot(curves, xlabel: str, ylabel: str, title: str) -> str:
     out.append(f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>')
     out.append(
         f'<text x="{(px0 + px1) / 2:.1f}" y="24" font-family="sans-serif" '
-        f'font-size="15" text-anchor="middle">{title}</text>'
+        f'font-size="15" text-anchor="middle">{_escape(title)}</text>'
     )
 
     for xv in _nice_ticks(x_lo, x_hi, "x"):
@@ -223,13 +229,13 @@ def line_plot(curves, xlabel: str, ylabel: str, title: str) -> str:
         f'stroke="black" stroke-width="1.5"/>'
     )
     out.append(
-        f'<text x="{(px0 + px1) / 2:.1f}" y="{_HEIGHT - 14}" '
-        f'font-family="sans-serif" font-size="14" text-anchor="middle">{xlabel}</text>'
+        f'<text x="{(px0 + px1) / 2:.1f}" y="{_HEIGHT - 14}" font-family="sans-serif" '
+        f'font-size="14" text-anchor="middle">{_escape(xlabel)}</text>'
     )
     out.append(
         f'<text x="20" y="{(py0 + py1) / 2:.1f}" font-family="sans-serif" '
         f'font-size="14" text-anchor="middle" '
-        f'transform="rotate(-90 20 {(py0 + py1) / 2:.1f})">{ylabel}</text>'
+        f'transform="rotate(-90 20 {(py0 + py1) / 2:.1f})">{_escape(ylabel)}</text>'
     )
 
     def pixels(xs, ys):
@@ -251,7 +257,7 @@ def line_plot(curves, xlabel: str, ylabel: str, title: str) -> str:
         )
         out.append(
             f'<text x="{lx + 30}" y="{ly}" font-family="sans-serif" '
-            f'font-size="12">{label}</text>'
+            f'font-size="12">{_escape(label)}</text>'
         )
 
     out.append("</svg>")

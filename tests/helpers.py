@@ -1,5 +1,5 @@
 """Shared test utilities: random physical states, caption parameter sets,
-the exact-invariant oracle, steady-state oracles, RK4 oracles and the
+the exact-invariant oracle, steady-state oracles (float and mpmath), RK4 oracles and the
 per-curve polyline template."""
 
 from __future__ import annotations
@@ -9,7 +9,9 @@ import math
 import numpy as np
 import pytest
 
-from oscbath import OutOfRange, SystemParams, build_diffusion, build_drift, ode_oracle
+from oscbath import (
+    OutOfRange, SystemParams, build_diffusion, build_drift, mode_frequencies, ode_oracle,
+)
 
 # Parameter sets fixed by the four figure captions (omega = 1 throughout).
 # Panels that sweep the temperature leave it free; 0.2 is the value the
@@ -181,6 +183,28 @@ def scipy_steady_state(params: SystemParams) -> np.ndarray:
     linalg = pytest.importorskip("scipy.linalg")
     m = build_drift(params)
     return linalg.solve_continuous_lyapunov(m, -2.0 * np.diag(build_diffusion(params)))
+
+
+def mpmath_steady_state(params: SystemParams, dps: int, lambda_=None) -> np.ndarray:
+    """The Kronecker-sum solve of M S + S M^T = -2 D in ``dps`` digits, from
+    the float mode frequencies of ``params`` (and ``lambda_`` in place of
+    its lambda if given, as a float or a decimal string); skips the test
+    when mpmath is missing."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(dps):
+        w1, w2 = (mpmath.mpf(w) for w in mode_frequencies(params))
+        lam = mpmath.mpf(params.lambda_ if lambda_ is None else lambda_)
+        nu, temp = mpmath.mpf(params.nu), mpmath.mpf(params.temperature)
+        c1, c2 = (mpmath.coth(w / (2 * temp)) if temp else 1 for w in (w1, w2))
+        m = mpmath.matrix([[-lam, 1, 0, 0], [-w1 ** 2, -lam, -nu, 0],
+                           [0, 0, -lam, 1], [-nu, 0, -w2 ** 2, -lam]])
+        d = [lam * c1 / w1, lam * c1 * w1, lam * c2 / w2, lam * c2 * w2]
+        lsum = mpmath.matrix(16, 16)
+        for i, j, k in np.ndindex(4, 4, 4):  # (M S)_ij and (S M^T)_ij
+            lsum[4 * i + j, 4 * k + j] += m[i, k]
+            lsum[4 * i + j, 4 * i + k] += m[j, k]
+        rhs = mpmath.matrix([-2 * d[i] if i == j else 0 for i in range(4) for j in range(4)])
+        return np.array(mpmath.lu_solve(lsum, rhs).tolist(), dtype=float).reshape(4, 4)
 
 
 def rk4_reference(sigma0, params: SystemParams, t: float, dt: float) -> np.ndarray:

@@ -293,7 +293,10 @@ class TestEvolveCommand:
         assert err.startswith("error: exact i1 ") and "beyond the float range" in err
 
     @pytest.mark.parametrize("flags, reason", [
-        (["--omega", "1e-150", "--nu", "0"], "the lower normal-mode frequency squared"),
+        # omega1*omega2 is the smallest subnormal: W-^2 rounds to 0, while
+        # lambda^2 keeps the steady state
+        (["--omega", "3e-162", "--epsilon", "0.9", "--nu", "0", "--temp", "0"],
+         "the lower normal-mode frequency squared"),
         (["--r", "1e308"], "squeezing r = 1e+308 puts cosh(2r) beyond the float range"),
         (["--lambda", "1.7976931348623157e+308", "--nu", "0", "--r", "1e-300"],
          "2*lambda is beyond the float range"),
@@ -465,14 +468,15 @@ class TestSteadyCommand:
         assert "steady state" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags, reason", [
-        # det V = 1e-400 and lambda^2 = 1e-400 both underflow to 0
-        (["--omega", "1e-100", "--nu", "0", "--lambda", "1e-200"],
-         "W-^2 + lambda^2 underflows to 0"),
+        # omega1*omega2 is the smallest subnormal, so W-^2 rounds to 0, and
+        # lambda^2 = 1e-400 underflows too
+        (["--omega", "3e-162", "--epsilon", "0.9", "--nu", "0", "--lambda", "1e-200",
+          "--temp", "0"], "W-^2 + lambda^2 underflows to 0"),
         # full_report of a steady state that steady_state accepts
         (["--epsilon", "1e-08", "--temp", "1.9473953578010756e+121"],
          "exact i4 of the covariance matrix is beyond the float range"),
-        # the steady state itself beyond the float range
-        (["--omega", "1e150"], "steady state left the float range"),
+        # the solve beyond the float range: W+^2 + W-^2 overflows
+        (["--omega", "1.3e154"], "steady state left the float range"),
         (["--temp", "1e308"], "coth(omega_i / 2T) is beyond the float range"),
         (["--lambda", "1.7976931348623157e+308"], "2*lambda is beyond the float range"),
     ])

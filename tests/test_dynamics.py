@@ -26,13 +26,13 @@ from oscbath import (
     thermal_coth,
     validate,
 )
-from oscbath.dynamics import _drift, _kron_sum, _propagator
+from oscbath.dynamics import _drift, _kron_sum
 from oscbath.sweep import (
     FIGURE_IDS, TimeGrid, evolve_trajectory, figure_preset, sweep_parameter,
 )
 from helpers import (
-    FIG1A, FIG4, kron_steady_state, random_valid_params, rk4_reference,
-    scipy_steady_state,
+    FIG1A, FIG2A, FIG4, kron_steady_state, mpmath_steady_state, random_physical_cov,
+    random_valid_params, rk4_reference, scipy_steady_state, swap_modes,
 )
 from hypothesis import assume, given, settings, strategies as st
 
@@ -231,11 +231,20 @@ def scan_box_params(rng):
     return params, rng.uniform(0.0, 10.0)
 
 
-def mpmath_expm(m, t):
+def closed_form(e, sigma0, s_inf):
+    # e (sigma0 - sigma_inf) e^T + sigma_inf for an oracle's e = e^{Mt}
+    return e @ (sigma0 - s_inf) @ e.T + s_inf
+
+
+def mpmath_closed_form(params, t, sigma0):
+    # the closed form in 40 digits, around the library's sigma_inf
     mpmath = pytest.importorskip("mpmath")
+    s_inf = steady_state(params).tolist()
     with mpmath.workdps(40):
-        e = mpmath.expm(mpmath.matrix(m.tolist()) * mpmath.mpf(t))
-        return np.array(e.tolist(), dtype=float)
+        e = mpmath.expm(mpmath.matrix(_drift(params).tolist()) * mpmath.mpf(t))
+        delta = mpmath.matrix(sigma0.tolist()) - mpmath.matrix(s_inf)
+        s = e * delta * e.T + mpmath.matrix(s_inf)
+        return np.array(s.tolist(), dtype=float)
 
 
 def preset_drift_params():
@@ -250,9 +259,12 @@ def preset_drift_params():
 
 
 class TestPropagator:
-    """e^{Mt} from the normal modes, against the Pade oracle mat_exp and a
-    40-digit mpmath expm."""
+    """propagate, which builds sigma(t) in the normal modes with no e^{Mt},
+    against e^{Mt} (sigma0 - sigma_inf) e^{M^T t} + sigma_inf with e^{Mt}
+    from a 40-digit mpmath expm, scipy's expm and the Pade oracle mat_exp,
+    on a mixed state with every entry nonzero."""
 
+    SIGMA0 = random_physical_cov(np.random.default_rng(31))
     W1, W2 = mode_frequencies(FIG4)
     CASES = [(params, t) for params in preset_drift_params()
              for t in (0.02, 3.7, 10.0)] + [
@@ -265,47 +277,58 @@ class TestPropagator:
 
     @pytest.mark.parametrize("params, t", CASES)
     def test_against_mpmath(self, params, t):
-        ref = mpmath_expm(_drift(params), t)
-        err = np.abs(_propagator(params, t) - ref).max()
+        ref = mpmath_closed_form(params, t, self.SIGMA0)
+        err = np.abs(propagate(self.SIGMA0, params, t) - ref).max()
         assert err <= 1e-13 * np.abs(ref).max()
+
+    def test_against_scipy_expm(self):
+        expm = pytest.importorskip("scipy.linalg").expm
+        for params, t in self.CASES:
+            ref = closed_form(expm(_drift(params) * t), self.SIGMA0, steady_state(params))
+            err = np.abs(propagate(self.SIGMA0, params, t) - ref).max()
+            assert err <= 1e-13 * np.abs(ref).max(), (params, t)
 
     def test_against_mat_exp_on_scan_box(self):
         rng = np.random.default_rng(2026)
         for _ in range(500):
             params, t = scan_box_params(rng)
-            ref = mat_exp(_drift(params), t)
-            err = np.abs(_propagator(params, t) - ref).max()
+            ref = closed_form(mat_exp(_drift(params), t), self.SIGMA0, steady_state(params))
+            err = np.abs(propagate(self.SIGMA0, params, t) - ref).max()
             assert err <= 1e-13 * np.abs(ref).max(), (params, t)
 
     @pytest.mark.parametrize(
         "base", [FIG1A, FIG4, dataclasses.replace(FIG4, omega=1.7, epsilon=0.3)])
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_largest_coupling_below_the_bound(self, base, sign):
-        # W-^2 from (b - |nu|)(b + |nu|) stays positive whenever the steady
-        # state exists; w1^2 + w2^2 - hypot would cancel to 0 here
+        # W-^2 from (b - |nu|)/W+^2 (b + |nu|) stays positive whenever the
+        # steady state exists; w1^2 + w2^2 - hypot would cancel to 0 here
         bound = coupling_bound(base)
         params = dataclasses.replace(base, nu=sign * math.nextafter(bound, 0.0))
         assert steady_state_available(params)
-        ref = mat_exp(_drift(params), 3.7)
-        err = np.abs(_propagator(params, 3.7) - ref).max()
+        ref = closed_form(mat_exp(_drift(params), 3.7), self.SIGMA0, steady_state(params))
+        err = np.abs(propagate(self.SIGMA0, params, 3.7) - ref).max()
         assert err <= 1e-13 * np.abs(ref).max()
 
     @pytest.mark.parametrize(
         "params", [FIG1A, FIG4, dataclasses.replace(FIG1A, nu=0.0)])
     def test_time_zero_is_identity(self, params):
-        assert np.array_equal(_propagator(params, 0.0), np.eye(4))
-        assert np.array_equal(_propagator(params, np.zeros(3)),
-                              np.broadcast_to(np.eye(4), (3, 4, 4)))
+        # sigma(0) is sigma0 exactly, as its symmetric part
+        sigma0 = self.SIGMA0.copy()
+        assert np.array_equal(propagate(sigma0, params, 0.0), sigma0)
+        assert np.array_equal(propagate(sigma0, params, np.zeros(3)),
+                              np.broadcast_to(sigma0, (3, 4, 4)))
+        sigma0[0, 1] += 5e-13
+        assert np.array_equal(propagate(sigma0, params, 0.0), 0.5 * sigma0 + 0.5 * sigma0.T)
 
     @pytest.mark.parametrize(
         "params", [FIG1A, FIG4, dataclasses.replace(FIG4, nu=-0.6)])
     def test_time_array_matches_scalar_calls(self, params):
         times = np.concatenate((np.linspace(0.0, 200.0, 801), [1e300, 1.7e308]))
-        stack = _propagator(params, times)
+        stack = propagate(self.SIGMA0, params, times)
         assert stack.shape == (803, 4, 4)
-        for t, e in zip(times, stack):
-            assert np.array_equal(e, _propagator(params, float(t)))
-        assert _propagator(params, np.array([])).shape == (0, 4, 4)
+        for t, s in zip(times, stack):
+            assert bits(s) == bits(propagate(self.SIGMA0, params, float(t)))
+        assert propagate(self.SIGMA0, params, np.array([])).shape == (0, 4, 4)
 
     @pytest.mark.parametrize("t", [1e300, 1.7e308])
     def test_huge_time_gives_steady_state_exactly(self, t):
@@ -318,11 +341,15 @@ class TestPropagator:
         assert np.array_equal(stack[1], s_inf)
 
     def test_underflowing_lower_mode_raises_out_of_range(self):
-        # omega1*omega2 = 1e-300, so det V = 1e-600 underflows to 0
-        params = SystemParams(1e-150, 0.0, 0.0, 0.6, 0.2, 1.0)
+        # omega1*omega2 is the smallest subnormal, so W-^2 =
+        # (b - |nu|)/W+^2 (b + |nu|) = b (b / W+^2) rounds to 0, while
+        # lambda^2 keeps the steady state
+        params = SystemParams(3e-162, 0.9, 0.0, 0.6, 0.0, 1.0)
+        assert coupling_bound(params) == 5e-324
+        steady_state(params)
         for t in (1.0, np.array([0.0, 1.0])):
             with pytest.raises(OutOfRange, match="W-\\^2 .* underflows to 0"):
-                _propagator(params, t)
+                propagate(np.eye(4), params, t)
 
     def test_overflowing_phase_without_decay_raises_out_of_range(self):
         # lambda * t = 1 keeps e^{-lambda t} finite while W t overflows, on
@@ -331,6 +358,26 @@ class TestPropagator:
         for t in (1e300, np.array([0.0, 1e300])):
             with pytest.raises(OutOfRange, match=r"t up to 1e\+300\): the mode phase overflowed"):
                 propagate(np.eye(4), params, t)
+
+    @pytest.mark.parametrize("params", [
+        FIG1A, FIG2A, dataclasses.replace(FIG1A, nu=-0.8),
+        SystemParams(2.0, 0.0, 0.0, 1.0, 0.3, 1.0),
+        SystemParams(1.7, 0.0, -2.2, 0.03, 1.3, 0.5),
+    ])
+    def test_identical_oscillators_stay_swap_symmetric(self, params):
+        # at epsilon = 0 the rotation is exactly cc = ss = 1/2, cs = +-1/2,
+        # so sigma_inf and sigma(t) of a swap-symmetric sigma0 are exactly
+        # symmetric under (x1, p1) <-> (x2, p2); at nu = 0 too, where the
+        # identity rotation would leave the cross block's two off-diagonal
+        # entries one ulp apart at some times (t = 1.4 here)
+        s_inf = steady_state(params)
+        assert bits(swap_modes(s_inf)) == bits(s_inf)
+        sigma0 = initial_squeezed_vacuum(params.r)
+        times = np.linspace(0.0, 12.0, 61)
+        stack = propagate(sigma0, params, times)
+        for k, t in enumerate(times.tolist()):
+            s = propagate(sigma0, params, t)
+            assert bits(swap_modes(s)) == bits(s) == bits(stack[k])
 
 
 def bits(a) -> bytes:
@@ -357,29 +404,32 @@ def scan_box_problems(draw):
 
 class TestPropagatorRoutes:
     """The scalar route (Python floats) and the column route ((N,) arrays)
-    of e^{Mt} run one formula; every slice equals the scalar call bit for
-    bit, and so does the propagated covariance."""
+    of propagate run one formula; every slice equals the scalar call bit
+    for bit."""
 
     @settings(max_examples=300, deadline=None, database=None, derandomize=True)
     @given(scan_box_problems())
     def test_scalar_calls_equal_the_grid_slice(self, problem):
         params, t = problem
         times = np.array([0.0, 0.5 * t, t, 3.7])
-        stack = _propagator(params, times)
-        for k, tk in enumerate(times.tolist()):
-            assert bits(_propagator(params, tk)) == bits(stack[k])
         sigma0 = initial_squeezed_vacuum(params.r)
         sigmas = propagate(sigma0, params, times)
-        assert bits(propagate(sigma0, params, t)) == bits(sigmas[2])
+        for k, tk in enumerate(times.tolist()):
+            assert bits(propagate(sigma0, params, tk)) == bits(sigmas[k])
+        s_inf = steady_state(params)
         if t == 0.0:
-            assert np.array_equal(stack[2], np.eye(4))
+            assert bits(sigmas[2]) == bits(sigma0)
         elif t >= 1e300:
-            assert bits(sigmas[2]) == bits(steady_state(params))
+            assert bits(sigmas[2]) == bits(s_inf)
+        if params.epsilon == 0.0:  # identical oscillators, swap-symmetric sigma0
+            assert bits(swap_modes(s_inf)) == bits(s_inf)
+            assert bits(swap_modes(sigmas.T).T) == bits(sigmas)
 
     @pytest.mark.parametrize("t", [3, np.float64(3.0), np.array(3.0), np.float32(3.0)])
     def test_every_scalar_type_takes_the_float_route(self, t):
-        e = _propagator(FIG4, t)
-        assert e.shape == (4, 4) and bits(e) == bits(_propagator(FIG4, 3.0))
+        sigma0 = initial_squeezed_vacuum(FIG4.r)
+        s = propagate(sigma0, FIG4, t)
+        assert s.shape == (4, 4) and bits(s) == bits(propagate(sigma0, FIG4, 3.0))
 
 
 class TestSteadyState:
@@ -411,8 +461,9 @@ class TestSteadyState:
             steady_state(dataclasses.replace(FIG1A, nu=1.0))
 
     @pytest.mark.parametrize("params, message", [
-        # the solve overflows to NaN rows; the residual test must fail on NaN
-        (SystemParams(1e150, 0.0, 0.8, 0.6, 0.2, 1.0), "steady state left the float range"),
+        # W+^2 + W-^2 overflows, so the solve is NaN; the residual test
+        # must fail on NaN
+        (SystemParams(1.3e154, 0.0, 0.8, 0.6, 0.2, 1.0), "steady state left the float range"),
         (SystemParams(1.0, 0.0, 0.8, 0.6, 1e308, 1.0), "coth"),
         (SystemParams(1.0, 0.0, 0.0, 1.7976931348623157e308, 0.2, 1.0), "2[*]lambda"),
     ])
@@ -454,28 +505,16 @@ class TestSteadyState:
         # limit as lambda -> 0+, though lambda^2 underflows here. The oracle
         # is the Kronecker solve in 100 digits at lambda = 1e-40, O(lambda)
         # from the limit.
-        mpmath = pytest.importorskip("mpmath")
         params = SystemParams(1.0, 0.5, 0.8, lam, 0.0, 1.0)
         s = steady_state(params)
-        with mpmath.workdps(100):
-            small = mpmath.mpf("1e-40")
-            w1, w2 = (mpmath.sqrt(mpmath.mpf(v)) for v in (1.5, 0.5))
-            nu = mpmath.mpf(params.nu)
-            m = mpmath.matrix([[-small, 1, 0, 0], [-w1 ** 2, -small, -nu, 0],
-                               [0, 0, -small, 1], [-nu, 0, -w2 ** 2, -small]])
-            d = [small / w1, small * w1, small / w2, small * w2]
-            ident = mpmath.eye(4)
-            lsum = mpmath.matrix(16, 16)
-            for i, j, k, l in np.ndindex(4, 4, 4, 4):
-                lsum[4 * i + j, 4 * k + l] = m[i, k] * ident[j, l] + ident[i, k] * m[j, l]
-            rhs = mpmath.matrix([-2 * d[i] if i == j else 0 for i in range(4) for j in range(4)])
-            ref = np.array(mpmath.lu_solve(lsum, rhs).tolist(), dtype=float).reshape(4, 4)
+        ref = mpmath_steady_state(params, 100, "1e-40")
         assert np.abs(s - ref).max() <= 1e-14 * np.abs(ref).max()
         assert full_report(s).physical
 
     def test_underflowing_lambda_and_lower_mode_raises_out_of_range(self):
-        # det V = 1e-400 and lambda^2 = 1e-400 both underflow to 0
-        params = SystemParams(1e-100, 0.0, 0.0, 1e-200, 0.0, 0.0)
+        # omega1*omega2 is the smallest subnormal, so W-^2 =
+        # (b - |nu|)/W+^2 (b + |nu|) rounds to 0, and lambda^2 = 1e-400 too
+        params = SystemParams(3e-162, 0.9, 0.0, 1e-200, 0.0, 0.0)
         with pytest.raises(OutOfRange, match="W-\\^2 \\+ lambda\\^2 underflows to 0"):
             steady_state(params)
 
@@ -493,22 +532,24 @@ class TestSteadyState:
         # eigenvalue pairs nearly cancel and returns no solution here
         assert (np.abs(kron_steady_state(params) - exact) <= 1e-15 * scale).all()
 
-    @pytest.mark.parametrize("omega, lam, epsilon, share, error", [
-        (1e-80, 1e-200, 0.0, 0.0, 5.6e-6),
-        (1e-80, 1e-200, 0.5, 0.5, 2.5e-4),
-        (1e-104, 1e-100, 0.3, 0.999, 3.0e-12),
-        (1e-96, 1e-100, 0.0, 0.0, 5.0e7),
-        (1e-84, 1e-100, 0.0, 0.0, 5.0e31),
+    @pytest.mark.parametrize("omega, lam, epsilon, share", [
+        (1e-80, 1e-200, 0.0, 0.0),
+        (1e-80, 1e-200, 0.5, 0.5),
+        (1e-104, 1e-100, 0.3, 0.999),
+        (1e-96, 1e-100, 0.0, 0.0),
+        (1e-84, 1e-100, 0.0, 0.0),
     ])
-    def test_underflowing_det_v_is_refused(self, omega, lam, epsilon, share, error):
-        # det V = (w1 w2)^2 - nu^2 underflows, so W-^2 = det V / W+^2 lost
-        # digits that lambda^2 does not make up for; the solve was `error`
-        # (relative) off a 700-digit Kronecker solve, and the residual bound
-        # on |D| alone passed it
+    def test_underflowing_det_v_keeps_its_digits(self, omega, lam, epsilon, share):
+        # det V = (w1 w2)^2 - nu^2 underflows, and W-^2 = det V / W+^2 was
+        # off by 3e-12 to 5e31 (relative) here; (b - |nu|)/W+^2 (b + |nu|)
+        # never forms det V, and the solve is within a few ulp of a
+        # 700-digit Kronecker solve, entry by entry on the scale
+        # sqrt(S_ii S_jj)
         params = SystemParams(omega, epsilon, 0.0, lam, 0.0, 0.0)
         params = dataclasses.replace(params, nu=share * coupling_bound(params))
-        with pytest.raises(OutOfRange, match="W-\\^2 loses its digits to underflow"):
-            steady_state(params)
+        ref = mpmath_steady_state(params, 700)
+        scale = np.sqrt(np.outer(np.diag(ref), np.diag(ref)))
+        assert (np.abs(steady_state(params) - ref) <= 4 * 2.0 ** -52 * scale).all()
 
     def test_underflowing_det_v_is_kept_where_lambda_dominates(self):
         # det V underflows here too, but lambda^2 = 1 dwarfs W-^2 ~ 1e-240

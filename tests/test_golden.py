@@ -7,13 +7,18 @@ one with ``oscbath <args> --hex-floats --out tests/golden/<name>.csv`` only
 when a change of its numbers is intended.
 
 The steady state does not depend on the integrator and must stay byte for
-byte the same. Its fixture was rewritten once, for the normal-mode closed
-form that replaced the Kronecker LU solve: 14 of 16 matrix entries and the
-three measures moved by at most 4.4e-16, far inside REL_TOL, and both
-solves are within 4 ulp of a 60-digit solution. The RK4 runs may move by
-rounding: every float column must
-stay within REL_TOL * max(|b|, 1) of the fixture value b, and the
-`physical` column must match exactly.
+byte the same. Its fixture was rewritten twice. First for the normal-mode
+closed form that replaced the Kronecker LU solve: 14 of 16 matrix entries
+and the three measures moved by at most 4.4e-16, far inside REL_TOL, and
+both solves are within 4 ulp of a 60-digit solution. Then for the mode
+rotation formed from 2 theta, exact at epsilon = 0, which made the state
+exactly symmetric under the swap of the two oscillators: sigma[x1,x1]
+moved by 1 ulp to equal sigma[x2,x2], and sigma[x1,p1] and sigma[x2,p2]
+by 2 and 3 ulp to one shared value (5 of 16 entries; the measures did not
+move); every entry is within 1 ulp of a 60-digit solution. The RK4 runs
+may move by rounding: every float column must stay within
+REL_TOL * max(|b|, 1) of the fixture value b, and the `physical` column
+must match exactly.
 """
 
 import math

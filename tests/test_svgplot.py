@@ -70,6 +70,16 @@ def test_output_parses_as_xml_with_one_polyline_per_curve():
     assert lines[0].get("stroke") == lines[6].get("stroke")  # palette wraps
 
 
+def test_markup_in_labels_is_escaped():
+    # the title, the axis labels and the curve labels are element text
+    text = 'a<b & "c"'
+    svg = line_plot([(text, [0.0, 1.0], [0.0, 1.0]), ("d>e", [0.0, 1.0], [1.0, 0.0])],
+                    xlabel=text, ylabel=text, title=text)
+    texts = [el.text for el in ET.fromstring(svg).iter("{http://www.w3.org/2000/svg}text")]
+    assert texts.count(text) == 4 and "d>e" in texts
+    assert "a&lt;b &amp; \"c\"" in svg
+
+
 def test_non_finite_y_dropped_from_polyline():
     curves = _fixture_curves()
     lines = _polylines(line_plot(curves, **_LABELS))
