@@ -40,7 +40,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import OscbathError, SteadyStateUnavailable
+from .errors import OscbathError
 from .measures import _rint_product, full_report
 from .model import SystemParams, _squeezing_warnings, validate
 from .dynamics import check_step, steady_state
@@ -372,10 +372,6 @@ def _cmd_evolve(args) -> int:
     _warn_squeezing(params.r)
     try:
         traj = evolve_trajectory(params, grid, integrator=args.integrator, dt=args.dt)
-    except SteadyStateUnavailable as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        print("hint: rerun with --integrator rk4", file=sys.stderr)
-        return 1
     except OscbathError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -14,12 +14,12 @@ the solution has the closed form
 where sigma_inf is the unique solution of M S + S M^T = -2 D. In the two
 normal modes M is block-diagonal, so :func:`steady_state` solves for
 sigma_inf and :func:`propagate` evolves sigma block by block, in closed
-form with no matrix exponential. An independent fixed-step Runge-Kutta
-integrator of the differential form also covers the marginal cases
-(lambda = 0 or |nu| = omega1*omega2) where no steady state exists.
-:func:`mat_exp`, a Pade-13 exponential of one matrix at one time, is
-independent of both; the package never calls it, and the tests use it as
-an oracle.
+form with no matrix exponential; at lambda = 0 there is no steady state
+and sigma_inf's blocks are 0, and at |nu| = omega1*omega2 the lower mode
+moves freely. An independent fixed-step Runge-Kutta integrator of the
+differential form cross-checks the closed form. :func:`mat_exp`, a Pade-13
+exponential of one matrix at one time, is independent of both; the package
+never calls it, and the tests use it as an oracle.
 
 All functions are pure; different time points or parameter sets may be
 evaluated concurrently with no shared state.
@@ -46,7 +46,6 @@ __all__ = [
     "build_diffusion",
     "mat_exp",
     "steady_state",
-    "steady_state_available",
     "propagate",
     "ode_oracle",
 ]
@@ -211,15 +210,6 @@ def _kron_sum(m: np.ndarray) -> np.ndarray:
     ).reshape(n * n, n * n)
 
 
-def steady_state_available(params: SystemParams) -> bool:
-    """True iff the asymptotic covariance solve is accepted for ``params``.
-
-    Requires lambda > 0 and |nu| strictly below omega1*omega2; marginal
-    sets are rejected by :func:`steady_state` and :func:`propagate`.
-    """
-    return params.lambda_ > 0.0 and abs(params.nu) < coupling_bound(params)
-
-
 def _normal_modes(params: SystemParams):
     """((cc, ss, cs), W-^2, W+^2) of V = [[w1^2, nu], [nu, w2^2]]: modes
     q+ = c x1 + s x2, q- = -s x1 + c x2 (and the same for p), and
@@ -228,13 +218,18 @@ def _normal_modes(params: SystemParams):
     cc = (h + g)/(2h), ss = cs (nu/(h + g)); exactly (1/2, 1/2, +-1/2) at
     epsilon = 0, and (1/2, 1/2, 1/2), the limit nu -> 0+, where h = 0, so
     identical oscillators stay exactly symmetric. W-^2 = (b - |nu|)/W+^2
-    (b + |nu|), b = w1 w2, never forms det V, which underflows first."""
+    (b + |nu|), b = w1 w2, never forms det V, which underflows first.
+    Raises :class:`OutOfRange` where W+^2 underflows to 0 or overflows."""
     w1, w2 = mode_frequencies(params)
     nu = params.nu
     w1_sq, w2_sq = w1 * w1, w2 * w2
     g = 0.5 * (w1_sq - w2_sq)
     h = math.hypot(g, nu)
-    hi_sq = 0.5 * (w1_sq + w2_sq) + h
+    # w1^2 + w2^2 overflows only from w1^2 = 2^1023 on, where both halves are exact
+    hi_sq = (0.5 * (w1_sq + w2_sq) if w1_sq < 2.0 ** 1023 else 0.5 * w1_sq + 0.5 * w2_sq) + h
+    if not 0.0 < hi_sq < math.inf:
+        raise OutOfRange(f"the upper normal-mode frequency squared W+^2 leaves the "
+                         f"float range (W+^2 = {hi_sq:g})")
     b = coupling_bound(params)
     lo_sq = (b - abs(nu)) / hi_sq * (b + abs(nu))
     if h == 0.0:
@@ -259,19 +254,24 @@ def _mode_block(wk_sq: float, wl_sq: float, lam: float, x: float, p: float):
     written without the cancellation of its first form. g and f are formed
     from Delta/lambda or lambda/Delta, whichever is at most 1, so neither
     overflows nor divides by 0, and lambda^2 may underflow. Where lambda^2
-    would overflow, the block is solved with time and x scaled by a power of
-    two mu, which maps lambda, W^2, x, p to lambda/mu, W^2/mu^2, mu x, p/mu
-    and the block's xx, pp to mu xx, pp/mu exactly.
+    or k = 8 S2 + 16 lambda^2 would overflow, the block is solved with time
+    and x scaled by a power of two mu near the largest of lambda, W_k and
+    W_l, which maps lambda, W^2, x, p to lambda/mu, W^2/mu^2, mu x, p/mu and
+    the block's xx, pp to mu xx, pp/mu exactly; where lambda/mu underflows
+    to 0, it raises :class:`OutOfRange`.
     """
-    if lam > 2.0 ** 500:
-        mu = math.ldexp(1.0, math.frexp(lam)[1])
-        xx, xp, px, pp = _mode_block(
-            wk_sq / mu / mu, wl_sq / mu / mu, lam / mu, mu * x, p / mu)
-        return xx / mu, xp, px, pp * mu
     lam_sq = lam * lam
     gap = wk_sq - wl_sq
     s2 = wk_sq + wl_sq
     k = 8.0 * s2 + 16.0 * lam_sq
+    if lam > 2.0 ** 500 or k == math.inf:
+        mu = math.ldexp(1.0, math.frexp(max(lam, math.sqrt(max(wk_sq, wl_sq))))[1])
+        if lam / mu == 0.0:
+            raise OutOfRange(f"lambda/W underflows to 0 in the scaled mode solve "
+                             f"(lambda = {lam:g}, W^2 = {max(wk_sq, wl_sq):g})")
+        xx, xp, px, pp = _mode_block(
+            wk_sq / mu / mu, wl_sq / mu / mu, lam / mu, mu * x, p / mu)
+        return xx / mu, xp, px, pp * mu
     if abs(gap) <= lam:
         rho = gap / lam
         g = 1.0 / (rho * rho + k)
@@ -334,10 +334,11 @@ def steady_state(params: SystemParams) -> np.ndarray:
     (64 ulp of 1) times the largest entry of |M| |S| + |S| |M|^T + 2 |D|,
     the size of the terms it is formed from.
 
-    Raises :class:`SteadyStateUnavailable` for marginal parameter sets
-    (lambda = 0 or |nu| = omega1*omega2), and for near-singular ones: those
-    whose solution misses the residual bound. Raises :class:`OutOfRange`
-    when D, the solution or the residual leaves the float range (a residual
+    At |nu| = omega1*omega2 the lower mode has W- = 0 and is held by the
+    damping alone. Raises :class:`SteadyStateUnavailable` at lambda = 0,
+    where no steady state exists, and for near-singular sets: those whose
+    solution misses the residual bound. Raises :class:`OutOfRange` when D,
+    W+^2, the solution or the residual leaves the float range (a residual
     or bound that is not finite, NaN included), and when W-^2 + lambda^2
     underflows to 0 (omega1*omega2 subnormal and lambda below 1e-162).
     """
@@ -349,12 +350,10 @@ def _steady_solve(params: SystemParams):
     :func:`_normal_modes`, sigma_inf's mode blocks in the layout of
     :func:`_rotate_blocks` and the checked lab matrix of :func:`steady_state`."""
     require_valid(params)
-    if not steady_state_available(params):
-        raise SteadyStateUnavailable(
-            "steady state requires lambda > 0 and |nu| < omega1*omega2; "
-            f"got lambda={params.lambda_}, nu={params.nu}")
-    modes = rot, lo_sq, hi_sq = _normal_modes(params)
     lam = params.lambda_
+    if lam == 0.0:
+        raise SteadyStateUnavailable("steady state requires lambda > 0 (got lambda=0.0)")
+    modes = rot, lo_sq, hi_sq = _normal_modes(params)
     lam2 = _two_lambda(lam)
     if lo_sq + lam * lam == 0.0:
         raise OutOfRange(f"W-^2 + lambda^2 underflows to 0 (W-^2 = {lo_sq:g}, lambda = {lam:g})")
@@ -427,10 +426,13 @@ def propagate(sigma0, params: SystemParams, t: float | np.ndarray) -> np.ndarray
     array of N times, giving an (N, 4, 4) stack from one steady-state solve
     and the same formula on (N,) columns; each slice equals the scalar call
     bit for bit. At t = 0 the result is sigma0's symmetric part exactly,
-    and where e^{-lambda t} underflows to 0, sigma_inf exactly. Where the
-    phase W t overflows while e^{-lambda t} > 0, and where a result leaves
-    the float range, it raises :class:`OutOfRange`. Marginal parameter sets
-    raise :class:`SteadyStateUnavailable` and must use :func:`ode_oracle`.
+    and where e^{-lambda t} underflows to 0, sigma_inf exactly. Every set
+    :func:`validate` accepts is taken: at lambda = 0 sigma_inf's blocks are
+    0 and no steady state is solved, and at |nu| = omega1*omega2 the lower
+    mode moves freely (W- = 0). Where W-^2 underflows to 0 although
+    |nu| < omega1*omega2, where the phase W t overflows while
+    e^{-lambda t} > 0, and where a result leaves the float range, it raises
+    :class:`OutOfRange`.
     """
     # the float test spares single-time calls the cost of np.ndim
     grid = not isinstance(t, float) and np.ndim(t) > 0
@@ -441,9 +443,13 @@ def propagate(sigma0, params: SystemParams, t: float | np.ndarray) -> np.ndarray
     elif not 0 <= t < math.inf:
         raise ValueError(f"time must be finite and >= 0 (got {t})")
     r0, r1, r2, r3 = check_covariance(sigma0).tolist()
-    (rot, lo_sq, hi_sq), blocks, s_inf = _steady_solve(params)
+    if params.lambda_ == 0.0:  # no damping, no diffusion: e^{-lambda t} = 1
+        require_valid(params)
+        (rot, lo_sq, hi_sq), blocks, s_inf = _normal_modes(params), (0.0,) * 10, None
+    else:
+        (rot, lo_sq, hi_sq), blocks, s_inf = _steady_solve(params)
     w = (math.sqrt(lo_sq), math.sqrt(hi_sq))
-    if w[0] == 0.0:  # |nu| < b, so the exact W-^2 is positive
+    if w[0] == 0.0 and abs(params.nu) != coupling_bound(params):
         raise OutOfRange(
             "the lower normal-mode frequency squared W-^2 = (b - |nu|)/W+^2 (b + |nu|) "
             f"underflows to 0 (b = omega1*omega2 = {coupling_bound(params):g}, "
@@ -458,7 +464,7 @@ def propagate(sigma0, params: SystemParams, t: float | np.ndarray) -> np.ndarray
         phase = (w[0] * t, w[1] * t)
         if t and damp and phase[1] < math.inf:
             s = _sigma_t(lab0, blocks, rot, w, [float(np.cos(x)) for x in phase],
-                         [float(np.sin(x)) for x in phase], damp)
+                         [float(np.sin(x)) for x in phase], damp, t)
             if all(map(math.isfinite, s)):
                 return _full(s)
         t = np.array([t])
@@ -466,7 +472,7 @@ def propagate(sigma0, params: SystemParams, t: float | np.ndarray) -> np.ndarray
         damp = np.exp(-lam * t)
         phase = np.multiply.outer(w, t)
         cos, sin = np.cos(phase), np.sin(phase)
-        out = _full(_sigma_t(lab0, blocks, rot, w, cos, sin, damp))
+        out = _full(_sigma_t(lab0, blocks, rot, w, cos, sin, damp, t))
         if damp[~(phase[1] < math.inf)].any():
             raise OutOfRange(
                 f"propagated covariance left the float range (t up to {t.max():g}): "
@@ -479,7 +485,7 @@ def propagate(sigma0, params: SystemParams, t: float | np.ndarray) -> np.ndarray
             bad = ~np.isfinite(out).all(axis=(1, 2))
             out[bad] = 4.0 * _full(_sigma_t(
                 [0.25 * v for v in lab0], [0.25 * v for v in blocks], rot, w,
-                cos[:, bad], sin[:, bad], damp[bad]))
+                cos[:, bad], sin[:, bad], damp[bad], t[bad]))
             if not np.isfinite(out).all():
                 raise OutOfRange(
                     f"propagated covariance left the float range (t up to {t.max():g})")
@@ -496,14 +502,15 @@ def _flow(ek, el, a, b, c, d):
             f10 * cl + f11 * sl, f10 * nl + f11 * cl)
 
 
-def _sigma_t(lab0, blocks, rot, w, cos, sin, damp):
+def _sigma_t(lab0, blocks, rot, w, cos, sin, damp, t):
     """sigma(t)'s lab blocks from sigma0's, sigma_inf's mode blocks and the
     rotation of :func:`_steady_solve`, w = (W-, W+), the cos and sin of
-    (W- t, W+ t) and damp = e^{-lambda t}; only + - *, on floats or (N,)
+    (W- t, W+ t), damp = e^{-lambda t} and t; only + - *, on floats or (N,)
     columns. In the modes M_k = [[-lambda, 1], [-W_k^2, -lambda]], so block
     (k, l) of sigma - sigma_inf evolves to E_k (block) E_l^T, E_k = damp
-    [[cos W_k t, sin W_k t / W_k], [-W_k sin W_k t, cos W_k t]]."""
-    e_lo, e_hi = [(ck * damp, sk * (1.0 / wk) * damp, sk * -wk * damp)
+    [[cos W_k t, sin W_k t / W_k], [-W_k sin W_k t, cos W_k t]], whose
+    limit at W_k = 0 is damp [[1, t], [0, 1]]."""
+    e_lo, e_hi = [(ck * damp, (sk * (1.0 / wk) if wk else t) * damp, sk * -wk * damp)
                   for wk, ck, sk in zip(w, cos, sin)]
     m, b = _rotate_blocks((rot[0], rot[1], -rot[2]), lab0), blocks
     hi = _flow(e_hi, e_hi, m[0] - b[0], m[1] - b[1], m[1] - b[1], m[2] - b[2])
@@ -519,9 +526,8 @@ def ode_oracle(sigma0, params: SystemParams, t: float, dt: float = 1e-3) -> np.n
 
     Fixed-step fourth-order Runge-Kutta with global error O(dt^4).
     Deliberately independent of the closed form (no matrix exponential, no
-    steady state), so the two routes cross-check each other; unlike
-    :func:`propagate` it is valid for every parameter set, including
-    lambda = 0 and marginal coupling.
+    steady state, no normal modes), so the two routes cross-check each
+    other on every parameter set, lambda = 0 and marginal coupling included.
 
     The flow is linear, so one RK4 step is a fixed affine map on vec(sigma);
     it is built once, composed over all steps of the interval and applied as

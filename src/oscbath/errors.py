@@ -22,9 +22,8 @@ class InvalidParameters(OscbathError, ValueError):
 class SteadyStateUnavailable(OscbathError):
     """The steady-state solve was rejected.
 
-    A finite asymptotic covariance matrix is only computed for strictly
-    stable dynamics, which requires lambda > 0 and |nu| strictly below
-    omega1*omega2. Marginal parameter sets must use the rk4 integrator.
+    No steady state exists at lambda = 0, where propagation needs none; a
+    near-singular solve that misses its residual bound is refused too.
     """
 
 

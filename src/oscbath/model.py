@@ -77,12 +77,11 @@ _SQUEEZING_LIMIT = 0.5 * math.acosh(math.sqrt(1e-8 / 2.0 ** -51))  # 4.5790...
 def validate(params: SystemParams) -> ValidationResult:
     """Check every parameter constraint and report all failures at once.
 
-    Marginal sets (|nu| exactly at the omega1*omega2 bound, or lambda = 0)
-    are accepted but flagged with a warning, because the closed-form
-    propagation needs a strictly stable drift and will reject them. So is a
-    squeezing r above the supported range r <= 4.579 (``_SQUEEZING_LIMIT``):
-    near r = 4.66 some t = 0 states already read non-physical, and from
-    r = 7 on the float state is itself non-physical.
+    lambda = 0 is accepted but flagged with a warning, because no steady
+    state exists without dissipation. So is a squeezing r above the
+    supported range r <= 4.579 (``_SQUEEZING_LIMIT``): near r = 4.66 some
+    t = 0 states already read non-physical, and from r = 7 on the float
+    state is itself non-physical.
     """
     violations = []
     warnings = []
@@ -115,18 +114,10 @@ def validate(params: SystemParams) -> ValidationResult:
             violations.append(
                 f"|nu| <= omega1*omega2 violated (|{p.nu}| > {bound:.12g})"
             )
-        elif abs(p.nu) == bound:
-            warnings.append(
-                "marginal coupling |nu| = omega1*omega2: steady state "
-                "unavailable, use the rk4 integrator"
-            )
 
     warnings += _squeezing_warnings(p.r)
     if p.lambda_ == 0:
-        warnings.append(
-            "lambda = 0: no dissipation, steady state unavailable, "
-            "use the rk4 integrator"
-        )
+        warnings.append("lambda = 0: no dissipation, no steady state")
 
     return ValidationResult(ok=not violations, violations=tuple(violations),
                             warnings=tuple(warnings))

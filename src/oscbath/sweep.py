@@ -2,9 +2,8 @@
 
 A trajectory starts from the two-mode squeezed vacuum fixed by the
 parameter set, evolves the covariance matrix over a uniform time grid
-(closed form when a steady state exists, RK4 stepping otherwise) and
-computes the full correlation report, in nats, at every grid point in one
-batched pass. Sweeps rerun the same grid while one parameter steps through a
+(closed form by default, RK4 stepping on request) and computes the full
+correlation report, in nats, at every grid point in one batched pass. Sweeps rerun the same grid while one parameter steps through a
 list of values, and measure the rows of all values in one batched pass;
 sudden-death scans locate the grid intervals where the logarithmic
 negativity hits zero and where it revives.
@@ -23,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dynamics import _rk4_grid, check_step, propagate, steady_state_available
+from .dynamics import _rk4_grid, check_step, propagate
 from .errors import OscbathError, UnknownFigure
 from .measures import (
     CorrelationReport,
@@ -176,22 +175,20 @@ DEFAULT_SWEEP_VALUES = {
 def evolve_trajectory(
     params: SystemParams,
     grid: TimeGrid = DEFAULT_GRID,
-    integrator: str = "auto",
+    integrator: str = "closed",
     dt: float = 1e-3,
 ) -> Trajectory:
     """Evolve from the squeezed vacuum of ``params.r`` over ``grid``.
 
-    integrator "closed" evaluates the whole grid with one
-    :func:`~oscbath.dynamics.propagate` call (needs a steady state), "rk4"
-    steps the whole grid with one call of the RK4 core behind
-    :func:`~oscbath.dynamics.ode_oracle`, using step ``min(dt, interval)``
-    (one step map from 0 to ``grid.t_start`` if that is later, one for
-    ``grid.spacing``, whose L intervals are filled by doubling in
-    ceil(log2(L + 1)) batched products, so every row equals the chained
-    ``ode_oracle`` calls from one grid time to the next to rounding), and
-    "auto" (default) picks "closed" whenever the steady state exists. A
-    ``dt`` that is not finite and > 0 raises ``ValueError`` before any
-    work, whichever integrator runs.
+    integrator "closed" (default) evaluates the whole grid with one
+    :func:`~oscbath.dynamics.propagate` call. "rk4" steps the whole grid
+    with one call of the RK4 core behind :func:`~oscbath.dynamics.ode_oracle`,
+    using step ``min(dt, interval)`` (one step map from 0 to
+    ``grid.t_start`` if that is later, one for ``grid.spacing``, whose L
+    intervals are filled by doubling in ceil(log2(L + 1)) batched products,
+    so every row equals the chained ``ode_oracle`` calls from one grid time
+    to the next to rounding). A ``dt`` that is not finite and > 0 raises
+    ``ValueError`` before any work, whichever integrator runs.
 
     The measures of all rows are computed in one batched pass: block
     invariants in double-double arithmetic kept where a round test proves
@@ -211,11 +208,9 @@ def evolve_trajectory(
 def _propagated(params, grid, integrator, dt):
     """Validation and propagation, the first step of :func:`evolve_trajectory`:
     (params, grid, integrator, times, sigmas), the first five fields of its
-    :class:`Trajectory`, with "auto" resolved."""
+    :class:`Trajectory`."""
     check_step(dt)
     require_valid(params)
-    if integrator == "auto":
-        integrator = "closed" if steady_state_available(params) else "rk4"
     if integrator not in ("closed", "rk4"):
         raise ValueError(f"unknown integrator {integrator!r}")
 
@@ -251,7 +246,7 @@ def sweep_parameter(
     which: str,
     values,
     grid: TimeGrid = DEFAULT_GRID,
-    integrator: str = "auto",
+    integrator: str = "closed",
     dt: float = 1e-3,
 ) -> list[SweepOutcome]:
     """One trajectory per value of parameter ``which``, in input order.

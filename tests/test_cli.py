@@ -264,12 +264,14 @@ class TestEvolveCommand:
         assert all(float(r["log_negativity"]) == 0.0 for r in rows)
         assert all(float(r["discord"]) == 0.0 for r in rows)
 
-    def test_closed_integrator_fails_without_dissipation(self, capsys):
-        code = main(["evolve", *FIG1A_FLAGS[:-4], "--lambda", "0",
-                     "--points", "11"])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert "rk4" in err
+    @pytest.mark.parametrize("flags", [["--lambda", "0"], ["--nu", "1"]])
+    def test_closed_integrator_on_marginal_sets_exits_0(self, flags, capsys):
+        # lambda = 0 and |nu| = omega1*omega2 take the default closed form
+        assert main(["evolve", *flags, "--points", "11"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert "integrator=closed" in captured.out.splitlines()[0]
+        assert len(captured.out.splitlines()) == 13  # metadata, header, 11 rows
 
     def test_invariant_beyond_float_range_exits_1(self, capsys):
         assert main(["evolve", "--r", "200", "--points", "3"]) == 1
@@ -462,10 +464,26 @@ class TestSteadyCommand:
             f"discord,{_per_value(report.discord * bits, hex_floats)}",
         ]
 
-    def test_marginal_coupling_exits_1(self, capsys):
+    def test_marginal_coupling_exits_0(self, capsys):
+        # W- = 0: the lower mode is held by the damping alone
         assert main(["steady", "--nu", "1.0", "--omega", "1",
-                     "--epsilon", "0"]) == 1
-        assert "steady state" in capsys.readouterr().err
+                     "--epsilon", "0"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "" and "physical,true" in captured.out
+
+    def test_zero_dissipation_exits_1(self, capsys):
+        assert main(["steady", "--lambda", "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: steady state requires lambda > 0 (got lambda=0.0)\n"
+
+    @pytest.mark.parametrize("omega", ["3.5e153", "9.5e153", "1.3e154"])
+    def test_largest_frequencies_exit_0(self, omega, capsys):
+        # k = 8 (W+^2 + W-^2) + 16 lambda^2 and w1^2 + w2^2 overflow; the
+        # blocks are solved in scaled units and pass the residual bound
+        assert main(["steady", "--omega", omega]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "" and "physical,true" in captured.out
 
     @pytest.mark.parametrize("flags, reason", [
         # omega1*omega2 is the smallest subnormal, so W-^2 rounds to 0, and
@@ -475,8 +493,8 @@ class TestSteadyCommand:
         # full_report of a steady state that steady_state accepts
         (["--epsilon", "1e-08", "--temp", "1.9473953578010756e+121"],
          "exact i4 of the covariance matrix is beyond the float range"),
-        # the solve beyond the float range: W+^2 + W-^2 overflows
-        (["--omega", "1.3e154"], "steady state left the float range"),
+        # the solve beyond the float range: p = coth(omega/2T) omega = 2T overflows
+        (["--omega", "10", "--temp", "1e308"], "steady state left the float range"),
         (["--temp", "1e308"], "coth(omega_i / 2T) is beyond the float range"),
         (["--lambda", "1.7976931348623157e+308"], "2*lambda is beyond the float range"),
     ])
@@ -689,16 +707,27 @@ _OPTION = st.one_of(
     st.tuples(st.just("--out"), st.sampled_from(["-", "out.csv", "missing/out.csv"])),
     st.just(("--hex-floats",)),
 )
+# the marginal sets, lambda = 0 and |nu| = omega1*omega2
+_MARGINAL_FLAGS = st.sampled_from([[], ["--lambda", "0"], ["--nu", "1", "--omega", "1"]])
+_T_END = st.floats(min_value=0.0, max_value=1e308) | st.sampled_from([1e-300, 1e-3, 2.0, 1e300])
 # the RK4 core's edges: tiny steps, step counts t/dt near the float range,
-# grids of two points, and the sets only RK4 evolves
+# grids of two points, and the marginal sets
 _RK4_EVOLVE = st.builds(
     lambda dt, t_end, points, flags: [
         "evolve", "--integrator", "rk4", "--dt", repr(dt), "--t-end", repr(t_end),
         "--points", str(points), *flags],
     st.floats(min_value=5e-324, max_value=1.0) | st.sampled_from([5e-324, 1e-300, 1e-10, 0.3]),
-    st.floats(min_value=0.0, max_value=1e308) | st.sampled_from([1e-300, 1e-3, 2.0, 1e300]),
+    _T_END,
     st.integers(min_value=2, max_value=40),
-    st.sampled_from([[], ["--lambda", "0"], ["--nu", "1", "--omega", "1"]]),
+    _MARGINAL_FLAGS,
+)
+# the same grids and sets under the default closed integrator
+_CLOSED_EVOLVE = st.builds(
+    lambda t_end, points, flags: [
+        "evolve", "--t-end", repr(t_end), "--points", str(points), *flags],
+    _T_END,
+    st.integers(min_value=2, max_value=40),
+    _MARGINAL_FLAGS,
 )
 
 
@@ -735,3 +764,9 @@ class TestArgvNeverCrashes:
     @given(_RK4_EVOLVE)
     def test_rk4_evolve_edges(self, tmp_path, capsys, argv):
         _run_argv(argv + ["--out", str(tmp_path / "rk4.csv")], capsys)
+
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(_CLOSED_EVOLVE)
+    def test_closed_evolve_edges(self, tmp_path, capsys, argv):
+        _run_argv(argv + ["--out", str(tmp_path / "closed.csv")], capsys)

@@ -22,7 +22,6 @@ from oscbath import (
     propagate,
     purity,
     steady_state,
-    steady_state_available,
     thermal_coth,
     validate,
 )
@@ -31,8 +30,8 @@ from oscbath.sweep import (
     FIGURE_IDS, TimeGrid, evolve_trajectory, figure_preset, sweep_parameter,
 )
 from helpers import (
-    FIG1A, FIG2A, FIG4, kron_steady_state, mpmath_steady_state, random_physical_cov,
-    random_valid_params, rk4_reference, scipy_steady_state, swap_modes,
+    FIG1A, FIG2A, FIG4, chained_ode_oracle, kron_steady_state, mpmath_steady_state,
+    random_physical_cov, random_valid_params, rk4_reference, scipy_steady_state, swap_modes,
 )
 from hypothesis import assume, given, settings, strategies as st
 
@@ -50,7 +49,7 @@ def taylor_expm(a, terms=60):
 
 
 def rk4_sets():
-    # two stable sets and the two marginal kinds that only RK4 can evolve
+    # two stable sets and the two marginal kinds, lambda = 0 and |nu| = w1 w2
     w1, w2 = mode_frequencies(FIG4)
     return {
         "fig1a": FIG1A,
@@ -236,10 +235,27 @@ def closed_form(e, sigma0, s_inf):
     return e @ (sigma0 - s_inf) @ e.T + s_inf
 
 
+def steady_or_zero(params):
+    # the library's sigma_inf, or 0 at lambda = 0, where there is no
+    # diffusion and sigma(t) is e^{Mt} sigma0 e^{M^T t}
+    return steady_state(params) if params.lambda_ else np.zeros((4, 4))
+
+
+def marginal_sets():
+    # |nu| = w1 w2 exactly, so W- = 0, with and without damping
+    sets = []
+    for sign in (1.0, -1.0):
+        for epsilon in (0.0, 0.5):
+            for lam in (0.0, 0.6):
+                params = dataclasses.replace(FIG4, epsilon=epsilon, lambda_=lam)
+                sets.append(dataclasses.replace(params, nu=sign * coupling_bound(params)))
+    return sets
+
+
 def mpmath_closed_form(params, t, sigma0):
     # the closed form in 40 digits, around the library's sigma_inf
     mpmath = pytest.importorskip("mpmath")
-    s_inf = steady_state(params).tolist()
+    s_inf = steady_or_zero(params).tolist()
     with mpmath.workdps(40):
         e = mpmath.expm(mpmath.matrix(_drift(params).tolist()) * mpmath.mpf(t))
         delta = mpmath.matrix(sigma0.tolist()) - mpmath.matrix(s_inf)
@@ -304,10 +320,48 @@ class TestPropagator:
         # steady state exists; w1^2 + w2^2 - hypot would cancel to 0 here
         bound = coupling_bound(base)
         params = dataclasses.replace(base, nu=sign * math.nextafter(bound, 0.0))
-        assert steady_state_available(params)
         ref = closed_form(mat_exp(_drift(params), 3.7), self.SIGMA0, steady_state(params))
         err = np.abs(propagate(self.SIGMA0, params, 3.7) - ref).max()
         assert err <= 1e-13 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("params", [
+        dataclasses.replace(FIG1A, lambda_=0.0),
+        dataclasses.replace(FIG4, lambda_=0.0, temperature=0.0),
+        dataclasses.replace(FIG1A, lambda_=0.0, nu=0.0),
+    ])
+    @pytest.mark.parametrize("t", [0.02, 3.7, 10.0])
+    def test_lambda0_against_mpmath(self, params, t):
+        # no steady state: sigma(t) = E sigma0 E^T with the rotation's modes
+        # and all-zero sigma_inf blocks
+        ref = mpmath_closed_form(params, t, self.SIGMA0)
+        err = np.abs(propagate(self.SIGMA0, params, t) - ref).max()
+        assert err <= 1e-13 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("params", marginal_sets())
+    def test_marginal_coupling_against_oracles(self, params):
+        # W- = 0: the lower mode moves freely, sin(W t)/W -> t
+        times = np.linspace(0.0, 10.0, 6)
+        stack = propagate(self.SIGMA0, params, times)
+        rk4 = chained_ode_oracle(self.SIGMA0, params, times, 1e-3)
+        assert np.abs(stack - rk4).max() <= 1e-7 * np.abs(rk4).max()
+        for s, t in zip(stack, times.tolist()):
+            ref = closed_form(mat_exp(_drift(params), t), self.SIGMA0, steady_or_zero(params))
+            assert np.abs(s - ref).max() <= 1e-13 * np.abs(ref).max(), t
+
+    @pytest.mark.parametrize(
+        "params", [dataclasses.replace(FIG1A, lambda_=0.0)] + marginal_sets()[::2])
+    def test_lambda0_time_array_matches_scalar_calls(self, params):
+        times = np.linspace(0.0, 200.0, 801)
+        sigma0 = initial_squeezed_vacuum(params.r)
+        stack = propagate(sigma0, params, times)
+        for t, s in zip(times.tolist(), stack):
+            assert bits(s) == bits(propagate(sigma0, params, t))
+        # nothing damps: the W+ phase overflows at 1.7e308, and at W- = 0
+        # the growth in t^2 leaves the float range already at 1e300
+        huge = 1e300 if abs(params.nu) == coupling_bound(params) else 1.7e308
+        for t in (huge, np.array([0.0, huge])):
+            with pytest.raises(OutOfRange, match="propagated covariance left the float range"):
+                propagate(sigma0, params, t)
 
     @pytest.mark.parametrize(
         "params", [FIG1A, FIG4, dataclasses.replace(FIG1A, nu=0.0)])
@@ -321,7 +375,7 @@ class TestPropagator:
         assert np.array_equal(propagate(sigma0, params, 0.0), 0.5 * sigma0 + 0.5 * sigma0.T)
 
     @pytest.mark.parametrize(
-        "params", [FIG1A, FIG4, dataclasses.replace(FIG4, nu=-0.6)])
+        "params", [FIG1A, FIG4, dataclasses.replace(FIG4, nu=-0.6), *marginal_sets()[1::2]])
     def test_time_array_matches_scalar_calls(self, params):
         times = np.concatenate((np.linspace(0.0, 200.0, 801), [1e300, 1.7e308]))
         stack = propagate(self.SIGMA0, params, times)
@@ -425,6 +479,42 @@ class TestPropagatorRoutes:
             assert bits(swap_modes(s_inf)) == bits(s_inf)
             assert bits(swap_modes(sigmas.T).T) == bits(sigmas)
 
+    @settings(max_examples=400, deadline=None, database=None, derandomize=True)
+    @given(
+        omega=st.floats(min_value=5e-324, max_value=1e154),
+        epsilon=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+        share=st.sampled_from([1.0, -1.0]) | st.floats(min_value=-1.0, max_value=1.0),
+        lam=st.just(0.0) | st.floats(min_value=0.0, max_value=1.7976931348623157e308),
+        temperature=st.floats(min_value=0.0, max_value=1.7976931348623157e308),
+        t=st.sampled_from([1e-300, 1.0, 1e300]) | st.floats(min_value=0.0, max_value=1e308),
+    )
+    def test_accepted_box_gives_a_state_or_an_error(
+            self, omega, epsilon, share, lam, temperature, t):
+        # every accepted set, lambda = 0 and |nu| = w1 w2 included: finite
+        # states, equal on both routes, or an OscbathError on both
+        params = SystemParams(omega, epsilon, 0.0, lam, temperature, 0.5)
+        assume(validate(params).ok)
+        params = dataclasses.replace(params, nu=share * coupling_bound(params))
+        sigma0 = initial_squeezed_vacuum(params.r)
+        times = np.array([0.0, t, 3.7])
+        scalar = []
+        for tk in times.tolist():
+            try:
+                scalar.append(bits(propagate(sigma0, params, tk)))
+            except OscbathError:
+                scalar.append(None)
+        try:
+            stack = propagate(sigma0, params, times)
+        except OscbathError:
+            assert None in scalar
+        else:
+            assert np.isfinite(stack).all()
+            assert scalar == [bits(s) for s in stack]
+        try:
+            evolve_trajectory(params, TimeGrid(0.0, t or 1.0, 3), "closed")
+        except OscbathError:
+            pass
+
     @pytest.mark.parametrize("t", [3, np.float64(3.0), np.array(3.0), np.float32(3.0)])
     def test_every_scalar_type_takes_the_float_route(self, t):
         sigma0 = initial_squeezed_vacuum(FIG4.r)
@@ -456,14 +546,29 @@ class TestSteadyState:
         with pytest.raises(SteadyStateUnavailable):
             steady_state(dataclasses.replace(FIG1A, lambda_=0.0))
 
-    def test_marginal_coupling_rejected(self):
-        with pytest.raises(SteadyStateUnavailable):
-            steady_state(dataclasses.replace(FIG1A, nu=1.0))
+    @pytest.mark.parametrize("params", marginal_sets()[1::2])
+    def test_marginal_coupling_solved(self, params):
+        # W- = 0: the lower mode is held by the damping alone
+        s = steady_state(params)
+        for oracle in (kron_steady_state, scipy_steady_state):
+            assert np.abs(s - oracle(params)).max() <= 1e-11 * np.abs(s).max()
+
+    @pytest.mark.parametrize("omega", [3.5e153, 9.5e153, 1.3e154])
+    def test_largest_frequencies_solved(self, omega):
+        # 8 (W+^2 + W-^2) overflows from omega = 3.4e153 and w1^2 + w2^2
+        # from 9.5e153: the blocks are solved in units scaled by a power of
+        # two near W+. nu = 0.8 is negligible, so sigma_inf is the local
+        # thermal state diag(c/w, c w), up to O(nu / omega^2)
+        params = SystemParams(omega, 0.0, 0.8, 0.6, 0.2, 1.0)
+        s = steady_state(params)
+        exact = decoupled_steady(params)
+        scale = np.sqrt(np.outer(np.diag(exact), np.diag(exact)))
+        assert (np.abs(s - exact) <= 1e-15 * scale).all()
 
     @pytest.mark.parametrize("params, message", [
-        # W+^2 + W-^2 overflows, so the solve is NaN; the residual test
+        # p = c w = 2 T overflows, so the solve is NaN; the residual test
         # must fail on NaN
-        (SystemParams(1.3e154, 0.0, 0.8, 0.6, 0.2, 1.0), "steady state left the float range"),
+        (SystemParams(10.0, 0.0, 0.8, 0.6, 1e308, 1.0), "steady state left the float range"),
         (SystemParams(1.0, 0.0, 0.8, 0.6, 1e308, 1.0), "coth"),
         (SystemParams(1.0, 0.0, 0.0, 1.7976931348623157e308, 0.2, 1.0), "2[*]lambda"),
     ])
@@ -472,10 +577,23 @@ class TestSteadyState:
         with pytest.raises(OutOfRange, match=message):
             steady_state(params)
 
-    def test_availability_flag(self):
-        assert steady_state_available(FIG1A)
-        assert not steady_state_available(dataclasses.replace(FIG1A, lambda_=0.0))
-        assert not steady_state_available(dataclasses.replace(FIG1A, nu=1.0))
+    @pytest.mark.parametrize("params", [
+        # omega1*omega2 and W+^2 underflow to 0, so nu = 0 is marginal
+        SystemParams(5e-324, 0.0, 0.0, 0.6, 0.0, 0.0),
+        # W+^2 = (w1^2 + w2^2)/2 + hypot(g, nu) overflows
+        SystemParams(1.34e154, 0.0, 1.7e308, 0.6, 0.0, 0.0),
+    ])
+    @pytest.mark.parametrize("lam", [0.0, 0.6])
+    def test_upper_mode_beyond_float_range_raises_out_of_range(self, params, lam):
+        params = dataclasses.replace(params, lambda_=lam)
+        assert validate(params).ok
+        calls = [lambda: propagate(np.eye(4), params, 1.0),
+                 lambda: propagate(np.eye(4), params, np.array([0.0, 1.0]))]
+        if lam:
+            calls.append(lambda: steady_state(params))
+        for call in calls:
+            with pytest.raises(OutOfRange, match="W\\+\\^2 leaves the float range"):
+                call()
 
     W1, W2 = mode_frequencies(FIG4)
     EDGES = [
@@ -615,12 +733,13 @@ class TestPropagate:
         s = propagate(initial_squeezed_vacuum(2.0), FIG1A, 1.3)
         assert np.abs(s - s.T).max() <= 1e-12
 
-    def test_marginal_parameters_rejected(self):
+    def test_marginal_parameters_propagate(self):
         for changes in (dict(lambda_=0.0), dict(nu=1.0)):
             marginal = dataclasses.replace(FIG1A, **changes)
             for t in (1.0, np.linspace(0.0, 1.0, 3)):
-                with pytest.raises(SteadyStateUnavailable):
-                    propagate(np.eye(4), marginal, t)
+                s = propagate(np.eye(4), marginal, t)
+                rk4 = chained_ode_oracle(np.eye(4), marginal, np.atleast_1d(t), 1e-3)
+                assert np.abs(s - rk4).max() <= 1e-7
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):

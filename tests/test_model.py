@@ -20,10 +20,10 @@ from oscbath import (
     invariants,
     mode_frequencies,
     require_valid,
-    steady_state_available,
     validate,
 )
 from oscbath import measures
+from oscbath.dynamics import _normal_modes
 from oscbath.model import _SQUEEZING_LIMIT
 from helpers import FIG1A
 
@@ -83,10 +83,10 @@ class TestValidate:
     def test_largest_finite_frequencies_pass(self):
         assert validate(params(omega=1e154, nu=0.0)).ok
 
-    def test_marginal_coupling_warns_but_passes(self):
+    def test_marginal_coupling_passes_without_warning(self):
         result = validate(params(nu=1.0))  # omega1*omega2 = 1 here
         assert result.ok
-        assert any("marginal" in w for w in result.warnings)
+        assert result.warnings == ()
 
     def test_squeezing_limit_is_where_the_rounding_meets_the_tolerance(self):
         # 8 cosh^2(2r) u, the bound on ch^2 - sh^2 - 1, reaches 2e-8, the
@@ -122,7 +122,7 @@ class TestValidate:
     def test_zero_dissipation_warns_but_passes(self):
         result = validate(params(lambda_=0.0))
         assert result.ok
-        assert any("lambda = 0" in w for w in result.warnings)
+        assert result.warnings == ("lambda = 0: no dissipation, no steady state",)
 
     def test_multiple_violations_reported_together(self):
         result = validate(params(omega=-1.0, r=-1.0))
@@ -136,20 +136,19 @@ class TestValidate:
 class TestCouplingBound:
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_bound_is_exactly_marginal_everywhere(self, sign):
-        # one float value decides validity, the marginal warning and the
-        # steady-state availability
+        # one float value decides validity and where the lower normal mode
+        # stops oscillating: W-^2 is exactly 0 there and positive inside
         bound = coupling_bound(params(omega=1.3, epsilon=0.4))
         w1, w2 = mode_frequencies(params(omega=1.3, epsilon=0.4))
         assert bound == w1 * w2
         at = params(omega=1.3, epsilon=0.4, nu=sign * bound)
         result = validate(at)
-        assert result.ok
-        assert any("marginal" in w for w in result.warnings)
-        assert not steady_state_available(at)
+        assert result.ok and result.warnings == ()
+        assert _normal_modes(at)[1] == 0.0
         inside = params(omega=1.3, epsilon=0.4,
                         nu=sign * math.nextafter(bound, 0.0))
         assert validate(inside).warnings == ()
-        assert steady_state_available(inside)
+        assert _normal_modes(inside)[1] > 0.0
         outside = params(omega=1.3, epsilon=0.4,
                          nu=sign * math.nextafter(bound, math.inf))
         assert not validate(outside).ok

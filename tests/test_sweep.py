@@ -167,12 +167,14 @@ class TestEvolveTrajectory:
         for a, b in zip(closed.records, rk4.records):
             assert np.abs(a.sigma - b.sigma).max() <= 1e-7
 
-    def test_auto_falls_back_to_rk4_without_dissipation(self):
+    def test_closed_default_without_dissipation(self):
         params = dataclasses.replace(FIG1A, lambda_=0.0)
         traj = evolve_trajectory(params, TimeGrid(0.0, 10.0, 21))
-        assert traj.integrator == "rk4"
+        assert traj.integrator == "closed"
         purities = [rec.report.purity for rec in traj.records]
         assert max(purities) - min(purities) <= 1e-9
+        with pytest.raises(ValueError, match="unknown integrator 'auto'"):
+            evolve_trajectory(params, TimeGrid(0.0, 10.0, 21), "auto")
 
     def test_grid_times_match(self):
         traj = evolve_trajectory(FIG1A, SMALL_GRID)
@@ -312,14 +314,15 @@ class TestSweepParameter:
         with pytest.raises(ValueError):
             sweep_parameter(FIG1A, "kappa", [1.0], SMALL_GRID)
 
-    def test_marginal_coupling_value_falls_back_to_rk4(self):
-        # |nu| exactly at the bound validates (with a warning) and the
-        # auto integrator routes it through the rk4 path
+    def test_marginal_coupling_value_stays_closed(self):
+        # |nu| exactly at the bound validates and takes the closed form,
+        # within RK4's error of the rk4 sweep
         grid = TimeGrid(0.0, 1.0, 3)
-        outcomes = sweep_parameter(FIG1A, "nu", [0.5, 1.0], grid)
-        assert outcomes[0].trajectory.integrator == "closed"
-        assert outcomes[1].error is None
-        assert outcomes[1].trajectory.integrator == "rk4"
+        closed = sweep_parameter(FIG1A, "nu", [0.5, 1.0], grid)
+        rk4 = sweep_parameter(FIG1A, "nu", [0.5, 1.0], grid, "rk4")
+        for a, b in zip(closed, rk4):
+            assert a.error is None and a.trajectory.integrator == "closed"
+            assert np.abs(a.trajectory.sigmas - b.trajectory.sigmas).max() <= 1e-9
 
     def test_steady_purity_increases_with_dissipation(self):
         params = dataclasses.replace(FIG2A, temperature=0.5)
