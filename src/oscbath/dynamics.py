@@ -255,17 +255,20 @@ def _mode_block(wk_sq: float, wl_sq: float, lam: float, x: float, p: float):
     from Delta/lambda or lambda/Delta, whichever is at most 1, so neither
     overflows nor divides by 0, and lambda^2 may underflow. Where lambda^2
     or k = 8 S2 + 16 lambda^2 would overflow, the block is solved with time
-    and x scaled by a power of two mu near the largest of lambda, W_k and
-    W_l, which maps lambda, W^2, x, p to lambda/mu, W^2/mu^2, mu x, p/mu and
-    the block's xx, pp to mu xx, pp/mu exactly; where lambda/mu underflows
-    to 0, it raises :class:`OutOfRange`.
+    and x scaled by a power of two mu, which maps lambda, W^2, x, p to
+    lambda/mu, W^2/mu^2, mu x, p/mu and the block's xx, pp to mu xx, pp/mu
+    exactly: mu is near lambda where lambda >= W = max(W_k, W_l), and
+    W/2^500 otherwise, so that W^2/mu^2 stays below 2^1000 and a small
+    lambda/mu stays representable; where lambda/mu underflows to 0, it
+    raises :class:`OutOfRange`.
     """
     lam_sq = lam * lam
     gap = wk_sq - wl_sq
     s2 = wk_sq + wl_sq
     k = 8.0 * s2 + 16.0 * lam_sq
     if lam > 2.0 ** 500 or k == math.inf:
-        mu = math.ldexp(1.0, math.frexp(max(lam, math.sqrt(max(wk_sq, wl_sq))))[1])
+        w = math.sqrt(max(wk_sq, wl_sq))
+        mu = math.ldexp(1.0, math.frexp(lam)[1] if lam >= w else math.frexp(w)[1] - 500)
         if lam / mu == 0.0:
             raise OutOfRange(f"lambda/W underflows to 0 in the scaled mode solve "
                              f"(lambda = {lam:g}, W^2 = {max(wk_sq, wl_sq):g})")
@@ -312,6 +315,29 @@ def _full(blocks) -> np.ndarray:
     return a.T.reshape(-1, 4, 4) if a.ndim > 1 else a.reshape(4, 4)
 
 
+def _lyapunov_terms(s, m, m2, a1, a3, n, d):
+    """The upper triangle of M S + S M^T + diag(d) in the layout of
+    s = (s00, s01, s11, s22, s23, s33, s02, s03, s12, s13), for the M with
+    rows (m, 1, 0, 0), (a1, m, n, 0), (0, 0, m, 1), (n, 0, a3, m) and
+    m2 = 2 m. On S with (-lambda, -2 lambda, -w1^2, -w2^2, -nu) and d = 2 D
+    it is the steady-state residual; on |S| with the magnitudes, the bound
+    |M| |S| + |S| |M|^T + 2 |D| (Higham 2002, componentwise), the same
+    float operations since negation is exact."""
+    s00, s01, s11, s22, s23, s33, s02, s03, s12, s13 = s
+    return (
+        2.0 * (s01 + m * s00) + d[0],
+        s11 + m2 * s01 + a1 * s00 + n * s02,
+        s12 + s03 + m2 * s02,
+        s13 + m2 * s03 + n * s00 + a3 * s02,
+        d[1] + 2.0 * (m * s11 + a1 * s01 + n * s12),
+        s13 + m2 * s12 + a1 * s02 + n * s22,
+        m2 * s13 + a1 * s03 + n * (s23 + s01) + a3 * s12,
+        2.0 * (s23 + m * s22) + d[2],
+        s33 + m2 * s23 + n * s02 + a3 * s22,
+        d[3] + 2.0 * (m * s33 + n * s03 + a3 * s23),
+    )
+
+
 # The residual is checked against 64 u times the largest entry of
 # |M| |S| + |S| |M|^T + 2 |D|, the sums of the magnitudes of the terms each
 # entry is formed from (u = 2**-53): evaluating it rounds by at most 5 u of
@@ -348,7 +374,8 @@ def steady_state(params: SystemParams) -> np.ndarray:
 def _steady_solve(params: SystemParams):
     """Validate ``params``, require a steady state and solve it: the
     :func:`_normal_modes`, sigma_inf's mode blocks in the layout of
-    :func:`_rotate_blocks` and the checked lab matrix of :func:`steady_state`."""
+    :func:`_rotate_blocks` and the checked lab matrix of :func:`steady_state`.
+    The residual and its bound are :func:`_lyapunov_terms` on S and on |S|."""
     require_valid(params)
     lam = params.lambda_
     if lam == 0.0:
@@ -367,44 +394,18 @@ def _steady_solve(params: SystemParams):
         lo_sq, lo_sq, lam, ss * x1 + cc * x2, ss * p1 + cc * p2)
     blocks = (xx_hi, xp_hi, pp_hi, xx_lo, xp_lo, pp_lo, *_mode_block(
         hi_sq, lo_sq, lam, cs * (x2 - x1), cs * (p2 - p1)))
-    lab = s00, s01, s11, s22, s23, s33, s02, s03, s12, s13 = _rotate_blocks(rot, blocks)
-    # M S + S M^T + 2 D, upper triangle, with M = -lambda I + A and
-    # (A S)_{1j} = -w1^2 S_{0j} - nu S_{2j}, (A S)_{3j} = -nu S_{0j} - w2^2 S_{2j},
-    # and the same sums of products on |S| and |nu|: |M| |S| + |S| |M|^T + 2 D
+    lab = _rotate_blocks(rot, blocks)
     w1_sq, w2_sq, nu = w1 * w1, w2 * w2, params.nu
-    d = (lam2 * x1, lam2 * p1, lam2 * x2, lam2 * p2)  # 2 D
-    res = (
-        2.0 * (s01 - lam * s00) + d[0],
-        s11 - lam2 * s01 - w1_sq * s00 - nu * s02,
-        s12 + s03 - lam2 * s02,
-        s13 - lam2 * s03 - nu * s00 - w2_sq * s02,
-        d[1] - 2.0 * (lam * s11 + w1_sq * s01 + nu * s12),
-        s13 - lam2 * s12 - w1_sq * s02 - nu * s22,
-        -lam2 * s13 - w1_sq * s03 - nu * (s23 + s01) - w2_sq * s12,
-        2.0 * (s23 - lam * s22) + d[2],
-        s33 - lam2 * s23 - nu * s02 - w2_sq * s22,
-        d[3] - 2.0 * (lam * s33 + nu * s03 + w2_sq * s23),
-    )
+    d = (lam2 * x1, lam2 * p1, lam2 * x2, lam2 * p2)  # 2 D, all >= 0
+    res = _lyapunov_terms(lab, -lam, -lam2, -w1_sq, -w2_sq, -nu, d)
     # max drops a NaN that is not first
     residual = math.nan if math.isnan(sum(res)) else max(map(abs, res))
     # |s11|, |s33| and each 2 D are terms of some entry, so at most the
     # largest magnitude: a residual within that share needs no more terms
-    bound = _RESIDUAL_TOL * max(abs(s11), abs(s33), *d)
+    bound = _RESIDUAL_TOL * max(abs(lab[2]), abs(lab[5]), *d)
     if not residual <= bound:
-        a00, a01, a02, a03, a11, a12, a13, a22, a23, a33, a_nu = map(
-            abs, (s00, s01, s02, s03, s11, s12, s13, s22, s23, s33, nu))
-        bound = _RESIDUAL_TOL * max(
-            2.0 * (a01 + lam * a00) + d[0],
-            a11 + lam2 * a01 + w1_sq * a00 + a_nu * a02,
-            a12 + a03 + lam2 * a02,
-            a13 + lam2 * a03 + a_nu * a00 + w2_sq * a02,
-            d[1] + 2.0 * (lam * a11 + w1_sq * a01 + a_nu * a12),
-            a13 + lam2 * a12 + w1_sq * a02 + a_nu * a22,
-            lam2 * a13 + w1_sq * a03 + a_nu * (a23 + a01) + w2_sq * a12,
-            2.0 * (a23 + lam * a22) + d[2],
-            a33 + lam2 * a23 + a_nu * a02 + w2_sq * a22,
-            d[3] + 2.0 * (lam * a33 + a_nu * a03 + w2_sq * a23),
-        )
+        bound = _RESIDUAL_TOL * max(_lyapunov_terms(
+            map(abs, lab), lam, lam2, w1_sq, w2_sq, abs(nu), d))
     # NaN fails every comparison, so the test is written to fail on it
     if not residual <= bound < math.inf:
         if bound < residual < math.inf:

@@ -46,48 +46,38 @@ def _digit_words():
 
 _INT_WORDS, _FRAC_WORDS = _digit_words()
 _COMMA, _SPACE = (np.frombuffer(sep.rjust(8, b"\0"), np.uint64)[0] for sep in (b",", b" "))
-_MARK = np.frombuffer(b"\x01".ljust(8, b"\0"), np.uint64)[0]  # where a fallback goes
 
 
 def _points(curves):
     """The polyline text "x,y x,y ..." of each (n, 2) array of pixel
     coordinates in ``curves``, each coordinate as ``"%.2f"`` formats it.
 
-    All curves are formatted in one pass: q = 100·v rounded half to even
-    from the exact product, the rounding ``%`` does, picks a word from each
-    table. A coordinate outside (0, 1000), -0.0 and 0.0 included, or not
-    finite falls back to ``%``, one at a time.
+    Every coordinate must lie in (0, 1000), as every pixel of
+    :func:`line_plot`'s plot box does. All curves are formatted in one pass:
+    q = 100·v rounded half to even from the exact product, the rounding
+    ``%`` does, picks a word from each table.
     """
     coords = np.concatenate(curves)
-    fall = ~((coords > 0.0) & (coords < 1000.0))
-    fallback = coords[fall].tolist()
-    q = _rint_product(np.where(fall, 1.0, coords), np.full(coords.shape, 100.0)).astype(np.intp)
+    q = _rint_product(coords, np.full(coords.shape, 100.0)).astype(np.intp)
     words = np.take(_INT_WORDS, q // 100)
     words |= np.take(_FRAC_WORDS, q % 100)
-    if fallback:
-        words[fall] = _MARK
     words[:, 0] |= _COMMA
     words[:, 1] |= _SPACE
     # the last y of a curve ends its line
     lengths = np.array([len(c) for c in curves])
     words.view(np.uint8)[np.cumsum(lengths)[lengths > 0] - 1, -1] = ord("\n")
     text = words.tobytes().translate(None, b"\0").decode("ascii")
-    if fallback:
-        parts = text.split("\x01")
-        text = parts[0] + "".join("%.2f" % value + part
-                                  for value, part in zip(fallback, parts[1:]))
     lines = iter(text.split("\n"))
     return [next(lines) if len(c) else "" for c in curves]
 
 
 def _nice_ticks(lo: float, hi: float, axis: str, target: int = 5) -> list[float]:
-    """Round tick positions covering [lo, hi] with a 1-2-5 step.
+    """Round tick positions covering [lo, hi], hi > lo, with a 1-2-5 step;
+    a tick within 1e-12 (hi - lo) of 0 is +0.0, which ``.6g`` prints as 0.
 
     Raises ``ValueError`` naming the axis if the step is too small to move
     a tick at the magnitude of its values.
     """
-    if hi <= lo:
-        hi = lo + 1.0
     span = hi - lo
     raw = span / max(target, 2)
     power = 10.0 ** math.floor(math.log10(raw))
@@ -123,11 +113,6 @@ def _axis_range(lo: float, hi: float, axis: str, margin: float) -> tuple[float, 
     return low, high
 
 
-def _fmt_tick(v: float) -> str:
-    text = f"{v:.6g}"
-    return "0" if text in ("-0", "0.0", "-0.0") else text
-
-
 def _escape(text) -> str:
     """``text`` as XML character data: ``&``, ``<`` and ``>`` as entities."""
     return str(text).replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
@@ -140,11 +125,13 @@ def line_plot(curves, xlabel: str, ylabel: str, title: str) -> str:
     Every x must be finite; a non-finite y drops that point from its
     polyline. An axis whose data span less than 1e-12 (all x equal, say a
     single point) is widened by 0.5 at each end; the y axis then gets 4% of
-    its width at each end. Pixel coordinates are computed for whole curves
-    at once and printed with exact hundredths, as ``"%.2f"`` prints them:
-    100·v rounded half to even from the exact product, every curve in one
-    pass through small byte tables (see ``_points``). The title, the axis
-    labels and the curve labels are XML-escaped (``&``, ``<``, ``>``).
+    its width at each end. Every kept point lies in that range, so its
+    pixel coordinates lie in the plot box [72, 610] x [44, 424]. They are
+    computed for whole curves at once and printed with exact hundredths, as
+    ``"%.2f"`` prints them: 100·v rounded half to even from the exact
+    product, every curve in one pass through small byte tables (see
+    ``_points``). The title, the axis labels and the curve labels are
+    XML-escaped (``&``, ``<``, ``>``).
 
     Raises ``ValueError`` for no curves, unequal lengths, a non-finite x or
     no finite y at all, and, naming the axis, for an axis range that is not
@@ -202,7 +189,7 @@ def line_plot(curves, xlabel: str, ylabel: str, title: str) -> str:
         )
         out.append(
             f'<text x="{px:.2f}" y="{py0 + 20:.2f}" font-family="sans-serif" '
-            f'font-size="12" text-anchor="middle">{_fmt_tick(xv)}</text>'
+            f'font-size="12" text-anchor="middle">{xv:.6g}</text>'
         )
     for yv in _nice_ticks(y_lo, y_hi, "y"):
         py = sy(yv)
@@ -216,7 +203,7 @@ def line_plot(curves, xlabel: str, ylabel: str, title: str) -> str:
         )
         out.append(
             f'<text x="{px0 - 9:.2f}" y="{py + 4:.2f}" font-family="sans-serif" '
-            f'font-size="12" text-anchor="end">{_fmt_tick(yv)}</text>'
+            f'font-size="12" text-anchor="end">{yv:.6g}</text>'
         )
 
     # axes on top of the grid lines

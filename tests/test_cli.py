@@ -480,10 +480,12 @@ class TestSteadyCommand:
     @pytest.mark.parametrize("omega", ["3.5e153", "9.5e153", "1.3e154"])
     def test_largest_frequencies_exit_0(self, omega, capsys):
         # k = 8 (W+^2 + W-^2) + 16 lambda^2 and w1^2 + w2^2 overflow; the
-        # blocks are solved in scaled units and pass the residual bound
-        assert main(["steady", "--omega", omega]) == 0
-        captured = capsys.readouterr()
-        assert captured.err == "" and "physical,true" in captured.out
+        # blocks are solved in scaled units and pass the residual bound,
+        # down to lambda = 1e-300
+        for lam in ("0.6", "1e-200", "1e-300"):
+            assert main(["steady", "--omega", omega, "--lambda", lam]) == 0
+            captured = capsys.readouterr()
+            assert captured.err == "" and "physical,true" in captured.out
 
     @pytest.mark.parametrize("flags, reason", [
         # omega1*omega2 is the smallest subnormal, so W-^2 rounds to 0, and

@@ -25,7 +25,7 @@ from oscbath import (
     thermal_coth,
     validate,
 )
-from oscbath.dynamics import _drift, _kron_sum
+from oscbath.dynamics import _drift, _kron_sum, _lyapunov_terms
 from oscbath.sweep import (
     FIGURE_IDS, TimeGrid, evolve_trajectory, figure_preset, sweep_parameter,
 )
@@ -557,13 +557,41 @@ class TestSteadyState:
     def test_largest_frequencies_solved(self, omega):
         # 8 (W+^2 + W-^2) overflows from omega = 3.4e153 and w1^2 + w2^2
         # from 9.5e153: the blocks are solved in units scaled by a power of
-        # two near W+. nu = 0.8 is negligible, so sigma_inf is the local
+        # two near W+/2^500, so lambda/mu stays representable down to
+        # lambda = 1e-300. nu = 0.8 is negligible, so sigma_inf is the local
         # thermal state diag(c/w, c w), up to O(nu / omega^2)
-        params = SystemParams(omega, 0.0, 0.8, 0.6, 0.2, 1.0)
-        s = steady_state(params)
-        exact = decoupled_steady(params)
-        scale = np.sqrt(np.outer(np.diag(exact), np.diag(exact)))
-        assert (np.abs(s - exact) <= 1e-15 * scale).all()
+        for lam in (0.6, 1e-200, 1e-300):
+            params = SystemParams(omega, 0.0, 0.8, lam, 0.2, 1.0)
+            s = steady_state(params)
+            exact = decoupled_steady(params)
+            scale = np.sqrt(np.outer(np.diag(exact), np.diag(exact)))
+            assert (np.abs(s - exact) <= 1e-15 * scale).all(), lam
+
+    def test_residual_terms_match_the_matrix_products(self):
+        # the one function behind the residual check: on S with the drift's
+        # entries it is the upper triangle of M S + S M^T + 2 D, and on |S|
+        # with their magnitudes that of |M| |S| + |S| |M|^T + 2 |D|, each
+        # within a few ulp of the magnitude entry. S is symmetric with
+        # entries of either sign from 1e-5 to 1e5, so the residual's terms
+        # cancel
+        rng = np.random.default_rng(4711)
+        upper = np.triu_indices(4)
+        layout = (0, 0, 1, 2, 2, 3, 0, 0, 1, 1), (0, 1, 1, 2, 3, 3, 2, 3, 2, 3)
+        for _ in range(500):
+            params = random_valid_params(rng)
+            lam = params.lambda_ * 10.0 ** rng.uniform(-3, 3)
+            params = dataclasses.replace(params, lambda_=lam)
+            s = np.triu(rng.choice([-1.0, 1.0], (4, 4)) * 10.0 ** rng.uniform(-5, 5, (4, 4)))
+            s = s + np.triu(s, 1).T
+            m, d = build_drift(params), 2.0 * build_diffusion(params)
+            w1_sq, w2_sq = (w * w for w in mode_frequencies(params))
+            nu = params.nu
+            residual = _lyapunov_terms(s[layout], -lam, -2.0 * lam, -w1_sq, -w2_sq, -nu, d)
+            bound = _lyapunov_terms(np.abs(s[layout]), lam, 2.0 * lam, w1_sq, w2_sq, abs(nu), d)
+            magnitude = (np.abs(m) @ np.abs(s) + np.abs(s) @ np.abs(m).T + np.diag(d))[upper]
+            tol = 4 * 2.0 ** -52 * magnitude
+            assert (np.abs(residual - (m @ s + s @ m.T + np.diag(d))[upper]) <= tol).all()
+            assert (np.abs(bound - magnitude) <= tol).all()
 
     @pytest.mark.parametrize("params, message", [
         # p = c w = 2 T overflows, so the solve is NaN; the residual test
@@ -571,6 +599,8 @@ class TestSteadyState:
         (SystemParams(10.0, 0.0, 0.8, 0.6, 1e308, 1.0), "steady state left the float range"),
         (SystemParams(1.0, 0.0, 0.8, 0.6, 1e308, 1.0), "coth"),
         (SystemParams(1.0, 0.0, 0.0, 1.7976931348623157e308, 0.2, 1.0), "2[*]lambda"),
+        # the scaled mode solve's lambda/mu underflows to 0
+        (SystemParams(3.5e153, 0.0, 0.8, 5e-324, 0.2, 1.0), "lambda/W underflows to 0"),
     ])
     def test_beyond_float_range_raises_out_of_range(self, params, message):
         assert validate(params).ok

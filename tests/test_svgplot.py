@@ -5,8 +5,9 @@ by the per-point formatter that the array-built polylines replaced; the
 fixture curves include NaN and infinite y values, a constant curve and
 seven curves, so the six-colour palette wraps. Rewrite it only when a
 change of the plot is intended. The polylines of all 15 figure presets
-are compared in-process with the per-curve ``%`` template of
-``helpers.template_points``, and each coordinate's text with ``"%.2f"``.
+and of seeded plots of extreme data are compared in-process with the
+per-curve ``%`` template of ``helpers.template_points``, and each
+coordinate's text with ``"%.2f"``.
 """
 
 import math
@@ -121,14 +122,24 @@ def test_length_mismatch_raises():
 
 
 # Pixel coordinates whose "%.2f" text is easy to get wrong: exact ties m/8,
-# the floats next to x.xx5, 0.0 and the neighbours of 1000, and values that
-# take the fallback (-0.0, negative, 1000 and above, non-finite).
-_EIGHTHS = st.integers(0, 8 * 1000 - 1).map(lambda m: m / 8)
+# the floats next to x.xx5, the smallest floats and the neighbours of 1000.
+# All lie in (0, 1000), where line_plot puts every pixel.
+_EIGHTHS = st.integers(1, 8 * 1000 - 1).map(lambda m: m / 8)
 _NEAR_HALF = st.builds(lambda m, to: math.nextafter((m + 0.5) / 100, to),
                        st.integers(0, 99999), st.sampled_from([0.0, 1000.0, math.inf]))
-_EDGES = st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 1000.0, math.nextafter(1000.0, 0.0),
-                          999.995, 999.994999, 1000.5, 1e300, -1e300, math.nan, math.inf])
-_COORDINATE = st.one_of(st.floats(0.0, 1000.0), st.floats(), _EIGHTHS, _NEAR_HALF, _EDGES)
+_EDGES = st.sampled_from([5e-324, 1e-300, 0.005, 0.004999, math.nextafter(1000.0, 0.0),
+                          999.995, 999.994999])
+_COORDINATE = st.one_of(st.floats(0.0, 1000.0, exclude_min=True, exclude_max=True),
+                        _EIGHTHS, _NEAR_HALF, _EDGES)
+
+
+def _extreme_values(rng, n):
+    """n floats at one of a few random magnitudes from 1e-300 to 1e300, all
+    equal a quarter of the time."""
+    if rng.random() < 0.25:
+        return np.full(n, rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-300, 300))
+    return (rng.choice([-1.0, 0.0, 1.0]) * 10.0 ** rng.uniform(-300, 300)
+            + rng.standard_normal(n) * 10.0 ** rng.uniform(-300, 300))
 
 
 class TestPoints:
@@ -142,6 +153,36 @@ class TestPoints:
         for curve, text in zip(curves, got):
             assert [p for p in text.split(" ") if p] == [
                 f"{x:.2f},{y:.2f}" for x, y in curve.tolist()]
+
+    def test_extreme_data_matches_template(self, monkeypatch):
+        # line_plot maps every kept point into its plot box, so _points needs
+        # no fallback: on magnitudes from 1e-300 to 1e300, non-finite ys and
+        # constant curves it gives the bytes of the % template, or both
+        # raise the same ValueError
+        rng = np.random.default_rng(2027)
+        plots = []
+        for _ in range(1000):
+            curves = []
+            for k in range(rng.integers(1, 4)):
+                n = int(rng.integers(1, 12))
+                ys = _extreme_values(rng, n)
+                ys[rng.random(n) < 0.15] = rng.choice([math.nan, math.inf, -math.inf])
+                curves.append((str(k), _extreme_values(rng, n), ys))
+            plots.append(curves)
+
+        def outcomes():
+            results = []
+            for curves in plots:
+                try:
+                    results.append(line_plot(curves, **_LABELS))
+                except ValueError as exc:
+                    results.append(repr(exc))
+            return results
+
+        got = outcomes()
+        monkeypatch.setattr(svgplot, "_points", template_points)
+        assert got == outcomes()
+        assert sum(text.startswith("<svg") for text in got) >= 750
 
     def test_presets_match_template(self, monkeypatch):
         plots = []
