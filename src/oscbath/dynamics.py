@@ -21,8 +21,13 @@ differential form cross-checks the closed form. :func:`mat_exp`, a Pade-13
 exponential of one matrix at one time, is independent of both; the package
 never calls it, and the tests use it as an oracle.
 
-All functions are pure; different time points or parameter sets may be
-evaluated concurrently with no shared state.
+All functions are pure. The one shared state is a single slot holding the
+last steady-state solve that passed its checks, keyed on the identity of
+its :class:`SystemParams` object, so that :func:`propagate` reuses the
+solve :func:`steady_state` just made for the same object. It is replaced
+by a single assignment and read through a local reference, so different
+time points or parameter sets may be evaluated concurrently, and no
+result depends on it: a hit returns the solve the same object gave.
 """
 
 from __future__ import annotations
@@ -367,15 +372,31 @@ def steady_state(params: SystemParams) -> np.ndarray:
     W+^2, the solution or the residual leaves the float range (a residual
     or bound that is not finite, NaN included), and when W-^2 + lambda^2
     underflows to 0 (omega1*omega2 subnormal and lambda below 1e-162).
+    Each call returns a fresh array, which the caller may write into.
     """
-    return _steady_solve(params)[2]
+    return _full(_steady_solve(params)[2])
+
+
+# (params, solve) of the last _steady_solve that passed its checks; the
+# initial key is an object no caller passes
+_solved = (object(), None)
 
 
 def _steady_solve(params: SystemParams):
     """Validate ``params``, require a steady state and solve it: the
     :func:`_normal_modes`, sigma_inf's mode blocks in the layout of
-    :func:`_rotate_blocks` and the checked lab matrix of :func:`steady_state`.
-    The residual and its bound are :func:`_lyapunov_terms` on S and on |S|."""
+    :func:`_rotate_blocks` and its checked lab blocks (s00, s01, s11, s22,
+    s23, s33, s02, s03, s12, s13). The residual and its bound are
+    :func:`_lyapunov_terms` on S and on |S|.
+
+    The same ``params`` object as the last solve returns that solve again,
+    which passed every check. The key is the object, not its value: sets
+    that compare equal, such as nu = 0.0 and nu = -0.0, can differ in the
+    signs of zeros. A refused set raises on every call."""
+    global _solved
+    solved = _solved
+    if solved[0] is params:
+        return solved[1]
     require_valid(params)
     lam = params.lambda_
     if lam == 0.0:
@@ -413,7 +434,9 @@ def _steady_solve(params: SystemParams):
                 f"steady-state residual {residual:g} exceeds {bound:g} (system near-singular)")
         raise OutOfRange(
             f"steady state left the float range (residual {residual:g}, bound {bound:g})")
-    return modes, blocks, _full(lab)
+    solve = modes, blocks, lab
+    _solved = params, solve
+    return solve
 
 
 def propagate(sigma0, params: SystemParams, t: float | np.ndarray) -> np.ndarray:
@@ -426,7 +449,9 @@ def propagate(sigma0, params: SystemParams, t: float | np.ndarray) -> np.ndarray
     scalar, giving one 4x4 matrix from Python-float arithmetic, or a 1-D
     array of N times, giving an (N, 4, 4) stack from one steady-state solve
     and the same formula on (N,) columns; each slice equals the scalar call
-    bit for bit. At t = 0 the result is sigma0's symmetric part exactly,
+    bit for bit. The solve is the one the last solve made, such as a
+    :func:`steady_state` call just before, where that had the same
+    ``params`` object. At t = 0 the result is sigma0's symmetric part exactly,
     and where e^{-lambda t} underflows to 0, sigma_inf exactly. Every set
     :func:`validate` accepts is taken: at lambda = 0 sigma_inf's blocks are
     0 and no steady state is solved, and at |nu| = omega1*omega2 the lower
@@ -446,9 +471,9 @@ def propagate(sigma0, params: SystemParams, t: float | np.ndarray) -> np.ndarray
     r0, r1, r2, r3 = check_covariance(sigma0).tolist()
     if params.lambda_ == 0.0:  # no damping, no diffusion: e^{-lambda t} = 1
         require_valid(params)
-        (rot, lo_sq, hi_sq), blocks, s_inf = _normal_modes(params), (0.0,) * 10, None
+        (rot, lo_sq, hi_sq), blocks, lab_inf = _normal_modes(params), (0.0,) * 10, None
     else:
-        (rot, lo_sq, hi_sq), blocks, s_inf = _steady_solve(params)
+        (rot, lo_sq, hi_sq), blocks, lab_inf = _steady_solve(params)
     w = (math.sqrt(lo_sq), math.sqrt(hi_sq))
     if w[0] == 0.0 and abs(params.nu) != coupling_bound(params):
         raise OutOfRange(
@@ -478,7 +503,9 @@ def propagate(sigma0, params: SystemParams, t: float | np.ndarray) -> np.ndarray
             raise OutOfRange(
                 f"propagated covariance left the float range (t up to {t.max():g}): "
                 "the mode phase overflowed while e^(-lambda t) stayed above 0")
-        out[damp == 0.0] = s_inf
+        settled = damp == 0.0
+        if settled.any():
+            out[settled] = _full(lab_inf)
         out[t == 0.0] = _full(lab0)
         if not np.isfinite(out).all():
             # mode-basis values reach twice the lab ones: evaluate again with

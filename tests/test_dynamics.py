@@ -438,6 +438,22 @@ def bits(a) -> bytes:
     return np.asarray(a, dtype=float).tobytes()
 
 
+@pytest.fixture
+def solves(monkeypatch):
+    """Counts steady-state solves as calls of ``_normal_modes``, one per
+    solve (propagate's lambda = 0 route calls it too, without a solve)."""
+    import oscbath.dynamics as dynamics
+    count = [0]
+    inner = dynamics._normal_modes
+
+    def counting(params):
+        count[0] += 1
+        return inner(params)
+
+    monkeypatch.setattr(dynamics, "_normal_modes", counting)
+    return count
+
+
 @st.composite
 def scan_box_problems(draw):
     # scan's parameter box, with the edges drawn on purpose: epsilon = 0,
@@ -545,6 +561,38 @@ class TestSteadyState:
     def test_zero_dissipation_rejected(self):
         with pytest.raises(SteadyStateUnavailable):
             steady_state(dataclasses.replace(FIG1A, lambda_=0.0))
+
+    @pytest.mark.parametrize("refused, error", [
+        (dataclasses.replace(FIG1A, lambda_=0.0), SteadyStateUnavailable),
+        (SystemParams(10.0, 0.0, 0.8, 0.6, 1e308, 1.0), OutOfRange),
+    ])
+    def test_refused_set_raises_again_and_keeps_the_last_solve(self, solves, refused, error):
+        params = dataclasses.replace(FIG1A)
+        expected = bits(steady_state(params))
+        messages = []
+        for _ in range(2):
+            with pytest.raises(error) as info:
+                steady_state(refused)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+        count = solves[0]
+        assert bits(steady_state(params)) == expected
+        assert bits(propagate(np.eye(4), params, 1e300)) == expected
+        assert solves[0] == count
+
+    def test_signed_zero_coupling_keeps_its_own_bits(self):
+        # nu = 0.0 and -0.0 compare and hash equal, yet give zeros of
+        # opposite sign, so a solve is reused only for the same object
+        plus = SystemParams(1.0, 0.5, 0.0, 0.6, 0.2, 1.0)
+        minus = dataclasses.replace(plus, nu=-0.0)
+        assert plus == minus and hash(plus) == hash(minus)
+        sigma0 = initial_squeezed_vacuum(plus.r)
+        first = [bits(steady_state(p)) for p in (plus, minus)]
+        assert first[0] != first[1]
+        for _ in range(2):
+            for params, expected in zip((plus, minus), first):
+                assert bits(steady_state(params)) == expected
+                assert bits(propagate(sigma0, params, 1e300)) == expected
 
     @pytest.mark.parametrize("params", marginal_sets()[1::2])
     def test_marginal_coupling_solved(self, params):
@@ -814,6 +862,31 @@ class TestPropagate:
         for t, s in zip(times, stack):
             assert np.array_equal(s, propagate(sigma0, FIG1A, float(t)))
 
+    def test_reused_solve_gives_the_same_bits(self):
+        # one object solves once for all its calls; an equal new object per
+        # call solves every time
+        sigma0 = initial_squeezed_vacuum(FIG4.r)
+        times = np.array([0.0, 0.7, 3.1, 1e300])
+
+        def outputs(params):
+            return [bits(steady_state(params())),
+                    *(bits(propagate(sigma0, params(), t)) for t in (1.3, 1e300, times))]
+
+        shared = dataclasses.replace(FIG4)
+        reused = outputs(lambda: shared)
+        assert reused == outputs(lambda: dataclasses.replace(FIG4))
+        # sigma_inf exactly where e^{-lambda t} underflows, last row included
+        assert reused[2] == reused[0] == reused[3][-128:]
+
+    def test_writing_into_the_steady_state_changes_no_later_result(self):
+        params = dataclasses.replace(FIG1A)
+        s = steady_state(params)
+        expected = bits(s)
+        s[:] = 7.0
+        assert bits(steady_state(params)) == expected
+        assert bits(propagate(np.eye(4), params, 1e300)) == expected
+        assert bits(propagate(np.eye(4), params, np.array([1e300]))) == expected
+
 
 class TestOdeOracle:
     def test_time_zero_returns_initial(self):
@@ -981,7 +1054,10 @@ class TestRandomParameterGrid:
 
 class TestValidateOnce:
     """Each public call validates its parameters at most twice: the private
-    drift and diffusion cores behind it do not re-validate."""
+    drift and diffusion cores behind it do not re-validate, and propagate
+    reuses the steady-state solve steady_state made for the same object, so
+    a scan-style call validates and solves once. Each test passes its own
+    parameter object, which no earlier solve can have left in that slot."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -1000,16 +1076,17 @@ class TestValidateOnce:
                 monkeypatch.setattr(module, "validate", counting)
         return count
 
-    def test_scan_style_call(self, calls):
-        s_inf = steady_state(FIG1A)
+    def test_scan_style_call(self, calls, solves):
+        params = dataclasses.replace(FIG1A)
+        s_inf = steady_state(params)
         full_report(s_inf)
-        s = propagate(initial_squeezed_vacuum(FIG1A.r), FIG1A, 1.5)
+        s = propagate(initial_squeezed_vacuum(params.r), params, 1.5)
         full_report(s)
-        assert calls[0] <= 2
+        assert calls[0] == 1 and solves[0] == 1
 
     @pytest.mark.parametrize("integrator", ["closed", "rk4"])
     def test_evolve_trajectory(self, calls, integrator):
-        evolve_trajectory(FIG1A, TimeGrid(0.0, 1.0, 11), integrator)
+        evolve_trajectory(dataclasses.replace(FIG1A), TimeGrid(0.0, 1.0, 11), integrator)
         assert 1 <= calls[0] <= 2
 
     def test_sweep_parameter(self, calls):
