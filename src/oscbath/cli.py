@@ -2,10 +2,10 @@
 
 CSV is the canonical output format: UTF-8, comma separated, LF endings,
 '#'-prefixed metadata comments, then a header row. Every metadata comment
-records the complete parameter set, grid, integrator, log base and
-threshold needed to reproduce the file. Floating values are printed with
-12 significant digits (or as hex floats with --hex-floats for bit-exact
-regression comparisons), -0.0 as 0.
+records the complete parameter set, grid, integrator, log base and (for
+figure) threshold needed to reproduce the file. Floating values are
+printed with 12 significant digits (or as hex floats with --hex-floats for
+bit-exact regression comparisons), -0.0 as 0.
 
 Every command formats its floats a whole table at a time (``_csv_text``),
 byte for byte the same as ``%#.12g`` (or ``float.hex``) of each value plus
@@ -23,7 +23,8 @@ the time and observable columns to :func:`~oscbath.svgplot.line_plot` as
 arrays. The argument parser is built once, at import.
 
 The library reports log negativity and discord in nats; ``--log-base 2``
-converts them to bits at output, and ``--threshold`` is read in that unit.
+converts them to bits at output, and ``figure --threshold`` is read in
+that unit.
 
 Exit codes: 0 success, 1 domain error, unwritable output or too little
 memory for the grid, 2 usage error.
@@ -267,10 +268,9 @@ def build_parser() -> argparse.ArgumentParser:
     _output_flags(p_fig)
     p_fig.add_argument("--out", required=True, help="output directory")
 
-    for p in (p_evo, p_fig):  # steady reports no trajectory to scan
-        p.add_argument("--threshold", type=_finite_float, default=SUDDEN_DEATH_THRESHOLD,
+    p_fig.add_argument("--threshold", type=_finite_float, default=SUDDEN_DEATH_THRESHOLD,
                        help="sudden-death threshold on log negativity (finite, "
-                            "in the --log-base unit)")
+                            "in the --log-base unit)")  # only figure scans for it
     return parser
 
 
@@ -303,12 +303,14 @@ def _meta_params(params: SystemParams) -> str:
 def _trajectory_csv(traj, args, extra_meta: str = "") -> str:
     hex_floats = args.hex_floats
     dt = getattr(args, "dt", 1e-3)
+    threshold = getattr(args, "threshold", None)  # figure's only
     meta = (
         f"# oscbath evolve {_meta_params(traj.params)} "
         f"t_start={traj.grid.t_start!r} t_end={traj.grid.t_end!r} "
         f"points={traj.grid.n_points} integrator={traj.integrator} "
-        f"dt={dt!r} log_base={args.log_base} threshold={args.threshold!r} "
-        f"float_format={'hex' if hex_floats else 'dec12'}"
+        f"dt={dt!r} log_base={args.log_base} "
+        + ("" if threshold is None else f"threshold={threshold!r} ")
+        + f"float_format={'hex' if hex_floats else 'dec12'}"
     )
     if extra_meta:
         meta += " " + extra_meta

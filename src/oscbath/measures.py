@@ -51,12 +51,13 @@ both routes, on the stack for its lowest such row.
 
 Each measure formula is written once, as a function of its inputs and a
 namespace ``xp`` of the few operations that differ between one float
-(``_FLOAT``) and an (N,) column (``_COLUMN``). The scalar functions call
-the formulas on floats, test their domains and raise; the batched route
-calls the same formulas on columns, masks the rows outside a domain, and
-replays the lowest row that would raise through the scalar functions, so
-the error and its message are the same. No option selects the route;
-single matrices always use the scalar functions. Both routes take numpy's
+(``_FLOAT``) and an (N,) column (``_COLUMN``). The scalar route is
+:func:`invariants` and :func:`report_from_data`, which call the formulas on
+floats, test their domains and raise; the batched route calls the same
+formulas on columns, masks the rows outside a domain, and replays the
+lowest row that would raise through :func:`report_from_data`, so the error
+and its message are the same. No option selects the route; single matrices
+always take the scalar route. Both routes take numpy's
 log and write powers as products, so the batched route runs no Python per
 element. numpy's SIMD log, like the propagator's exp, cos and sin, may
 differ between CPUs in the last bit; on one machine the routes agree.
@@ -81,10 +82,7 @@ __all__ = [
     "CorrelationReport",
     "invariants",
     "check_physical",
-    "purity",
-    "log_negativity",
     "f_entropy",
-    "gaussian_discord",
     "full_report",
     "report_from_data",
 ]
@@ -739,31 +737,6 @@ def check_physical(data: SymplecticData) -> bool:
     return data.nu_minus >= 1.0 - _PHYSICAL_TOL
 
 
-def purity(data: SymplecticData) -> float:
-    """Purity mu = 1 / (nu_plus * nu_minus); 1 for pure states.
-
-    Equals 1/sqrt(det sigma) for any state with a positive spectrum;
-    raises :class:`NonPhysicalInput` when ``data`` breaks that identity
-    (a spectrum inconsistent with its determinants).
-    """
-    mu, contradicts = _purity(_FLOAT, data.nu_minus, data.nu_plus, data.i4)
-    if contradicts:
-        raise NonPhysicalInput(f"purity {mu:g} contradicts det sigma = {data.i4:g}")
-    return mu
-
-
-def log_negativity(data: SymplecticData) -> float:
-    """Entanglement monotone max{0, -log(nu_tilde_minus)}, in nats.
-
-    Positive iff the partially transposed state violates the uncertainty
-    relation; exactly 0.0 for separable states.
-    """
-    ntm = data.nu_tilde_minus
-    if ntm <= 0.0:
-        return math.inf
-    return _log_negativity(_FLOAT, ntm)
-
-
 def f_entropy(x: float) -> float:
     """Bosonic entropy f(x) = (x+1)/2 log((x+1)/2) - (x-1)/2 log((x-1)/2).
 
@@ -780,60 +753,43 @@ def f_entropy(x: float) -> float:
     return _f_entropy(_FLOAT, x)
 
 
-def gaussian_discord(data: SymplecticData) -> tuple[float, str]:
-    """Gaussian quantum discord of a physical two-mode state, mode 2 measured.
+def report_from_data(data: SymplecticData) -> CorrelationReport:
+    """Purity, log negativity and Gaussian discord of a precomputed spectrum.
 
-    Evaluates the closed form
+    Purity is mu = 1 / (nu_plus * nu_minus), 1 for pure states; a spectrum
+    that breaks mu = 1/sqrt(det sigma) raises :class:`NonPhysicalInput`.
+    Log negativity is max{0, -log(nu_tilde_minus)}, inf where
+    nu_tilde_minus <= 0. The discord, mode 2 measured, is the closed form
 
         D = f(sqrt(I2)) - f(nu_minus) - f(nu_plus) + f(sqrt(zeta)),
 
-    where zeta is the optimal measurement variance, chosen between two
-    algebraic branches by the sign of (I4 - I1*I2)^2 - (I2+1)*I3^2*(I1+I4).
-    Returns ``(discord, branch)`` with branch "first" or "second".
-
-    The closed form is asymmetric under swapping the modes; the discord
-    with mode 1 measured is this function of the mode-swapped state, whose
-    invariants are these with I1 and I2 exchanged.
-
-    The first branch has denominator (I2 - 1)^2 and is singular when mode 2
-    alone is pure (e.g. product states containing the vacuum); such states
-    are evaluated on the second branch, which agrees in the limit.
-
-    In nats; results within -1e-9 nats of zero are clamped to exactly 0.0.
+    with zeta the optimal measurement variance, taken on the branch
+    ("first" or "second", reported as ``zeta_branch``) chosen by the sign of
+    (I4 - I1*I2)^2 - (I2+1)*I3^2*(I1+I4). The first branch has denominator
+    (I2 - 1)^2 and is singular when mode 2 alone is pure (e.g. a product
+    with the vacuum); such states take the second, equal in the limit. For
+    mode 1 measured, pass the mode-swapped state: I1 and I2 exchanged.
+    Results within -1e-9 nats of zero are clamped to 0.0. Where I2 <= 0 or
+    an :func:`f_entropy` argument is below 1 - 1e-8, the closed form is
+    undefined: the discord is NaN and the branch None.
     """
     i1, i2, i3, i4 = data.i1, data.i2, data.i3, data.i4
-    if i2 <= 0.0:
-        raise DomainError(f"measured-mode determinant must be positive (got {i2})")
-
-    first = _first_branch(_FLOAT, i1, i2, i3, i4)
-    zeta = (_zeta_first if first else _zeta_second)(_FLOAT, i1, i2, i3, i4)
-    discord = _discord(
-        _FLOAT,
-        f_entropy(math.sqrt(i2)),
-        f_entropy(data.nu_minus),
-        f_entropy(data.nu_plus),
-        f_entropy(math.sqrt(_FLOAT.nonneg(zeta))),
-    )
-    return discord, "first" if first else "second"
-
-
-def report_from_data(data: SymplecticData) -> CorrelationReport:
-    """Assemble a :class:`CorrelationReport` from a precomputed spectrum."""
-    physical = check_physical(data)
-    mu = purity(data)
-    en = log_negativity(data)
-    try:
-        discord, branch = gaussian_discord(data)
-    except DomainError:
-        # Too far from physical for the closed form; report and flag.
-        discord, branch = float("nan"), None
-    return CorrelationReport(
-        purity=mu,
-        log_negativity=en,
-        discord=discord,
-        physical=physical,
-        zeta_branch=branch,
-    )
+    mu, contradicts = _purity(_FLOAT, data.nu_minus, data.nu_plus, i4)
+    if contradicts:
+        raise NonPhysicalInput(f"purity {mu:g} contradicts det sigma = {i4:g}")
+    ntm = data.nu_tilde_minus
+    en = math.inf if ntm <= 0.0 else _log_negativity(_FLOAT, ntm)
+    discord, branch = math.nan, None
+    if not i2 <= 0.0:  # a NaN I2 goes on to a NaN discord on a branch
+        first = _first_branch(_FLOAT, i1, i2, i3, i4)
+        zeta = (_zeta_first if first else _zeta_second)(_FLOAT, i1, i2, i3, i4)
+        try:
+            discord = _discord(_FLOAT, f_entropy(math.sqrt(i2)), f_entropy(data.nu_minus),
+                               f_entropy(data.nu_plus), f_entropy(math.sqrt(_FLOAT.nonneg(zeta))))
+            branch = "first" if first else "second"
+        except DomainError:  # an entropy argument below 1 - 1e-8
+            pass
+    return CorrelationReport(mu, en, discord, check_physical(data), branch)
 
 
 def full_report(sigma) -> CorrelationReport:

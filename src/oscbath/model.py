@@ -46,6 +46,9 @@ class SystemParams:
         lambda_: dissipation rate, >= 0.
         temperature: bath temperature, >= 0.
         r: squeezing of the initial two-mode squeezed vacuum, >= 0.
+
+    Every field is stored as a Python float, so numpy scalars overflow and
+    raise as Python floats do, with no RuntimeWarning.
     """
 
     omega: float
@@ -54,6 +57,10 @@ class SystemParams:
     lambda_: float
     temperature: float
     r: float
+
+    def __post_init__(self):
+        for name in ("omega", "epsilon", "nu", "lambda_", "temperature", "r"):
+            object.__setattr__(self, name, float(getattr(self, name)))
 
 
 @dataclass(frozen=True)

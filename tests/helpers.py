@@ -52,7 +52,7 @@ def swap_modes(sigma: np.ndarray) -> np.ndarray:
 
     The swap exchanges the block determinants I1 and I2 exactly and keeps
     I3 and I4, so the discord with mode 1 measured is
-    ``gaussian_discord(invariants(swap_modes(sigma)))``.
+    ``report_from_data(invariants(swap_modes(sigma))).discord``.
     """
     order = [2, 3, 0, 1]
     return np.asarray(sigma, dtype=float)[np.ix_(order, order)]

@@ -26,7 +26,7 @@ from oscbath import (
     mode_frequencies,
     ode_oracle,
     propagate,
-    purity,
+    report_from_data,
     steady_state,
     thermal_coth,
 )
@@ -158,12 +158,12 @@ def test_criterion_5_physicality_along_presets(preset_trajectories):
 def test_criterion_6_unitary_purity_conservation():
     params = dataclasses.replace(FIG1A, lambda_=0.0)
     sigma0 = initial_squeezed_vacuum(params.r)
-    mu0 = purity(invariants(sigma0))
+    mu0 = full_report(sigma0).purity
     drift = 0.0
     sigma = sigma0
     for _ in range(10):
         sigma = ode_oracle(sigma, params, 1.0, 1e-3)
-        drift = max(drift, abs(purity(invariants(sigma)) - mu0))
+        drift = max(drift, abs(full_report(sigma).purity - mu0))
     assert drift <= 1e-9
     print(f"PASS criterion 6: purity drift {drift:.2e} (bound 1e-9) over "
           f"t in [0, 10] with lambda = 0 on the RK4 path")
@@ -266,7 +266,7 @@ def test_criterion_11_measure_self_consistency():
         root = math.sqrt(data.i4)
         rel = abs(data.nu_minus * data.nu_plus - root) / root
         assert rel <= 1e-9
-        rel_p = abs(purity(data) - 1.0 / root) * root
+        rel_p = abs(report_from_data(data).purity - 1.0 / root) * root
         assert rel_p <= 1e-9
         worst_rel = max(worst_rel, rel, rel_p)
 

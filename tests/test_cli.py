@@ -253,8 +253,9 @@ class TestEvolveCommand:
         meta = parse_csv(out.read_text())[0][0]
         for key in ("omega=", "epsilon=", "nu=", "lambda=", "temperature=",
                     "r=", "t_start=", "t_end=", "points=", "integrator=",
-                    "dt=", "log_base=", "threshold="):
+                    "dt=", "log_base="):
             assert key in meta
+        assert "threshold=" not in meta  # evolve does not scan for sudden death
 
     def test_vacuum_stays_product(self, tmp_path):
         out = tmp_path / "run.csv"
@@ -366,7 +367,11 @@ class TestEvolveCommand:
         with pytest.raises(SystemExit) as exc:
             main([*argv, "--out", str(out), f"--threshold={threshold}"])
         assert exc.value.code == 2
-        assert "--threshold: must be a finite number" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        if command == "figure":
+            assert "--threshold: must be a finite number" in err
+        else:  # evolve takes no threshold at all
+            assert f"unrecognized arguments: --threshold={threshold}" in err
         assert not out.exists()  # rejected before any work
 
     def test_steady_has_no_threshold(self, capsys):
@@ -561,6 +566,33 @@ class TestFigureCommand:
         monkeypatch.setattr(oscbath.cli, "figure_preset", lambda _: preset)
         assert main(["figure", "fig2c", "--out", str(tmp_path)]) == 0
         assert after_squeezing_warning(capsys.readouterr().err, "5.0") == ""
+
+    def test_invalid_sweep_value_is_skipped(self, monkeypatch, tmp_path, capsys):
+        preset = dataclasses.replace(figure_preset("fig1a"), values=(0.1, -1.0),
+                                     grid=TimeGrid(0.0, 1.0, 3))
+        monkeypatch.setattr(oscbath.cli, "figure_preset", lambda _: preset)
+        assert main(["figure", "fig1a", "--out", str(tmp_path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "skipping temperature=-1: temperature must be finite and >= 0 (got -1.0)\n")
+        assert captured.out == f"wrote 1 CSV files and fig1a.svg to {tmp_path}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "fig1a.svg", "fig1a_temperature=0.1.csv"]
+        assert (tmp_path / "fig1a.svg").read_text().count("<polyline") == 1
+
+    def test_no_valid_sweep_value_exits_1(self, monkeypatch, tmp_path, capsys):
+        preset = dataclasses.replace(figure_preset("fig1a"), values=(-1.0, -2.0),
+                                     grid=TimeGrid(0.0, 1.0, 3))
+        monkeypatch.setattr(oscbath.cli, "figure_preset", lambda _: preset)
+        assert main(["figure", "fig1a", "--out", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "skipping temperature=-1: temperature must be finite and >= 0 (got -1.0)",
+            "skipping temperature=-2: temperature must be finite and >= 0 (got -2.0)",
+            "error: no valid curves produced",
+        ]
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
 
     def test_unknown_figure_exits_2(self):
         with pytest.raises(SystemExit) as exc:

@@ -20,12 +20,11 @@ from oscbath import (
     mode_frequencies,
     ode_oracle,
     propagate,
-    purity,
     steady_state,
     thermal_coth,
     validate,
 )
-from oscbath.dynamics import _drift, _kron_sum, _lyapunov_terms
+from oscbath.dynamics import _drift, _kron_sum, _lyapunov_terms, _mode_block
 from oscbath.sweep import (
     FIGURE_IDS, TimeGrid, evolve_trajectory, figure_preset, sweep_parameter,
 )
@@ -580,6 +579,21 @@ class TestSteadyState:
         assert bits(propagate(np.eye(4), params, 1e300)) == expected
         assert solves[0] == count
 
+    def test_near_singular_solve_refused_on_every_call(self, monkeypatch):
+        # no accepted set is known to miss the residual bound, so a mode
+        # block off by a relative 1e-6 stands in for one; a fresh object
+        # keeps the last solve from answering
+        def perturbed(*args):
+            xx, xp, px, pp = _mode_block(*args)
+            return xx * (1.0 + 1e-6), xp, px, pp
+
+        monkeypatch.setattr("oscbath.dynamics._mode_block", perturbed)
+        params = dataclasses.replace(FIG1A)
+        for _ in range(2):
+            with pytest.raises(SteadyStateUnavailable, match=(
+                    r"^steady-state residual \S+ exceeds \S+ \(system near-singular\)$")):
+                steady_state(params)
+
     def test_signed_zero_coupling_keeps_its_own_bits(self):
         # nu = 0.0 and -0.0 compare and hash equal, yet give zeros of
         # opposite sign, so a solve is reused only for the same object
@@ -930,9 +944,9 @@ class TestOdeOracle:
     def test_purity_conserved_without_dissipation(self, nu):
         params = dataclasses.replace(FIG1A, lambda_=0.0, nu=nu)
         sigma0 = initial_squeezed_vacuum(1.0)
-        mu0 = purity(invariants(sigma0))
+        mu0 = full_report(sigma0).purity
         s = ode_oracle(sigma0, params, 10.0, 1e-3)
-        assert abs(purity(invariants(s)) - mu0) <= 1e-9
+        assert abs(full_report(s).purity - mu0) <= 1e-9
 
     def test_marginal_coupling_supported(self):
         params = dataclasses.replace(FIG1A, nu=1.0)

@@ -10,15 +10,17 @@ from oscbath import (
     check_physical,
     f_entropy,
     full_report,
-    gaussian_discord,
     initial_squeezed_vacuum,
     invariants,
-    log_negativity,
-    purity,
     report_from_data,
 )
 from oscbath.measures import _FLOAT, _zeta_first, _zeta_second
 from helpers import random_physical_cov, single_mode_rotations, swap_modes
+
+
+def discord_and_branch(data):
+    report = report_from_data(data)
+    return report.discord, report.zeta_branch
 
 
 def f_oracle(x):
@@ -96,39 +98,40 @@ class TestPhysicalityAndPurity:
 
     @pytest.mark.parametrize("r", [0.0, 0.5, 1.0, 2.0])
     def test_pure_state_purity(self, r):
-        assert purity(invariants(initial_squeezed_vacuum(r))) == pytest.approx(
+        assert report_from_data(invariants(initial_squeezed_vacuum(r))).purity == pytest.approx(
             1.0, abs=1e-10
         )
 
     def test_thermal_purity(self):
         # both modes at coth(2.5): purity = tanh(2.5)^2
         c = 1.0 / math.tanh(2.5)
-        assert purity(invariants(c * np.eye(4))) == pytest.approx(
+        assert report_from_data(invariants(c * np.eye(4))).purity == pytest.approx(
             0.9734077733168395, rel=1e-12
         )
 
     def test_doubled_vacuum_purity(self):
-        assert purity(invariants(2.0 * np.eye(4))) == pytest.approx(0.25, rel=1e-12)
+        assert report_from_data(invariants(2.0 * np.eye(4))).purity == pytest.approx(
+            0.25, rel=1e-12)
 
     def test_inconsistent_spectrum_rejected(self):
         # nu_plus * nu_minus = 1 but det sigma = 4: no state has this data
         data = SymplecticData(1.0, 1.0, 0.0, 4.0, 2.0, 2.0, 1.0, 1.0, 1.0)
-        with pytest.raises(NonPhysicalInput):
-            purity(data)
+        with pytest.raises(NonPhysicalInput, match="^purity 1 contradicts det sigma = 4$"):
+            report_from_data(data)
 
 
 class TestLogNegativity:
     def test_vacuum_zero(self):
-        assert log_negativity(invariants(np.eye(4))) == 0.0
+        assert report_from_data(invariants(np.eye(4))).log_negativity == 0.0
 
     @pytest.mark.parametrize("r", [0.5, 1.0, 2.0])
     def test_squeezed_vacuum_value(self, r):
-        en = log_negativity(invariants(initial_squeezed_vacuum(r)))
+        en = report_from_data(invariants(initial_squeezed_vacuum(r))).log_negativity
         assert en == pytest.approx(2.0 * r, abs=1e-9)
 
     def test_base_two(self):
         # nats / ln 2 is bits: -log2(nu_tilde_minus), nu_tilde_minus = e^-2r
-        en = log_negativity(invariants(initial_squeezed_vacuum(1.0)))
+        en = report_from_data(invariants(initial_squeezed_vacuum(1.0))).log_negativity
         assert en / math.log(2.0) == pytest.approx(-math.log2(math.exp(-2.0)), rel=1e-12)
 
     def test_zero_at_separability_boundary(self):
@@ -136,10 +139,10 @@ class TestLogNegativity:
         for delta in (1e-3, 1e-6, 1e-9):
             k = 2.0
             r_above = 0.5 * math.log(k / (1.0 + delta))
-            en = log_negativity(invariants(k * initial_squeezed_vacuum(r_above)))
+            en = report_from_data(invariants(k * initial_squeezed_vacuum(r_above))).log_negativity
             assert en == 0.0
             r_below = 0.5 * math.log(k / (1.0 - delta))
-            en = log_negativity(invariants(k * initial_squeezed_vacuum(r_below)))
+            en = report_from_data(invariants(k * initial_squeezed_vacuum(r_below))).log_negativity
             assert 0.0 < en < 2.0 * delta
 
 
@@ -178,18 +181,18 @@ class TestEntropyFunction:
 class TestGaussianDiscord:
     def test_product_state_zero(self):
         sigma = np.diag([2.0, 2.0, 1.5, 1.5])
-        discord, branch = gaussian_discord(invariants(sigma))
+        discord, branch = discord_and_branch(invariants(sigma))
         assert branch == "first"
         assert abs(discord) < 1e-9
 
     def test_vacuum_zero_via_reroute(self):
-        discord, branch = gaussian_discord(invariants(np.eye(4)))
+        discord, branch = discord_and_branch(invariants(np.eye(4)))
         assert discord == 0.0
         assert branch == "second"
 
     @pytest.mark.parametrize("r,tol", [(0.5, 1e-9), (1.0, 1e-9), (2.0, 1e-6)])
     def test_squeezed_vacuum_closed_form(self, r, tol):
-        discord, _ = gaussian_discord(invariants(initial_squeezed_vacuum(r)))
+        discord, _ = discord_and_branch(invariants(initial_squeezed_vacuum(r)))
         assert discord == pytest.approx(f_oracle(math.cosh(2 * r)), abs=tol)
 
     def test_branches_agree_at_pure_states(self):
@@ -204,7 +207,7 @@ class TestGaussianDiscord:
 
     def test_base_two(self):
         # the squeezed vacuum's discord is f(cosh 2r), here in bits
-        discord, _ = gaussian_discord(invariants(initial_squeezed_vacuum(1.0)))
+        discord, _ = discord_and_branch(invariants(initial_squeezed_vacuum(1.0)))
         x = math.cosh(2.0)
         plus, minus = 0.5 * (x + 1.0), 0.5 * (x - 1.0)
         bits = plus * math.log2(plus) - minus * math.log2(minus)
@@ -212,15 +215,15 @@ class TestGaussianDiscord:
 
     def test_mode_swap_symmetric_state(self):
         sigma = initial_squeezed_vacuum(1.0)
-        d2, _ = gaussian_discord(invariants(sigma))
-        d1, _ = gaussian_discord(invariants(swap_modes(sigma)))
+        d2, _ = discord_and_branch(invariants(sigma))
+        d1, _ = discord_and_branch(invariants(swap_modes(sigma)))
         assert d1 == pytest.approx(d2, abs=1e-9)
 
     def test_mode_swap_runs_on_asymmetric_state(self):
         rng = np.random.default_rng(7)
         sigma = random_physical_cov(rng)
         for state in (swap_modes(sigma), sigma):
-            d, branch = gaussian_discord(invariants(state))
+            d, branch = discord_and_branch(invariants(state))
             assert d >= 0.0 and math.isfinite(d)
             assert branch in ("first", "second")
 
@@ -246,7 +249,7 @@ class TestGaussianDiscord:
         assert (swapped.i1, swapped.i2) == (data.i2, data.i1)
         assert (swapped.i3, swapped.i4, swapped.nu_minus, swapped.nu_plus) == (
             data.i3, data.i4, data.nu_minus, data.nu_plus)
-        got, got_branch = gaussian_discord(swapped)
+        got, got_branch = discord_and_branch(swapped)
         assert (got.hex(), got_branch) == (discord, branch)
 
 
@@ -280,7 +283,7 @@ class TestRandomStateProperties:
             prod = data.nu_minus * data.nu_plus
             root = math.sqrt(data.i4)
             assert abs(prod - root) <= 1e-9 * root
-            assert abs(purity(data) - 1.0 / root) <= 1e-9 / root
+            assert abs(report_from_data(data).purity - 1.0 / root) <= 1e-9 / root
             assert data.nu_minus <= data.nu_plus
             assert data.nu_minus >= 1.0 - 1e-9
 

@@ -19,7 +19,9 @@ from oscbath import (
     initial_squeezed_vacuum,
     invariants,
     mode_frequencies,
+    propagate,
     require_valid,
+    steady_state,
     validate,
 )
 from oscbath import measures
@@ -131,6 +133,56 @@ class TestValidate:
     def test_require_valid_raises_with_all_violations(self):
         with pytest.raises(InvalidParameters, match="omega"):
             require_valid(params(omega=-1.0))
+
+
+# Parameter sets whose arithmetic overflows, and the call that meets it:
+# with numpy-scalar fields each raised a bare RuntimeWarning under
+# -W error::RuntimeWarning, where the Python-float set raises an
+# OscbathError or solves. (fields, the ones made numpy scalars, call,
+# the Python-float outcome)
+_NUMPY_SCALAR_CASES = {
+    "propagate_near_marginal_at_1e300": (
+        dict(omega=0.0908290959170482, epsilon=0.011569918144151769,
+             nu=0.008249372466771087, lambda_=0.0,
+             temperature=0.08765693311134024, r=0.18),
+        ("nu",), lambda p: propagate(initial_squeezed_vacuum(0.18), p, 1e300), OutOfRange),
+    "steady_at_large_omega_tiny_lambda": (
+        dict(omega=3.5e153, lambda_=1e-200), ("omega", "lambda_"), steady_state, "ok"),
+    "validate_overflowing_frequencies": (
+        dict(omega=1e300, lambda_=1e300, epsilon=0.5), ("omega", "lambda_"),
+        require_valid, InvalidParameters),
+    "steady_at_huge_lambda": (dict(lambda_=8.9e307), ("lambda_",), steady_state, OutOfRange),
+}
+
+
+def _call_outcome(call, p):
+    """The result's bytes, or the exception's type and message."""
+    try:
+        result = call(p)
+    except Exception as exc:  # noqa: BLE001 - the outcome is compared
+        return type(exc), str(exc)
+    return "ok", None if result is None else np.asarray(result).tobytes()
+
+
+class TestNumpyScalarParams:
+    @pytest.mark.parametrize("case", sorted(_NUMPY_SCALAR_CASES))
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_behaves_like_python_floats(self, case):
+        fields, as_numpy, call, expected = _NUMPY_SCALAR_CASES[case]
+        numpy_fields = {k: np.float64(v) if k in as_numpy else v for k, v in fields.items()}
+        want = _call_outcome(call, params(**fields))
+        assert want[0] is expected
+        assert _call_outcome(call, params(**numpy_fields)) == want
+
+    def test_fields_are_python_floats(self):
+        p = SystemParams(np.float64(1.0), np.float32(0.5), np.int64(0), 1, np.float64(0.2),
+                         np.float16(1.0))
+        assert all(type(getattr(p, f.name)) is float for f in dataclasses.fields(p))
+        assert p == SystemParams(1.0, 0.5, 0.0, 1.0, 0.2, 1.0)
+        # copies of a preset made with replace are converted too
+        for figure in FIGURE_IDS:
+            copy = dataclasses.replace(figure_preset(figure).params, nu=np.float64(0.1))
+            assert type(copy.nu) is float and copy.nu == 0.1
 
 
 class TestCouplingBound:
