@@ -377,6 +377,9 @@ def steady_state(params: SystemParams) -> np.ndarray:
     return _full(_steady_solve(params)[2])
 
 
+# The four entries of 2 D, in the order _steady_solve forms them
+_TWO_D_NAMES = tuple(f"2*lambda*coth(omega{i}/2T){op}omega{i}" for i in (1, 2) for op in "/*")
+
 # (params, solve) of the last _steady_solve that passed its checks; the
 # initial key is an object no caller passes
 _solved = (object(), None)
@@ -432,6 +435,11 @@ def _steady_solve(params: SystemParams):
         if bound < residual < math.inf:
             raise SteadyStateUnavailable(
                 f"steady-state residual {residual:g} exceeds {bound:g} (system near-singular)")
+        for name, entry in zip(_TWO_D_NAMES, d):
+            if entry == math.inf:
+                raise OutOfRange(
+                    f"steady state left the float range: diffusion entry {name} overflows "
+                    f"(lambda = {lam:g}, T = {params.temperature:g})")
         raise OutOfRange(
             f"steady state left the float range (residual {residual:g}, bound {bound:g})")
     solve = modes, blocks, lab

@@ -51,10 +51,11 @@ both routes, on the stack for its lowest such row.
 
 Each measure formula is written once, as a function of its inputs and a
 namespace ``xp`` of the few operations that differ between one float
-(``_FLOAT``) and an (N,) column (``_COLUMN``). The scalar route is
+(``_FLOAT``) and an array of columns (``_COLUMN``). The scalar route is
 :func:`invariants` and :func:`report_from_data`, which call the formulas on
 floats, test their domains and raise; the batched route calls the same
-formulas on columns, masks the rows outside a domain, and replays the
+formulas on (N,) columns, or on (k, N) stacks of like columns, since every
+formula is elementwise, masks the rows outside a domain, and replays the
 lowest row that would raise through :func:`report_from_data`, so the error
 and its message are the same. No option selects the route; single matrices
 always take the scalar route. Both routes take numpy's
@@ -205,10 +206,16 @@ def _exact_stack(sigmas: np.ndarray) -> np.ndarray:
 # A double-double is a pair (hi, lo) of arrays standing for hi + lo. Each
 # value below also carries a magnitude A, the same polynomial evaluated on
 # |entries|. The ops add at most 3.1 u^2 (sum) and 8.1 u^2 (product) of the
-# operand magnitudes to the error (u = 2**-53), so the deepest value, rad,
-# is within 33 u^2 A of exact; _DD_ERROR = 128 u^2 leaves room for the
-# rounding of A itself. Nonzero entries in [2**-200, 2**200] keep every
-# product, error term and bound in the normal float range.
+# operand magnitudes to the error (u = 2**-53). Relative to A: the minors
+# (I1, I2, I3) are within 3.1 u^2, the six Laplace terms within
+# 3.1 + 3.1 + 8.1 = 14.3 u^2, and I4, their sum as a tree of depth three
+# ((t0 + t1) + (t2 + t3)) + (t4 + t5), within 14.3 + 3 * 3.1 = 23.6 u^2
+# (a chain of five sums would give 29.8). Delta = (I1 + I2) + 2 I3 is
+# within 9.3 u^2, Delta^2 within 2 * 9.3 + 8.1 = 26.7 u^2, so the deepest
+# value, rad = Delta^2 - 4 I4, is within 26.7 + 3.1 = 29.8 u^2 A of exact;
+# _DD_ERROR = 128 u^2 leaves room for the rounding of A itself. Nonzero
+# entries in [2**-200, 2**200] keep every product, error term and bound in
+# the normal float range.
 _SPLIT = 134217729.0  # 2**27 + 1
 _DD_ERROR = 2.0 ** -99
 _ENTRY_MIN = 2.0 ** -200
@@ -286,11 +293,6 @@ def _dd_mul(x, y):
     return _two_sum(p, q)
 
 
-def _dd_scale(x, factor):
-    """x times a power of two or a sign, which is exact."""
-    return factor * x[0], factor * x[1]
-
-
 def _round_test(x, e, value, proven):
     """Write to ``value`` the correctly rounded value of x (within e of
     exact) and to ``proven`` whether it is proven: both ends of the error
@@ -312,52 +314,74 @@ def _round_test(x, e, value, proven):
     np.equal(t, e, out=proven)
 
 
-# Rows (r0, r1) and columns (left, right) of the six 2x2 minors
-# m[r0][left] * m[r1][right] - m[r0][right] * m[r1][left] in each half of
-# the Laplace expansion: rows (0,1) take the column pair (c0,c1) of each
-# _MINOR_COLS entry, rows (2,3) its (c2,c3). Column 0 of the first half is
-# I1 and column 5 is I3; column 0 of the second half is I2.
-_MINOR_HALVES = tuple(
-    (r0, r1, [cols[r0] for cols in _MINOR_COLS], [cols[r1] for cols in _MINOR_COLS])
-    for r0, r1 in ((0, 1), (2, 3))
-)
-_MINOR_SIGN_ROW = np.array(_MINOR_SIGNS, float)
+# The six Laplace minors of each half, m[r][a] m[r+1][b] - m[r][b] m[r+1][a]:
+# rows (0,1) take the column pair (a, b) = (c0, c1) of each _MINOR_COLS
+# entry and rows (2,3) its (c2, c3). Minor 0 of the first half is I1 and
+# minor 5 is I3; minor 0 of the second half is I2. _MINOR_OPERANDS holds,
+# for each half, the flat entries 4 r + c of the left and right factors of
+# its six plus products, then of its six minus products.
+_MINOR_OPERANDS = [
+    [np.array([4 * r + a for a, _ in cols] + [4 * r + b for _, b in cols]),
+     np.array([4 * r + 4 + b for _, b in cols] + [4 * r + 4 + a for a, _ in cols])]
+    for r, cols in ((0, [c[:2] for c in _MINOR_COLS]), (2, [c[2:] for c in _MINOR_COLS]))
+]
+_MINOR_SIGN_COL = np.array(_MINOR_SIGNS, float)[:, None]
+_PLUS_MINUS_TWO = np.array([[2.0], [-2.0]])
 
 
-def _dd_product(x, y):
-    """x * y as a double-double, and its magnitude |x| * |y|."""
-    mag = np.abs(x)
-    mag *= np.abs(y)
-    return _two_prod(x, y), mag
+def _entries(sigmas):
+    """The (16, N) entries of an (N, 4, 4) stack as one contiguous array,
+    row 4 r + c holding every sigma[r, c]."""
+    return np.ascontiguousarray(sigmas.reshape(len(sigmas), 16).T)
 
 
-def _dd_minors(sigmas, r0, r1, left, right):
-    """(N, 6) minors of one half of the Laplace expansion as a double-double,
-    and their magnitudes. Each operand pair is gathered just before its
-    product and released after it."""
-    plus, mag = _dd_product(sigmas[:, r0, left], sigmas[:, r1, right])
-    minus, mag_minus = _dd_product(sigmas[:, r0, right], sigmas[:, r1, left])
-    mag += mag_minus
-    for part in minus:
-        part *= -1.0
+def _dd_minors(entries, left, right):
+    """The six minors of one Laplace half as a double-double of (6, N)
+    arrays, and their magnitudes. The plus and minus products are formed
+    apart, so that no more than six rows of products are in flight."""
+    plus = _two_prod(entries[left[:6]], entries[right[:6]])
+    factor = entries[left[6:]]
+    np.negative(factor, out=factor)
+    minus = _two_prod(factor, entries[right[6:]])
+    del factor
+    mag = np.abs(plus[0])  # |fl(x y)| = fl(|x| |y|)
+    mag += np.abs(minus[0])
     return _dd_add(plus, minus), mag
 
 
-def _dd_determinants(sigmas):
-    """((I1, A1), (I2, A2), (I3, A3), (I4, A4)): the four block determinants
-    of a stack as double-doubles of (N,) arrays, each with its magnitude.
-    None of them is a view of the minors, which are released on return."""
-    (top, mag_top), (bottom, mag_bottom) = (_dd_minors(sigmas, *half) for half in _MINOR_HALVES)
-    i123 = [((x[0][:, k].copy(), x[1][:, k].copy()), mag[:, k].copy())
-            for x, mag, k in ((top, mag_top, 0), (bottom, mag_bottom, 0), (top, mag_top, 5))]
-    for part in top:
-        part *= _MINOR_SIGN_ROW
-    terms = _dd_mul(top, bottom)
-    i4 = terms[0][:, 0], terms[1][:, 0]
-    for k in range(1, 6):
-        i4 = _dd_add(i4, (terms[0][:, k], terms[1][:, k]))
-    mag_top *= mag_bottom
-    return (*i123, (i4, mag_top.sum(axis=1)))
+def _dd_invariants(entries):
+    """((hi, lo), A): the eight invariants of a finite stack, given as its
+    :func:`_entries`, as a double-double of (8, N) arrays, unrounded, and
+    their magnitudes, in the order of _INVARIANT_NAMES (the error analysis
+    above).
+
+    Like values are stacked as rows of one array, so that each kernel call
+    forms several: six products, the six minors of a Laplace half, the six
+    Laplace terms, the three pair sums of I4's tree, Delta and Delta~, and
+    both discriminants."""
+    top, a_top = _dd_minors(entries, *_MINOR_OPERANDS[0])
+    bottom, a_bottom = _dd_minors(entries, *_MINOR_OPERANDS[1])
+    terms = _dd_mul((top[0] * _MINOR_SIGN_COL, top[1] * _MINOR_SIGN_COL), bottom)
+    pairs = _dd_add((terms[0][0::2], terms[1][0::2]), (terms[0][1::2], terms[1][1::2]))
+    i4 = _dd_add(_dd_add((pairs[0][:1], pairs[1][:1]), (pairs[0][1:2], pairs[1][1:2])),
+                 (pairs[0][2:], pairs[1][2:]))
+    i12 = _dd_add((top[0][:1], top[1][:1]), (bottom[0][:1], bottom[1][:1]))
+    deltas = _dd_add(i12, (top[0][5:] * _PLUS_MINUS_TWO, top[1][5:] * _PLUS_MINUS_TWO))
+    rads = _dd_add(_dd_mul(deltas, deltas), (-4.0 * i4[0], -4.0 * i4[1]))
+    hi, lo = (np.concatenate((t[:1], b[:1], t[5:], d, dl, r))
+              for t, b, d, dl, r in zip(top, bottom, i4, deltas, rads))
+
+    a = np.empty((8, entries.shape[1]))
+    a[0], a[1], a[2] = a_top[0], a_bottom[0], a_top[5]
+    a_top *= a_bottom
+    a_top.sum(axis=0, out=a[3])
+    np.add(a[0], a[1], out=a[4])
+    a[4] += 2.0 * a[2]
+    a[5] = a[4]
+    np.multiply(a[4], a[4], out=a[6])
+    a[6] += 4.0 * a[3]
+    a[7] = a[6]
+    return (hi, lo), a
 
 
 def _dd_block_invariants(sigmas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -367,36 +391,25 @@ def _dd_block_invariants(sigmas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     range are never accepted.
 
     Every row depends on its own matrix alone, so a stack of several
-    trajectories gives each the rows its own call would. The twelve minors
-    are built as two halves of six, rows (0,1) and rows (2,3), and released
-    before the round tests, which write into the two (N, 8) results.
+    trajectories gives each the rows its own call would. The results are
+    transposed views of (8, N) arrays, which one round test fills.
     """
-    values, accepted = np.empty((len(sigmas), 8)), np.empty((len(sigmas), 8), bool)
+    entries = _entries(sigmas)
     with np.errstate(all="ignore"):  # rows out of range may overflow
-        (i1, a1), (i2, a2), (i3, a3), (i4, a4) = _dd_determinants(sigmas)
-        i12 = _dd_add(i1, i2)
-        delta = _dd_add(i12, _dd_scale(i3, 2.0))
-        delta_tilde = _dd_add(i12, _dd_scale(i3, -2.0))
-        a_delta = (a1 + a2) + 2.0 * a3
-        minus_4i4 = _dd_scale(i4, -4.0)
-        rad = _dd_add(_dd_mul(delta, delta), minus_4i4)
-        rad_tilde = _dd_add(_dd_mul(delta_tilde, delta_tilde), minus_4i4)
-        a_rad = a_delta * a_delta + 4.0 * a4
-
-        for k, (x, mag) in enumerate((
-                (i1, a1), (i2, a2), (i3, a3), (i4, a4), (delta, a_delta),
-                (delta_tilde, a_delta), (rad, a_rad), (rad_tilde, a_rad))):
-            _round_test(x, _DD_ERROR * mag, values[:, k], accepted[:, k])
-    accepted &= _in_range(sigmas)[:, None]
-    return values, accepted
+        x, mag = _dd_invariants(entries)
+        mag *= _DD_ERROR
+        values, accepted = np.empty(mag.shape), np.empty(mag.shape, bool)
+        _round_test(x, mag, values, accepted)
+    accepted &= _in_range(entries)
+    return values.T, accepted.T
 
 
-def _in_range(sigmas):
-    """(N,) mask of the matrices whose nonzero entries all lie in
-    [_ENTRY_MIN, _ENTRY_MAX]."""
-    absolute = np.abs(sigmas)
+def _in_range(entries):
+    """(N,) mask of the matrices, given as (16, N) :func:`_entries`, whose
+    nonzero entries all lie in [_ENTRY_MIN, _ENTRY_MAX]."""
+    absolute = np.abs(entries)
     return ((absolute == 0.0)
-            | ((absolute >= _ENTRY_MIN) & (absolute <= _ENTRY_MAX))).all(axis=(1, 2))
+            | ((absolute >= _ENTRY_MIN) & (absolute <= _ENTRY_MAX))).all(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -561,7 +574,7 @@ def _dd_discriminants(sigmas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     with np.errstate(all="ignore"):  # rows out of range may overflow
         rads, err, safe = _dd_rads(sigmas)
         _round_test(rads, err, values, proven)
-    proven &= safe & _in_range(sigmas)
+    proven &= safe & _in_range(_entries(sigmas))
     return values.T, proven.T
 
 
@@ -801,6 +814,9 @@ def full_report(sigma) -> CorrelationReport:
 # Measures of a whole stack
 # ---------------------------------------------------------------------------
 
+_BRANCHES = np.array(["first", "second", None], dtype=object)
+
+
 def _report_columns(inv: np.ndarray):
     """Spectrum and report columns of (N, 8) invariants from
     :func:`_invariants_stack`: a :class:`SymplecticData` and a
@@ -810,33 +826,35 @@ def _report_columns(inv: np.ndarray):
     which that raises raises the same exception and message here. A power
     beyond the float range is inf on both routes, never an error.
     """
-    i1, i2, i3, i4, delta, delta_tilde, rad, rad_tilde = np.array(inv.T)
+    columns = np.array(inv.T)
+    i1, i2, i3, i4, delta, delta_tilde, _, _ = columns
     xp = _COLUMN
     with np.errstate(all="ignore"):  # both sides of each where are evaluated
-        lo, hi, raises = _eig_sq_pair(xp, delta, i4, rad)
-        nu_minus, nu_plus = np.sqrt(xp.nonneg(lo)), np.sqrt(xp.nonneg(hi))
-        lo, _, raises_tilde = _eig_sq_pair(xp, delta_tilde, i4, rad_tilde)
-        nu_tilde_minus = np.sqrt(xp.nonneg(lo))
+        # the state's pair in row 0, the partial transpose's in row 1
+        lo, hi, raises = _eig_sq_pair(xp, columns[4:6], i4, columns[6:])
+        first = _first_branch(xp, i1, i2, i3, i4)
+        zeta = np.where(first, _zeta_first(xp, i1, i2, i3, i4),
+                        _zeta_second(xp, i1, i2, i3, i4))
+        # nu_tilde_minus, then the four entropy arguments in the order of
+        # _discord: sqrt(I2), nu_minus, nu_plus, sqrt(zeta); a NaN or
+        # positive I2 is its own nonneg
+        roots = np.sqrt(xp.nonneg(np.stack((lo[1], i2, lo[0], hi[0], zeta))))
+        nu_tilde_minus, args = roots[0], roots[1:]
+        nu_minus, nu_plus = args[1], args[2]
         mu, contradicts = _purity(xp, nu_minus, nu_plus, i4)
-        raises |= raises_tilde | contradicts
+        raises = raises.any(axis=0) | contradicts
 
         en = np.where(nu_tilde_minus <= 0.0, math.inf,
                       _log_negativity(xp, nu_tilde_minus))
 
-        first = _first_branch(xp, i1, i2, i3, i4)
-        zeta = np.where(first, _zeta_first(xp, i1, i2, i3, i4),
-                        _zeta_second(xp, i1, i2, i3, i4))
-
-        args = (np.sqrt(i2), nu_minus, nu_plus, np.sqrt(xp.nonneg(zeta)))
-        defined = (i2 > 0.0) & ~np.any([x < 1.0 - _PHYSICAL_TOL for x in args], axis=0)
+        # the scalar route's `not i2 <= 0.0`: a NaN I2 is defined
+        defined = ~(i2 <= 0.0) & ~(args < 1.0 - _PHYSICAL_TOL).any(axis=0)
         # rows left undefined are overwritten below
-        terms = [np.where(x <= 1.0, 0.0, _f_entropy(xp, x)) for x in args]
-        discord = _discord(xp, *terms)
+        discord = _discord(xp, *np.where(args <= 1.0, 0.0, _f_entropy(xp, args)))
     if raises.any():  # the scalar code raises on the lowest such row
         report_from_data(_assemble(*inv[np.argmax(raises)].tolist()))
     discord[~defined] = np.nan
-    branch = np.where(first, "first", "second").astype(object)
-    branch[~defined] = None
+    branch = _BRANCHES[np.where(defined, ~first, 2)]
 
     data = SymplecticData(i1, i2, i3, i4, delta, delta_tilde, nu_minus, nu_plus, nu_tilde_minus)
     return data, CorrelationReport(

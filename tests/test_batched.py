@@ -39,8 +39,10 @@ from oscbath.measures import (
     _dd_block_invariants,
     _dd_discriminants,
     _dd_form_sums,
+    _dd_invariants,
     _dd_mul,
     _dd_rads,
+    _entries,
     _exact_block_invariants,
     _exact_stack,
     _in_range,
@@ -54,7 +56,7 @@ from oscbath.measures import (
 import oscbath.measures
 import oscbath.sweep
 from oscbath.cli import _trajectory_csv
-from helpers import FIG1A, cofactor_det, exact_invariants, random_physical_cov, random_symplectic
+from helpers import FIG1A, INVARIANT_NAMES, cofactor_det, exact_invariants, random_physical_cov, random_symplectic
 
 
 def bits(values) -> np.ndarray:
@@ -95,6 +97,28 @@ def near_pure_stack(count=4000, seed=6):
     return out
 
 
+def wide_range_stack(count=1000, seed=9):
+    """Symmetric matrices with entries of random sign and magnitudes from
+    1e-20 to 1e20."""
+    rng = np.random.default_rng(seed)
+    return symmetric(rng.choice([-1.0, 1.0], (count, 10)) * 10.0 ** rng.uniform(-20, 20, (count, 10)))
+
+
+def exact_invariant_fractions(sigma):
+    """The eight invariants of a 4x4 float matrix as exact Fractions, in
+    the order of INVARIANT_NAMES: integer cofactor expansions over the
+    largest denominator of the entries, as helpers.exact_invariants."""
+    pairs = [x.as_integer_ratio() for x in sigma.ravel().tolist()]
+    den = max(d for _, d in pairs)
+    m = [[num * (den // d) for num, d in pairs[row:row + 4]] for row in range(0, 16, 4)]
+    i1, i2, i3 = fraction_minor(m, 0, 0, 1), fraction_minor(m, 2, 2, 3), fraction_minor(m, 0, 2, 3)
+    i4 = cofactor_det(m)
+    delta, delta_tilde = i1 + i2 + 2 * i3, i1 + i2 - 2 * i3
+    values = (i1, i2, i3, i4, delta, delta_tilde,
+              delta * delta - 4 * i4, delta_tilde * delta_tilde - 4 * i4)
+    return [Fraction(value, den ** degree) for value, degree in zip(values, (2, 2, 2, 4, 2, 2, 4, 4))]
+
+
 def accepted_against_exact(sigmas):
     """Assert every value the round test accepts is the exact path's, bit
     for bit; return the (N, 8) accepted mask."""
@@ -124,6 +148,24 @@ class TestRoundTest:
 
     def test_near_pure_random_states(self):
         accepted_against_exact(near_pure_stack())
+
+    @pytest.mark.parametrize("make", [
+        lambda: np.concatenate(fig1a_stacks()),
+        lambda: evolve_stack("lambda0_rk4"),
+        near_pure_stack,
+        wide_range_stack,
+    ], ids=["fig1a", "lambda0_rk4", "near_pure", "wide_range"])
+    def test_values_within_their_bound(self, make):
+        # the error analysis in measures.py: every unrounded value is within
+        # 29.8 u^2 A of exact, inside the round test's _DD_ERROR A
+        bound = Fraction(30, 2 ** 106)
+        assert bound <= _DD_ERROR
+        sigmas = make()
+        (hi, lo), mag = _dd_invariants(_entries(sigmas))
+        for k, sigma in enumerate(sigmas):
+            for s, value in enumerate(exact_invariant_fractions(sigma)):
+                error = abs(Fraction(hi[s, k]) + Fraction(lo[s, k]) - value)
+                assert error <= bound * Fraction(mag[s, k]), (k, INVARIANT_NAMES[s])
 
     def test_vacuum_exact_zeros(self):
         vacuum = np.eye(4)[None].copy()
@@ -529,7 +571,7 @@ class TestDiscriminantStage:
     def test_mixed_scale_stack_is_left_to_the_exact_pass(self):
         sigmas = mixed_scale_stack()
         proven = discriminants_against_exact(sigmas)
-        assert not proven[~_in_range(sigmas)].any()
+        assert not proven[~_in_range(_entries(sigmas))].any()
 
     @settings(max_examples=60, deadline=None, database=None, derandomize=True,
               suppress_health_check=[HealthCheck.too_slow])
@@ -555,7 +597,7 @@ class TestDiscriminantStage:
                 else np.where(absolute > 0.0, absolute, np.inf).min(axis=1))
         shift = exponent - np.frexp(edge)[1] + (exponent > 0)
         sigmas = np.ldexp(sigmas, shift[:, None, None])
-        assert not _in_range(sigmas).any()
+        assert not _in_range(_entries(sigmas)).any()
         _, proven = _dd_discriminants(sigmas)
         assert not proven.any()
         assert_exact_passes_match_oracle(sigmas)
@@ -943,6 +985,19 @@ class TestRowsMatchScalar:
         assert_rows_match_columns(rows)
         for row in rows:
             assert_rows_match_columns([row])
+
+    @pytest.mark.parametrize("i2", [math.nan, 0.0, -0.0, -1.0, 0.5])
+    @pytest.mark.parametrize("base", ["vacuum", "mixed"])
+    def test_hand_built_i2(self, base, i2):
+        # report_from_data takes a branch unless I2 <= 0 (`not i2 <= 0.0`),
+        # so a NaN I2 gives a NaN discord on the second branch
+        row = list([1.0, 1.0, 0.0, 1.0, 2.0, 2.0, 0.0, 0.0] if base == "vacuum"
+                   else _exact_block_invariants(evolve_stack("closed")[250]))
+        row[1] = i2
+        assert_rows_match_columns([row])
+        if math.isnan(i2):
+            _, report = _report_columns(np.array([row]))
+            assert math.isnan(report.discord[0]) and report.zeta_branch[0] == "second"
 
 
 def premise_arguments(seed=11) -> np.ndarray:

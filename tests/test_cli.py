@@ -303,6 +303,10 @@ class TestEvolveCommand:
         (["--r", "1e308"], "squeezing r = 1e+308 puts cosh(2r) beyond the float range"),
         (["--lambda", "1.7976931348623157e+308", "--nu", "0", "--r", "1e-300"],
          "2*lambda is beyond the float range"),
+        # 2*lambda is finite, but 2*lambda*coth(omega1/2T)/omega1 of 2 D is not
+        (["--lambda", "8.9e307"],
+         "steady state left the float range: diffusion entry "
+         "2*lambda*coth(omega1/2T)/omega1 overflows (lambda = 8.9e+307, T = 0.2)\n"),
     ])
     def test_float_range_limits_exit_1(self, flags, reason, capsys):
         assert main(["evolve", *flags, "--points", "3"]) == 1
@@ -504,6 +508,13 @@ class TestSteadyCommand:
         (["--omega", "10", "--temp", "1e308"], "steady state left the float range"),
         (["--temp", "1e308"], "coth(omega_i / 2T) is beyond the float range"),
         (["--lambda", "1.7976931348623157e+308"], "2*lambda is beyond the float range"),
+        # 2*lambda is finite; the first entry of 2 D that overflows is named
+        (["--lambda", "8.9e307"],
+         "steady state left the float range: diffusion entry "
+         "2*lambda*coth(omega1/2T)/omega1 overflows (lambda = 8.9e+307, T = 0.2)\n"),
+        (["--omega", "10", "--lambda", "8.9e307"],
+         "steady state left the float range: diffusion entry "
+         "2*lambda*coth(omega1/2T)*omega1 overflows"),
     ])
     def test_errors_beyond_the_solve_exit_1(self, flags, reason, capsys):
         assert main(["steady", *flags]) == 1

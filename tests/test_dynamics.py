@@ -663,6 +663,16 @@ class TestSteadyState:
         (SystemParams(1.0, 0.0, 0.0, 1.7976931348623157e308, 0.2, 1.0), "2[*]lambda"),
         # the scaled mode solve's lambda/mu underflows to 0
         (SystemParams(3.5e153, 0.0, 0.8, 5e-324, 0.2, 1.0), "lambda/W underflows to 0"),
+        # 2*lambda is finite; the first entry of 2 D that overflows is named
+        (SystemParams(1.0, 0.0, 0.8, 8.9e307, 0.2, 1.0),
+         r"^steady state left the float range: diffusion entry "
+         r"2\*lambda\*coth\(omega1/2T\)/omega1 overflows \(lambda = 8.9e\+307, T = 0.2\)$"),
+        (SystemParams(10.0, 0.0, 0.8, 8.9e307, 0.2, 1.0),
+         r"diffusion entry 2\*lambda\*coth\(omega1/2T\)\*omega1 overflows"),
+        (SystemParams(1.0 / math.sqrt(1.5), 0.5, 0.1, 8.9e307, 0.0, 1.0),
+         r"diffusion entry 2\*lambda\*coth\(omega2/2T\)/omega2 overflows"),
+        (SystemParams(10.0, 0.0, 0.8, 0.6, 1e308, 1.0),
+         r"diffusion entry 2\*lambda\*coth\(omega1/2T\)\*omega1 overflows"),
     ])
     def test_beyond_float_range_raises_out_of_range(self, params, message):
         assert validate(params).ok
