@@ -10,9 +10,9 @@ bit-exact regression comparisons), -0.0 as 0.
 Every command formats its floats a whole table at a time (``_csv_text``),
 byte for byte the same as ``%#.12g`` (or ``float.hex``) of each value plus
 0.0. Decimal digits are exact: for |x| in [1e-11, 1e12), x * 10**k with
-10**k exact is split into hi + lo by TwoProd, and rounding hi half to even,
-with lo deciding a tie that hi sits on, gives the 12 digits. A table is one
-array of uint64 words: each value's text is a 32-byte slot of four words
+10**k exact rounds to hi, and rounding hi half to even gives the 12
+digits; only where hi sits on a half does TwoProd's low part decide. A
+table is one array of uint64 words: each value's text is a 32-byte slot of four words
 gathered from small tables (sign and prefix, two words of 3-digit chunks
 with the point, exponent and separator), and the "true"/"false" flag of a
 row is one more word written in place at its end. One tobytes() and one

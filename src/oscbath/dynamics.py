@@ -315,9 +315,9 @@ _FULL = (0, 1, 6, 7, 1, 2, 8, 9, 6, 8, 3, 4, 7, 9, 4, 5)
 
 
 def _full(blocks) -> np.ndarray:
-    """The symmetric 4x4 matrix of lab blocks, or (N, 4, 4) stack of columns."""
+    """The symmetric 4x4 matrix of lab blocks, or the stack of columns of any shape."""
     a = np.array([blocks[i] for i in _FULL])
-    return a.T.reshape(-1, 4, 4) if a.ndim > 1 else a.reshape(4, 4)
+    return np.moveaxis(a, 0, -1).reshape(-1, 4, 4) if a.ndim > 1 else a.reshape(4, 4)
 
 
 def _lyapunov_terms(s, m, m2, a1, a3, n, d):
@@ -456,30 +456,47 @@ def propagate(sigma0, params: SystemParams, t: float | np.ndarray) -> np.ndarray
     epsilon = 0 exactly swap-symmetric wherever sigma0 is. ``t`` is a
     scalar, giving one 4x4 matrix from Python-float arithmetic, or a 1-D
     array of N times, giving an (N, 4, 4) stack from one steady-state solve
-    and the same formula on (N,) columns; each slice equals the scalar call
-    bit for bit. The solve is the one the last solve made, such as a
-    :func:`steady_state` call just before, where that had the same
-    ``params`` object. At t = 0 the result is sigma0's symmetric part exactly,
-    and where e^{-lambda t} underflows to 0, sigma_inf exactly. Every set
-    :func:`validate` accepts is taken: at lambda = 0 sigma_inf's blocks are
-    0 and no steady state is solved, and at |nu| = omega1*omega2 the lower
-    mode moves freely (W- = 0). Where W-^2 underflows to 0 although
-    |nu| < omega1*omega2, where the phase W t overflows while
-    e^{-lambda t} > 0, and where a result leaves the float range, it raises
-    :class:`OutOfRange`.
+    and the same formula on (N,) columns (:func:`_propagate_grid` of one
+    set); each slice equals the scalar call bit for bit. The solve is the
+    one the last solve made, such as a :func:`steady_state` call just
+    before, where that had the same ``params`` object. At t = 0 the result
+    is sigma0's symmetric part exactly, and where e^{-lambda t} underflows
+    to 0, sigma_inf exactly. Every set :func:`validate` accepts is taken:
+    at lambda = 0 sigma_inf's blocks are 0 and no steady state is solved,
+    and at |nu| = omega1*omega2 the lower mode moves freely (W- = 0). Where
+    W-^2 underflows to 0 although |nu| < omega1*omega2, where the phase W t
+    overflows while e^{-lambda t} > 0, and where a result leaves the float
+    range, it raises :class:`OutOfRange`.
     """
     # the float test spares single-time calls the cost of np.ndim
-    grid = not isinstance(t, float) and np.ndim(t) > 0
-    if grid:
+    if not isinstance(t, float) and np.ndim(t) > 0:
         t = np.asarray(t, dtype=float)
         if t.ndim != 1 or not np.all((t >= 0) & (t < math.inf)):
             raise ValueError(f"times must be a 1-D array of finite values >= 0 (got {t})")
-    elif not 0 <= t < math.inf:
+        return _propagate_grid([sigma0], [params], t)
+    if not 0 <= t < math.inf:
         raise ValueError(f"time must be finite and >= 0 (got {t})")
+    lab0, blocks, rot, w, _ = _start(sigma0, params)
+    # Python floats where no rule of the grid path applies, else a grid of one
+    t = float(t)
+    damp = float(np.exp(-params.lambda_ * t))
+    phase = (w[0] * t, w[1] * t)
+    if t and damp and phase[1] < math.inf:
+        s = _sigma_t(lab0, blocks, rot, w, [float(np.cos(x)) for x in phase],
+                     [float(np.sin(x)) for x in phase], damp, t)
+        if all(map(math.isfinite, s)):
+            return _full(s)
+    return _propagate_grid([sigma0], [params], np.array([t]))[0]
+
+
+def _start(sigma0, params: SystemParams):
+    """One set's checked inputs to :func:`_sigma_t`, as floats: sigma0's
+    symmetric part as lab blocks, sigma_inf's mode blocks, the rotation,
+    w = (W-, W+) and sigma_inf's lab blocks (0 at lambda = 0, with no solve)."""
     r0, r1, r2, r3 = check_covariance(sigma0).tolist()
     if params.lambda_ == 0.0:  # no damping, no diffusion: e^{-lambda t} = 1
         require_valid(params)
-        (rot, lo_sq, hi_sq), blocks, lab_inf = _normal_modes(params), (0.0,) * 10, None
+        (rot, lo_sq, hi_sq), blocks, lab_inf = _normal_modes(params), (0.0,) * 10, (0.0,) * 10
     else:
         (rot, lo_sq, hi_sq), blocks, lab_inf = _steady_solve(params)
     w = (math.sqrt(lo_sq), math.sqrt(hi_sq))
@@ -491,41 +508,47 @@ def propagate(sigma0, params: SystemParams, t: float | np.ndarray) -> np.ndarray
     lab0 = (r0[0], 0.5 * r0[1] + 0.5 * r1[0], r1[1], r2[2], 0.5 * r2[3] + 0.5 * r3[2],
             r3[3], 0.5 * r0[2] + 0.5 * r2[0], 0.5 * r0[3] + 0.5 * r3[0],
             0.5 * r1[2] + 0.5 * r2[1], 0.5 * r1[3] + 0.5 * r3[1])  # symmetric part
-    lam = params.lambda_
-    if not grid:  # Python floats where no rule below applies, else a grid of one
-        t = float(t)
-        damp = float(np.exp(-lam * t))
-        phase = (w[0] * t, w[1] * t)
-        if t and damp and phase[1] < math.inf:
-            s = _sigma_t(lab0, blocks, rot, w, [float(np.cos(x)) for x in phase],
-                         [float(np.sin(x)) for x in phase], damp, t)
-            if all(map(math.isfinite, s)):
-                return _full(s)
-        t = np.array([t])
-    with np.errstate(invalid="ignore", over="ignore"):  # checked below
+    return lab0, blocks, rot, w, lab_inf
+
+
+def _propagate_grid(sigma0s, params_seq, times: np.ndarray) -> np.ndarray:
+    """:func:`propagate` of k sets at N times (finite, >= 0) as one (k N, 4, 4)
+    stack, rows i N to (i + 1) N for set i. Each set's floats are (k, 1)
+    columns broadcast against the times, so every element takes a one-set
+    call's operations in the same order, bit for bit, in one exp, cos and
+    sin call over all sets. Raises the first set's :func:`_start` error,
+    then :class:`OutOfRange` if any phase or result leaves the float range."""
+    lam = np.array([[p.lambda_] for p in params_seq])
+    lab0, blocks, rot, w, lab_inf = (np.array(part).T[..., None]
+                                     for part in zip(*map(_start, sigma0s, params_seq)))
+    t = times
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # checked below
         damp = np.exp(-lam * t)
-        phase = np.multiply.outer(w, t)
+        phase = w * t
         cos, sin = np.cos(phase), np.sin(phase)
         out = _full(_sigma_t(lab0, blocks, rot, w, cos, sin, damp, t))
         if damp[~(phase[1] < math.inf)].any():
             raise OutOfRange(
                 f"propagated covariance left the float range (t up to {t.max():g}): "
                 "the mode phase overflowed while e^(-lambda t) stayed above 0")
+        out = out.reshape(damp.shape + (4, 4))  # (set, time, 4, 4)
         settled = damp == 0.0
         if settled.any():
-            out[settled] = _full(lab_inf)
-        out[t == 0.0] = _full(lab0)
+            out[settled] = np.broadcast_to(_full(lab_inf)[:, None], out.shape)[settled]
+        out[:, t == 0.0] = _full(lab0)[:, None]
         if not np.isfinite(out).all():
             # mode-basis values reach twice the lab ones: evaluate again with
             # sigma0 and sigma_inf scaled by 1/4, exact away from subnormals
-            bad = ~np.isfinite(out).all(axis=(1, 2))
+            bad = ~np.isfinite(out).all(axis=(2, 3))
+            rows = np.nonzero(bad)[0]
+            lab0, blocks, rot, w = (part[:, rows, 0] for part in (lab0, blocks, rot, w))
             out[bad] = 4.0 * _full(_sigma_t(
                 [0.25 * v for v in lab0], [0.25 * v for v in blocks], rot, w,
-                cos[:, bad], sin[:, bad], damp[bad], t[bad]))
+                cos[:, bad], sin[:, bad], damp[bad], np.broadcast_to(t, bad.shape)[bad]))
             if not np.isfinite(out).all():
                 raise OutOfRange(
                     f"propagated covariance left the float range (t up to {t.max():g})")
-    return out if grid else out[0]
+    return out.reshape(-1, 4, 4)
 
 
 def _flow(ek, el, a, b, c, d):
@@ -538,15 +561,23 @@ def _flow(ek, el, a, b, c, d):
             f10 * cl + f11 * sl, f10 * nl + f11 * cl)
 
 
+def _sin_over(sk, wk, t):
+    """sin(W t)/W from sk = sin(W t), or its limit t at W = 0; W a float or a column."""
+    if isinstance(wk, float):
+        return sk * (1.0 / wk) if wk else t
+    return np.where(wk == 0.0, t, sk * (1.0 / wk))
+
+
 def _sigma_t(lab0, blocks, rot, w, cos, sin, damp, t):
     """sigma(t)'s lab blocks from sigma0's, sigma_inf's mode blocks and the
     rotation of :func:`_steady_solve`, w = (W-, W+), the cos and sin of
-    (W- t, W+ t), damp = e^{-lambda t} and t; only + - *, on floats or (N,)
-    columns. In the modes M_k = [[-lambda, 1], [-W_k^2, -lambda]], so block
-    (k, l) of sigma - sigma_inf evolves to E_k (block) E_l^T, E_k = damp
+    (W- t, W+ t), damp = e^{-lambda t} and t; only + - *, on floats or on
+    columns that broadcast together. In the modes M_k = [[-lambda, 1],
+    [-W_k^2, -lambda]], so block (k, l) of sigma - sigma_inf evolves to
+    E_k (block) E_l^T, E_k = damp
     [[cos W_k t, sin W_k t / W_k], [-W_k sin W_k t, cos W_k t]], whose
     limit at W_k = 0 is damp [[1, t], [0, 1]]."""
-    e_lo, e_hi = [(ck * damp, (sk * (1.0 / wk) if wk else t) * damp, sk * -wk * damp)
+    e_lo, e_hi = [(ck * damp, _sin_over(sk, wk, t) * damp, sk * -wk * damp)
                   for wk, ck, sk in zip(w, cos, sin)]
     m, b = _rotate_blocks((rot[0], rot[1], -rot[2]), lab0), blocks
     hi = _flow(e_hi, e_hi, m[0] - b[0], m[1] - b[1], m[1] - b[1], m[2] - b[2])

@@ -265,17 +265,21 @@ def _two_prod(a, b):
 
 
 def _rint_product(a, b):
-    """a * b rounded half to even to an integer, for |a * b| < 2**52.
+    """a * b rounded half to even to an integer, for |a * b| < 2**52 and
+    arrays a and b of one shape.
 
-    hi + lo = a * b exactly by TwoProd. hi is the product rounded, so only
-    a half that hi sits on needs lo to settle which way the exact product
-    rounds.
+    Below 2**52 every half-integer is a float, so hi = fl(a * b) lies on the
+    same side of each one as the exact product unless hi sits on one; only
+    there does TwoProd's low part lo = a * b - hi settle which way the exact
+    product rounds, and only there is it computed.
     """
-    hi, lo = _two_prod(a, b)
+    hi = a * b
     q = np.rint(hi)
-    half = hi - q
-    q += (half == 0.5) & (lo > 0)
-    q -= (half == -0.5) & (lo < 0)
+    tie = np.nonzero(abs(hi - q) == 0.5)
+    if tie[0].size:
+        half, lo = hi[tie] - q[tie], _two_prod(a[tie], b[tie])[1]
+        q[tie] += (half == 0.5) & (lo > 0)
+        q[tie] -= (half == -0.5) & (lo < 0)
     return q
 
 

@@ -54,8 +54,9 @@ def _points(curves):
 
     Every coordinate must lie in (0, 1000), as every pixel of
     :func:`line_plot`'s plot box does. All curves are formatted in one pass:
-    q = 100·v rounded half to even from the exact product, the rounding
-    ``%`` does, picks a word from each table.
+    q = 100·v rounded half to even as the exact product is (the low part
+    decides only a product that rounds onto a half), the rounding ``%``
+    does, picks a word from each table.
     """
     coords = np.concatenate(curves)
     q = _rint_product(coords, np.full(coords.shape, 100.0)).astype(np.intp)

@@ -3,14 +3,16 @@
 A trajectory starts from the two-mode squeezed vacuum fixed by the
 parameter set, evolves the covariance matrix over a uniform time grid
 (closed form by default, RK4 stepping on request) and computes the full
-correlation report, in nats, at every grid point in one batched pass. Sweeps rerun the same grid while one parameter steps through a
-list of values, and measure the rows of all values in one batched pass;
-sudden-death scans locate the grid intervals where the logarithmic
-negativity hits zero and where it revives.
+correlation report, in nats, at every grid point in one batched pass.
+Sweeps rerun the same grid while one parameter steps through a list of
+values: in closed form all values propagate in one stacked call, and the
+rows of all values are measured in one batched pass. Sudden-death scans
+locate the grid intervals where the logarithmic negativity hits zero and
+where it revives.
 
-Trajectories within a sweep are independent and may be computed
-concurrently; results are assembled in input order and all outputs are
-deterministic.
+Every row of a sweep depends only on its own value, so each trajectory
+equals its own evolution bit for bit; results are in input order and all
+outputs are deterministic.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dynamics import _rk4_grid, check_step, propagate
+from .dynamics import _propagate_grid, _rk4_grid, check_step, propagate
 from .errors import OscbathError, UnknownFigure
 from .measures import (
     CorrelationReport,
@@ -199,8 +201,8 @@ def evolve_trajectory(
     :func:`invariants` and :func:`report_from_data` of its matrix bit for
     bit, and a row that makes them raise raises the same error here (the
     lowest such row first). The call is validation and propagation, then
-    that pass; :func:`sweep_parameter` runs the same two steps, with one
-    pass for all of its values.
+    that pass; :func:`sweep_parameter` runs the same steps, with one
+    propagation (in closed form) and one pass for all of its values.
     """
     return _measured(*_propagated(params, grid, integrator, dt))
 
@@ -257,12 +259,13 @@ def sweep_parameter(
     remaining values. A ``dt`` that is not finite and > 0 raises
     ``ValueError`` before any work.
 
-    Each value is validated and propagated as :func:`evolve_trajectory`
-    does it; then the stacks of all propagated values are measured in one
-    batched pass, and each trajectory's columns are views of its rows of
-    that pass, equal to its own :func:`evolve_trajectory` bit for bit. If
-    that pass raises an :class:`OscbathError`, each stack is measured
-    alone, so only the values whose rows raise get an error.
+    Each value is validated as :func:`evolve_trajectory` does it. In closed
+    form all valid values then propagate in one stacked call, or one by one
+    if it raises an :class:`OscbathError` (as "rk4" always does), and all
+    stacks are measured in one batched pass; each trajectory's sigmas and
+    columns are views of its rows, equal to its own :func:`evolve_trajectory`
+    bit for bit. If that pass raises an :class:`OscbathError`, each stack is
+    measured alone, so only the values whose rows raise get an error.
     """
     if which not in _PARAM_NAMES:
         raise ValueError(
@@ -270,17 +273,38 @@ def sweep_parameter(
         )
     check_step(dt)
     values = [float(value) for value in values]
-    errors, propagated, trajectories = {}, {}, {}
+    errors, started, propagated, trajectories = {}, {}, {}, {}
     for k, value in enumerate(values):
         params = dataclasses.replace(base, **{which: value})
         try:
-            propagated[k] = _propagated(params, grid, integrator, dt)
+            if integrator != "closed":
+                propagated[k] = _propagated(params, grid, integrator, dt)
+            else:  # the checks of _propagated, in its order
+                require_valid(params)
+                started[k] = initial_squeezed_vacuum(params.r), params
         except OscbathError as exc:
             errors[k] = str(exc)
-    if propagated:
+    stack, times = None, grid.times()
+    if started:
         try:
-            data, report = _report_columns(_invariants_stack(
-                np.concatenate([p[-1] for p in propagated.values()])))
+            stack = _propagate_grid(*zip(*started.values()), times)
+        except OscbathError:  # value by value, so each keeps its own error
+            for k, (sigma0, params) in started.items():
+                try:
+                    sigmas = propagate(sigma0, params, times)
+                except OscbathError as exc:
+                    errors[k] = str(exc)
+                else:
+                    propagated[k] = params, grid, integrator, times, sigmas
+        else:
+            views = np.split(stack, len(started))
+            for (k, (_, params)), sigmas in zip(started.items(), views):
+                propagated[k] = params, grid, integrator, times, sigmas
+    if propagated:
+        if stack is None:
+            stack = np.concatenate([p[-1] for p in propagated.values()])
+        try:
+            data, report = _report_columns(_invariants_stack(stack))
         except OscbathError:
             for k, p in propagated.items():
                 try:

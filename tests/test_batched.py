@@ -19,14 +19,17 @@ from oscbath import (
     SystemParams,
     TimeGrid,
     TrajectoryRecord,
+    coupling_bound,
     evolve_trajectory,
     figure_preset,
     full_report,
     initial_squeezed_vacuum,
     invariants,
     report_from_data,
+    steady_state,
     sweep_parameter,
 )
+from oscbath.dynamics import _sigma_t
 from oscbath.measures import (
     _COLUMN,
     _DD_ERROR,
@@ -48,15 +51,17 @@ from oscbath.measures import (
     _in_range,
     _invariants_stack,
     _report_columns,
+    _rint_product,
     _round_test,
     _split,
     _two_prod,
     _two_sum,
 )
+import oscbath.dynamics
 import oscbath.measures
 import oscbath.sweep
 from oscbath.cli import _trajectory_csv
-from helpers import FIG1A, INVARIANT_NAMES, cofactor_det, exact_invariants, random_physical_cov, random_symplectic
+from helpers import FIG1A, FIG4, INVARIANT_NAMES, cofactor_det, exact_invariants, random_physical_cov, random_symplectic
 
 
 def bits(values) -> np.ndarray:
@@ -826,6 +831,108 @@ class TestSweepOnePass:
         sweep_parameter(FIG1A, "r", (1, 20, 400), TimeGrid(0.0, 1.0, 3))
         assert calls == [6, 3, 3]
 
+    @staticmethod
+    def spy_propagation(monkeypatch):
+        """The number of sets of each stacked propagation the sweep makes, and
+        its count of per-value propagate calls."""
+        calls = {"stacked": [], "per_value": 0}
+
+        def stacked(sigma0s, params_seq, times):
+            calls["stacked"].append(len(params_seq))
+            return oscbath.dynamics._propagate_grid(sigma0s, params_seq, times)
+
+        def per_value(sigma0, params, t):
+            calls["per_value"] += 1
+            return oscbath.dynamics.propagate(sigma0, params, t)
+
+        monkeypatch.setattr(oscbath.sweep, "_propagate_grid", stacked)
+        monkeypatch.setattr(oscbath.sweep, "propagate", per_value)
+        return calls
+
+    def assert_one_stacked_call(self, monkeypatch, base, which, values, grid):
+        """The sweep propagates all its valid values in one stacked call, and
+        each outcome equals its own evolve_trajectory bit for bit."""
+        calls = self.spy_propagation(monkeypatch)
+        sweep_parameter(base, which, values, grid)
+        assert calls == {"stacked": [len(values)], "per_value": 0}
+        monkeypatch.undo()
+        return self.assert_matches_per_value(base, which, values, grid)
+
+    def test_one_propagation_call(self, monkeypatch):
+        preset = figure_preset("fig4a")  # four normal-mode rotations
+        self.assert_one_stacked_call(monkeypatch, preset.params, preset.sweep,
+                                     preset.values, preset.grid)
+        # a stacked call that raises is repeated per value; the value that
+        # fails validation takes part in neither
+        calls = self.spy_propagation(monkeypatch)
+        base = dataclasses.replace(FIG1A, lambda_=0.0)
+        sweep_parameter(base, "omega", (1, 1e10, -1, 2), TimeGrid(0.0, 1e300, 3))
+        assert calls == {"stacked": [3], "per_value": 3}
+
+    def test_lambda_sweep_mixes_zero_and_settled_blocks(self, monkeypatch):
+        # lambda = 0 has zero steady blocks and no solve; at lambda = 800,
+        # e^{-lambda t} underflows from t = 2.5 on, where rows are sigma_inf
+        grid = TimeGrid(0.0, 10.0, 5)
+        outcomes = self.assert_one_stacked_call(monkeypatch, FIG1A, "lambda_",
+                                                (0.6, 800, 0.0), grid)
+        settled = outcomes[1].trajectory.sigmas[1:]
+        s_inf = steady_state(dataclasses.replace(FIG1A, lambda_=800.0))
+        assert np.array_equal(bits(settled), bits(np.broadcast_to(s_inf, settled.shape)))
+        free = outcomes[2].trajectory.report.purity
+        assert np.abs(free - 1.0).max() < 1e-12  # no damping keeps the state pure
+
+    def test_marginal_coupling_beside_stable_values(self, monkeypatch):
+        # at nu = +-omega1*omega2 the lower mode has W- = 0 and moves freely
+        bound = coupling_bound(FIG4)
+        self.assert_one_stacked_call(monkeypatch, FIG4, "nu",
+                                     (-bound, 0.3, bound, 0.9 * bound), DEFAULT_GRID)
+
+    def test_grid_starting_after_zero(self, monkeypatch):
+        preset = figure_preset("fig1c")
+        self.assert_one_stacked_call(monkeypatch, preset.params, preset.sweep,
+                                     preset.values, TimeGrid(2.5, 7.5, 11))
+
+    def test_quarter_scale_retry_in_a_stacked_call(self, monkeypatch):
+        # at r = 354.9 the mode-basis values of sigma0 overflow, so its rows
+        # are evaluated again at 1/4 scale; its measures then fail alone
+        grid = TimeGrid(0.0, 1.0, 5)
+        values = (1.0, 354.9, 2.0)
+        outcomes = self.assert_one_stacked_call(monkeypatch, FIG1A, "r", values, grid)
+        assert outcomes[1].error == "exact i1 of the covariance matrix is beyond the float range"
+        sets = [dataclasses.replace(FIG1A, r=r) for r in values]
+        sigma0s = [initial_squeezed_vacuum(r) for r in values]
+        evaluations = []
+
+        def counted(*args):
+            evaluations.append(len(args[-1]))
+            return _sigma_t(*args)
+
+        monkeypatch.setattr(oscbath.dynamics, "_sigma_t", counted)
+        stack = oscbath.dynamics._propagate_grid(sigma0s, sets, grid.times())
+        assert evaluations == [5, 4]  # t = 0 is sigma0 itself
+        expected = [oscbath.dynamics.propagate(*pair, grid.times()) for pair in zip(sigma0s, sets)]
+        assert np.isfinite(stack).all()
+        assert np.array_equal(bits(stack), bits(np.concatenate(expected)))
+
+    def test_phase_overflow_keeps_the_other_values(self):
+        # at omega = 1e10 the phase W t overflows while e^{-lambda t} = 1
+        base = dataclasses.replace(FIG1A, lambda_=0.0)
+        outcomes = self.assert_matches_per_value(base, "omega", (1, 1e10, 2),
+                                                 TimeGrid(0.0, 1e300, 3))
+        assert outcomes[1].error.startswith(
+            "propagated covariance left the float range (t up to 1e+300): "
+            "the mode phase overflowed")
+        assert outcomes[0].trajectory is not None and outcomes[2].trajectory is not None
+
+    def test_phase_overflow_where_settled(self, monkeypatch):
+        # with damping, e^{-lambda t} is 0 where the phase overflows: those
+        # rows are sigma_inf exactly, in place of the NaN the formula gives
+        outcomes = self.assert_one_stacked_call(monkeypatch, FIG1A, "omega", (1, 1e10, 2),
+                                                TimeGrid(0.0, 1e300, 3))
+        settled = outcomes[1].trajectory.sigmas[1:]
+        s_inf = steady_state(dataclasses.replace(FIG1A, omega=1e10))
+        assert np.array_equal(bits(settled), bits(np.broadcast_to(s_inf, settled.shape)))
+
 
 def scalar_error(sigma):
     with pytest.raises(Exception) as info:
@@ -1017,6 +1124,63 @@ def premise_arguments(seed=11) -> np.ndarray:
         [1e300, 1e-300, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
          1.0, 2.0, math.e, math.inf, math.nan],
     ])
+
+
+def rint_reference(a, b) -> list[float]:
+    """Each a * b rounded half to even in exact rational arithmetic, flat."""
+    return [float(round(Fraction(x) * Fraction(y)))
+            for x, y in zip(a.ravel().tolist(), b.ravel().tolist())]
+
+
+def rint_ties(seed=19):
+    """(a, b) pairs whose fl(a * b) is a half-integer, keyed by the sign of
+    the low part a * b - fl(a * b): x = fl((n + 1/2) / 10**k) with 10**k,
+    and dyadic (n + 1/2) / 2**j with 2**j, whose product is exact."""
+    rng = np.random.default_rng(seed)
+    found = {1: [], -1: [], 0: []}
+    for n, k in zip(rng.integers(0, 10 ** 9, 4000).tolist(), rng.integers(1, 12, 4000).tolist()):
+        b = 10.0 ** k
+        a = (n + 0.5) / b
+        if a * b == n + 0.5:
+            low = Fraction(a) * Fraction(b) - Fraction(a * b)
+            found[(low > 0) - (low < 0)].append((a, b))
+    for n, j in zip(rng.integers(0, 10 ** 9, 50).tolist(), rng.integers(0, 30, 50).tolist()):
+        found[0].append(((n + 0.5) / 2.0 ** j, 2.0 ** j))
+    return found
+
+
+class TestRintProduct:
+    """_rint_product equals round half to even of the exact product, also
+    where fl(a * b) lands on a half-integer and only the low part decides."""
+
+    @staticmethod
+    def check(a, b):
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        assert _rint_product(a, b).ravel().tolist() == rint_reference(a, b)
+
+    @pytest.mark.parametrize("low_sign", [1, -1, 0])
+    def test_ties(self, low_sign):
+        pairs = rint_ties()[low_sign]
+        assert len(pairs) >= 20
+        a, b = np.array(pairs).T
+        self.check(a, b)
+        self.check(-a, b)
+        self.check(a[:20].reshape(10, 2), b[:20].reshape(10, 2))  # as CSV tables pass them
+
+    def test_decimal_sample(self):
+        # the CLI's products x * 10**k, and any others below 2**52
+        rng = np.random.default_rng(23)
+        k = rng.integers(0, 23, 20000)
+        b = 10.0 ** k
+        a = rng.choice([-1.0, 1.0], k.size) * 10.0 ** rng.uniform(-3.0, 15.6, k.size) / b
+        assert np.abs(a * b).max() < 2.0 ** 52
+        self.check(a, b)
+
+    def test_svg_sample(self):
+        rng = np.random.default_rng(29)
+        v = rng.uniform(0.0, 1000.0, 20000)
+        v[:1000] = np.round(v[:1000], 3)  # near hundredths and their halves
+        self.check(v, np.full(v.shape, 100.0))
 
 
 class TestSharedPrimitives:
