@@ -5,10 +5,10 @@ parameter set, evolves the covariance matrix over a uniform time grid
 (closed form by default, RK4 stepping on request) and computes the full
 correlation report, in nats, at every grid point in one batched pass.
 Sweeps rerun the same grid while one parameter steps through a list of
-values: in closed form all values propagate in one stacked call, and the
-rows of all values are measured in one batched pass. Sudden-death scans
-locate the grid intervals where the logarithmic negativity hits zero and
-where it revives.
+values; all values go through the same trajectory core in one call (in
+closed form one stacked propagation, then one batched measure pass).
+Sudden-death scans locate the grid intervals where the logarithmic
+negativity hits zero and where it revives.
 
 Every row of a sweep depends only on its own value, so each trajectory
 equals its own evolution bit for bit; results are in input order and all
@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dynamics import _propagate_grid, _rk4_grid, check_step, propagate
+from .dynamics import _propagate_grid, _rk4_grid, check_step
 from .errors import OscbathError, UnknownFigure
 from .measures import (
     CorrelationReport,
@@ -182,15 +182,15 @@ def evolve_trajectory(
 ) -> Trajectory:
     """Evolve from the squeezed vacuum of ``params.r`` over ``grid``.
 
-    integrator "closed" (default) evaluates the whole grid with one
-    :func:`~oscbath.dynamics.propagate` call. "rk4" steps the whole grid
+    integrator "closed" (default) evaluates the whole grid in one call of
+    the closed-form core behind :func:`~oscbath.dynamics.propagate`, "rk4"
     with one call of the RK4 core behind :func:`~oscbath.dynamics.ode_oracle`,
     using step ``min(dt, interval)`` (one step map from 0 to
     ``grid.t_start`` if that is later, one for ``grid.spacing``, whose L
     intervals are filled by doubling in ceil(log2(L + 1)) batched products,
     so every row equals the chained ``ode_oracle`` calls from one grid time
-    to the next to rounding). A ``dt`` that is not finite and > 0 raises
-    ``ValueError`` before any work, whichever integrator runs.
+    to the next to rounding). A ``dt`` that is not finite and > 0, or an
+    unknown ``integrator``, raises ``ValueError`` before any work.
 
     The measures of all rows are computed in one batched pass: block
     invariants in double-double arithmetic kept where a round test proves
@@ -200,37 +200,42 @@ def evolve_trajectory(
     row still open, then the measures as arrays. Every row equals
     :func:`invariants` and :func:`report_from_data` of its matrix bit for
     bit, and a row that makes them raise raises the same error here (the
-    lowest such row first). The call is validation and propagation, then
-    that pass; :func:`sweep_parameter` runs the same steps, with one
-    propagation (in closed form) and one pass for all of its values.
+    lowest such row first). The call is its checks, then the trajectory core
+    that :func:`sweep_parameter` runs once over all of its values.
     """
-    return _measured(*_propagated(params, grid, integrator, dt))
-
-
-def _propagated(params, grid, integrator, dt):
-    """Validation and propagation, the first step of :func:`evolve_trajectory`:
-    (params, grid, integrator, times, sigmas), the first five fields of its
-    :class:`Trajectory`."""
-    check_step(dt)
+    _check_run(integrator, dt)
     require_valid(params)
+    return _evolve([(initial_squeezed_vacuum(params.r), params)], grid, integrator, dt)[0]
+
+
+def _check_run(integrator, dt):
+    """The checks both public calls make before any work."""
+    check_step(dt)
     if integrator not in ("closed", "rk4"):
         raise ValueError(f"unknown integrator {integrator!r}")
 
+
+def _evolve(starts, grid, integrator, dt) -> list[Trajectory]:
+    """One :class:`Trajectory` per checked ``(sigma0, params)`` pair, from
+    one propagation of all pairs ("closed" stacked, "rk4" pair by pair into
+    one stack) and one measure pass over the stack. Each trajectory's
+    ``sigmas`` and columns are views of its rows, its ``times`` its own
+    array. Raises the first :class:`OscbathError` of either step."""
     times = grid.times()
-    sigma0 = initial_squeezed_vacuum(params.r)
-
     if integrator == "closed":
-        sigmas = propagate(sigma0, params, times)
+        stack = _propagate_grid(*zip(*starts), times)
     else:
-        sigmas = _rk4_grid(sigma0, params, grid.t_start, grid.spacing,
-                           grid.n_points - 1, dt)
-    return params, grid, integrator, times, sigmas
-
-
-def _measured(params, grid, integrator, times, sigmas) -> Trajectory:
-    """The measures, the second step of :func:`evolve_trajectory`."""
-    return Trajectory(params, grid, integrator, times, sigmas,
-                      *_report_columns(_invariants_stack(sigmas)))
+        stack = np.concatenate([
+            _rk4_grid(sigma0, params, grid.t_start, grid.spacing, grid.n_points - 1, dt)
+            for sigma0, params in starts])
+    data, report = _report_columns(_invariants_stack(stack))
+    n = grid.n_points
+    trajectories = []
+    for i, (_, params) in enumerate(starts):
+        rows = slice(i * n, (i + 1) * n)
+        trajectories.append(Trajectory(params, grid, integrator, times.copy(), stack[rows],
+                                       _row_slices(data, rows), _row_slices(report, rows)))
+    return trajectories
 
 
 def _row_slices(columns, rows: slice):
@@ -256,67 +261,40 @@ def sweep_parameter(
     Values that produce an invalid parameter set (or fail during evolution)
     are reported in the outcome's ``error`` field, with the message
     :func:`evolve_trajectory` raises for them, without aborting the
-    remaining values. A ``dt`` that is not finite and > 0 raises
-    ``ValueError`` before any work.
+    remaining values. An unknown ``which`` or ``integrator``, or a ``dt``
+    that is not finite and > 0, raises ``ValueError`` before any work.
 
-    Each value is validated as :func:`evolve_trajectory` does it. In closed
-    form all valid values then propagate in one stacked call, or one by one
-    if it raises an :class:`OscbathError` (as "rk4" always does), and all
-    stacks are measured in one batched pass; each trajectory's sigmas and
-    columns are views of its rows, equal to its own :func:`evolve_trajectory`
-    bit for bit. If that pass raises an :class:`OscbathError`, each stack is
-    measured alone, so only the values whose rows raise get an error.
+    Each value is validated and started as :func:`evolve_trajectory` does
+    it, and all started values then run through the trajectory core in one
+    call: in closed form one stacked propagation, and one batched measure
+    pass over every value's rows. Each trajectory's sigmas and columns are
+    views of its rows, equal to its own :func:`evolve_trajectory` bit for
+    bit. If that call raises an :class:`OscbathError`, each value runs
+    through the core alone, so only the values that fail get an error.
     """
     if which not in _PARAM_NAMES:
         raise ValueError(
             f"unknown parameter {which!r}; expected one of {_PARAM_NAMES}"
         )
-    check_step(dt)
+    _check_run(integrator, dt)
     values = [float(value) for value in values]
-    errors, started, propagated, trajectories = {}, {}, {}, {}
+    errors, starts, trajectories = {}, {}, {}
     for k, value in enumerate(values):
         params = dataclasses.replace(base, **{which: value})
-        try:
-            if integrator != "closed":
-                propagated[k] = _propagated(params, grid, integrator, dt)
-            else:  # the checks of _propagated, in its order
-                require_valid(params)
-                started[k] = initial_squeezed_vacuum(params.r), params
+        try:  # the checks of evolve_trajectory, in its order
+            require_valid(params)
+            starts[k] = initial_squeezed_vacuum(params.r), params
         except OscbathError as exc:
             errors[k] = str(exc)
-    stack, times = None, grid.times()
-    if started:
+    if starts:
         try:
-            stack = _propagate_grid(*zip(*started.values()), times)
+            trajectories = dict(zip(starts, _evolve(list(starts.values()), grid, integrator, dt)))
         except OscbathError:  # value by value, so each keeps its own error
-            for k, (sigma0, params) in started.items():
+            for k, start in starts.items():
                 try:
-                    sigmas = propagate(sigma0, params, times)
+                    trajectories[k] = _evolve([start], grid, integrator, dt)[0]
                 except OscbathError as exc:
                     errors[k] = str(exc)
-                else:
-                    propagated[k] = params, grid, integrator, times, sigmas
-        else:
-            views = np.split(stack, len(started))
-            for (k, (_, params)), sigmas in zip(started.items(), views):
-                propagated[k] = params, grid, integrator, times, sigmas
-    if propagated:
-        if stack is None:
-            stack = np.concatenate([p[-1] for p in propagated.values()])
-        try:
-            data, report = _report_columns(_invariants_stack(stack))
-        except OscbathError:
-            for k, p in propagated.items():
-                try:
-                    trajectories[k] = _measured(*p)
-                except OscbathError as exc:
-                    errors[k] = str(exc)
-        else:
-            n = grid.n_points
-            for i, (k, p) in enumerate(propagated.items()):
-                rows = slice(i * n, (i + 1) * n)
-                trajectories[k] = Trajectory(*p, _row_slices(data, rows),
-                                             _row_slices(report, rows))
     return [SweepOutcome(value=value, trajectory=trajectories.get(k), error=errors.get(k))
             for k, value in enumerate(values)]
 

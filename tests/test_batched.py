@@ -831,30 +831,58 @@ class TestSweepOnePass:
         sweep_parameter(FIG1A, "r", (1, 20, 400), TimeGrid(0.0, 1.0, 3))
         assert calls == [6, 3, 3]
 
+    def test_no_valid_value_propagates_nothing(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("a value that failed validation went on")
+
+        for name in ("_propagate_grid", "_rk4_grid", "_invariants_stack"):
+            monkeypatch.setattr(oscbath.sweep, name, fail)
+        for integrator in ("closed", "rk4"):
+            outcomes = self.assert_matches_per_value(
+                FIG1A, "temperature", (-1.0, -2.0), TimeGrid(0.0, 1.0, 3), integrator)
+            assert [o.trajectory for o in outcomes] == [None, None]
+
+    def test_rk4_values_run_alone_after_a_failed_pass(self, monkeypatch):
+        # r = 20 fails its measures and r = 400 its initial state, so r = 1
+        # and r = 20 are stepped once together and once each. r = 20's
+        # eigenvalue is rounding noise, as in test_failing_values_keep_their_errors
+        stepped = []
+
+        def counted(sigma0, params, *args):
+            stepped.append(params.r)
+            return oscbath.dynamics._rk4_grid(sigma0, params, *args)
+
+        monkeypatch.setattr(oscbath.sweep, "_rk4_grid", counted)
+        base = figure_preset("fig1c").params
+        values, grid = (1, 20, 400), TimeGrid(0.0, 1.0, 3)
+        sweep_parameter(base, "r", values, grid, "rk4")
+        assert stepped == [1.0, 20.0, 1.0, 20.0]
+        monkeypatch.undo()
+        outcomes = self.assert_matches_per_value(base, "r", values, grid, "rk4")
+        assert outcomes[0].error is None
+        assert outcomes[1].error.startswith("negative squared state symplectic eigenvalue (")
+        assert outcomes[2].error == "squeezing r = 400.0 puts cosh(2r) beyond the float range"
+
     @staticmethod
     def spy_propagation(monkeypatch):
-        """The number of sets of each stacked propagation the sweep makes, and
-        its count of per-value propagate calls."""
-        calls = {"stacked": [], "per_value": 0}
+        """The number of sets of each stacked propagation the sweep makes."""
+        calls = []
 
         def stacked(sigma0s, params_seq, times):
-            calls["stacked"].append(len(params_seq))
+            calls.append(len(params_seq))
             return oscbath.dynamics._propagate_grid(sigma0s, params_seq, times)
 
-        def per_value(sigma0, params, t):
-            calls["per_value"] += 1
-            return oscbath.dynamics.propagate(sigma0, params, t)
-
         monkeypatch.setattr(oscbath.sweep, "_propagate_grid", stacked)
-        monkeypatch.setattr(oscbath.sweep, "propagate", per_value)
         return calls
 
-    def assert_one_stacked_call(self, monkeypatch, base, which, values, grid):
-        """The sweep propagates all its valid values in one stacked call, and
-        each outcome equals its own evolve_trajectory bit for bit."""
+    def assert_one_stacked_call(self, monkeypatch, base, which, values, grid,
+                                expected_calls=None):
+        """The sweep propagates all its valid values in one stacked call (or
+        makes ``expected_calls``), and each outcome equals its own
+        evolve_trajectory bit for bit."""
         calls = self.spy_propagation(monkeypatch)
         sweep_parameter(base, which, values, grid)
-        assert calls == {"stacked": [len(values)], "per_value": 0}
+        assert calls == (expected_calls or [len(values)])
         monkeypatch.undo()
         return self.assert_matches_per_value(base, which, values, grid)
 
@@ -867,7 +895,7 @@ class TestSweepOnePass:
         calls = self.spy_propagation(monkeypatch)
         base = dataclasses.replace(FIG1A, lambda_=0.0)
         sweep_parameter(base, "omega", (1, 1e10, -1, 2), TimeGrid(0.0, 1e300, 3))
-        assert calls == {"stacked": [3], "per_value": 3}
+        assert calls == [3, 1, 1, 1]
 
     def test_lambda_sweep_mixes_zero_and_settled_blocks(self, monkeypatch):
         # lambda = 0 has zero steady blocks and no solve; at lambda = 800,
@@ -894,10 +922,12 @@ class TestSweepOnePass:
 
     def test_quarter_scale_retry_in_a_stacked_call(self, monkeypatch):
         # at r = 354.9 the mode-basis values of sigma0 overflow, so its rows
-        # are evaluated again at 1/4 scale; its measures then fail alone
+        # are evaluated again at 1/4 scale; its measures then fail, so each
+        # value runs again alone and only r = 354.9 gets the error
         grid = TimeGrid(0.0, 1.0, 5)
         values = (1.0, 354.9, 2.0)
-        outcomes = self.assert_one_stacked_call(monkeypatch, FIG1A, "r", values, grid)
+        outcomes = self.assert_one_stacked_call(monkeypatch, FIG1A, "r", values, grid,
+                                                expected_calls=[3, 1, 1, 1])
         assert outcomes[1].error == "exact i1 of the covariance matrix is beyond the float range"
         sets = [dataclasses.replace(FIG1A, r=r) for r in values]
         sigma0s = [initial_squeezed_vacuum(r) for r in values]

@@ -42,7 +42,7 @@ def no_propagation(monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("propagated before the arguments were checked")
 
-    monkeypatch.setattr(sweep, "propagate", fail)
+    monkeypatch.setattr(sweep, "_propagate_grid", fail)
     monkeypatch.setattr(sweep, "_rk4_grid", fail)
 
 
@@ -258,6 +258,11 @@ class TestEvolveTrajectory:
             with pytest.raises(ValueError, match="dt must be finite"):
                 evolve_trajectory(FIG1A, TimeGrid(0.0, 1.0, 3), integrator, dt)
 
+    def test_unknown_integrator_raises_before_validation(self, no_propagation):
+        invalid = dataclasses.replace(FIG1A, nu=5.0)
+        with pytest.raises(ValueError, match="unknown integrator 'bogus'"):
+            evolve_trajectory(invalid, SMALL_GRID, "bogus")
+
     def test_deterministic(self):
         a = evolve_trajectory(FIG1A, SMALL_GRID)
         b = evolve_trajectory(FIG1A, SMALL_GRID)
@@ -309,6 +314,22 @@ class TestSweepParameter:
         # even when no value is valid, so no trajectory would be evolved
         with pytest.raises(ValueError, match="dt must be finite"):
             sweep_parameter(FIG1A, "temperature", [-1.0, -2.0], SMALL_GRID, dt=dt)
+
+    @pytest.mark.parametrize("values", [[5.0], [5.0, 0.3]])
+    def test_unknown_integrator_raises_before_any_value(self, no_propagation, values):
+        # nu = 5 fails validation; the integrator is checked first, so the
+        # error does not depend on whether another value is valid
+        with pytest.raises(ValueError, match="unknown integrator 'bogus'"):
+            sweep_parameter(FIG1A, "nu", values, SMALL_GRID, integrator="bogus")
+
+    def test_no_values(self):
+        assert sweep_parameter(FIG1A, "nu", [], SMALL_GRID) == []
+
+    def test_outcomes_own_their_times(self):
+        outcomes = sweep_parameter(FIG1A, "temperature", [0.1, 0.5, 1.0], SMALL_GRID)
+        outcomes[0].trajectory.times[1] = 99.0
+        for outcome in outcomes[1:]:
+            assert np.array_equal(outcome.trajectory.times, SMALL_GRID.times())
 
     def test_unknown_parameter_rejected(self):
         with pytest.raises(ValueError):
