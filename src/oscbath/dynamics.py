@@ -370,8 +370,9 @@ def steady_state(params: SystemParams) -> np.ndarray:
     where no steady state exists, and for near-singular sets: those whose
     solution misses the residual bound. Raises :class:`OutOfRange` when D,
     W+^2, the solution or the residual leaves the float range (a residual
-    or bound that is not finite, NaN included), and when W-^2 + lambda^2
-    underflows to 0 (omega1*omega2 subnormal and lambda below 1e-162).
+    or bound that is not finite, NaN included; it names a diffusion entry or
+    a mode block that overflows), and when W-^2 + lambda^2 underflows to 0
+    (omega1*omega2 subnormal and lambda below 1e-162).
     Each call returns a fresh array, which the caller may write into.
     """
     return _full(_steady_solve(params)[2])
@@ -440,6 +441,10 @@ def _steady_solve(params: SystemParams):
                 raise OutOfRange(
                     f"steady state left the float range: diffusion entry {name} overflows "
                     f"(lambda = {lam:g}, T = {params.temperature:g})")
+        if not all(map(math.isfinite, blocks)):
+            raise OutOfRange(
+                f"steady state left the float range: the normal-mode solve overflows "
+                f"(lambda = {lam:g}, W+^2 = {hi_sq:g})")
         raise OutOfRange(
             f"steady state left the float range (residual {residual:g}, bound {bound:g})")
     solve = modes, blocks, lab

@@ -46,6 +46,12 @@ Fast Robust Geometric Predicates", DCG 18, 1997):
 3. Every row still open (entries beyond 2**+-200 among them) is recomputed
    by the scalar route's exact integer pass, row by row.
 
+The three stages share one layout: the stack's entries are copied once into
+a (16, N) array, whose range mask is formed once, and each stage takes the
+columns it settles; stages 1 and 2 form the 2x2 minors they need from one
+table of the twelve Laplace minors with one product kernel; the invariants
+come back as (8, N) columns, which the measure formulas below read in place.
+
 An exact invariant beyond the float range raises :class:`OutOfRange` on
 both routes, on the stack for its lowest such row.
 
@@ -133,11 +139,19 @@ class CorrelationReport:
 # Exact block determinants
 # ---------------------------------------------------------------------------
 
-# Column pairs and signs of the Laplace expansion of a 4x4 determinant by
-# complementary 2x2 minors taken from rows (0,1) and rows (2,3).
-_MINOR_COLS = ((0, 1, 2, 3), (0, 2, 1, 3), (0, 3, 1, 2),
-               (1, 2, 0, 3), (1, 3, 0, 2), (2, 3, 0, 1))
+# The twelve Laplace minors M(ab; ij) = m_ai m_bj - m_aj m_bi of a 4x4 matrix
+# as (row pair, column pair, operand indices): rows (0, 1) with each column
+# pair, then rows (2, 3) with the complementary pairs, so that minor k times
+# minor 6 + k, signed by _MINOR_SIGNS, is the k-th term of the Laplace
+# expansion of I4. Minors 0, 6 and 5 are I1, I2 and I3. The operands are the
+# flat entries 4 a + i of the left and right factors of the plus product
+# m_ai m_bj, then of the minus product m_aj m_bi; _OPERANDS holds them as
+# four rows with one column per minor.
+_COLUMN_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+_MINORS = [((a, a + 1), (i, j), (4 * a + i, 4 * a + 4 + j, 4 * a + j, 4 * a + 4 + i))
+           for a, pairs in ((0, _COLUMN_PAIRS), (2, _COLUMN_PAIRS[::-1])) for i, j in pairs]
 _MINOR_SIGNS = (1, -1, 1, 1, -1, 1)
+_OPERANDS = np.array([operands for _, _, operands in _MINORS]).T
 
 _INVARIANT_NAMES = ("i1", "i2", "i3", "i4", "delta", "delta_tilde", "rad", "rad_tilde")
 # The least |n / s| that rounds to infinity: half an ulp above the largest
@@ -145,10 +159,10 @@ _INVARIANT_NAMES = ("i1", "i2", "i3", "i4", "delta", "delta_tilde", "rad", "rad_
 _FLOAT_LIMIT = 2 ** 1024 - 2 ** 970
 
 
-def _exact_block_invariants(sigma: np.ndarray):
+def _exact_block_invariants(entries: list[float]):
     """Return (i1, i2, i3, i4, delta, delta_tilde, rad, rad_tilde) of a
-    finite 4x4 matrix as floats, each correctly rounded from an exact
-    integer computation.
+    finite 4x4 matrix, given as the list of its 16 entries row by row, as
+    floats, each correctly rounded from an exact integer computation.
 
     One power of two makes every entry an integer: with e the frexp
     exponent of the smallest nonzero |x|, each x * 2**k, k = max(0, 53 - e),
@@ -159,7 +173,6 @@ def _exact_block_invariants(sigma: np.ndarray):
     CPython's int / int rounds each quotient once, correctly. Raises
     :class:`OutOfRange` naming the first invariant beyond the float range.
     """
-    entries = sigma.ravel().tolist()
     smallest = min(map(abs, entries)) or min(filter(None, map(abs, entries)), default=1.0)
     k = max(0, 53 - math.frexp(smallest)[1])
     try:
@@ -193,10 +206,11 @@ def _exact_block_invariants(sigma: np.ndarray):
             f"exact {name} of the covariance matrix is beyond the float range") from None
 
 
-def _exact_stack(sigmas: np.ndarray) -> np.ndarray:
-    """(K, 8) :func:`_exact_block_invariants` of a finite (K, 4, 4) stack,
-    row by row; the lowest row beyond the float range raises its error."""
-    return np.array([_exact_block_invariants(sigma) for sigma in sigmas]).reshape(-1, 8)
+def _exact_stack(entries: np.ndarray) -> np.ndarray:
+    """(8, K) :func:`_exact_block_invariants` of a finite stack, given as its
+    (16, K) :func:`_entries`, matrix by matrix; the lowest matrix beyond the
+    float range raises its error."""
+    return np.array([_exact_block_invariants(row) for row in entries.T.tolist()]).reshape(-1, 8).T
 
 
 # ---------------------------------------------------------------------------
@@ -318,17 +332,6 @@ def _round_test(x, e, value, proven):
     np.equal(t, e, out=proven)
 
 
-# The six Laplace minors of each half, m[r][a] m[r+1][b] - m[r][b] m[r+1][a]:
-# rows (0,1) take the column pair (a, b) = (c0, c1) of each _MINOR_COLS
-# entry and rows (2,3) its (c2, c3). Minor 0 of the first half is I1 and
-# minor 5 is I3; minor 0 of the second half is I2. _MINOR_OPERANDS holds,
-# for each half, the flat entries 4 r + c of the left and right factors of
-# its six plus products, then of its six minus products.
-_MINOR_OPERANDS = [
-    [np.array([4 * r + a for a, _ in cols] + [4 * r + b for _, b in cols]),
-     np.array([4 * r + 4 + b for _, b in cols] + [4 * r + 4 + a for a, _ in cols])]
-    for r, cols in ((0, [c[:2] for c in _MINOR_COLS]), (2, [c[2:] for c in _MINOR_COLS]))
-]
 _MINOR_SIGN_COL = np.array(_MINOR_SIGNS, float)[:, None]
 _PLUS_MINUS_TWO = np.array([[2.0], [-2.0]])
 
@@ -339,15 +342,29 @@ def _entries(sigmas):
     return np.ascontiguousarray(sigmas.reshape(len(sigmas), 16).T)
 
 
-def _dd_minors(entries, left, right):
-    """The six minors of one Laplace half as a double-double of (6, N)
-    arrays, and their magnitudes. The plus and minus products are formed
-    apart, so that no more than six rows of products are in flight."""
-    plus = _two_prod(entries[left[:6]], entries[right[:6]])
-    factor = entries[left[6:]]
+def _in_range(entries):
+    """(N,) mask of the matrices, given as (16, N) :func:`_entries`, whose
+    nonzero entries all lie in [_ENTRY_MIN, _ENTRY_MAX]."""
+    absolute = np.abs(entries)
+    return ((absolute == 0.0)
+            | ((absolute >= _ENTRY_MIN) & (absolute <= _ENTRY_MAX))).all(axis=0)
+
+
+def _minor_products(entries, operands):
+    """The plus products and the negated minus products of the minors whose
+    _OPERANDS columns are ``operands``, as two TwoProds (p, e) of (k, N)
+    arrays, from (16, N) :func:`_entries`: each minor is the exact sum of
+    the four."""
+    plus = _two_prod(entries[operands[0]], entries[operands[1]])
+    factor = entries[operands[2]]
     np.negative(factor, out=factor)
-    minus = _two_prod(factor, entries[right[6:]])
-    del factor
+    return plus, _two_prod(factor, entries[operands[3]])
+
+
+def _dd_minors(entries, operands):
+    """The minors of ``operands`` as a double-double of (k, N) arrays, and
+    their magnitudes."""
+    plus, minus = _minor_products(entries, operands)
     mag = np.abs(plus[0])  # |fl(x y)| = fl(|x| |y|)
     mag += np.abs(minus[0])
     return _dd_add(plus, minus), mag
@@ -360,11 +377,12 @@ def _dd_invariants(entries):
     above).
 
     Like values are stacked as rows of one array, so that each kernel call
-    forms several: six products, the six minors of a Laplace half, the six
-    Laplace terms, the three pair sums of I4's tree, Delta and Delta~, and
-    both discriminants."""
-    top, a_top = _dd_minors(entries, *_MINOR_OPERANDS[0])
-    bottom, a_bottom = _dd_minors(entries, *_MINOR_OPERANDS[1])
+    forms several: the six minors of a Laplace half (one half at a time, so
+    that no more than six rows of products are in flight), the six Laplace
+    terms, the three pair sums of I4's tree, Delta and Delta~, and both
+    discriminants."""
+    top, a_top = _dd_minors(entries, _OPERANDS[:, :6])
+    bottom, a_bottom = _dd_minors(entries, _OPERANDS[:, 6:])
     terms = _dd_mul((top[0] * _MINOR_SIGN_COL, top[1] * _MINOR_SIGN_COL), bottom)
     pairs = _dd_add((terms[0][0::2], terms[1][0::2]), (terms[0][1::2], terms[1][1::2]))
     i4 = _dd_add(_dd_add((pairs[0][:1], pairs[1][:1]), (pairs[0][1:2], pairs[1][1:2])),
@@ -388,32 +406,22 @@ def _dd_invariants(entries):
     return (hi, lo), a
 
 
-def _dd_block_invariants(sigmas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(N, 8) invariants of a finite (N, 4, 4) stack, as from
-    :func:`_exact_block_invariants`, and an (N, 8) mask of the values the
-    round test proves equal to it. Rows with an entry outside the safe
-    range are never accepted.
+def _dd_block_invariants(entries, in_range) -> tuple[np.ndarray, np.ndarray]:
+    """(8, N) invariants of a finite stack, given as its (16, N)
+    :func:`_entries`, as from :func:`_exact_block_invariants`, and an (8, N)
+    mask of the values the round test proves equal to it. Matrices outside
+    the (N,) ``in_range`` mask (:func:`_in_range`) are never accepted.
 
-    Every row depends on its own matrix alone, so a stack of several
-    trajectories gives each the rows its own call would. The results are
-    transposed views of (8, N) arrays, which one round test fills.
+    Every column depends on its own matrix alone, so a stack of several
+    trajectories gives each the columns its own call would.
     """
-    entries = _entries(sigmas)
-    with np.errstate(all="ignore"):  # rows out of range may overflow
+    with np.errstate(all="ignore"):  # matrices out of range may overflow
         x, mag = _dd_invariants(entries)
         mag *= _DD_ERROR
         values, accepted = np.empty(mag.shape), np.empty(mag.shape, bool)
         _round_test(x, mag, values, accepted)
-    accepted &= _in_range(entries)
-    return values.T, accepted.T
-
-
-def _in_range(entries):
-    """(N,) mask of the matrices, given as (16, N) :func:`_entries`, whose
-    nonzero entries all lie in [_ENTRY_MIN, _ENTRY_MAX]."""
-    absolute = np.abs(entries)
-    return ((absolute == 0.0)
-            | ((absolute >= _ENTRY_MIN) & (absolute <= _ENTRY_MAX))).all(axis=0)
+    accepted &= in_range
+    return values, accepted
 
 
 # ---------------------------------------------------------------------------
@@ -467,13 +475,9 @@ def _in_range(entries):
 # of the nine sums at least 2**-400, no product or bound term over- or
 # underflows. Rows outside either range are never accepted.
 _SUM_MIN = 2.0 ** -400
-_FORM_PAIRS = ((0, 2), (0, 3), (1, 2), (1, 3))
-# The ten minors as (first row, columns), and the flat (left, right)
-# entries of their products m_ri m_(r+1)j and m_rj m_(r+1)i.
-_FORM_MINORS = ([(0, cols) for cols in ((0, 1), *_FORM_PAIRS)]
-                + [(2, cols) for cols in ((2, 3), *_FORM_PAIRS)])
-_FORM_LEFT, _FORM_RIGHT, _FORM_LEFT_MINUS, _FORM_RIGHT_MINUS = np.array(
-    [(4 * r + i, 4 * r + 4 + j, 4 * r + j, 4 * r + 4 + i) for r, (i, j) in _FORM_MINORS]).T
+# The _OPERANDS of the ten minors: M(01; c) for c = 01, 02, 03, 12, 13, then
+# M(23; c) for c = 23, 02, 03, 12, 13.
+_FORM_OPERANDS = _OPERANDS[:, [0, 1, 2, 3, 4, 6, 10, 9, 8, 7]]
 # d, q02, q03, q12, q13, r02, r03, r12, r13 as minor A + sign * minor B,
 # gathered from two stacked (10, K) arrays of the ten minors at once
 _FORM_A = [0, 1, 2, 3, 4, 1, 2, 3, 4]
@@ -490,18 +494,15 @@ _FORM_XY = np.array([9 * part + k for factor in (_FORM_X, _FORM_Y)
 _RAD_COEF = np.array([1.0, 4.0, -4.0, 4.0, -4.0])[:, None]
 
 
-def _dd_form_sums(sigmas):
-    """d, q02, q03, q12, q13, r02, r03, r12, r13 of a (K, 4, 4) stack as a
-    double-double of (9, K) arrays, their error bounds E, and a (K,) mask
-    of the rows whose nonzero |hi| and E are all at least _SUM_MIN.
+def _dd_form_sums(entries):
+    """d, q02, q03, q12, q13, r02, r03, r12, r13 of a stack, given as its
+    (16, K) :func:`_entries`, as a double-double of (9, K) arrays, their
+    error bounds E, and a (K,) mask of the matrices whose nonzero |hi| and E
+    are all at least _SUM_MIN.
 
     The products are formed ten rows at a time and no temporary is larger
     than (20, K): wider arrays cost more per element on a 501-row stack."""
-    flat = sigmas.reshape(-1, 16).T
-    p, f = _two_prod(flat[_FORM_LEFT], flat[_FORM_RIGHT])
-    left = flat[_FORM_LEFT_MINUS]
-    np.negative(left, out=left)
-    p_minus, f_minus = _two_prod(left, flat[_FORM_RIGHT_MINUS])
+    (p, f), (p_minus, f_minus) = _minor_products(entries, _FORM_OPERANDS)
     m, e = _two_sum(p, p_minus)
     u, g_minor = _two_sum(f, f_minus)
     u, g = _two_sum(u, e)
@@ -536,11 +537,12 @@ def _dd_form_sums(sigmas):
     return (hi, lo), err, ~tiny.any(axis=0)
 
 
-def _dd_rads(sigmas):
-    """rad and rad_tilde of a (K, 4, 4) stack from the nine sums of
-    :func:`_dd_form_sums`, as a double-double of (2, K) arrays, their error
-    bounds, and the sums' (K,) underflow mask (the error analysis above)."""
-    (hi, lo), err, safe = _dd_form_sums(sigmas)
+def _dd_rads(entries):
+    """rad and rad_tilde of a stack's (16, K) :func:`_entries` from the
+    nine sums of :func:`_dd_form_sums`, as a double-double of (2, K) arrays,
+    their error bounds, and the sums' (K,) underflow mask (the error
+    analysis above)."""
+    (hi, lo), err, safe = _dd_form_sums(entries)
     factors = np.concatenate((hi, lo, err))[_FORM_XY]
     xh, xl, ex, yh, yl, ey = factors.reshape(6, 5, -1)
     bound = np.abs(xh)
@@ -569,17 +571,18 @@ def _dd_rads(sigmas):
     return _two_sum(h, t), err, safe
 
 
-def _dd_discriminants(sigmas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(K, 2) rad and rad_tilde of a finite (K, 4, 4) stack, from
-    :func:`_dd_rads`, and a (K, 2) mask of the values the round test proves
-    equal to :func:`_exact_block_invariants`'. Rows with an entry outside
-    the safe range, or a sum that could underflow, are never accepted."""
-    values, proven = np.empty((2, len(sigmas))), np.empty((2, len(sigmas)), bool)
-    with np.errstate(all="ignore"):  # rows out of range may overflow
-        rads, err, safe = _dd_rads(sigmas)
+def _dd_discriminants(entries, in_range) -> tuple[np.ndarray, np.ndarray]:
+    """(2, K) rad and rad_tilde of a finite stack, given as its (16, K)
+    :func:`_entries`, from :func:`_dd_rads`, and a (2, K) mask of the values
+    the round test proves equal to :func:`_exact_block_invariants`'.
+    Matrices outside the (K,) ``in_range`` mask, or with a sum that could
+    underflow, are never accepted."""
+    values, proven = np.empty((2, entries.shape[1])), np.empty((2, entries.shape[1]), bool)
+    with np.errstate(all="ignore"):  # matrices out of range may overflow
+        rads, err, safe = _dd_rads(entries)
         _round_test(rads, err, values, proven)
-    proven &= safe & _in_range(_entries(sigmas))
-    return values.T, proven.T
+    proven &= safe & in_range
+    return values, proven
 
 
 # Fewest rows for which the sigma Omega sigma stage costs less than the exact
@@ -593,8 +596,9 @@ _STAGE2_MIN_ROWS = 16
 
 
 def _invariants_stack(sigmas: np.ndarray) -> np.ndarray:
-    """(N, 8) exact block invariants of an (N, 4, 4) stack, each row equal to
-    :func:`_exact_block_invariants` of its slice bit for bit.
+    """(8, N) exact block invariants of an (N, 4, 4) stack, in the order of
+    _INVARIANT_NAMES, column k equal to :func:`_exact_block_invariants` of
+    sigma k bit for bit.
 
     The stack must be finite and exactly symmetric, as both integrators
     return it; it is not checked again. Three stages, each settling what it
@@ -607,16 +611,18 @@ def _invariants_stack(sigmas: np.ndarray) -> np.ndarray:
     which costs less there (a stable trajectory's t = 0 and its neighbour, a
     figure's 4-10 rows) and gives the same bits.
     """
-    values, accepted = _dd_block_invariants(sigmas)
+    entries = _entries(sigmas)
+    in_range = _in_range(entries)
+    values, accepted = _dd_block_invariants(entries, in_range)
     # rows whose only open values are the discriminants
-    rows = np.flatnonzero(accepted[:, :6].all(axis=1) & ~accepted[:, 6:].all(axis=1))
+    rows = np.flatnonzero(accepted[:6].all(axis=0) & ~accepted[6:].all(axis=0))
     if len(rows) >= _STAGE2_MIN_ROWS:
-        rads, proven = _dd_discriminants(sigmas[rows])
-        values[rows, 6:] = np.where(proven, rads, values[rows, 6:])
-        accepted[rows, 6:] |= proven
-    rejected = ~accepted.all(axis=1)
+        rads, proven = _dd_discriminants(entries[:, rows], in_range[rows])
+        values[6:, rows] = np.where(proven, rads, values[6:, rows])
+        accepted[6:, rows] |= proven
+    rejected = ~accepted.all(axis=0)
     if rejected.any():
-        values[rejected] = _exact_stack(sigmas[rejected])
+        values[:, rejected] = _exact_stack(entries[:, rejected])
     return values
 
 
@@ -745,7 +751,7 @@ def invariants(sigma) -> SymplecticData:
     is not real and nonnegative within tolerance (e.g. indefinite input).
     """
     arr = check_covariance(sigma)
-    values = _exact_block_invariants(arr)
+    values = _exact_block_invariants(arr.ravel().tolist())
     return _assemble(*values)
 
 
@@ -821,16 +827,16 @@ def full_report(sigma) -> CorrelationReport:
 _BRANCHES = np.array(["first", "second", None], dtype=object)
 
 
-def _report_columns(inv: np.ndarray):
-    """Spectrum and report columns of (N, 8) invariants from
+def _report_columns(columns: np.ndarray):
+    """Spectrum and report columns of (8, N) invariants from
     :func:`_invariants_stack`: a :class:`SymplecticData` and a
     :class:`CorrelationReport` whose fields are (N,) arrays (``zeta_branch``
     an object array holding None), row k equal to
-    ``report_from_data(_assemble(*inv[k]))`` bit for bit; the lowest row on
-    which that raises raises the same exception and message here. A power
-    beyond the float range is inf on both routes, never an error.
+    ``report_from_data(_assemble(*columns[:, k]))`` bit for bit; the lowest
+    row on which that raises raises the same exception and message here. A
+    power beyond the float range is inf on both routes, never an error. The
+    first six fields of the spectrum are views of ``columns``.
     """
-    columns = np.array(inv.T)
     i1, i2, i3, i4, delta, delta_tilde, _, _ = columns
     xp = _COLUMN
     with np.errstate(all="ignore"):  # both sides of each where are evaluated
@@ -856,7 +862,7 @@ def _report_columns(inv: np.ndarray):
         # rows left undefined are overwritten below
         discord = _discord(xp, *np.where(args <= 1.0, 0.0, _f_entropy(xp, args)))
     if raises.any():  # the scalar code raises on the lowest such row
-        report_from_data(_assemble(*inv[np.argmax(raises)].tolist()))
+        report_from_data(_assemble(*columns[:, np.argmax(raises)].tolist()))
     discord[~defined] = np.nan
     branch = _BRANCHES[np.where(defined, ~first, 2)]
 

@@ -59,7 +59,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform finite time grid: 0 <= t_start < t_end, an integer n_points >= 2."""
+    """Uniform finite time grid: 0 <= t_start < t_end, an integer n_points
+    in [2, 2**53]."""
 
     t_start: float
     t_end: float
@@ -77,6 +78,9 @@ class TimeGrid:
             raise ValueError(f"n_points must be an integer (got {self.n_points!r})")
         if self.n_points < 2:
             raise ValueError(f"n_points must be >= 2 (got {self.n_points})")
+        # a float counts exactly up to 2**53; beyond it numpy cannot build the grid
+        if self.n_points > 2 ** 53:
+            raise ValueError(f"n_points must be <= 2**53 (got {self.n_points})")
 
     def times(self) -> np.ndarray:
         return np.linspace(self.t_start, self.t_end, self.n_points)

@@ -35,6 +35,9 @@ from oscbath.measures import (
     _DD_ERROR,
     _FLOAT,
     _FLOAT_LIMIT,
+    _MINOR_SIGNS,
+    _MINORS,
+    _OPERANDS,
     _SPLIT,
     _STAGE2_MIN_ROWS,
     _assemble,
@@ -50,6 +53,7 @@ from oscbath.measures import (
     _exact_stack,
     _in_range,
     _invariants_stack,
+    _minor_products,
     _report_columns,
     _rint_product,
     _round_test,
@@ -66,6 +70,33 @@ from helpers import FIG1A, FIG4, INVARIANT_NAMES, cofactor_det, exact_invariants
 
 def bits(values) -> np.ndarray:
     return np.asarray(values, dtype=float).view(np.int64)
+
+
+# The stages take a stack as its (16, N) entries and give (k, N) columns;
+# these wrappers give them one matrix or an (N, 4, 4) stack and return
+# (N, k) rows.
+def exact_row(sigma):
+    return _exact_block_invariants(sigma.ravel().tolist())
+
+
+def block_invariants(sigmas):
+    entries = _entries(sigmas)
+    values, accepted = _dd_block_invariants(entries, _in_range(entries))
+    return values.T, accepted.T
+
+
+def discriminants(sigmas):
+    entries = _entries(sigmas)
+    values, proven = _dd_discriminants(entries, _in_range(entries))
+    return values.T, proven.T
+
+
+def exact_stack(sigmas):
+    return _exact_stack(_entries(sigmas)).T
+
+
+def invariants_stack(sigmas):
+    return _invariants_stack(sigmas).T
 
 
 def fig1a_stacks():
@@ -127,8 +158,8 @@ def exact_invariant_fractions(sigma):
 def accepted_against_exact(sigmas):
     """Assert every value the round test accepts is the exact path's, bit
     for bit; return the (N, 8) accepted mask."""
-    values, accepted = _dd_block_invariants(sigmas)
-    exact = np.array([_exact_block_invariants(s) for s in sigmas]).reshape(-1, 8)
+    values, accepted = block_invariants(sigmas)
+    exact = np.array([exact_row(s) for s in sigmas]).reshape(-1, 8)
     assert np.array_equal(bits(values)[accepted], bits(exact)[accepted])
     return accepted
 
@@ -185,10 +216,10 @@ class TestRoundTest:
     @pytest.mark.parametrize("exponent", [250, -250])
     def test_out_of_range_entries_fall_back(self, exponent):
         sigmas = evolve_stack("closed")[::50] * 2.0 ** exponent
-        _, accepted = _dd_block_invariants(sigmas)
+        _, accepted = block_invariants(sigmas)
         assert not accepted.any()
-        exact = [_exact_block_invariants(s) for s in sigmas]
-        assert np.array_equal(bits(_invariants_stack(sigmas)), bits(exact))
+        exact = [exact_row(s) for s in sigmas]
+        assert np.array_equal(bits(invariants_stack(sigmas)), bits(exact))
 
 
 # The double-double kernels as textbook expressions: the lean kernels must
@@ -285,22 +316,54 @@ class TestLeanKernels:
             assert np.array_equal(bits(x), b)
 
     def test_block_invariants_leave_the_stack_unchanged(self):
-        sigmas = near_pure_stack(200)
-        before = bits(sigmas).copy()
-        _dd_block_invariants(sigmas)
-        assert np.array_equal(bits(sigmas), before)
+        # neither the stack nor its entries and range mask, which every
+        # stage shares
+        sigmas = np.concatenate([near_pure_stack(200), squeezed_vacua()])
+        entries = _entries(sigmas)
+        in_range = _in_range(entries)
+        before = [bits(sigmas).copy(), bits(entries).copy(), in_range.copy()]
+        _dd_block_invariants(entries, in_range)
+        _dd_discriminants(entries, in_range)
+        _exact_stack(entries[:, :20])
+        _invariants_stack(sigmas)
+        for x, b in zip((sigmas, entries, in_range), before):
+            assert np.array_equal(x.view(b.dtype), b)
 
     def test_concatenated_stack_equals_its_slices(self):
         stacks = [*fig1a_stacks(), evolve_stack("lambda0_rk4"), near_pure_stack()]
-        values, accepted = _dd_block_invariants(np.concatenate(stacks))
+        values, accepted = block_invariants(np.concatenate(stacks))
         start = 0
         for sigmas in stacks:
             rows = slice(start, start + len(sigmas))
-            want_values, want_accepted = _dd_block_invariants(sigmas)
+            want_values, want_accepted = block_invariants(sigmas)
             assert np.array_equal(bits(values[rows]), bits(want_values))
             assert np.array_equal(accepted[rows], want_accepted)
             start = rows.stop
         assert start == len(values)
+
+
+class TestMinorTable:
+    """The one table of Laplace minors whose products both double-double
+    stages form."""
+
+    def test_products_sum_to_each_minor(self):
+        sigmas = np.concatenate([near_pure_stack(50), wide_range_stack(50), squeezed_vacua()])
+        plus, minus = _minor_products(_entries(sigmas), _OPERANDS)
+        for k, sigma in enumerate(sigmas):
+            m = [[Fraction(x) for x in row] for row in sigma.tolist()]
+            for row, ((a, b), (i, j), _) in enumerate(_MINORS):
+                assert b == a + 1
+                exact = sum(Fraction(part[row, k]) for pair in (plus, minus) for part in pair)
+                assert exact == fraction_minor(m, a, i, j), (k, row)
+
+    @pytest.mark.parametrize("kind", ["integer", "dyadic"])
+    def test_halves_are_the_laplace_expansion(self, kind):
+        for m in fraction_matrices(kind, count=50):
+            minors = [fraction_minor(m, a, i, j) for (a, _), (i, j), _ in _MINORS]
+            assert (minors[0], minors[6], minors[5]) == (
+                fraction_minor(m, 0, 0, 1), fraction_minor(m, 2, 2, 3), fraction_minor(m, 0, 2, 3))
+            assert sum(sign * minors[k] * minors[6 + k]
+                       for k, sign in enumerate(_MINOR_SIGNS)) == cofactor_det(m)
 
 
 def exact_outcome(function, sigma):
@@ -318,9 +381,9 @@ def assert_exact_passes_match_oracle(sigmas):
     and both stacked passes raise the lowest such row's. Returns the number
     of such rows."""
     expected = [exact_outcome(exact_invariants, sigma) for sigma in sigmas]
-    assert [exact_outcome(_exact_block_invariants, sigma) for sigma in sigmas] == expected
+    assert [exact_outcome(exact_row, sigma) for sigma in sigmas] == expected
     errors = [row for row in expected if isinstance(row, tuple)]
-    for stacked in (_exact_stack, _invariants_stack):
+    for stacked in (exact_stack, invariants_stack):
         if errors:
             with pytest.raises(OutOfRange) as info:
                 stacked(sigmas)
@@ -418,7 +481,7 @@ class TestExactStack:
     def test_seeded_mixed_scale_stack(self):
         sigmas = mixed_scale_stack()
         assert assert_exact_passes_match_oracle(sigmas) == 0
-        _, accepted = _dd_block_invariants(sigmas)
+        _, accepted = block_invariants(sigmas)
         assert (~accepted.all(axis=1)).mean() > 0.9  # mostly the exact pass
 
     def test_lambda0_rk4_rows(self):
@@ -492,8 +555,8 @@ def williamson_stack(gaps, count=2000, seed=3):
 def discriminants_against_exact(sigmas):
     """Assert every discriminant the sigma Omega sigma stage accepts is the
     exact path's, bit for bit; return the (K, 2) accepted mask."""
-    values, proven = _dd_discriminants(sigmas)
-    exact = _exact_stack(sigmas)[:, 6:]
+    values, proven = discriminants(sigmas)
+    exact = exact_stack(sigmas)[:, 6:]
     assert np.array_equal(bits(values)[proven], bits(exact)[proven])
     return proven
 
@@ -529,7 +592,7 @@ class TestDiscriminantStage:
     ], ids=["integers", "vacua", "near_pure", "williamson", "lambda0_rk4"])
     def test_nine_sums_within_their_bound(self, make, exact):
         sigmas = make()
-        (hi, lo), err, safe = _dd_form_sums(sigmas)
+        (hi, lo), err, safe = _dd_form_sums(_entries(sigmas))
         assert safe.all()
         for k, sigma in enumerate(sigmas):
             m = [[Fraction(x) for x in row] for row in sigma.tolist()]
@@ -549,7 +612,7 @@ class TestDiscriminantStage:
     def test_discriminants_within_their_bound(self, make):
         sigmas = make()
         with np.errstate(all="ignore"):
-            (hi, lo), err, safe = _dd_rads(sigmas)
+            (hi, lo), err, safe = _dd_rads(_entries(sigmas))
         assert safe.all()
         for k, sigma in enumerate(sigmas):
             m = [[Fraction(x) for x in row] for row in sigma.tolist()]
@@ -603,7 +666,7 @@ class TestDiscriminantStage:
         shift = exponent - np.frexp(edge)[1] + (exponent > 0)
         sigmas = np.ldexp(sigmas, shift[:, None, None])
         assert not _in_range(_entries(sigmas)).any()
-        _, proven = _dd_discriminants(sigmas)
+        _, proven = discriminants(sigmas)
         assert not proven.any()
         assert_exact_passes_match_oracle(sigmas)
 
@@ -611,9 +674,9 @@ class TestDiscriminantStage:
         # entries in range, but d = 2**-380 (1 - (1 + 2**-40)) = -2**-420
         a = 2.0 ** -190
         sigma = np.diag([a, a, a, a * (1.0 + 2.0 ** -40)])
-        (hi, _), _, safe = _dd_form_sums(sigma[None])
+        (hi, _), _, safe = _dd_form_sums(_entries(sigma[None]))
         assert hi[0, 0] == -(2.0 ** -420) and not safe[0]
-        _, proven = _dd_discriminants(sigma[None])
+        _, proven = discriminants(sigma[None])
         assert not proven.any()
         # scaled into the safe range, the same matrix is accepted
         assert discriminants_against_exact(sigma[None] * 2.0 ** 100).all()
@@ -625,42 +688,51 @@ class TestExactPassRows:
     double-double stage leaves open, sends all of them to the second stage
     and none to the exact pass; fewer than _STAGE2_MIN_ROWS open rows (a
     stable trajectory's, a figure's) skip the second stage for the exact
-    pass, which costs less there."""
+    pass, which costs less there. Each measure pass forms the stack's
+    entries and their range mask once, for all three stages."""
 
     @pytest.fixture
     def spied(self, monkeypatch):
-        rows = {"stage2": [], "exact": []}
+        rows = {"entries": [], "in_range": [], "stage2": [], "exact": []}
 
-        def spy(name, stage):
-            def counted(sigmas):
-                rows[name].append(len(sigmas))
-                return stage(sigmas)
+        def spy(name, stage, size):
+            def counted(first, *rest):
+                rows[name].append(size(first))
+                return stage(first, *rest)
             monkeypatch.setattr(oscbath.measures, stage.__name__, counted)
 
-        spy("stage2", _dd_discriminants)
-        spy("exact", _exact_stack)
+        def columns(entries):
+            return entries.shape[1]
+
+        spy("entries", _entries, len)
+        spy("in_range", _in_range, columns)
+        spy("stage2", _dd_discriminants, columns)
+        spy("exact", _exact_stack, columns)
         return rows
 
     @pytest.mark.parametrize("omega", [0.5, 0.55, 1.0, 1.5])
     def test_lambda0_rk4(self, omega, spied):
         params = dataclasses.replace(FIG1A, omega=omega, nu=0.8 * omega * omega, lambda_=0.0)
         traj = evolve_trajectory(params, DEFAULT_GRID, "rk4", 1e-3)
-        _, accepted = _dd_block_invariants(traj.sigmas)
+        _, accepted = block_invariants(traj.sigmas)
         assert not accepted.all(axis=1).any()
         assert np.abs(traj.report.purity - 1.0).max() < 1e-10
-        assert spied == {"stage2": [len(DEFAULT_GRID.times())], "exact": []}
+        n = len(DEFAULT_GRID.times())
+        assert spied == {"entries": [n], "in_range": [n], "stage2": [n], "exact": []}
 
     @pytest.mark.parametrize("integrator, rows", [("closed", 1), ("rk4", 2)])
     def test_stable_trajectory(self, integrator, rows, spied):
         # the open rows are t = 0 and, for rk4, its neighbour
         evolve_trajectory(FIG1A, DEFAULT_GRID, integrator)
-        assert spied == {"stage2": [], "exact": [rows]}
+        n = len(DEFAULT_GRID.times())
+        assert spied == {"entries": [n], "in_range": [n], "stage2": [], "exact": [rows]}
 
     def test_every_figure(self, spied):
         for fid in FIGURE_IDS:
             preset = figure_preset(fid)
             sweep_parameter(preset.params, preset.sweep, preset.values, preset.grid)
         assert spied["stage2"] == []
+        assert len(spied["entries"]) == len(spied["in_range"]) == len(FIGURE_IDS)
         assert len(spied["exact"]) == len(FIGURE_IDS)
         assert all(4 <= rows < _STAGE2_MIN_ROWS for rows in spied["exact"])
 
@@ -1027,7 +1099,7 @@ class TestErrorsMatchScalar:
         assert kind is OutOfRange and issubclass(kind, OverflowError)
         assert message.startswith("exact i4 " if first == "HUGE_DIAGONAL" else "exact i1 ")
         sigmas = self.stack({7: sigma, 12: getattr(self, second)})
-        for stacked in (_exact_stack, _invariants_stack):
+        for stacked in (exact_stack, invariants_stack):
             with pytest.raises(OutOfRange) as info:
                 stacked(sigmas)
             assert str(info.value) == message
@@ -1079,7 +1151,7 @@ def invariant_rows(draw):
     # s = R S M R' with orthogonal M and R', so s s^T drops the mode mixing
     sigma = {"mixed": random_physical_cov(rng, max_squeeze=2.0),
              "entangled": s.T @ s, "product": s @ s.T}[kind]
-    row = list(_exact_block_invariants(0.5 * (sigma + sigma.T)))
+    row = list(exact_row(0.5 * (sigma + sigma.T)))
     for k in draw(st.sets(st.integers(0, 7), max_size=3)):
         row[k] = draw(FIELD_VALUES[k])
     return row
@@ -1094,16 +1166,16 @@ def scalar_row(row):
 
 
 def assert_rows_match_columns(rows):
-    """_report_columns of the stack equals the scalar route row by row, or
-    raises the lowest raising row's class and message."""
+    """_report_columns of the rows as (8, N) columns equals the scalar route
+    row by row, or raises the lowest raising row's class and message."""
     expected = [scalar_row(row) for row in rows]
     errors = [e for e in expected if isinstance(e, Exception)]
     if errors:
         with pytest.raises(type(errors[0])) as info:
-            _report_columns(np.array(rows))
+            _report_columns(np.array(rows).T)
         assert str(info.value) == str(errors[0])
         return
-    columns = _report_columns(np.array(rows))
+    columns = _report_columns(np.array(rows).T)
     for column, values in zip(columns, zip(*expected)):
         fields = [getattr(column, f.name).tolist() for f in dataclasses.fields(column)]
         for row, value in zip(zip(*fields), values):
@@ -1111,9 +1183,10 @@ def assert_rows_match_columns(rows):
 
 
 class TestRowsMatchScalar:
-    """_report_columns on any (N, 8) stack: row k is report_from_data of
-    _assemble(*row) bit for bit, or the lowest raising row's error; each
-    row is also checked alone, so rows beside a raising one are compared."""
+    """_report_columns on the (8, N) columns of any N rows: column k is
+    report_from_data of _assemble(*row k) bit for bit, or the lowest raising
+    row's error; each row is also checked alone, so rows beside a raising
+    one are compared."""
 
     @settings(max_examples=150, deadline=None, database=None, derandomize=True,
               suppress_health_check=[HealthCheck.too_slow])
@@ -1129,11 +1202,11 @@ class TestRowsMatchScalar:
         # report_from_data takes a branch unless I2 <= 0 (`not i2 <= 0.0`),
         # so a NaN I2 gives a NaN discord on the second branch
         row = list([1.0, 1.0, 0.0, 1.0, 2.0, 2.0, 0.0, 0.0] if base == "vacuum"
-                   else _exact_block_invariants(evolve_stack("closed")[250]))
+                   else exact_row(evolve_stack("closed")[250]))
         row[1] = i2
         assert_rows_match_columns([row])
         if math.isnan(i2):
-            _, report = _report_columns(np.array([row]))
+            _, report = _report_columns(np.array([row]).T)
             assert math.isnan(report.discord[0]) and report.zeta_branch[0] == "second"
 
 

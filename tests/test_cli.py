@@ -336,9 +336,13 @@ class TestEvolveCommand:
         assert "rk4" not in err
 
     def test_bad_grid_is_usage_error(self, capsys):
-        code = main(["evolve", "--points", "1"])
-        assert code == 2
-        assert "usage error" in capsys.readouterr().err
+        # 1 point, and counts beyond 2**53, where numpy's linspace raises a
+        # bare ValueError (2**62) or IndexError (2**63) instead of MemoryError
+        for points in ("1", "9007199254740993", "4611686018427387904", "9223372036854775808"):
+            code = main(["evolve", "--points", points])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert err.startswith("usage error:") and err.count("\n") == 1
 
     def test_infinite_t_end_is_usage_error(self, capsys):
         assert main(["evolve", "--t-end", "inf", "--points", "3"]) == 2
@@ -515,6 +519,10 @@ class TestSteadyCommand:
         (["--omega", "10", "--lambda", "8.9e307"],
          "steady state left the float range: diffusion entry "
          "2*lambda*coth(omega1/2T)*omega1 overflows"),
+        # every entry of 2 D is finite; the scaled mode solve overflows
+        (["--lambda", "8.9e307", "--temp", "0.1"],
+         "steady state left the float range: the normal-mode solve overflows "
+         "(lambda = 8.9e+307, W+^2 = 1.8)\n"),
     ])
     def test_errors_beyond_the_solve_exit_1(self, flags, reason, capsys):
         assert main(["steady", *flags]) == 1

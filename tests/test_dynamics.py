@@ -673,6 +673,15 @@ class TestSteadyState:
          r"diffusion entry 2\*lambda\*coth\(omega2/2T\)/omega2 overflows"),
         (SystemParams(10.0, 0.0, 0.8, 0.6, 1e308, 1.0),
          r"diffusion entry 2\*lambda\*coth\(omega1/2T\)\*omega1 overflows"),
+        # every entry of 2 D is finite, but a mode block overflows: in the
+        # scaled solve (mu = 2**1023, q = 2p + (S2 + 4 lambda'^2) mu x), and
+        # in the unscaled one (p = 1e308, 2p)
+        (SystemParams(1.0, 0.0, 0.8, 8.9e307, 0.1, 1.0),
+         r"^steady state left the float range: the normal-mode solve overflows "
+         r"\(lambda = 8.9e\+307, W\+\^2 = 1.8\)$"),
+        (SystemParams(10.0, 0.0, 0.8, 0.5, 5e307, 1.0),
+         r"^steady state left the float range: the normal-mode solve overflows "
+         r"\(lambda = 0.5, W\+\^2 = 100.8\)$"),
     ])
     def test_beyond_float_range_raises_out_of_range(self, params, message):
         assert validate(params).ok

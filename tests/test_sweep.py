@@ -59,7 +59,10 @@ class TestTimeGrid:
          dict(t_start=0.0, t_end=1.0, n_points=1),
          dict(t_start=0.0, t_end=math.inf, n_points=3),
          dict(t_start=math.inf, t_end=math.inf, n_points=3),
-         dict(t_start=0.0, t_end=math.nan, n_points=3)],
+         dict(t_start=0.0, t_end=math.nan, n_points=3),
+         dict(t_start=0.0, t_end=1.0, n_points=2 ** 53 + 1),
+         dict(t_start=0.0, t_end=1.0, n_points=2 ** 62),
+         dict(t_start=0.0, t_end=1.0, n_points=2 ** 63)],
     )
     def test_invalid_grid_rejected(self, kwargs):
         with pytest.raises(ValueError):
