@@ -32,8 +32,8 @@ Fast Robust Geometric Predicates", DCG 18, 1997):
    rounded exact value. Near a degenerate spectrum (pure states such as
    t = 0, a whole lambda = 0 trajectory) the discriminants cancel beyond
    double-double and stay open.
-2. For rows whose only open values are the discriminants, rad and
-   rad_tilde again, from the identities
+2. For rows whose only open values are discriminants, the open ones again
+   (rad alone on lambda = 0 rows), from the identities
 
        Delta^2 - 4 I4 = (I1 - I2)^2 + 4 (q02 q13 - q03 q12),
        Delta~^2 - 4 I4 = (I1 - I2)^2 - 4 (r02 r13 - r03 r12),
@@ -462,7 +462,7 @@ def _dd_block_invariants(entries, in_range) -> tuple[np.ndarray, np.ndarray]:
 # where a sum is O(u) of its products, E is O(u^2) of the sum.
 #
 # Each discriminant is then c_0 z_0 + c_1 z_1 + c_2 z_2 with products
-# z = x y of the sums and c = 1, 4, -4. TwoProd(xh, yh) = p + e, and the
+# z = x y of its five sums and c = 1, +-4, -+4. TwoProd(xh, yh) = p + e, and the
 # small part e + xh yl + xl yh drops xl yl and rounds four times: at most
 # 8.1 u^2 P, P = |xh yh|. The scaled highs c p are summed by two TwoSums
 # and the five small terms in plain floats (at most 4 u times their sum,
@@ -472,126 +472,124 @@ def _dd_block_invariants(entries, in_range) -> tuple[np.ndarray, np.ndarray]:
 # so the bound is widened by 2**-40 before _round_test. A nonzero entry in
 # [2**-200, 2**200] is a multiple of 2**-252, so every nonzero product and
 # TwoSum error above is a multiple of 2**-504; with every nonzero hi and E
-# of the nine sums at least 2**-400, no product or bound term over- or
+# of its five sums at least 2**-400, no product or bound term over- or
 # underflows. Rows outside either range are never accepted.
 _SUM_MIN = 2.0 ** -400
-# The _OPERANDS of the ten minors: M(01; c) for c = 01, 02, 03, 12, 13, then
-# M(23; c) for c = 23, 02, 03, 12, 13.
+# _OPERANDS of the ten minors M(01; c), c = 01, 02, 03, 12, 13, then M(23; c),
+# c = 23, 02, 03, 12, 13: rows k and 5 + k are A and B of the k-th sum A +- B.
 _FORM_OPERANDS = _OPERANDS[:, [0, 1, 2, 3, 4, 6, 10, 9, 8, 7]]
-# d, q02, q03, q12, q13, r02, r03, r12, r13 as minor A + sign * minor B,
-# gathered from two stacked (10, K) arrays of the ten minors at once
-_FORM_A = [0, 1, 2, 3, 4, 1, 2, 3, 4]
-_FORM_B = [5, 6, 7, 8, 9, 6, 7, 8, 9]
-_FORM_A2, _FORM_B2 = (np.array(rows + [10 + k for k in rows]) for rows in (_FORM_A, _FORM_B))
-_FORM_B_SIGN = np.array([-1.0] + [1.0] * 4 + [-1.0] * 4)[:, None]
-_FORM_B_SIGN2 = np.concatenate((_FORM_B_SIGN, _FORM_B_SIGN))
-# the products d d, q02 q13, q03 q12, r03 r12, r02 r13 as indices of the
-# sums, and their coefficients: rad = z0 + 4 z1 - 4 z2, rad~ = z0 + 4 z3 - 4 z4;
-# _FORM_XY gathers (hi, lo, E) of both factors from the stacked (27, K) sums
-_FORM_X, _FORM_Y = [0, 1, 2, 6, 5], [0, 4, 3, 7, 8]
-_FORM_XY = np.array([9 * part + k for factor in (_FORM_X, _FORM_Y)
-                     for part in range(3) for k in factor])
-_RAD_COEF = np.array([1.0, 4.0, -4.0, 4.0, -4.0])[:, None]
+# For rad (s = q) and rad_tilde (s = r): the signs of B in the five sums, and
+# the coefficients of the products d d, s02 s13, s03 s12, so that
+# rad = d d + 4 q02 q13 - 4 q03 q12 and rad_tilde = d d - 4 r02 r13 + 4 r03 r12
+_FORM_SIGNS = np.array([[-1.0, 1.0, 1.0, 1.0, 1.0], [-1.0] * 5])[:, :, None]
+_RAD_COEFS = np.array([[1.0, 4.0, -4.0], [1.0, -4.0, 4.0]])[:, :, None]
 
 
-def _dd_form_sums(entries):
-    """d, q02, q03, q12, q13, r02, r03, r12, r13 of a stack, given as its
-    (16, K) :func:`_entries`, as a double-double of (9, K) arrays, their
-    error bounds E, and a (K,) mask of the matrices whose nonzero |hi| and E
-    are all at least _SUM_MIN.
-
-    The products are formed ten rows at a time and no temporary is larger
-    than (20, K): wider arrays cost more per element on a 501-row stack."""
+def _dd_form_minors(entries):
+    """The ten minors of _FORM_OPERANDS of a stack's (16, K) :func:`_entries`
+    as (10, K) arrays (m, u, g, |g|): each is m + u + g exactly, g and |g|
+    the sum and the summed magnitudes of its two TwoSum errors."""
     (p, f), (p_minus, f_minus) = _minor_products(entries, _FORM_OPERANDS)
     m, e = _two_sum(p, p_minus)
     u, g_minor = _two_sum(f, f_minus)
     u, g = _two_sum(u, e)
     g_abs = np.abs(g_minor)
     g_abs += np.abs(g)
-    g_minor += g  # each minor is m + u + (its two g), g_abs their |g| summed
-    # (m, u) of each sum's minors A and sign * B, then (h + e, t + g)
-    high = np.concatenate((m, u))
-    b = high[_FORM_B2]
-    b *= _FORM_B_SIGN2
-    s, e = _two_sum(high[_FORM_A2], b)
-    h, t, e, g = s[:9], s[9:], e[:9], e[9:]
+    g_minor += g
+    return m, u, g_minor, g_abs
+
+
+def _dd_form_sums(minors, sign):
+    """d, s02, s03, s12, s13 = A + sign * B of (10, k) :func:`_dd_form_minors`
+    as a double-double of (5, k) arrays, their error bounds E, and a (k,)
+    mask of the matrices whose nonzero |hi| and E are all at least _SUM_MIN;
+    ``sign`` = _FORM_SIGNS[0] gives d and the q_ij, the sums behind Q."""
+    m, u, g_minor, g_abs = minors
+    h, e = _two_sum(m[:5], m[5:] * sign)
+    t, g = _two_sum(u[:5], u[5:] * sign)
     t, g_next = _two_sum(t, e)
     hi, lo = _two_sum(h, t)
-    # (sum g, sum |g|) of each sum
-    low = np.concatenate((g_minor, g_abs))
-    b = low[_FORM_B2]
-    b[:9] *= _FORM_B_SIGN
-    low = low[_FORM_A2]
-    low += b
-    g_sum, err = low[:9], low[9:]
+    g_sum = g_minor[5:] * sign
+    g_sum += g_minor[:5]
     g_sum += g
     g_sum += g_next
     lo += g_sum
+    err = g_abs[:5] + g_abs[5:]
     err += np.abs(g)
     err += np.abs(g_next)
     err *= 2.0 ** -49
     err += 2.0 ** -52 * np.abs(lo)
     hi, lo = _two_sum(hi, lo)
     size = np.concatenate((np.abs(hi), err))
-    tiny = (0.0 < size) & (size < _SUM_MIN)
-    return (hi, lo), err, ~tiny.any(axis=0)
+    return (hi, lo), err, ~((0.0 < size) & (size < _SUM_MIN)).any(axis=0)
 
 
-def _dd_rads(entries):
-    """rad and rad_tilde of a stack's (16, K) :func:`_entries` from the
-    nine sums of :func:`_dd_form_sums`, as a double-double of (2, K) arrays,
-    their error bounds, and the sums' (K,) underflow mask (the error
-    analysis above)."""
-    (hi, lo), err, safe = _dd_form_sums(entries)
-    factors = np.concatenate((hi, lo, err))[_FORM_XY]
-    xh, xl, ex, yh, yl, ey = factors.reshape(6, 5, -1)
+def _dd_form_products(hi, lo, err):
+    """The products d d, s02 s13, s03 s12 of :func:`_dd_form_sums`' sums as
+    (3, k) arrays p + e, and their bounds before the coefficients."""
+    xh, xl, ex = hi[:3], lo[:3], err[:3]
+    yh, yl, ey = hi[[0, 4, 3]], lo[[0, 4, 3]], err[[0, 4, 3]]
     bound = np.abs(xh)
     bound *= ey
     bound += np.abs(yh) * ex
-    ex *= ey
-    bound += ex  # |x^| Ey + |y^| Ex + Ex Ey
+    ey *= ex
+    bound += ey  # |x^| Ey + |y^| Ex + Ex Ey
     p, e = _two_prod(xh, yh)
-    xh *= yl
-    xl *= yh
-    xh += xl
-    e += xh  # the small part of each product
+    yl *= xh
+    yl += xl * yh
+    e += yl  # the small part of each product
     bound += 2.0 ** -100 * np.abs(p)
-    bound *= np.abs(_RAD_COEF)
-    p *= _RAD_COEF
-    e *= _RAD_COEF
-    s, e_s = _two_sum(p[1::2], p[2::2])
+    return (p, e), bound
+
+
+def _dd_rad(minors, which):
+    """rad (``which`` 0) or rad_tilde (1) of (10, k) :func:`_dd_form_minors`
+    as a double-double of (k,) arrays, its error bound, and the sums' (k,)
+    underflow mask (the error analysis above)."""
+    sums, err, safe = _dd_form_sums(minors, _FORM_SIGNS[which])
+    (p, e), bound = _dd_form_products(*sums, err)
+    coef = _RAD_COEFS[which]
+    bound *= np.abs(coef)
+    p *= coef
+    e *= coef
+    s, e_s = _two_sum(p[1], p[2])
     h, e_h = _two_sum(s, p[0])
-    t = e[1::2] + e[2::2]
+    t = e[1] + e[2]
     t += e[0]
     t += e_s
     t += e_h
-    err = bound[1::2] + bound[2::2]
+    err = bound[1] + bound[2]
     err += bound[0]
     err *= 1.0 + 2.0 ** -40
     return _two_sum(h, t), err, safe
 
 
-def _dd_discriminants(entries, in_range) -> tuple[np.ndarray, np.ndarray]:
-    """(2, K) rad and rad_tilde of a finite stack, given as its (16, K)
-    :func:`_entries`, from :func:`_dd_rads`, and a (2, K) mask of the values
-    the round test proves equal to :func:`_exact_block_invariants`'.
-    Matrices outside the (K,) ``in_range`` mask, or with a sum that could
-    underflow, are never accepted."""
-    values, proven = np.empty((2, entries.shape[1])), np.empty((2, entries.shape[1]), bool)
+def _dd_discriminants(entries, in_range, open_) -> tuple[np.ndarray, np.ndarray]:
+    """(2, K) rad and rad_tilde of a finite stack's (16, K) :func:`_entries`,
+    each from :func:`_dd_rad` on the columns where the (2, K) mask ``open_``
+    asks for it, and a (2, K) mask of the values the round test proves equal
+    to :func:`_exact_block_invariants`' (False where not asked), never on a
+    matrix outside the (K,) ``in_range`` mask or with a sum that may underflow."""
+    values, proven = np.zeros(open_.shape), np.zeros(open_.shape, bool)
     with np.errstate(all="ignore"):  # matrices out of range may overflow
-        rads, err, safe = _dd_rads(entries)
-        _round_test(rads, err, values, proven)
-    proven &= safe & in_range
+        minors = _dd_form_minors(entries)
+        for which in np.flatnonzero(open_.any(axis=1)):
+            cols = slice(None) if open_[which].all() else np.flatnonzero(open_[which])
+            rad, err, safe = _dd_rad([x[:, cols] for x in minors], which)
+            value, ok = np.empty(err.shape), np.empty(err.shape, bool)
+            _round_test(rad, err, value, ok)
+            values[which, cols] = value
+            proven[which, cols] = ok & safe & in_range[cols]
     return values, proven
 
 
 # Fewest rows for which the sigma Omega sigma stage costs less than the exact
-# pass. Each stage was timed on the first K open rows of a lambda = 0 RK4
-# trajectory and on the open rows of the 15 figures' passes (K = 1..32 and
-# 501; minimum over 15 x 30 calls, interleaved, three runs; 2-vCPU Xeon,
-# Python 3.11, numpy 2.4). The stage costs a near-constant 125-165 us and
-# the exact pass 9.5-10.5 us a row, so the two tie at K = 15 and the stage
-# is cheaper from 16 rows on, in both sets and all three runs.
+# pass, timed on the first K open rows of a lambda = 0 RK4 trajectory and on
+# the open rows of the 15 figures' passes (K = 1..32 and 501; minimum over
+# 15 x 30 calls, interleaved, three runs; 2-vCPU Xeon, Python 3.11, numpy
+# 2.4). The stage costs a near-constant 103-133 us (307-319 us on 501 rows)
+# and the exact pass 7.6-10.6 us a row: they tie at K = 14, the stage is
+# cheaper from 15 rows on in all three runs, and 16 leaves a row of margin.
 _STAGE2_MIN_ROWS = 16
 
 
@@ -604,8 +602,9 @@ def _invariants_stack(sigmas: np.ndarray) -> np.ndarray:
     return it; it is not checked again. Three stages, each settling what it
     can prove correctly rounded: :func:`_dd_block_invariants` for all eight
     values; :func:`_dd_discriminants`, from the entries of sigma Omega sigma,
-    for rows whose only open values are rad and rad_tilde (near-degenerate
-    spectra: t = 0, and every row of a lambda = 0 trajectory); and
+    for the discriminants left open on rows with no other open value
+    (near-degenerate spectra: t = 0, and rad on every row of a lambda = 0
+    trajectory); and
     :func:`_exact_stack` for the rows left, row by row. The second stage runs
     only for at least ``_STAGE2_MIN_ROWS`` rows; fewer go to the exact pass,
     which costs less there (a stable trajectory's t = 0 and its neighbour, a
@@ -617,7 +616,8 @@ def _invariants_stack(sigmas: np.ndarray) -> np.ndarray:
     # rows whose only open values are the discriminants
     rows = np.flatnonzero(accepted[:6].all(axis=0) & ~accepted[6:].all(axis=0))
     if len(rows) >= _STAGE2_MIN_ROWS:
-        rads, proven = _dd_discriminants(entries[:, rows], in_range[rows])
+        rows = slice(None) if len(rows) == len(sigmas) else rows  # views, not gathers
+        rads, proven = _dd_discriminants(entries[:, rows], in_range[rows], ~accepted[6:, rows])
         values[6:, rows] = np.where(proven, rads, values[6:, rows])
         accepted[6:, rows] |= proven
     rejected = ~accepted.all(axis=0)

@@ -35,6 +35,7 @@ from oscbath.measures import (
     _DD_ERROR,
     _FLOAT,
     _FLOAT_LIMIT,
+    _FORM_SIGNS,
     _MINOR_SIGNS,
     _MINORS,
     _OPERANDS,
@@ -44,10 +45,11 @@ from oscbath.measures import (
     _dd_add,
     _dd_block_invariants,
     _dd_discriminants,
+    _dd_form_minors,
     _dd_form_sums,
     _dd_invariants,
     _dd_mul,
-    _dd_rads,
+    _dd_rad,
     _entries,
     _exact_block_invariants,
     _exact_stack,
@@ -86,9 +88,36 @@ def block_invariants(sigmas):
 
 
 def discriminants(sigmas):
+    # both discriminants asked for on every row
     entries = _entries(sigmas)
-    values, proven = _dd_discriminants(entries, _in_range(entries))
+    values, proven = _dd_discriminants(entries, _in_range(entries),
+                                       np.ones((2, len(sigmas)), bool))
     return values.T, proven.T
+
+
+def form_sums(sigmas):
+    """The nine sums d, q02, q03, q12, q13, r02, r03, r12, r13 of a stack
+    as (9, N) arrays (hi, lo) and E, from both sign sets of _dd_form_sums,
+    and its (N,) underflow mask; d, formed by both, is asserted equal."""
+    minors = _dd_form_minors(_entries(sigmas))
+    ((q_hi, q_lo), q_err, q_safe), ((r_hi, r_lo), r_err, r_safe) = (
+        _dd_form_sums(minors, sign) for sign in _FORM_SIGNS)
+    for q, r in ((q_hi, r_hi), (q_lo, r_lo), (q_err, r_err)):
+        assert np.array_equal(bits(q[0]), bits(r[0]))
+    hi, lo, err = (np.concatenate((q, r[1:])) for q, r in
+                   ((q_hi, r_hi), (q_lo, r_lo), (q_err, r_err)))
+    return (hi, lo), err, q_safe & r_safe
+
+
+def rads(sigmas):
+    """rad and rad_tilde of a stack from _dd_rad, as (2, N) arrays (hi, lo)
+    and error bounds, and the (2, N) underflow mask of their sums."""
+    minors = _dd_form_minors(_entries(sigmas))
+    with np.errstate(all="ignore"):
+        ((hi, lo), err, safe), ((hi_t, lo_t), err_t, safe_t) = (
+            _dd_rad(minors, which) for which in (0, 1))
+    return ((np.array([hi, hi_t]), np.array([lo, lo_t])), np.array([err, err_t]),
+            np.array([safe, safe_t]))
 
 
 def exact_stack(sigmas):
@@ -323,7 +352,7 @@ class TestLeanKernels:
         in_range = _in_range(entries)
         before = [bits(sigmas).copy(), bits(entries).copy(), in_range.copy()]
         _dd_block_invariants(entries, in_range)
-        _dd_discriminants(entries, in_range)
+        _dd_discriminants(entries, in_range, np.ones((2, len(sigmas)), bool))
         _exact_stack(entries[:, :20])
         _invariants_stack(sigmas)
         for x, b in zip((sigmas, entries, in_range), before):
@@ -512,7 +541,7 @@ FORM_PAIRS = ((0, 2), (0, 3), (1, 2), (1, 3))
 
 def fraction_sums(m):
     """d = I1 - I2 and q_ij, r_ij = M(01; ij) +- M(23; ij) of a 4x4 matrix,
-    in the order of _dd_form_sums."""
+    in the order of form_sums."""
     return ([fraction_minor(m, 0, 0, 1) - fraction_minor(m, 2, 2, 3)]
             + [fraction_minor(m, 0, *ij) + sign * fraction_minor(m, 2, *ij)
                for sign in (1, -1) for ij in FORM_PAIRS])
@@ -592,7 +621,7 @@ class TestDiscriminantStage:
     ], ids=["integers", "vacua", "near_pure", "williamson", "lambda0_rk4"])
     def test_nine_sums_within_their_bound(self, make, exact):
         sigmas = make()
-        (hi, lo), err, safe = _dd_form_sums(_entries(sigmas))
+        (hi, lo), err, safe = form_sums(sigmas)
         assert safe.all()
         for k, sigma in enumerate(sigmas):
             m = [[Fraction(x) for x in row] for row in sigma.tolist()]
@@ -611,8 +640,7 @@ class TestDiscriminantStage:
     ], ids=["dyadic", "vacua", "near_pure", "williamson", "lambda0_rk4"])
     def test_discriminants_within_their_bound(self, make):
         sigmas = make()
-        with np.errstate(all="ignore"):
-            (hi, lo), err, safe = _dd_rads(_entries(sigmas))
+        (hi, lo), err, safe = rads(sigmas)
         assert safe.all()
         for k, sigma in enumerate(sigmas):
             m = [[Fraction(x) for x in row] for row in sigma.tolist()]
@@ -674,8 +702,10 @@ class TestDiscriminantStage:
         # entries in range, but d = 2**-380 (1 - (1 + 2**-40)) = -2**-420
         a = 2.0 ** -190
         sigma = np.diag([a, a, a, a * (1.0 + 2.0 ** -40)])
-        (hi, _), _, safe = _dd_form_sums(_entries(sigma[None]))
-        assert hi[0, 0] == -(2.0 ** -420) and not safe[0]
+        minors = _dd_form_minors(_entries(sigma[None]))
+        for sign in _FORM_SIGNS:  # d is a sum of both sign sets
+            (hi, _), _, safe = _dd_form_sums(minors, sign)
+            assert hi[0, 0] == -(2.0 ** -420) and not safe[0]
         _, proven = discriminants(sigma[None])
         assert not proven.any()
         # scaled into the safe range, the same matrix is accepted
@@ -685,10 +715,10 @@ class TestDiscriminantStage:
 class TestExactPassRows:
     """The rows that reach the sigma Omega sigma stage and the exact pass,
     counted by spies: a lambda = 0 RK4 trajectory, every row of which the
-    double-double stage leaves open, sends all of them to the second stage
-    and none to the exact pass; fewer than _STAGE2_MIN_ROWS open rows (a
-    stable trajectory's, a figure's) skip the second stage for the exact
-    pass, which costs less there. Each measure pass forms the stack's
+    double-double stage leaves open, sends all of them to the second stage,
+    which forms rad alone, and none to the exact pass; fewer than
+    _STAGE2_MIN_ROWS open rows (a stable trajectory's, a figure's) skip the
+    second stage for the exact pass, which costs less there. Each measure pass forms the stack's
     entries and their range mask once, for all three stages."""
 
     @pytest.fixture
@@ -742,6 +772,42 @@ class TestExactPassRows:
         staged = _invariants_stack(sigmas)
         monkeypatch.setattr(oscbath.measures, "_STAGE2_MIN_ROWS", len(sigmas) + 1)
         assert np.array_equal(bits(_invariants_stack(sigmas)), bits(staged))
+
+    @pytest.fixture
+    def formed(self, monkeypatch):
+        """(discriminant, columns) of each _dd_rad call: 0 is rad, 1 rad_tilde."""
+        calls = []
+
+        def counted(minors, which):
+            calls.append((int(which), minors[0].shape[1]))
+            return _dd_rad(minors, which)
+        monkeypatch.setattr(oscbath.measures, "_dd_rad", counted)
+        return calls
+
+    @pytest.mark.parametrize("omega", [0.5, 0.55, 1.0, 1.5])
+    def test_lambda0_rk4_forms_only_rad(self, omega, spied, formed):
+        # stage 1 proves rad_tilde on every row; the second stage forms rad
+        # alone and settles all of them
+        params = dataclasses.replace(FIG1A, omega=omega, nu=0.8 * omega * omega, lambda_=0.0)
+        evolve_trajectory(params, DEFAULT_GRID, "rk4", 1e-3)
+        n = len(DEFAULT_GRID.times())
+        assert formed == [(0, n)]
+        assert spied["stage2"] == [n] and spied["exact"] == []
+
+    def test_degenerate_williamson_forms_both(self, spied, formed):
+        # S (n I) S^T: both discriminants vanish and stay open in stage 1
+        sigmas = williamson_stack([0.0], count=48)
+        _, accepted = block_invariants(sigmas)
+        assert not accepted[:, 6:].any()
+        staged = accepted[:, :6].all(axis=1).sum()
+        assert staged >= _STAGE2_MIN_ROWS
+        values = _invariants_stack(sigmas)
+        assert formed == [(0, staged), (1, staged)]
+        # the second stage settles every row it takes; the rest had other
+        # values open
+        assert spied["stage2"] == [staged]
+        assert sum(spied["exact"]) == len(sigmas) - staged
+        assert np.array_equal(bits(values), bits(_exact_stack(_entries(sigmas))))
 
 
 def assert_same(a, b):
