@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import OscbathError
 from .measures import _rint_product, full_report
-from .model import SystemParams, _squeezing_warnings, validate
+from .model import SystemParams, validate
 from .dynamics import check_step, steady_state
 from .svgplot import line_plot
 from .sweep import (
@@ -198,17 +198,17 @@ def _csv_text(table, hex_floats, flags=None) -> str:
 def _param_flags(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("system parameters")
     group.add_argument("--omega", type=float, default=1.0,
-                       help="base angular frequency (default 1)")
+                       help="base angular frequency, 2**-11 <= omega <= 2**11 (default 1)")
     group.add_argument("--epsilon", type=float, default=0.0,
                        help="frequency asymmetry, 0 <= epsilon < 1 (default 0)")
     group.add_argument("--nu", type=float, default=0.8,
                        help="position coupling constant (default 0.8)")
     group.add_argument("--lambda", dest="lambda_", type=float, default=0.6,
-                       help="dissipation rate (default 0.6)")
+                       help="dissipation rate, 0 <= lambda <= 2**11 (default 0.6)")
     group.add_argument("--temp", dest="temperature", type=float, default=0.2,
-                       help="bath temperature (default 0.2)")
+                       help="bath temperature, 0 <= T <= 2**11 (default 0.2)")
     group.add_argument("--r", type=float, default=1.0,
-                       help="initial squeezing (default 1)")
+                       help="initial squeezing, 0 <= r <= 4.579 (default 1)")
 
 
 def _grid_flags(parser: argparse.ArgumentParser) -> None:
@@ -343,14 +343,6 @@ def _write(texts: dict, where) -> int:
     return 0
 
 
-def _warn_squeezing(*rs: float) -> None:
-    """Print validate's warning for each r beyond the supported squeezing
-    range, where a run would otherwise go on silently."""
-    for r in rs:
-        for warning in _squeezing_warnings(r):
-            print(f"warning: {warning}", file=sys.stderr)
-
-
 def _cmd_validate(args) -> int:
     result = validate(_params(args))
     for warning in result.warnings:
@@ -371,7 +363,6 @@ def _cmd_evolve(args) -> int:
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    _warn_squeezing(params.r)
     try:
         traj = evolve_trajectory(params, grid, integrator=args.integrator, dt=args.dt)
     except OscbathError as exc:
@@ -385,7 +376,6 @@ def _cmd_evolve(args) -> int:
 
 def _cmd_steady(args) -> int:
     params = _params(args)
-    _warn_squeezing(params.r)
     try:
         s_inf = steady_state(params)
         report = full_report(s_inf)
@@ -419,7 +409,6 @@ def _cmd_figure(args) -> int:
         print(f"error: cannot write to {out_dir}: {exc}", file=sys.stderr)
         return 1
 
-    _warn_squeezing(*(preset.values if preset.sweep == "r" else [preset.params.r]))
     outcomes = sweep_parameter(preset.params, preset.sweep, preset.values, preset.grid)
     obs_col = preset.observable  # matches the CorrelationReport field name
     unit = _unit_factor(args)

@@ -96,14 +96,9 @@ def build_drift(params: SystemParams) -> np.ndarray:
 
 
 def _drift(params: SystemParams) -> np.ndarray:
-    """:func:`build_drift` without validation, for callers that validated.
-
-    Raises :class:`OutOfRange` where 2*lambda, the diagonal of the Kronecker
-    sum that RK4 builds from M, overflows.
-    """
+    """:func:`build_drift` without validation, for callers that validated."""
     w1, w2 = mode_frequencies(params)
     lam = params.lambda_
-    _two_lambda(lam)
     nu = params.nu
     return np.array([
         [-lam, 1.0, 0.0, 0.0],
@@ -111,14 +106,6 @@ def _drift(params: SystemParams) -> np.ndarray:
         [0.0, 0.0, -lam, 1.0],
         [-nu, 0.0, -w2 * w2, -lam],
     ])
-
-
-def _two_lambda(lam: float) -> float:
-    """2*lambda, the diagonal of M (+) M and of the steady-state residual;
-    :class:`OutOfRange` where it overflows."""
-    if 2.0 * lam == math.inf:
-        raise OutOfRange(f"2*lambda is beyond the float range (lambda = {lam!r})")
-    return 2.0 * lam
 
 
 def build_diffusion(params: SystemParams) -> np.ndarray:
@@ -223,18 +210,13 @@ def _normal_modes(params: SystemParams):
     cc = (h + g)/(2h), ss = cs (nu/(h + g)); exactly (1/2, 1/2, +-1/2) at
     epsilon = 0, and (1/2, 1/2, 1/2), the limit nu -> 0+, where h = 0, so
     identical oscillators stay exactly symmetric. W-^2 = (b - |nu|)/W+^2
-    (b + |nu|), b = w1 w2, never forms det V, which underflows first.
-    Raises :class:`OutOfRange` where W+^2 underflows to 0 or overflows."""
+    (b + |nu|), b = w1 w2, never forms det V, which cancels near |nu| = b."""
     w1, w2 = mode_frequencies(params)
     nu = params.nu
     w1_sq, w2_sq = w1 * w1, w2 * w2
     g = 0.5 * (w1_sq - w2_sq)
     h = math.hypot(g, nu)
-    # w1^2 + w2^2 overflows only from w1^2 = 2^1023 on, where both halves are exact
-    hi_sq = (0.5 * (w1_sq + w2_sq) if w1_sq < 2.0 ** 1023 else 0.5 * w1_sq + 0.5 * w2_sq) + h
-    if not 0.0 < hi_sq < math.inf:
-        raise OutOfRange(f"the upper normal-mode frequency squared W+^2 leaves the "
-                         f"float range (W+^2 = {hi_sq:g})")
+    hi_sq = 0.5 * (w1_sq + w2_sq) + h
     b = coupling_bound(params)
     lo_sq = (b - abs(nu)) / hi_sq * (b + abs(nu))
     if h == 0.0:
@@ -258,28 +240,14 @@ def _mode_block(wk_sq: float, wl_sq: float, lam: float, x: float, p: float):
     e = lambda (xx - x) = 4 lambda g (2p - S2 x) - Delta f x, the last
     written without the cancellation of its first form. g and f are formed
     from Delta/lambda or lambda/Delta, whichever is at most 1, so neither
-    overflows nor divides by 0, and lambda^2 may underflow. Where lambda^2
-    or k = 8 S2 + 16 lambda^2 would overflow, the block is solved with time
-    and x scaled by a power of two mu, which maps lambda, W^2, x, p to
-    lambda/mu, W^2/mu^2, mu x, p/mu and the block's xx, pp to mu xx, pp/mu
-    exactly: mu is near lambda where lambda >= W = max(W_k, W_l), and
-    W/2^500 otherwise, so that W^2/mu^2 stays below 2^1000 and a small
-    lambda/mu stays representable; where lambda/mu underflows to 0, it
-    raises :class:`OutOfRange`.
+    overflows nor divides by 0, and lambda^2 may underflow; inside the
+    parameter box of :func:`~oscbath.model.validate` k = 8 S2 + 16 lambda^2
+    cannot overflow.
     """
     lam_sq = lam * lam
     gap = wk_sq - wl_sq
     s2 = wk_sq + wl_sq
     k = 8.0 * s2 + 16.0 * lam_sq
-    if lam > 2.0 ** 500 or k == math.inf:
-        w = math.sqrt(max(wk_sq, wl_sq))
-        mu = math.ldexp(1.0, math.frexp(lam)[1] if lam >= w else math.frexp(w)[1] - 500)
-        if lam / mu == 0.0:
-            raise OutOfRange(f"lambda/W underflows to 0 in the scaled mode solve "
-                             f"(lambda = {lam:g}, W^2 = {max(wk_sq, wl_sq):g})")
-        xx, xp, px, pp = _mode_block(
-            wk_sq / mu / mu, wl_sq / mu / mu, lam / mu, mu * x, p / mu)
-        return xx / mu, xp, px, pp * mu
     if abs(gap) <= lam:
         rho = gap / lam
         g = 1.0 / (rho * rho + k)
@@ -365,21 +333,20 @@ def steady_state(params: SystemParams) -> np.ndarray:
     (64 ulp of 1) times the largest entry of |M| |S| + |S| |M|^T + 2 |D|,
     the size of the terms it is formed from.
 
-    At |nu| = omega1*omega2 the lower mode has W- = 0 and is held by the
-    damping alone. Raises :class:`SteadyStateUnavailable` at lambda = 0,
-    where no steady state exists, and for near-singular sets: those whose
-    solution misses the residual bound. Raises :class:`OutOfRange` when D,
-    W+^2, the solution or the residual leaves the float range (a residual
-    or bound that is not finite, NaN included; it names a diffusion entry or
-    a mode block that overflows), and when W-^2 + lambda^2 underflows to 0
-    (omega1*omega2 subnormal and lambda below 1e-162).
+    Takes every set :func:`~oscbath.model.validate` accepts, whose box is
+    2**-11 <= omega <= 2**11, lambda and T at most 2**11 and r <= 4.579; a
+    set outside it raises :class:`~oscbath.errors.InvalidParameters` naming
+    the bound. At |nu| = omega1*omega2 the lower mode has W- = 0 and is held
+    by the damping alone, so sigma_inf grows like 1/lambda^2. Raises
+    :class:`SteadyStateUnavailable` at lambda = 0, where no steady state
+    exists, and for near-singular sets: those whose solution misses the
+    residual bound. Raises :class:`OutOfRange` where, at that coupling,
+    lambda is so small (below about 1e-154) that the solution or its
+    residual leaves the float range, or W-^2 + lambda^2 underflows to 0.
     Each call returns a fresh array, which the caller may write into.
     """
     return _full(_steady_solve(params)[2])
 
-
-# The four entries of 2 D, in the order _steady_solve forms them
-_TWO_D_NAMES = tuple(f"2*lambda*coth(omega{i}/2T){op}omega{i}" for i in (1, 2) for op in "/*")
 
 # (params, solve) of the last _steady_solve that passed its checks; the
 # initial key is an object no caller passes
@@ -406,7 +373,8 @@ def _steady_solve(params: SystemParams):
     if lam == 0.0:
         raise SteadyStateUnavailable("steady state requires lambda > 0 (got lambda=0.0)")
     modes = rot, lo_sq, hi_sq = _normal_modes(params)
-    lam2 = _two_lambda(lam)
+    lam2 = 2.0 * lam
+    # W-^2 = 0 at the marginal coupling, and lambda^2 underflows below 1e-162
     if lo_sq + lam * lam == 0.0:
         raise OutOfRange(f"W-^2 + lambda^2 underflows to 0 (W-^2 = {lo_sq:g}, lambda = {lam:g})")
     w1, w2 = mode_frequencies(params)
@@ -436,11 +404,6 @@ def _steady_solve(params: SystemParams):
         if bound < residual < math.inf:
             raise SteadyStateUnavailable(
                 f"steady-state residual {residual:g} exceeds {bound:g} (system near-singular)")
-        for name, entry in zip(_TWO_D_NAMES, d):
-            if entry == math.inf:
-                raise OutOfRange(
-                    f"steady state left the float range: diffusion entry {name} overflows "
-                    f"(lambda = {lam:g}, T = {params.temperature:g})")
         if not all(map(math.isfinite, blocks)):
             raise OutOfRange(
                 f"steady state left the float range: the normal-mode solve overflows "
@@ -466,12 +429,15 @@ def propagate(sigma0, params: SystemParams, t: float | np.ndarray) -> np.ndarray
     one the last solve made, such as a :func:`steady_state` call just
     before, where that had the same ``params`` object. At t = 0 the result
     is sigma0's symmetric part exactly, and where e^{-lambda t} underflows
-    to 0, sigma_inf exactly. Every set :func:`validate` accepts is taken:
-    at lambda = 0 sigma_inf's blocks are 0 and no steady state is solved,
-    and at |nu| = omega1*omega2 the lower mode moves freely (W- = 0). Where
-    W-^2 underflows to 0 although |nu| < omega1*omega2, where the phase W t
-    overflows while e^{-lambda t} > 0, and where a result leaves the float
-    range, it raises :class:`OutOfRange`.
+    to 0, sigma_inf exactly. Every set :func:`validate` accepts is taken,
+    in its box 2**-11 <= omega <= 2**11, lambda and T at most 2**11 and
+    r <= 4.579 (a set outside it raises
+    :class:`~oscbath.errors.InvalidParameters` naming the bound): at
+    lambda = 0 sigma_inf's blocks are 0 and no steady state is solved, and
+    at |nu| = omega1*omega2 the lower mode moves freely (W- = 0). The times
+    are not bounded: where the phase W t overflows while e^{-lambda t} > 0,
+    and where a result leaves the float range, it raises
+    :class:`OutOfRange`.
     """
     # the float test spares single-time calls the cost of np.ndim
     if not isinstance(t, float) and np.ndim(t) > 0:
@@ -505,11 +471,6 @@ def _start(sigma0, params: SystemParams):
     else:
         (rot, lo_sq, hi_sq), blocks, lab_inf = _steady_solve(params)
     w = (math.sqrt(lo_sq), math.sqrt(hi_sq))
-    if w[0] == 0.0 and abs(params.nu) != coupling_bound(params):
-        raise OutOfRange(
-            "the lower normal-mode frequency squared W-^2 = (b - |nu|)/W+^2 (b + |nu|) "
-            f"underflows to 0 (b = omega1*omega2 = {coupling_bound(params):g}, "
-            f"nu = {params.nu:g})")
     lab0 = (r0[0], 0.5 * r0[1] + 0.5 * r1[0], r1[1], r2[2], 0.5 * r2[3] + 0.5 * r3[2],
             r3[3], 0.5 * r0[2] + 0.5 * r2[0], 0.5 * r0[3] + 0.5 * r3[0],
             0.5 * r1[2] + 0.5 * r2[1], 0.5 * r1[3] + 0.5 * r3[1])  # symmetric part
@@ -518,18 +479,21 @@ def _start(sigma0, params: SystemParams):
 
 def _propagate_grid(sigma0s, params_seq, times: np.ndarray) -> np.ndarray:
     """:func:`propagate` of k sets at N times (finite, >= 0) as one (k N, 4, 4)
-    stack, rows i N to (i + 1) N for set i. Each set's floats are (k, 1)
-    columns broadcast against the times, so every element takes a one-set
-    call's operations in the same order, bit for bit, in one exp, cos and
-    sin call over all sets. Raises the first set's :func:`_start` error,
-    then :class:`OutOfRange` if any phase or result leaves the float range."""
+    stack, rows i N to (i + 1) N for set i. One set's floats go to
+    :func:`_sigma_t` as Python floats, k sets' as (k, 1) columns, broadcast
+    against (k, N) e^{-lambda t}, cos and sin, so every element takes a
+    one-set call's operations in the same order, bit for bit, in one exp,
+    cos and sin call over all sets. Raises the first set's :func:`_start`
+    error, then :class:`OutOfRange` if any phase or result leaves the float
+    range."""
+    starts = list(map(_start, sigma0s, params_seq))
+    lab0, blocks, rot, w, lab_inf = (
+        starts[0] if len(starts) == 1 else (np.array(part).T[..., None] for part in zip(*starts)))
     lam = np.array([[p.lambda_] for p in params_seq])
-    lab0, blocks, rot, w, lab_inf = (np.array(part).T[..., None]
-                                     for part in zip(*map(_start, sigma0s, params_seq)))
     t = times
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # checked below
         damp = np.exp(-lam * t)
-        phase = w * t
+        phase = np.reshape(w, (2, -1, 1)) * t
         cos, sin = np.cos(phase), np.sin(phase)
         out = _full(_sigma_t(lab0, blocks, rot, w, cos, sin, damp, t))
         if damp[~(phase[1] < math.inf)].any():
@@ -539,14 +503,15 @@ def _propagate_grid(sigma0s, params_seq, times: np.ndarray) -> np.ndarray:
         out = out.reshape(damp.shape + (4, 4))  # (set, time, 4, 4)
         settled = damp == 0.0
         if settled.any():
-            out[settled] = np.broadcast_to(_full(lab_inf)[:, None], out.shape)[settled]
-        out[:, t == 0.0] = _full(lab0)[:, None]
+            out[settled] = np.broadcast_to(_full(lab_inf).reshape(-1, 1, 4, 4), out.shape)[settled]
+        out[:, t == 0.0] = _full(lab0).reshape(-1, 1, 4, 4)
         if not np.isfinite(out).all():
             # mode-basis values reach twice the lab ones: evaluate again with
             # sigma0 and sigma_inf scaled by 1/4, exact away from subnormals
             bad = ~np.isfinite(out).all(axis=(2, 3))
             rows = np.nonzero(bad)[0]
-            lab0, blocks, rot, w = (part[:, rows, 0] for part in (lab0, blocks, rot, w))
+            lab0, blocks, rot, w = (np.reshape(part, (len(part), -1))[:, rows]
+                                    for part in (lab0, blocks, rot, w))
             out[bad] = 4.0 * _full(_sigma_t(
                 [0.25 * v for v in lab0], [0.25 * v for v in blocks], rot, w,
                 cos[:, bad], sin[:, bad], damp[bad], np.broadcast_to(t, bad.shape)[bad]))

@@ -38,14 +38,18 @@ class SystemParams:
     """Full parameter tuple of the model, in natural units.
 
     Attributes:
-        omega: base angular frequency, > 0.
+        omega: base angular frequency, 2**-11 <= omega <= 2**11.
         epsilon: frequency asymmetry, 0 <= epsilon < 1 (0 means identical
             oscillators).
         nu: position-position coupling constant; negative values attract,
             positive repel. Physical only for |nu| <= omega1*omega2.
-        lambda_: dissipation rate, >= 0.
-        temperature: bath temperature, >= 0.
-        r: squeezing of the initial two-mode squeezed vacuum, >= 0.
+        lambda_: dissipation rate, 0 <= lambda_ <= 2**11.
+        temperature: bath temperature, 0 <= temperature <= 2**11.
+        r: squeezing of the initial two-mode squeezed vacuum,
+            0 <= r <= 4.579.
+
+    The bounds are :func:`validate`'s parameter box; nothing bounds lambda,
+    T or |nu| from below but 0.
 
     Every field is stored as a Python float, so numpy scalars overflow and
     raise as Python floats do, with no RuntimeWarning.
@@ -80,63 +84,62 @@ class ValidationResult:
 # while 4 cosh^2(2r) u <= 1e-8: r <= acosh(sqrt(1e-8 / (4 u))) / 2.
 _SQUEEZING_LIMIT = 0.5 * math.acosh(math.sqrt(1e-8 / 2.0 ** -51))  # 4.5790...
 
+# The parameter box validate accepts: omega within [2**-k, 2**k], lambda and
+# T at most 2**k, r at most _SQUEEZING_LIMIT. k = 11 is the largest exponent
+# at which a seeded census of the box (tests/test_census.py) meets no
+# OutOfRange, no refused steady state and no NonPhysicalInput off the
+# marginal coupling |nu| = omega1*omega2. Inside it omega1**2, 2 lambda and
+# every diffusion entry are far inside the float range, and W-^2 is 0 only
+# at the marginal coupling.
+_BOX_EXPONENT = 11
+_BOX_MIN, _BOX_MAX = 2.0 ** -_BOX_EXPONENT, 2.0 ** _BOX_EXPONENT
+
 
 def validate(params: SystemParams) -> ValidationResult:
     """Check every parameter constraint and report all failures at once.
 
-    lambda = 0 is accepted but flagged with a warning, because no steady
-    state exists without dissipation. So is a squeezing r above the
-    supported range r <= 4.579 (``_SQUEEZING_LIMIT``): near r = 4.66 some
-    t = 0 states already read non-physical, and from r = 7 on the float
-    state is itself non-physical.
+    The parameters must lie in the box 2**-11 <= omega <= 2**11,
+    0 <= lambda <= 2**11, 0 <= T <= 2**11 and 0 <= r <= 4.579, with
+    0 <= epsilon < 1 and |nu| <= omega1*omega2; each violation names its
+    bound. Beyond r = 4.579 (``_SQUEEZING_LIMIT``) the rounding of the
+    initial state may pass the physicality tolerance: near r = 4.66 some
+    t = 0 states already read non-physical. lambda = 0 is accepted but
+    flagged with a warning, because no steady state exists without
+    dissipation.
     """
     violations = []
     warnings = []
     p = params
 
-    omega_ok = p.omega > 0 and math.isfinite(p.omega)
+    omega_ok = _BOX_MIN <= p.omega <= _BOX_MAX
     if not omega_ok:
-        violations.append(f"omega must be finite and > 0 (got {p.omega})")
+        violations.append(f"omega must satisfy 2**-{_BOX_EXPONENT} <= omega <= "
+                          f"2**{_BOX_EXPONENT} (got {p.omega})")
     if not 0.0 <= p.epsilon < 1.0:
         violations.append(f"epsilon must satisfy 0 <= epsilon < 1 (got {p.epsilon})")
     nu_ok = math.isfinite(p.nu)
     if not nu_ok:
         violations.append(f"nu must be finite (got {p.nu})")
-    if not (p.lambda_ >= 0 and math.isfinite(p.lambda_)):
-        violations.append(f"lambda must be finite and >= 0 (got {p.lambda_})")
-    if not (p.temperature >= 0 and math.isfinite(p.temperature)):
-        violations.append(f"temperature must be finite and >= 0 (got {p.temperature})")
-    if not (p.r >= 0 and math.isfinite(p.r)):
-        violations.append(f"r must be finite and >= 0 (got {p.r})")
-
-    if omega_ok and 0.0 <= p.epsilon < 1.0:
-        w1, _ = mode_frequencies(p)
-        bound = coupling_bound(p)
-        # omega1 >= omega2, so a finite omega1**2 bounds omega1*omega2 too
-        if not math.isfinite(w1 * w1):
+    for name, value in (("lambda", p.lambda_), ("temperature", p.temperature)):
+        if not 0.0 <= value <= _BOX_MAX:
             violations.append(
-                f"omega1**2 and omega1*omega2 must be finite (got omega1 = {w1:.12g})"
-            )
-        elif nu_ok and not abs(p.nu) <= bound:
+                f"{name} must satisfy 0 <= {name} <= 2**{_BOX_EXPONENT} (got {value})")
+    if not 0.0 <= p.r <= _SQUEEZING_LIMIT:
+        violations.append(f"r must satisfy 0 <= r <= {_SQUEEZING_LIMIT:.4f}, the supported "
+                          f"squeezing range (got {p.r})")
+
+    if omega_ok and nu_ok and 0.0 <= p.epsilon < 1.0:
+        bound = coupling_bound(p)
+        if not abs(p.nu) <= bound:
             violations.append(
                 f"|nu| <= omega1*omega2 violated (|{p.nu}| > {bound:.12g})"
             )
 
-    warnings += _squeezing_warnings(p.r)
     if p.lambda_ == 0:
         warnings.append("lambda = 0: no dissipation, no steady state")
 
     return ValidationResult(ok=not violations, violations=tuple(violations),
                             warnings=tuple(warnings))
-
-
-def _squeezing_warnings(r: float) -> list[str]:
-    """:func:`validate`'s warning for an r beyond the supported squeezing range."""
-    if not (math.isfinite(r) and r > _SQUEEZING_LIMIT):
-        return []
-    return [f"r = {r} is beyond the supported squeezing range r <= "
-            f"{_SQUEEZING_LIMIT:.4f}: the initial state's rounding, up to "
-            "8 cosh^2(2r) u, may pass the 1e-8 physicality tolerance"]
 
 
 def require_valid(params: SystemParams) -> None:

@@ -1,6 +1,7 @@
 """Shared test utilities: random physical states, caption parameter sets,
-the exact-invariant oracle, steady-state oracles (float and mpmath), RK4 oracles and the
-per-curve polyline template."""
+the census sampler of the parameter box, the exact-invariant oracle,
+steady-state oracles (float and mpmath), RK4 oracles and the per-curve
+polyline template."""
 
 from __future__ import annotations
 
@@ -10,8 +11,10 @@ import numpy as np
 import pytest
 
 from oscbath import (
-    OutOfRange, SystemParams, build_diffusion, build_drift, mode_frequencies, ode_oracle,
+    OutOfRange, SystemParams, TimeGrid, build_diffusion, build_drift, coupling_bound,
+    mode_frequencies, ode_oracle,
 )
+from oscbath.model import _SQUEEZING_LIMIT
 
 # Parameter sets fixed by the four figure captions (omega = 1 throughout).
 # Panels that sweep the temperature leave it free; 0.2 is the value the
@@ -97,6 +100,32 @@ def random_valid_params(rng: np.random.Generator) -> SystemParams:
         temperature=0.0 if rng.random() < 0.15 else rng.uniform(0.0, 2.0),
         r=rng.uniform(0.0, 2.0),
     )
+
+
+def census_sets(rng: np.random.Generator, count: int, exponent: int):
+    """``count`` (SystemParams, TimeGrid) pairs drawn over the parameter box
+    with omega in [2**-exponent, 2**exponent], marginal sets and zeros
+    included: omega log-uniform; lambda and T log-uniform from 2**-60 to
+    2**exponent, exactly 0 in 10% of draws each; epsilon in [0, 0.999);
+    |nu| = b U(0, 1) with b = omega1*omega2, exactly b in 10% of draws, with
+    a random sign; r in [0, 4.579]; an 11-point grid from 0 to t_end,
+    log-uniform in [1e-3, 1e3]/omega."""
+    def rate():
+        return 0.0 if rng.random() < 0.1 else 2.0 ** rng.uniform(-60.0, exponent)
+
+    sets = []
+    for _ in range(count):
+        omega = 2.0 ** rng.uniform(-exponent, exponent)
+        lam, temperature = rate(), rate()
+        epsilon = rng.uniform(0.0, 0.999)
+        bound = coupling_bound(SystemParams(omega, epsilon, 0.0, 1.0, 0.0, 0.0))
+        nu = bound if rng.random() < 0.1 else bound * rng.uniform(0.0, 1.0)
+        nu = -nu if rng.random() < 0.5 else nu
+        r = rng.uniform(0.0, _SQUEEZING_LIMIT)
+        t_end = 10.0 ** rng.uniform(-3.0, 3.0) / omega
+        sets.append((SystemParams(omega, epsilon, nu, lam, temperature, r),
+                     TimeGrid(0.0, t_end, 11)))
+    return sets
 
 
 def parse_csv(text: str):

@@ -888,6 +888,10 @@ def assert_same_columns(a, b):
             assert x.tolist() == y.tolist(), field.name
 
 
+# without damping, the lower mode moves freely at nu = +-omega1*omega2
+FREE = dataclasses.replace(FIG4, lambda_=0.0)
+
+
 def per_value(base, which, values, grid, integrator="closed"):
     """evolve_trajectory of each value, or the message of its error."""
     out = []
@@ -931,20 +935,25 @@ class TestSweepOnePass:
                                       preset.grid)
 
     def test_failing_values_keep_their_errors(self):
-        # r = 20 fails its measures, r = 200 its exact invariants and r = 400
-        # its initial state; r = 1 and r = 2 still get their trajectories.
-        # r = 20 is far beyond the supported squeezing: its entries reach
-        # 1e17, and the eigenvalue in its message is rounding noise that
-        # moves with any change of the propagation's rounding
-        base = figure_preset("fig1c").params
-        outcomes = self.assert_matches_per_value(base, "r", (1, 20, 200, 2, 400))
+        # at the marginal coupling and lambda = 0 the lower mode moves freely
+        # and sigma grows like t^2: by t = 1e100 its exact invariants are
+        # beyond the float range, and at t = 1e8 the rounded state is
+        # non-physical, its eigenvalue rounding noise that moves with any
+        # change of the propagation's rounding; 2 omega1*omega2 fails
+        # validation. nu = 0.3 and 0.6 still get their trajectories.
+        bound = coupling_bound(FREE)
+        outcomes = self.assert_matches_per_value(FREE, "nu", (0.3, bound, 0.6, 2 * bound),
+                                                 TimeGrid(0.0, 1e100, 3))
         assert [o.error for o in outcomes] == [
             None,
-            "negative squared state symplectic eigenvalue (-2.65321e+18)",
-            "exact i1 of the covariance matrix is beyond the float range",
+            "exact i4 of the covariance matrix is beyond the float range",
             None,
-            "squeezing r = 400.0 puts cosh(2r) beyond the float range",
+            "|nu| <= omega1*omega2 violated (|1.7320508075688772| > 0.866025403784)",
         ]
+        outcomes = self.assert_matches_per_value(FREE, "nu", (0.3, -bound, 0.6),
+                                                 TimeGrid(0.0, 1e8, 3))
+        assert outcomes[1].error.startswith("negative squared state symplectic eigenvalue (")
+        assert outcomes[0].error is None and outcomes[2].error is None
 
     def test_closed_and_rk4_in_one_pass(self):
         # lambda = 0 takes either integrator, as every accepted set does
@@ -966,7 +975,8 @@ class TestSweepOnePass:
         assert calls == [4 * 501]
         # a pass that raises is repeated per value, for the values that propagated
         calls.clear()
-        sweep_parameter(FIG1A, "r", (1, 20, 400), TimeGrid(0.0, 1.0, 3))
+        bound = coupling_bound(FREE)
+        sweep_parameter(FREE, "nu", (0.3, bound, 2 * bound), TimeGrid(0.0, 1e100, 3))
         assert calls == [6, 3, 3]
 
     def test_no_valid_value_propagates_nothing(self, monkeypatch):
@@ -981,25 +991,27 @@ class TestSweepOnePass:
             assert [o.trajectory for o in outcomes] == [None, None]
 
     def test_rk4_values_run_alone_after_a_failed_pass(self, monkeypatch):
-        # r = 20 fails its measures and r = 400 its initial state, so r = 1
-        # and r = 20 are stepped once together and once each. r = 20's
-        # eigenvalue is rounding noise, as in test_failing_values_keep_their_errors
+        # the marginal coupling fails its measures at t = 1e6 and twice it
+        # fails validation, so nu = 0.3 and the marginal value are stepped
+        # once together and once each. The eigenvalue is rounding noise, as
+        # in test_failing_values_keep_their_errors
         stepped = []
 
         def counted(sigma0, params, *args):
-            stepped.append(params.r)
+            stepped.append(params.nu)
             return oscbath.dynamics._rk4_grid(sigma0, params, *args)
 
         monkeypatch.setattr(oscbath.sweep, "_rk4_grid", counted)
-        base = figure_preset("fig1c").params
-        values, grid = (1, 20, 400), TimeGrid(0.0, 1.0, 3)
-        sweep_parameter(base, "r", values, grid, "rk4")
-        assert stepped == [1.0, 20.0, 1.0, 20.0]
+        bound = coupling_bound(FREE)
+        values, grid = (0.3, bound, 2 * bound), TimeGrid(0.0, 1e6, 3)
+        sweep_parameter(FREE, "nu", values, grid, "rk4")
+        assert stepped == [0.3, bound, 0.3, bound]
         monkeypatch.undo()
-        outcomes = self.assert_matches_per_value(base, "r", values, grid, "rk4")
+        outcomes = self.assert_matches_per_value(FREE, "nu", values, grid, "rk4")
         assert outcomes[0].error is None
-        assert outcomes[1].error.startswith("negative squared state symplectic eigenvalue (")
-        assert outcomes[2].error == "squeezing r = 400.0 puts cosh(2r) beyond the float range"
+        assert outcomes[1].error.startswith("negative squared partial-transpose symplectic "
+                                            "eigenvalue (")
+        assert outcomes[2].error.startswith("|nu| <= omega1*omega2 violated")
 
     @staticmethod
     def spy_propagation(monkeypatch):
@@ -1032,7 +1044,7 @@ class TestSweepOnePass:
         # fails validation takes part in neither
         calls = self.spy_propagation(monkeypatch)
         base = dataclasses.replace(FIG1A, lambda_=0.0)
-        sweep_parameter(base, "omega", (1, 1e10, -1, 2), TimeGrid(0.0, 1e300, 3))
+        sweep_parameter(base, "omega", (1, 2, -1, 1.1), TimeGrid(0.0, 1e308, 3))
         assert calls == [3, 1, 1, 1]
 
     def test_lambda_sweep_mixes_zero_and_settled_blocks(self, monkeypatch):
@@ -1060,14 +1072,15 @@ class TestSweepOnePass:
 
     def test_quarter_scale_retry_in_a_stacked_call(self, monkeypatch):
         # at r = 354.9 the mode-basis values of sigma0 overflow, so its rows
-        # are evaluated again at 1/4 scale; its measures then fail, so each
-        # value runs again alone and only r = 354.9 gets the error
+        # are evaluated again at 1/4 scale. A sweep refuses r = 354.9 as
+        # beyond the parameter box and propagates the others in one call;
+        # any sigma0 given to the stacked core still takes the retry
         grid = TimeGrid(0.0, 1.0, 5)
         values = (1.0, 354.9, 2.0)
         outcomes = self.assert_one_stacked_call(monkeypatch, FIG1A, "r", values, grid,
-                                                expected_calls=[3, 1, 1, 1])
-        assert outcomes[1].error == "exact i1 of the covariance matrix is beyond the float range"
-        sets = [dataclasses.replace(FIG1A, r=r) for r in values]
+                                                expected_calls=[2])
+        assert outcomes[1].error.startswith("r must satisfy 0 <= r <= 4.5790")
+        sets = [FIG1A] * 3
         sigma0s = [initial_squeezed_vacuum(r) for r in values]
         evaluations = []
 
@@ -1083,22 +1096,23 @@ class TestSweepOnePass:
         assert np.array_equal(bits(stack), bits(np.concatenate(expected)))
 
     def test_phase_overflow_keeps_the_other_values(self):
-        # at omega = 1e10 the phase W t overflows while e^{-lambda t} = 1
+        # at omega = 2 the phase W+ t overflows at t = 1e308 while
+        # e^{-lambda t} = 1; at omega = 1 and 1.1, W+ < 1.5 and it does not
         base = dataclasses.replace(FIG1A, lambda_=0.0)
-        outcomes = self.assert_matches_per_value(base, "omega", (1, 1e10, 2),
-                                                 TimeGrid(0.0, 1e300, 3))
+        outcomes = self.assert_matches_per_value(base, "omega", (1, 2, 1.1),
+                                                 TimeGrid(0.0, 1e308, 3))
         assert outcomes[1].error.startswith(
-            "propagated covariance left the float range (t up to 1e+300): "
+            "propagated covariance left the float range (t up to 1e+308): "
             "the mode phase overflowed")
         assert outcomes[0].trajectory is not None and outcomes[2].trajectory is not None
 
     def test_phase_overflow_where_settled(self, monkeypatch):
         # with damping, e^{-lambda t} is 0 where the phase overflows: those
         # rows are sigma_inf exactly, in place of the NaN the formula gives
-        outcomes = self.assert_one_stacked_call(monkeypatch, FIG1A, "omega", (1, 1e10, 2),
-                                                TimeGrid(0.0, 1e300, 3))
+        outcomes = self.assert_one_stacked_call(monkeypatch, FIG1A, "omega", (1, 2, 1.1),
+                                                TimeGrid(0.0, 1e308, 3))
         settled = outcomes[1].trajectory.sigmas[1:]
-        s_inf = steady_state(dataclasses.replace(FIG1A, omega=1e10))
+        s_inf = steady_state(dataclasses.replace(FIG1A, omega=2.0))
         assert np.array_equal(bits(settled), bits(np.broadcast_to(s_inf, settled.shape)))
 
 
@@ -1172,8 +1186,9 @@ class TestErrorsMatchScalar:
 
     @pytest.mark.parametrize("run", [
         lambda: full_report(initial_squeezed_vacuum(200.0)),
-        lambda: evolve_trajectory(SystemParams(1.0, 0.0, 0.8, 0.6, 0.2, 200.0),
-                                  TimeGrid(0.0, 10.0, 11)),
+        # the marginal coupling without damping grows like t^2
+        lambda: evolve_trajectory(SystemParams(1.0, 0.0, 1.0, 0.0, 0.2, 1.0),
+                                  TimeGrid(0.0, 1e100, 3)),
         # RK4 far beyond its stability limit grows the entries past 1e77
         lambda: evolve_trajectory(SystemParams(1.0, 0.0, 0.8, 0.0, 0.2, 1.0),
                                   TimeGrid(0.0, 1e6, 3), "rk4", 1e5),

@@ -17,11 +17,12 @@ import oscbath.cli
 from oscbath import (
     CorrelationReport,
     SymplecticData,
+    SystemParams,
     TimeGrid,
     Trajectory,
+    coupling_bound,
 )
 from oscbath.cli import _COLUMNS, _csv_text, _trajectory_csv, main
-from oscbath.model import _SQUEEZING_LIMIT
 from oscbath.sweep import FIGURE_IDS, figure_preset, sweep_parameter
 from helpers import FIG1A, parse_csv
 
@@ -36,13 +37,8 @@ def _load_workloads():
     return module
 
 
-def after_squeezing_warning(err: str, r: str) -> str:
-    """stderr after its first line, which must be validate's warning for an
-    r beyond the supported squeezing range."""
-    first, _, rest = err.partition("\n")
-    assert first.startswith(f"warning: r = {r} is beyond the supported squeezing range")
-    return rest
-
+# nu = omega1*omega2 at omega = 1, epsilon = 0.5: the marginal coupling
+MARGINAL_NU = coupling_bound(SystemParams(1.0, 0.5, 0.0, 0.6, 0.2, 1.0))
 
 FIG1A_FLAGS = ["--omega", "1", "--epsilon", "0", "--nu", "0.8",
                "--lambda", "0.6", "--temp", "0.2", "--r", "1"]
@@ -227,7 +223,7 @@ class TestValidateCommand:
 
     def test_negative_value_beyond_float_range(self, capsys):
         assert main(["validate", "--omega", "-1e400"]) == 1
-        assert "omega must be finite and > 0 (got -inf)" in capsys.readouterr().err
+        assert "omega must satisfy 2**-11 <= omega <= 2**11 (got -inf)" in capsys.readouterr().err
 
 
 class TestEvolveCommand:
@@ -275,58 +271,76 @@ class TestEvolveCommand:
         assert len(captured.out.splitlines()) == 13  # metadata, header, 11 rows
 
     def test_invariant_beyond_float_range_exits_1(self, capsys):
-        assert main(["evolve", "--r", "200", "--points", "3"]) == 1
-        assert "beyond the float range" in capsys.readouterr().err
+        # at the marginal coupling without damping the lower mode moves
+        # freely, and by t = 1e100 the exact invariants leave the float range
+        flags = ["--nu", "1", "--lambda", "0", "--t-end", "1e100", "--points", "3"]
+        assert main(["evolve", *flags]) == 1
+        assert capsys.readouterr().err == (
+            "error: exact rad of the covariance matrix is beyond the float range\n")
+
+    # A squeezing beyond r = 4.579 is refused before any work, with one
+    # error line that names the bound
 
     def test_large_squeezing_exits_1(self, capsys):
         assert main(["evolve", "--r", "50", "--points", "3"]) == 1
-        err = after_squeezing_warning(capsys.readouterr().err, "50.0")
-        assert err.startswith("error:") and "symplectic eigenvalue" in err
+        assert capsys.readouterr().err == (
+            "error: r must satisfy 0 <= r <= 4.5790, the supported squeezing range "
+            "(got 50.0)\n")
 
     def test_squeezing_beyond_float_range_exits_1(self, capsys):
         assert main(["evolve", "--r", "400", "--points", "3"]) == 1
-        err = after_squeezing_warning(capsys.readouterr().err, "400.0")
-        assert err.startswith("error:") and "squeezing r = 400.0" in err
+        err = capsys.readouterr().err
+        assert err.startswith("error: r must satisfy 0 <= r <= 4.5790") and "(got 400.0)" in err
 
     @pytest.mark.parametrize("integrator", ["closed", "rk4"])
     def test_squeezing_at_the_float_range_limit_exits_1(self, integrator, capsys):
         code = main(["evolve", "--r", "355", "--points", "3", "--integrator", integrator])
         assert code == 1
-        err = after_squeezing_warning(capsys.readouterr().err, "355.0")
-        assert err.startswith("error: exact i1 ") and "beyond the float range" in err
+        err = capsys.readouterr().err
+        assert err.startswith("error: r must satisfy 0 <= r <= 4.5790") and "(got 355.0)" in err
 
     @pytest.mark.parametrize("flags, reason", [
-        # omega1*omega2 is the smallest subnormal: W-^2 rounds to 0, while
-        # lambda^2 keeps the steady state
+        # beyond the parameter box: refused, naming the bound
         (["--omega", "3e-162", "--epsilon", "0.9", "--nu", "0", "--temp", "0"],
-         "the lower normal-mode frequency squared"),
-        (["--r", "1e308"], "squeezing r = 1e+308 puts cosh(2r) beyond the float range"),
+         "omega must satisfy 2**-11 <= omega <= 2**11 (got 3e-162)\n"),
+        (["--r", "1e308"],
+         "r must satisfy 0 <= r <= 4.5790, the supported squeezing range (got 1e+308)\n"),
         (["--lambda", "1.7976931348623157e+308", "--nu", "0", "--r", "1e-300"],
-         "2*lambda is beyond the float range"),
-        # 2*lambda is finite, but 2*lambda*coth(omega1/2T)/omega1 of 2 D is not
-        (["--lambda", "8.9e307"],
-         "steady state left the float range: diffusion entry "
-         "2*lambda*coth(omega1/2T)/omega1 overflows (lambda = 8.9e+307, T = 0.2)\n"),
+         "lambda must satisfy 0 <= lambda <= 2**11 (got 1.7976931348623157e+308)\n"),
+        # inside it: at the marginal coupling sigma_inf grows like
+        # 1/lambda^2, and a mode block overflows
+        (["--nu", "1", "--lambda", "1e-160"],
+         "steady state left the float range: the normal-mode solve overflows "
+         "(lambda = 1e-160, W+^2 = 2)\n"),
     ])
     def test_float_range_limits_exit_1(self, flags, reason, capsys):
         assert main(["evolve", *flags, "--points", "3"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        err = captured.err
-        r = float(flags[flags.index("--r") + 1]) if "--r" in flags else 1.0
-        if r > _SQUEEZING_LIMIT:  # validate's warning comes first
-            err = after_squeezing_warning(err, repr(r))
-        assert err.startswith(f"error: {reason}")
-        assert err.count("\n") == 1
+        assert captured.err == f"error: {reason}"
+
+    def test_beyond_the_box_writes_no_csv(self, tmp_path, capsys):
+        # at r = 8 the float initial state itself reads non-physical
+        out = tmp_path / "r8.csv"
+        assert main(["evolve", "--r", "8", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: r must satisfy 0 <= r <= 4.5790, the supported squeezing range (got 8.0)\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", [["evolve", "--points", "3"], ["steady"]])
     def test_squeezing_beyond_the_supported_range_warns(self, command, capsys):
-        assert main([*command, "--r", "4.58"]) == 0
+        # the supported range is a bound of the parameter box: beyond it the
+        # command exits 1 with one error line
+        assert main([*command, "--r", "4.58"]) == 1
         captured = capsys.readouterr()
-        assert after_squeezing_warning(captured.err, "4.58") == ""
-        assert captured.out.startswith(f"# oscbath {command[0]} ")
+        assert captured.err == (
+            "error: r must satisfy 0 <= r <= 4.5790, the supported squeezing range (got 4.58)\n")
+        assert captured.out == ""
         assert main([*command, "--r", "4.579"]) == 0
-        assert capsys.readouterr().err == ""
+        captured = capsys.readouterr()
+        assert captured.err == "" and captured.out.startswith(f"# oscbath {command[0]} ")
 
     def test_invalid_params_exit_1_without_rk4_hint(self, capsys):
         code = main(["evolve", "--nu", "1.5", "--points", "11"])
@@ -492,44 +506,57 @@ class TestSteadyCommand:
 
     @pytest.mark.parametrize("omega", ["3.5e153", "9.5e153", "1.3e154"])
     def test_largest_frequencies_exit_0(self, omega, capsys):
-        # k = 8 (W+^2 + W-^2) + 16 lambda^2 and w1^2 + w2^2 overflow; the
-        # blocks are solved in scaled units and pass the residual bound,
-        # down to lambda = 1e-300
+        # beyond the parameter box these omega are refused with one error
+        # line; its largest omega solves down to lambda = 1e-300
         for lam in ("0.6", "1e-200", "1e-300"):
-            assert main(["steady", "--omega", omega, "--lambda", lam]) == 0
+            assert main(["steady", "--omega", omega, "--lambda", lam]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err == (
+                f"error: omega must satisfy 2**-11 <= omega <= 2**11 (got {float(omega)})\n")
+            assert main(["steady", "--omega", "2048", "--lambda", lam]) == 0
             captured = capsys.readouterr()
             assert captured.err == "" and "physical,true" in captured.out
 
     @pytest.mark.parametrize("flags, reason", [
-        # omega1*omega2 is the smallest subnormal, so W-^2 rounds to 0, and
-        # lambda^2 = 1e-400 underflows too
-        (["--omega", "3e-162", "--epsilon", "0.9", "--nu", "0", "--lambda", "1e-200",
-          "--temp", "0"], "W-^2 + lambda^2 underflows to 0"),
-        # full_report of a steady state that steady_state accepts
-        (["--epsilon", "1e-08", "--temp", "1.9473953578010756e+121"],
-         "exact i4 of the covariance matrix is beyond the float range"),
-        # the solve beyond the float range: p = coth(omega/2T) omega = 2T overflows
-        (["--omega", "10", "--temp", "1e308"], "steady state left the float range"),
-        (["--temp", "1e308"], "coth(omega_i / 2T) is beyond the float range"),
-        (["--lambda", "1.7976931348623157e+308"], "2*lambda is beyond the float range"),
-        # 2*lambda is finite; the first entry of 2 D that overflows is named
-        (["--lambda", "8.9e307"],
-         "steady state left the float range: diffusion entry "
-         "2*lambda*coth(omega1/2T)/omega1 overflows (lambda = 8.9e+307, T = 0.2)\n"),
-        (["--omega", "10", "--lambda", "8.9e307"],
-         "steady state left the float range: diffusion entry "
-         "2*lambda*coth(omega1/2T)*omega1 overflows"),
-        # every entry of 2 D is finite; the scaled mode solve overflows
-        (["--lambda", "8.9e307", "--temp", "0.1"],
+        # at the marginal coupling W-^2 = 0, and lambda^2 = 1e-400 underflows
+        (["--nu", "1", "--lambda", "1e-200", "--temp", "0"],
+         "W-^2 + lambda^2 underflows to 0 (W-^2 = 0, lambda = 1e-200)\n"),
+        # full_report of a steady state that steady_state accepts: at the
+        # marginal coupling sigma_inf grows like 1/lambda^2
+        (["--epsilon", "0.5", "--nu", repr(MARGINAL_NU), "--lambda", "1e-100"],
+         "exact i4 of the covariance matrix is beyond the float range\n"),
+        # the solve beyond the float range, where its residual is not finite
+        (["--omega", "2048", "--nu", "4194304", "--lambda", "1e-150"],
+         "steady state left the float range (residual nan, bound inf)\n"),
+        # beyond the parameter box: refused, naming the bound
+        (["--temp", "1e308"], "temperature must satisfy 0 <= temperature <= 2**11 (got 1e+308)\n"),
+        (["--lambda", "1.7976931348623157e+308"],
+         "lambda must satisfy 0 <= lambda <= 2**11 (got 1.7976931348623157e+308)\n"),
+        # every entry of 2 D is finite; a mode block overflows
+        (["--nu", "1", "--lambda", "1e-160"],
          "steady state left the float range: the normal-mode solve overflows "
-         "(lambda = 8.9e+307, W+^2 = 1.8)\n"),
+         "(lambda = 1e-160, W+^2 = 2)\n"),
+        (["--epsilon", "0.5", "--nu", repr(MARGINAL_NU), "--lambda", "1e-155"],
+         "steady state left the float range: the normal-mode solve overflows "
+         "(lambda = 1e-155, W+^2 = 2)\n"),
+        (["--omega", "2048", "--nu", "4194304", "--lambda", "1e-153"],
+         "steady state left the float range: the normal-mode solve overflows "
+         "(lambda = 1e-153, W+^2 = 8.38861e+06)\n"),
+        # beyond the box: lambda or omega past 2**500, omega1*omega2 subnormal
+        (["--lambda", "8.9e307", "--temp", "0.1"],
+         "lambda must satisfy 0 <= lambda <= 2**11 (got 8.9e+307)\n"),
+        (["--omega", "3.5e153", "--lambda", "1e-200"],
+         "omega must satisfy 2**-11 <= omega <= 2**11 (got 3.5e+153)\n"),
+        (["--omega", "99.667", "--epsilon", "0.2426", "--nu", "2501.4", "--lambda", "5e158"],
+         "lambda must satisfy 0 <= lambda <= 2**11 (got 5e+158)\n"),
+        (["--omega", "1.94e-158", "--epsilon", "0.69", "--nu", "1e-316", "--lambda", "0.018",
+          "--temp", "0"], "omega must satisfy 2**-11 <= omega <= 2**11 (got 1.94e-158)\n"),
     ])
     def test_errors_beyond_the_solve_exit_1(self, flags, reason, capsys):
         assert main(["steady", *flags]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith(f"error: {reason}")
-        assert captured.err.count("\n") == 1
+        assert captured.err == f"error: {reason}"
 
     def test_vanishing_lambda_exits_0_with_a_physical_state(self, capsys):
         # lambda^2 underflows to 0, yet sigma_inf keeps its lambda -> 0+ limit
@@ -555,9 +582,13 @@ class TestSteadyCommand:
         assert "Traceback" not in err
 
     def test_warm_bath_accepted(self, capsys):
-        # max|2D| ~ 2.4e7, so the residual bound scales up with it
-        assert main(["steady", "--temp", "1e7"]) == 0
+        # at the box's largest T, max|2D| ~ 4.9e3, so the residual bound
+        # scales up with it; T = 1e7 is beyond the box
+        assert main(["steady", "--temp", "2048"]) == 0
         assert "physical,true" in capsys.readouterr().out
+        assert main(["steady", "--temp", "1e7"]) == 1
+        assert capsys.readouterr().err == (
+            "error: temperature must satisfy 0 <= temperature <= 2**11 (got 10000000.0)\n")
 
 
 class TestFigureCommand:
@@ -579,12 +610,15 @@ class TestFigureCommand:
             assert f">T={value}</text>".replace("T", "temperature") in svg
 
     def test_squeezing_beyond_the_supported_range_warns(self, monkeypatch, tmp_path, capsys):
-        # no preset has r > 2; one swept to r = 5 warns once, for that value
+        # no preset has r > 2; a value swept to r = 5, beyond the parameter
+        # box, is skipped with the bound named, like any invalid value
         preset = dataclasses.replace(figure_preset("fig2c"), values=(1.0, 5.0),
                                      grid=TimeGrid(0.0, 1.0, 3))
         monkeypatch.setattr(oscbath.cli, "figure_preset", lambda _: preset)
         assert main(["figure", "fig2c", "--out", str(tmp_path)]) == 0
-        assert after_squeezing_warning(capsys.readouterr().err, "5.0") == ""
+        assert capsys.readouterr().err == (
+            "skipping r=5: r must satisfy 0 <= r <= 4.5790, the supported squeezing range "
+            "(got 5.0)\n")
 
     def test_invalid_sweep_value_is_skipped(self, monkeypatch, tmp_path, capsys):
         preset = dataclasses.replace(figure_preset("fig1a"), values=(0.1, -1.0),
@@ -593,7 +627,8 @@ class TestFigureCommand:
         assert main(["figure", "fig1a", "--out", str(tmp_path)]) == 0
         captured = capsys.readouterr()
         assert captured.err == (
-            "skipping temperature=-1: temperature must be finite and >= 0 (got -1.0)\n")
+            "skipping temperature=-1: temperature must satisfy 0 <= temperature <= 2**11 "
+            "(got -1.0)\n")
         assert captured.out == f"wrote 1 CSV files and fig1a.svg to {tmp_path}\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "fig1a.svg", "fig1a_temperature=0.1.csv"]
@@ -606,8 +641,10 @@ class TestFigureCommand:
         assert main(["figure", "fig1a", "--out", str(tmp_path)]) == 1
         captured = capsys.readouterr()
         assert captured.err.splitlines() == [
-            "skipping temperature=-1: temperature must be finite and >= 0 (got -1.0)",
-            "skipping temperature=-2: temperature must be finite and >= 0 (got -2.0)",
+            "skipping temperature=-1: temperature must satisfy 0 <= temperature <= 2**11 "
+            "(got -1.0)",
+            "skipping temperature=-2: temperature must satisfy 0 <= temperature <= 2**11 "
+            "(got -2.0)",
             "error: no valid curves produced",
         ]
         assert captured.out == ""

@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 
 import numpy as np
@@ -24,7 +25,8 @@ from oscbath import (
     thermal_coth,
     validate,
 )
-from oscbath.dynamics import _drift, _kron_sum, _lyapunov_terms, _mode_block
+from oscbath.dynamics import _drift, _kron_sum, _lyapunov_terms, _mode_block, _normal_modes
+from oscbath.model import _BOX_MAX, _BOX_MIN
 from oscbath.sweep import (
     FIGURE_IDS, TimeGrid, evolve_trajectory, figure_preset, sweep_parameter,
 )
@@ -32,7 +34,7 @@ from helpers import (
     FIG1A, FIG2A, FIG4, chained_ode_oracle, kron_steady_state, mpmath_steady_state,
     random_physical_cov, random_valid_params, rk4_reference, scipy_steady_state, swap_modes,
 )
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import dataclasses
 
@@ -240,6 +242,11 @@ def steady_or_zero(params):
     return steady_state(params) if params.lambda_ else np.zeros((4, 4))
 
 
+def at_marginal(params):
+    """``params`` with nu = omega1*omega2, where W- = 0."""
+    return dataclasses.replace(params, nu=coupling_bound(params))
+
+
 def marginal_sets():
     # |nu| = w1 w2 exactly, so W- = 0, with and without damping
     sets = []
@@ -394,22 +401,29 @@ class TestPropagator:
         assert np.array_equal(stack[1], s_inf)
 
     def test_underflowing_lower_mode_raises_out_of_range(self):
-        # omega1*omega2 is the smallest subnormal, so W-^2 =
-        # (b - |nu|)/W+^2 (b + |nu|) = b (b / W+^2) rounds to 0, while
-        # lambda^2 keeps the steady state
+        # omega1*omega2 = 5e-324 rounds W-^2 = (b - |nu|)/W+^2 (b + |nu|)
+        # to 0 off the marginal coupling; the parameter box refuses such a
+        # set, naming the bound
         params = SystemParams(3e-162, 0.9, 0.0, 0.6, 0.0, 1.0)
-        assert coupling_bound(params) == 5e-324
-        steady_state(params)
-        for t in (1.0, np.array([0.0, 1.0])):
-            with pytest.raises(OutOfRange, match="W-\\^2 .* underflows to 0"):
-                propagate(np.eye(4), params, t)
+        for call in (lambda: steady_state(params), lambda: propagate(np.eye(4), params, 1.0),
+                     lambda: propagate(np.eye(4), params, np.array([0.0, 1.0]))):
+            with pytest.raises(InvalidParameters, match=re.escape(
+                    "omega must satisfy 2**-11 <= omega <= 2**11 (got 3e-162)")):
+                call()
+        # inside the box W-^2 is 0 only at the marginal coupling: at the
+        # smallest omega and omega2, one float below the bound, it is far
+        # from underflowing
+        params = SystemParams(_BOX_MIN, math.nextafter(1.0, 0.0), 0.0, 0.6, 0.0, 1.0)
+        params = dataclasses.replace(params, nu=math.nextafter(coupling_bound(params), 0.0))
+        assert _normal_modes(params)[1] > 2.0 ** -200
+        assert np.isfinite(propagate(np.eye(4), params, np.array([0.0, 1.0]))).all()
 
     def test_overflowing_phase_without_decay_raises_out_of_range(self):
         # lambda * t = 1 keeps e^{-lambda t} finite while W t overflows, on
         # the scalar and the column route alike
-        params = SystemParams(1e10, 0.0, 0.0, 1e-300, 0.0, 0.0)
-        for t in (1e300, np.array([0.0, 1e300])):
-            with pytest.raises(OutOfRange, match=r"t up to 1e\+300\): the mode phase overflowed"):
+        params = SystemParams(_BOX_MAX, 0.0, 0.0, 1e-308, 0.0, 0.0)
+        for t in (1e308, np.array([0.0, 1e308])):
+            with pytest.raises(OutOfRange, match=r"t up to 1e\+308\): the mode phase overflowed"):
                 propagate(np.eye(4), params, t)
 
     @pytest.mark.parametrize("params", [
@@ -496,20 +510,21 @@ class TestPropagatorRoutes:
 
     @settings(max_examples=400, deadline=None, database=None, derandomize=True)
     @given(
-        omega=st.floats(min_value=5e-324, max_value=1e154),
+        omega=st.floats(min_value=_BOX_MIN, max_value=_BOX_MAX),
         epsilon=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
         share=st.sampled_from([1.0, -1.0]) | st.floats(min_value=-1.0, max_value=1.0),
-        lam=st.just(0.0) | st.floats(min_value=0.0, max_value=1.7976931348623157e308),
-        temperature=st.floats(min_value=0.0, max_value=1.7976931348623157e308),
+        lam=st.just(0.0) | st.floats(min_value=0.0, max_value=_BOX_MAX),
+        temperature=st.floats(min_value=0.0, max_value=_BOX_MAX),
         t=st.sampled_from([1e-300, 1.0, 1e300]) | st.floats(min_value=0.0, max_value=1e308),
     )
     def test_accepted_box_gives_a_state_or_an_error(
             self, omega, epsilon, share, lam, temperature, t):
-        # every accepted set, lambda = 0 and |nu| = w1 w2 included: finite
-        # states, equal on both routes, or an OscbathError on both
+        # every set in the parameter box, lambda = 0 and |nu| = w1 w2
+        # included: finite states, equal on both routes, or an OscbathError
+        # on both
         params = SystemParams(omega, epsilon, 0.0, lam, temperature, 0.5)
-        assume(validate(params).ok)
         params = dataclasses.replace(params, nu=share * coupling_bound(params))
+        assert validate(params).ok
         sigma0 = initial_squeezed_vacuum(params.r)
         times = np.array([0.0, t, 3.7])
         scalar = []
@@ -563,7 +578,8 @@ class TestSteadyState:
 
     @pytest.mark.parametrize("refused, error", [
         (dataclasses.replace(FIG1A, lambda_=0.0), SteadyStateUnavailable),
-        (SystemParams(10.0, 0.0, 0.8, 0.6, 1e308, 1.0), OutOfRange),
+        # the marginal coupling's sigma_inf grows like 1/lambda^2
+        (SystemParams(1.0, 0.0, 1.0, 1e-160, 0.2, 1.0), OutOfRange),
     ])
     def test_refused_set_raises_again_and_keeps_the_last_solve(self, solves, refused, error):
         params = dataclasses.replace(FIG1A)
@@ -617,13 +633,14 @@ class TestSteadyState:
 
     @pytest.mark.parametrize("omega", [3.5e153, 9.5e153, 1.3e154])
     def test_largest_frequencies_solved(self, omega):
-        # 8 (W+^2 + W-^2) overflows from omega = 3.4e153 and w1^2 + w2^2
-        # from 9.5e153: the blocks are solved in units scaled by a power of
-        # two near W+/2^500, so lambda/mu stays representable down to
-        # lambda = 1e-300. nu = 0.8 is negligible, so sigma_inf is the local
-        # thermal state diag(c/w, c w), up to O(nu / omega^2)
+        # 8 (W+^2 + W-^2) overflows at these omega, which the parameter box
+        # refuses; its largest omega is solved down to lambda = 1e-300. With
+        # nu = 0, sigma_inf is the local thermal state diag(c/w, c w)
         for lam in (0.6, 1e-200, 1e-300):
-            params = SystemParams(omega, 0.0, 0.8, lam, 0.2, 1.0)
+            with pytest.raises(InvalidParameters, match=re.escape(
+                    f"omega must satisfy 2**-11 <= omega <= 2**11 (got {omega})")):
+                steady_state(SystemParams(omega, 0.0, 0.8, lam, 0.2, 1.0))
+            params = SystemParams(_BOX_MAX, 0.0, 0.0, lam, 0.2, 1.0)
             s = steady_state(params)
             exact = decoupled_steady(params)
             scale = np.sqrt(np.outer(np.diag(exact), np.diag(exact)))
@@ -656,54 +673,59 @@ class TestSteadyState:
             assert (np.abs(bound - magnitude) <= tol).all()
 
     @pytest.mark.parametrize("params, message", [
-        # p = c w = 2 T overflows, so the solve is NaN; the residual test
-        # must fail on NaN
-        (SystemParams(10.0, 0.0, 0.8, 0.6, 1e308, 1.0), "steady state left the float range"),
-        (SystemParams(1.0, 0.0, 0.8, 0.6, 1e308, 1.0), "coth"),
-        (SystemParams(1.0, 0.0, 0.0, 1.7976931348623157e308, 0.2, 1.0), "2[*]lambda"),
-        # the scaled mode solve's lambda/mu underflows to 0
-        (SystemParams(3.5e153, 0.0, 0.8, 5e-324, 0.2, 1.0), "lambda/W underflows to 0"),
-        # 2*lambda is finite; the first entry of 2 D that overflows is named
+        # inside the parameter box only the marginal coupling leaves the
+        # float range: its lower
+        # mode is held by the damping alone, so sigma_inf grows like
+        # 1/lambda^2. A residual or bound that is not finite fails the
+        # residual test, NaN included
+        (at_marginal(SystemParams(_BOX_MAX, 0.0, 0.0, 1e-150, 0.2, 1.0)),
+         r"steady state left the float range \(residual nan, bound inf\)$"),
+        # beyond the box each set is refused, naming the bound it passes
+        (SystemParams(1.0, 0.0, 0.8, 0.6, 1e308, 1.0),
+         r"^temperature must satisfy 0 <= temperature <= 2\*\*11 \(got 1e\+308\)$"),
+        (SystemParams(1.0, 0.0, 0.0, 1.7976931348623157e308, 0.2, 1.0),
+         r"^lambda must satisfy 0 <= lambda <= 2\*\*11 \(got 1.7976931348623157e\+308\)$"),
+        (SystemParams(3.5e153, 0.0, 0.8, 5e-324, 0.2, 1.0),
+         r"^omega must satisfy 2\*\*-11 <= omega <= 2\*\*11 \(got 3.5e\+153\)$"),
+        # every entry of 2 D is finite, but a mode block overflows
+        (at_marginal(SystemParams(1.0, 0.0, 0.0, 1e-160, 0.2, 1.0)),
+         r"^steady state left the float range: the normal-mode solve overflows "
+         r"\(lambda = 1e-160, W\+\^2 = 2\)$"),
         (SystemParams(1.0, 0.0, 0.8, 8.9e307, 0.2, 1.0),
-         r"^steady state left the float range: diffusion entry "
-         r"2\*lambda\*coth\(omega1/2T\)/omega1 overflows \(lambda = 8.9e\+307, T = 0.2\)$"),
-        (SystemParams(10.0, 0.0, 0.8, 8.9e307, 0.2, 1.0),
-         r"diffusion entry 2\*lambda\*coth\(omega1/2T\)\*omega1 overflows"),
-        (SystemParams(1.0 / math.sqrt(1.5), 0.5, 0.1, 8.9e307, 0.0, 1.0),
-         r"diffusion entry 2\*lambda\*coth\(omega2/2T\)/omega2 overflows"),
+         r"^lambda must satisfy 0 <= lambda <= 2\*\*11 \(got 8.9e\+307\)$"),
         (SystemParams(10.0, 0.0, 0.8, 0.6, 1e308, 1.0),
-         r"diffusion entry 2\*lambda\*coth\(omega1/2T\)\*omega1 overflows"),
-        # every entry of 2 D is finite, but a mode block overflows: in the
-        # scaled solve (mu = 2**1023, q = 2p + (S2 + 4 lambda'^2) mu x), and
-        # in the unscaled one (p = 1e308, 2p)
-        (SystemParams(1.0, 0.0, 0.8, 8.9e307, 0.1, 1.0),
+         r"^temperature must satisfy 0 <= temperature <= 2\*\*11 \(got 1e\+308\)$"),
+        (SystemParams(1.0 / math.sqrt(1.5), 0.5, 0.1, 8.9e307, 0.0, 1.0),
+         r"^lambda must satisfy 0 <= lambda <= 2\*\*11 \(got 8.9e\+307\)$"),
+        (at_marginal(SystemParams(_BOX_MAX, 0.0, 0.0, 1e-153, 0.2, 1.0)),
          r"^steady state left the float range: the normal-mode solve overflows "
-         r"\(lambda = 8.9e\+307, W\+\^2 = 1.8\)$"),
-        (SystemParams(10.0, 0.0, 0.8, 0.5, 5e307, 1.0),
-         r"^steady state left the float range: the normal-mode solve overflows "
-         r"\(lambda = 0.5, W\+\^2 = 100.8\)$"),
+         r"\(lambda = 1e-153, W\+\^2 = 8.38861e\+06\)$"),
+        (at_marginal(SystemParams(1.0, 0.5, 0.0, 5e-155, 0.2, 1.0)),
+         r"^steady state left the float range \(residual 9.9792e\+291, bound inf\)$"),
     ])
     def test_beyond_float_range_raises_out_of_range(self, params, message):
-        assert validate(params).ok
-        with pytest.raises(OutOfRange, match=message):
+        error = OutOfRange if validate(params).ok else InvalidParameters
+        with pytest.raises(error, match=message):
             steady_state(params)
 
     @pytest.mark.parametrize("params", [
-        # omega1*omega2 and W+^2 underflow to 0, so nu = 0 is marginal
+        # omega1*omega2 and W+^2 underflow to 0 at this omega
         SystemParams(5e-324, 0.0, 0.0, 0.6, 0.0, 0.0),
-        # W+^2 = (w1^2 + w2^2)/2 + hypot(g, nu) overflows
+        # W+^2 = (w1^2 + w2^2)/2 + hypot(g, nu) overflows at this omega
         SystemParams(1.34e154, 0.0, 1.7e308, 0.6, 0.0, 0.0),
     ])
     @pytest.mark.parametrize("lam", [0.0, 0.6])
     def test_upper_mode_beyond_float_range_raises_out_of_range(self, params, lam):
+        # W+^2 lies within [2**-22, 2**24] for every set in the parameter
+        # box; these sets are refused, naming the bound on omega
         params = dataclasses.replace(params, lambda_=lam)
-        assert validate(params).ok
         calls = [lambda: propagate(np.eye(4), params, 1.0),
                  lambda: propagate(np.eye(4), params, np.array([0.0, 1.0]))]
         if lam:
             calls.append(lambda: steady_state(params))
         for call in calls:
-            with pytest.raises(OutOfRange, match="W\\+\\^2 leaves the float range"):
+            with pytest.raises(InvalidParameters, match=re.escape(
+                    f"omega must satisfy 2**-11 <= omega <= 2**11 (got {params.omega})")):
                 call()
 
     W1, W2 = mode_frequencies(FIG4)
@@ -741,19 +763,19 @@ class TestSteadyState:
         assert full_report(s).physical
 
     def test_underflowing_lambda_and_lower_mode_raises_out_of_range(self):
-        # omega1*omega2 is the smallest subnormal, so W-^2 =
-        # (b - |nu|)/W+^2 (b + |nu|) rounds to 0, and lambda^2 = 1e-400 too
-        params = SystemParams(3e-162, 0.9, 0.0, 1e-200, 0.0, 0.0)
+        # at the marginal coupling W-^2 = 0, and lambda^2 = 1e-400 underflows
+        params = SystemParams(1.0, 0.5, 0.0, 1e-200, 0.0, 0.0)
+        params = dataclasses.replace(params, nu=coupling_bound(params))
         with pytest.raises(OutOfRange, match="W-\\^2 \\+ lambda\\^2 underflows to 0"):
             steady_state(params)
 
     def test_residual_bound_scales_with_the_terms(self):
-        # w1^2 s00 = 1e40 * 1e-20 rounds by about 1e4 alone: a bound on |D|
-        # only (2e-10 here) refused this state, which the bound on every
-        # term's magnitude accepts
-        params = SystemParams(1e20, 0.0, 0.0, 1e-20, 0.0, 0.0)
+        # w1^2 s00 = 2**22 * 2**-11 rounds by about 2**-42 alone: a bound on
+        # |D| only (2**-94 here) refused this state, which the bound on
+        # every term's magnitude accepts
+        params = SystemParams(_BOX_MAX, 0.0, 0.0, 2.0 ** -60, 0.0, 0.0)
         s = steady_state(params)
-        exact = np.diag([1e-20, 1e20, 1e-20, 1e20])
+        exact = np.diag([2.0 ** -11, 2.0 ** 11, 2.0 ** -11, 2.0 ** 11])
         assert np.array_equal(exact, decoupled_steady(params))
         scale = np.sqrt(np.outer(np.diag(exact), np.diag(exact)))
         assert (np.abs(s - exact) <= 1e-15 * scale).all()
@@ -769,46 +791,52 @@ class TestSteadyState:
         (1e-84, 1e-100, 0.0, 0.0),
     ])
     def test_underflowing_det_v_keeps_its_digits(self, omega, lam, epsilon, share):
-        # det V = (w1 w2)^2 - nu^2 underflows, and W-^2 = det V / W+^2 was
-        # off by 3e-12 to 5e31 (relative) here; (b - |nu|)/W+^2 (b + |nu|)
-        # never forms det V, and the solve is within a few ulp of a
-        # 700-digit Kronecker solve, entry by entry on the scale
-        # sqrt(S_ii S_jj)
+        # det V = (w1 w2)^2 - nu^2 underflows for these sets, which the
+        # parameter box now refuses: inside it det V >= 2**-97 whenever
+        # |nu| < omega1*omega2, so nothing underflows
         params = SystemParams(omega, epsilon, 0.0, lam, 0.0, 0.0)
         params = dataclasses.replace(params, nu=share * coupling_bound(params))
-        ref = mpmath_steady_state(params, 700)
-        scale = np.sqrt(np.outer(np.diag(ref), np.diag(ref)))
-        assert (np.abs(steady_state(params) - ref) <= 4 * 2.0 ** -52 * scale).all()
+        with pytest.raises(InvalidParameters, match=re.escape(
+                f"omega must satisfy 2**-11 <= omega <= 2**11 (got {omega})")):
+            steady_state(params)
 
     def test_underflowing_det_v_is_kept_where_lambda_dominates(self):
-        # det V underflows here too, but lambda^2 = 1 dwarfs W-^2 ~ 1e-240
-        params = SystemParams(1e-120, 0.0, 0.0, 1.0, 0.0, 0.0)
+        # det V underflows at omega = 1e-120, beyond the parameter box; at
+        # its smallest omega lambda^2 = 1 still dwarfs W-^2 = 2**-44
+        with pytest.raises(InvalidParameters, match="omega must satisfy"):
+            steady_state(SystemParams(1e-120, 0.0, 0.0, 1.0, 0.0, 0.0))
+        params = SystemParams(_BOX_MIN, 0.0, 0.0, 1.0, 0.0, 0.0)
         exact = decoupled_steady(params)
         scale = np.sqrt(np.outer(np.diag(exact), np.diag(exact)))
         assert (np.abs(steady_state(params) - exact) <= 1e-15 * scale).all()
 
     @pytest.mark.parametrize("lam", [1e200, 1e300])
     def test_huge_lambda_keeps_the_local_thermal_state(self, lam):
-        # lambda^2 overflows, so the blocks are solved in scaled units; the
-        # bath dominates the coupling and sigma_inf tends to the uncoupled
+        # lambda^2 overflows at these lambda, which the parameter box
+        # refuses. At its largest lambda the bath dominates the coupling,
+        # and sigma_inf is within O(nu/lambda) of the uncoupled
         # diag(c/w, c w) of each oscillator
-        params = dataclasses.replace(FIG4, lambda_=lam)
+        with pytest.raises(InvalidParameters, match=re.escape(
+                f"lambda must satisfy 0 <= lambda <= 2**11 (got {lam})")):
+            steady_state(dataclasses.replace(FIG4, lambda_=lam))
+        params = dataclasses.replace(FIG4, lambda_=_BOX_MAX)
         s = steady_state(params)
-        assert np.abs(s - decoupled_steady(params)).max() <= 1e-14
+        assert np.abs(s - decoupled_steady(params)).max() <= FIG4.nu / _BOX_MAX
+        assert np.abs(s - kron_steady_state(params)).max() <= 1e-11 * np.abs(s).max()
 
     @settings(max_examples=400, deadline=None, database=None, derandomize=True)
     @given(
-        omega=st.floats(min_value=5e-324, max_value=1e154),
+        omega=st.floats(min_value=_BOX_MIN, max_value=_BOX_MAX),
         epsilon=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
         share=st.floats(min_value=-1.0, max_value=1.0),
-        lam=st.floats(min_value=0.0, max_value=1.7976931348623157e308),
-        temperature=st.floats(min_value=0.0, max_value=1.7976931348623157e308),
+        lam=st.floats(min_value=0.0, max_value=_BOX_MAX),
+        temperature=st.floats(min_value=0.0, max_value=_BOX_MAX),
     )
     def test_accepted_box_gives_a_verified_state_or_an_error(
             self, omega, epsilon, share, lam, temperature):
         params = SystemParams(omega, epsilon, 0.0, lam, temperature, 0.0)
-        assume(validate(params).ok)
         params = dataclasses.replace(params, nu=share * coupling_bound(params))
+        assert validate(params).ok
         try:
             s = steady_state(params)
         except OscbathError:
@@ -933,13 +961,14 @@ class TestOdeOracle:
         assert np.array_equal(s, s.T)
 
     @pytest.mark.parametrize("params, message", [
-        (SystemParams(1e-300, 0.0, 0.0, 0.6, 1e10, 1.0), "coth"),
-        (dataclasses.replace(FIG1A, lambda_=1e308), "2\\*lambda"),
+        (SystemParams(1e-300, 0.0, 0.0, 0.6, 1e10, 1.0), "omega must satisfy"),
+        (dataclasses.replace(FIG1A, lambda_=1e308), "lambda must satisfy"),
     ])
-    def test_time_zero_out_of_range_like_any_grid(self, params, message):
-        # t = 0 builds the same drift and diffusion as every grid
+    def test_time_zero_refused_like_any_grid(self, params, message):
+        # t = 0 checks the set as every grid does; inside the parameter box
+        # neither coth nor 2 lambda can leave the float range
         for t in (0.0, 1.0):
-            with pytest.raises(OutOfRange, match=message):
+            with pytest.raises(InvalidParameters, match=message):
                 ode_oracle(np.eye(4), params, t)
 
     def test_matches_closed_form_at_unit_time(self):

@@ -11,6 +11,7 @@ from oscbath import (
     InvalidParameters,
     OutOfRange,
     SystemParams,
+    ValidationResult,
     check_covariance,
     coupling_bound,
     evolve_trajectory,
@@ -76,14 +77,19 @@ class TestValidate:
 
     @pytest.mark.parametrize("omega,epsilon", [(1e200, 0.0), (1.5e154, 0.0), (1e154, 0.9)])
     def test_overflowing_frequencies_rejected(self, omega, epsilon):
+        # the parameter box refuses them long before omega1**2 overflows
         result = validate(params(omega=omega, epsilon=epsilon, nu=0.0))
-        assert not result.ok
-        assert any("omega1**2" in v for v in result.violations)
-        with pytest.raises(InvalidParameters, match="must be finite"):
+        assert result.violations == (
+            f"omega must satisfy 2**-11 <= omega <= 2**11 (got {omega})",)
+        with pytest.raises(InvalidParameters, match=re.escape("omega <= 2**11")):
             evolve_trajectory(params(omega=omega, epsilon=epsilon))
 
     def test_largest_finite_frequencies_pass(self):
-        assert validate(params(omega=1e154, nu=0.0)).ok
+        # the largest frequencies are the box's edge, the smallest its other edge
+        for omega in (2.0 ** 11, 2.0 ** -11):
+            assert validate(params(omega=omega, nu=0.0)).ok
+        assert validate(params(omega=2.0 ** 11, epsilon=0.999, nu=0.0)).ok
+        assert not validate(params(omega=1e154, nu=0.0)).ok
 
     def test_marginal_coupling_passes_without_warning(self):
         result = validate(params(nu=1.0))  # omega1*omega2 = 1 here
@@ -99,12 +105,15 @@ class TestValidate:
         assert _SQUEEZING_LIMIT == pytest.approx(4.5790, abs=1e-4)
 
     def test_squeezing_beyond_the_supported_range_warns_but_passes(self):
-        assert validate(params(r=_SQUEEZING_LIMIT)).warnings == ()
+        # the supported range is a bound of the box: beyond it a set is
+        # refused, with the bound named, and no warning is given
+        result = validate(params(r=_SQUEEZING_LIMIT))
+        assert result.ok and result.warnings == ()
         for r in (math.nextafter(_SQUEEZING_LIMIT, math.inf), 7.0, 300.0):
             result = validate(params(r=r))
-            assert result.ok
-            assert len(result.warnings) == 1
-            assert "supported squeezing range r <= 4.5790" in result.warnings[0]
+            assert result.warnings == ()
+            assert result.violations == (
+                f"r must satisfy 0 <= r <= 4.5790, the supported squeezing range (got {r})",)
 
     def test_supported_squeezing_gives_a_physical_initial_state(self):
         for r in np.linspace(0.0, _SQUEEZING_LIMIT, 2001):
@@ -113,13 +122,16 @@ class TestValidate:
         assert not full_report(initial_squeezed_vacuum(4.721426689928442)).physical
 
     def test_no_preset_and_no_bench_input_warns(self):
-        # every preset and every bench input draws r from [0, 2]
+        # every preset value lies inside the parameter box, with no warning;
+        # every bench input draws omega from [0.5, 2], lambda <= 2, T <= 3
+        # and r from [0, 2]
         for fid in FIGURE_IDS:
             preset = figure_preset(fid)
             for value in preset.values:
                 varied = dataclasses.replace(preset.params, **{preset.sweep: float(value)})
-                assert not any("squeezing" in w for w in validate(varied).warnings)
-        assert validate(params(r=2.0)).warnings == ()
+                assert validate(varied) == ValidationResult(True, (), ())
+        assert validate(params(omega=0.5, nu=0.2, lambda_=2.0, temperature=3.0, r=2.0)) == (
+            ValidationResult(True, (), ()))
 
     def test_zero_dissipation_warns_but_passes(self):
         result = validate(params(lambda_=0.0))
@@ -146,12 +158,19 @@ _NUMPY_SCALAR_CASES = {
              nu=0.008249372466771087, lambda_=0.0,
              temperature=0.08765693311134024, r=0.18),
         ("nu",), lambda p: propagate(initial_squeezed_vacuum(0.18), p, 1e300), OutOfRange),
+    # beyond the parameter box: refused before any arithmetic
     "steady_at_large_omega_tiny_lambda": (
-        dict(omega=3.5e153, lambda_=1e-200), ("omega", "lambda_"), steady_state, "ok"),
+        dict(omega=3.5e153, lambda_=1e-200), ("omega", "lambda_"), steady_state,
+        InvalidParameters),
     "validate_overflowing_frequencies": (
         dict(omega=1e300, lambda_=1e300, epsilon=0.5), ("omega", "lambda_"),
         require_valid, InvalidParameters),
-    "steady_at_huge_lambda": (dict(lambda_=8.9e307), ("lambda_",), steady_state, OutOfRange),
+    "steady_at_huge_lambda": (
+        dict(lambda_=8.9e307), ("lambda_",), steady_state, InvalidParameters),
+    # inside the box: the marginal coupling's steady state grows like
+    # 1/lambda^2 and leaves the float range
+    "steady_at_marginal_coupling_tiny_lambda": (
+        dict(nu=1.0, lambda_=1e-160), ("nu", "lambda_"), steady_state, OutOfRange),
 }
 
 

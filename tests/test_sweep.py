@@ -9,6 +9,7 @@ from oscbath import (
     CorrelationReport,
     DEFAULT_GRID,
     FIGURE_IDS,
+    InvalidParameters,
     NonPhysicalInput,
     OutOfRange,
     SystemParams,
@@ -26,12 +27,18 @@ from oscbath import (
     sweep_parameter,
     validate,
 )
+from oscbath.sweep import _evolve
 from helpers import FIG1A, FIG2A, FIG4, chained_ode_oracle, random_valid_params
 
 LAMBDA0 = dataclasses.replace(FIG1A, lambda_=0.0)
 MARGINAL = dataclasses.replace(FIG4, nu=-coupling_bound(FIG4))
 
 SMALL_GRID = TimeGrid(0.0, 10.0, 101)
+
+
+def _core(sigma0, params, grid, integrator="closed"):
+    """The trajectory core behind evolve_trajectory, from any sigma0."""
+    return _evolve([(sigma0, params)], grid, integrator, 1e-3)[0]
 
 
 @pytest.fixture
@@ -103,28 +110,36 @@ class TestEvolveTrajectory:
             # the steady state's own residual bound
             assert np.abs(sigma - s_inf).max() <= 1e-10 * np.abs(s_inf).max()
 
+    # Squeezing beyond the box (r <= 4.579) is refused by evolve_trajectory;
+    # the trajectory core behind it still meets such states, which any
+    # sigma0 given to propagate or ode_oracle can be, and raises an
+    # OscbathError for them.
+
     def test_large_squeezing_raises_oscbath_error(self):
         # r = 50 puts i1*i2 near cosh(100)**4, whose square is inf, not an
         # OverflowError; the rounded invariants of this pure state then
         # give a negative squared eigenvalue
         params = SystemParams(1.0, 0.0, 0.8, 0.6, 0.2, 50.0)
-        with pytest.raises(NonPhysicalInput, match="symplectic eigenvalue"):
+        with pytest.raises(InvalidParameters, match="r <= 4.5790"):
             evolve_trajectory(params, TimeGrid(0.0, 10.0, 11))
+        with pytest.raises(NonPhysicalInput, match="symplectic eigenvalue"):
+            _core(initial_squeezed_vacuum(50.0), FIG1A, TimeGrid(0.0, 10.0, 11))
 
     @pytest.mark.parametrize("r", [400.0, 1000.0])
     def test_squeezing_beyond_float_range_raises_out_of_range(self, r):
         # cosh(2r) overflows for r above about 355
         params = SystemParams(1.0, 0.0, 0.8, 0.6, 0.2, r)
-        with pytest.raises(OutOfRange, match=f"squeezing r = {r}"):
+        with pytest.raises(InvalidParameters, match=f"r <= 4.5790.*got {r}"):
             evolve_trajectory(params, TimeGrid(0.0, 10.0, 11))
+        with pytest.raises(OutOfRange, match=f"squeezing r = {r}"):
+            initial_squeezed_vacuum(r)
 
     @pytest.mark.parametrize("integrator", ["closed", "rk4"])
     def test_squeezing_at_the_float_range_limit_raises_out_of_range(self, integrator):
         # r = 355 gives finite entries near 1.1e308 whose invariants overflow;
         # no RuntimeWarning from the symmetrization may come first
-        params = SystemParams(1.0, 0.0, 0.8, 0.6, 0.2, 355.0)
         with pytest.raises(OutOfRange, match="exact i1 .* beyond the float range"):
-            evolve_trajectory(params, TimeGrid(0.0, 10.0, 11), integrator=integrator)
+            _core(initial_squeezed_vacuum(355.0), FIG1A, TimeGrid(0.0, 10.0, 11), integrator)
 
     def test_initial_record(self):
         traj = evolve_trajectory(FIG1A, TimeGrid(0.0, 10.0, 201))
