@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import OscbathError
 from .measures import _rint_product, full_report
-from .model import SystemParams, validate
+from .model import _BOX_EXPONENT, _SQUEEZING_LIMIT, SystemParams, validate
 from .dynamics import check_step, steady_state
 from .svgplot import line_plot
 from .sweep import (
@@ -197,18 +197,19 @@ def _csv_text(table, hex_floats, flags=None) -> str:
 
 def _param_flags(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("system parameters")
+    k = _BOX_EXPONENT  # validate's box
     group.add_argument("--omega", type=float, default=1.0,
-                       help="base angular frequency, 2**-11 <= omega <= 2**11 (default 1)")
+                       help=f"base angular frequency, 2**-{k} <= omega <= 2**{k} (default 1)")
     group.add_argument("--epsilon", type=float, default=0.0,
                        help="frequency asymmetry, 0 <= epsilon < 1 (default 0)")
     group.add_argument("--nu", type=float, default=0.8,
                        help="position coupling constant (default 0.8)")
     group.add_argument("--lambda", dest="lambda_", type=float, default=0.6,
-                       help="dissipation rate, 0 <= lambda <= 2**11 (default 0.6)")
+                       help=f"dissipation rate, 0 <= lambda <= 2**{k} (default 0.6)")
     group.add_argument("--temp", dest="temperature", type=float, default=0.2,
-                       help="bath temperature, 0 <= T <= 2**11 (default 0.2)")
+                       help=f"bath temperature, 0 <= temperature <= 2**{k} (default 0.2)")
     group.add_argument("--r", type=float, default=1.0,
-                       help="initial squeezing, 0 <= r <= 4.579 (default 1)")
+                       help=f"initial squeezing, 0 <= r <= {_SQUEEZING_LIMIT:.4f} (default 1)")
 
 
 def _grid_flags(parser: argparse.ArgumentParser) -> None:

@@ -333,8 +333,7 @@ def steady_state(params: SystemParams) -> np.ndarray:
     (64 ulp of 1) times the largest entry of |M| |S| + |S| |M|^T + 2 |D|,
     the size of the terms it is formed from.
 
-    Takes every set :func:`~oscbath.model.validate` accepts, whose box is
-    2**-11 <= omega <= 2**11, lambda and T at most 2**11 and r <= 4.579; a
+    Takes every set in :func:`~oscbath.model.validate`'s parameter box; a
     set outside it raises :class:`~oscbath.errors.InvalidParameters` naming
     the bound. At |nu| = omega1*omega2 the lower mode has W- = 0 and is held
     by the damping alone, so sigma_inf grows like 1/lambda^2. Raises
@@ -429,15 +428,15 @@ def propagate(sigma0, params: SystemParams, t: float | np.ndarray) -> np.ndarray
     one the last solve made, such as a :func:`steady_state` call just
     before, where that had the same ``params`` object. At t = 0 the result
     is sigma0's symmetric part exactly, and where e^{-lambda t} underflows
-    to 0, sigma_inf exactly. Every set :func:`validate` accepts is taken,
-    in its box 2**-11 <= omega <= 2**11, lambda and T at most 2**11 and
-    r <= 4.579 (a set outside it raises
+    to 0, sigma_inf exactly. Every set in :func:`validate`'s parameter box
+    is taken (a set outside it raises
     :class:`~oscbath.errors.InvalidParameters` naming the bound): at
     lambda = 0 sigma_inf's blocks are 0 and no steady state is solved, and
-    at |nu| = omega1*omega2 the lower mode moves freely (W- = 0). The times
-    are not bounded: where the phase W t overflows while e^{-lambda t} > 0,
-    and where a result leaves the float range, it raises
-    :class:`OutOfRange`.
+    at |nu| = omega1*omega2 the lower mode moves freely (W- = 0). Neither
+    the times nor sigma0 are bounded: where a result leaves the float range,
+    as from a sigma0 within a few times of the float maximum, it raises
+    :class:`OutOfRange`, whose message adds where the phase W t overflowed
+    while e^{-lambda t} > 0.
     """
     # the float test spares single-time calls the cost of np.ndim
     if not isinstance(t, float) and np.ndim(t) > 0:
@@ -484,8 +483,8 @@ def _propagate_grid(sigma0s, params_seq, times: np.ndarray) -> np.ndarray:
     against (k, N) e^{-lambda t}, cos and sin, so every element takes a
     one-set call's operations in the same order, bit for bit, in one exp,
     cos and sin call over all sets. Raises the first set's :func:`_start`
-    error, then :class:`OutOfRange` if any phase or result leaves the float
-    range."""
+    error, then one :class:`OutOfRange` if any result leaves the float range,
+    naming a mode phase that overflowed while e^{-lambda t} > 0."""
     starts = list(map(_start, sigma0s, params_seq))
     lab0, blocks, rot, w, lab_inf = (
         starts[0] if len(starts) == 1 else (np.array(part).T[..., None] for part in zip(*starts)))
@@ -494,30 +493,17 @@ def _propagate_grid(sigma0s, params_seq, times: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # checked below
         damp = np.exp(-lam * t)
         phase = np.reshape(w, (2, -1, 1)) * t
-        cos, sin = np.cos(phase), np.sin(phase)
-        out = _full(_sigma_t(lab0, blocks, rot, w, cos, sin, damp, t))
-        if damp[~(phase[1] < math.inf)].any():
-            raise OutOfRange(
-                f"propagated covariance left the float range (t up to {t.max():g}): "
-                "the mode phase overflowed while e^(-lambda t) stayed above 0")
-        out = out.reshape(damp.shape + (4, 4))  # (set, time, 4, 4)
-        settled = damp == 0.0
-        if settled.any():
-            out[settled] = np.broadcast_to(_full(lab_inf).reshape(-1, 1, 4, 4), out.shape)[settled]
-        out[:, t == 0.0] = _full(lab0).reshape(-1, 1, 4, 4)
-        if not np.isfinite(out).all():
-            # mode-basis values reach twice the lab ones: evaluate again with
-            # sigma0 and sigma_inf scaled by 1/4, exact away from subnormals
-            bad = ~np.isfinite(out).all(axis=(2, 3))
-            rows = np.nonzero(bad)[0]
-            lab0, blocks, rot, w = (np.reshape(part, (len(part), -1))[:, rows]
-                                    for part in (lab0, blocks, rot, w))
-            out[bad] = 4.0 * _full(_sigma_t(
-                [0.25 * v for v in lab0], [0.25 * v for v in blocks], rot, w,
-                cos[:, bad], sin[:, bad], damp[bad], np.broadcast_to(t, bad.shape)[bad]))
-            if not np.isfinite(out).all():
-                raise OutOfRange(
-                    f"propagated covariance left the float range (t up to {t.max():g})")
+        out = _full(_sigma_t(lab0, blocks, rot, w, np.cos(phase), np.sin(phase), damp, t))
+    out = out.reshape(damp.shape + (4, 4))  # (set, time, 4, 4)
+    settled = damp == 0.0
+    if settled.any():
+        out[settled] = np.broadcast_to(_full(lab_inf).reshape(-1, 1, 4, 4), out.shape)[settled]
+    out[:, t == 0.0] = _full(lab0).reshape(-1, 1, 4, 4)
+    if not np.isfinite(out).all():
+        # an overflowed phase has NaN cos and sin, and only settling hides them
+        why = ": the mode phase overflowed while e^(-lambda t) stayed above 0"
+        raise OutOfRange(f"propagated covariance left the float range (t up to {t.max():g})"
+                         + (why if damp[~(phase[1] < math.inf)].any() else ""))
     return out.reshape(-1, 4, 4)
 
 

@@ -29,7 +29,6 @@ from oscbath import (
     steady_state,
     sweep_parameter,
 )
-from oscbath.dynamics import _sigma_t
 from oscbath.measures import (
     _COLUMN,
     _DD_ERROR,
@@ -1070,30 +1069,18 @@ class TestSweepOnePass:
         self.assert_one_stacked_call(monkeypatch, preset.params, preset.sweep,
                                      preset.values, TimeGrid(2.5, 7.5, 11))
 
-    def test_quarter_scale_retry_in_a_stacked_call(self, monkeypatch):
-        # at r = 354.9 the mode-basis values of sigma0 overflow, so its rows
-        # are evaluated again at 1/4 scale. A sweep refuses r = 354.9 as
-        # beyond the parameter box and propagates the others in one call;
-        # any sigma0 given to the stacked core still takes the retry
+    def test_float_range_limit_in_a_stacked_call(self, monkeypatch):
+        # a sweep refuses r = 354.9 as beyond the parameter box and
+        # propagates the others in one call; given to the stacked core, its
+        # sigma0 leaves the float range in the mode basis, and the stack with it
         grid = TimeGrid(0.0, 1.0, 5)
         values = (1.0, 354.9, 2.0)
         outcomes = self.assert_one_stacked_call(monkeypatch, FIG1A, "r", values, grid,
                                                 expected_calls=[2])
         assert outcomes[1].error.startswith("r must satisfy 0 <= r <= 4.5790")
-        sets = [FIG1A] * 3
         sigma0s = [initial_squeezed_vacuum(r) for r in values]
-        evaluations = []
-
-        def counted(*args):
-            evaluations.append(len(args[-1]))
-            return _sigma_t(*args)
-
-        monkeypatch.setattr(oscbath.dynamics, "_sigma_t", counted)
-        stack = oscbath.dynamics._propagate_grid(sigma0s, sets, grid.times())
-        assert evaluations == [5, 4]  # t = 0 is sigma0 itself
-        expected = [oscbath.dynamics.propagate(*pair, grid.times()) for pair in zip(sigma0s, sets)]
-        assert np.isfinite(stack).all()
-        assert np.array_equal(bits(stack), bits(np.concatenate(expected)))
+        with pytest.raises(OutOfRange, match=r"float range \(t up to 1\)$"):
+            oscbath.dynamics._propagate_grid(sigma0s, [FIG1A] * 3, grid.times())
 
     def test_phase_overflow_keeps_the_other_values(self):
         # at omega = 2 the phase W+ t overflows at t = 1e308 while

@@ -21,6 +21,7 @@ from oscbath import (
     TimeGrid,
     Trajectory,
     coupling_bound,
+    validate,
 )
 from oscbath.cli import _COLUMNS, _csv_text, _trajectory_csv, main
 from oscbath.sweep import FIGURE_IDS, figure_preset, sweep_parameter
@@ -328,6 +329,20 @@ class TestEvolveCommand:
         assert captured.err == (
             "error: r must satisfy 0 <= r <= 4.5790, the supported squeezing range (got 8.0)\n")
         assert not out.exists()
+
+    def test_help_states_each_bound_of_the_box(self, capsys):
+        # the text each refusal names is the one --help gives; argparse
+        # wraps help at the terminal width, so whitespace is compared loosely
+        with pytest.raises(SystemExit):
+            main(["evolve", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        for field, value, bound in (("omega", 1e4, "2**-11 <= omega <= 2**11"),
+                                    ("lambda_", 1e4, "0 <= lambda <= 2**11"),
+                                    ("temperature", 1e4, "0 <= temperature <= 2**11"),
+                                    ("r", 8.0, "0 <= r <= 4.5790")):
+            violations = validate(dataclasses.replace(FIG1A, **{field: value})).violations
+            assert f"must satisfy {bound}" in violations[0], field
+            assert bound in help_text, field
 
     @pytest.mark.parametrize("command", [["evolve", "--points", "3"], ["steady"]])
     def test_squeezing_beyond_the_supported_range_warns(self, command, capsys):

@@ -810,6 +810,24 @@ class TestSteadyState:
         scale = np.sqrt(np.outer(np.diag(exact), np.diag(exact)))
         assert (np.abs(steady_state(params) - exact) <= 1e-15 * scale).all()
 
+    @pytest.mark.parametrize("epsilon", [0.0, 0.3])
+    @pytest.mark.parametrize("share", [0.9, 0.999, 0.99999])
+    def test_accuracy_near_the_marginal_coupling_follows_its_conditioning(
+            self, epsilon, share):
+        # W-^2 = (b - |nu|)/W+^2 (b + |nu|) takes b = fl(w1 w2), whose
+        # half-ulp rounding b/(b - |nu|) amplifies where W-^2 outweighs
+        # lambda^2; at epsilon = 0 the product is exact. u = 2**-53, on the
+        # scale sqrt(S_ii S_jj) of each entry
+        for lam, temperature in ((1e-3, 0.0), (0.6, 0.2)):
+            params = SystemParams(1.0, epsilon, 0.0, lam, temperature, 0.0)
+            b = coupling_bound(params)
+            params = dataclasses.replace(params, nu=share * b)
+            ref = mpmath_steady_state(params, 80)
+            scale = np.sqrt(np.outer(np.diag(ref), np.diag(ref)))
+            err = np.abs(steady_state(params) - ref) / scale
+            tol = (0.5 * b / (b - params.nu) + 8.0) * 2.0 ** -53
+            assert err.max() <= tol, (params, err.max() / 2.0 ** -53)
+
     @pytest.mark.parametrize("lam", [1e200, 1e300])
     def test_huge_lambda_keeps_the_local_thermal_state(self, lam):
         # lambda^2 overflows at these lambda, which the parameter box
@@ -893,14 +911,15 @@ class TestPropagate:
         with pytest.raises(ValueError, match="finite values >= 0"):
             propagate(np.eye(4), FIG1A, [0.0, t])
 
-    def test_entries_near_the_float_maximum_stay_finite(self):
-        # r = 355 puts entries near 1.1e308, where sigma + sigma^T overflows;
+    def test_entries_near_the_float_maximum_raise_out_of_range(self):
+        # r = 355 puts entries near 1.1e308, which the mode basis takes past
+        # the maximum at every t > 0, on the scalar and on the grid route;
         # the suite turns the RuntimeWarning of any overflow into an error
         sigma0 = initial_squeezed_vacuum(355.0)
-        stack = propagate(sigma0, FIG1A, np.linspace(0.0, 10.0, 11))
-        assert np.isfinite(stack).all()
-        assert np.array_equal(stack, stack.swapaxes(1, 2))
-        assert np.array_equal(stack[0], sigma0)
+        for t, t_max in ((1.0, "1"), (np.linspace(0.0, 10.0, 11), "10")):
+            with pytest.raises(OutOfRange, match=rf"float range \(t up to {t_max}\)$"):
+                propagate(sigma0, FIG1A, t)
+        assert np.array_equal(propagate(sigma0, FIG1A, 0.0), sigma0)
 
     def test_result_beyond_float_range_raises_out_of_range(self):
         # sin(Wt)/W > 1 for W < 1 moves the position entries past the maximum
